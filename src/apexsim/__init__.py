@@ -9,11 +9,9 @@ and a tabular reinforcement loop that tunes the ranking coefficients.
 from .compare import CompareRow, CompareSettings, run_cell, run_compare
 from .disk import TO_UNUSED, TO_USED, Disk, new_disk, transition_block
 from .errors import BlockStateError, ConfigError, DiskFullError, TraceError
-from .heap import PriorityHeap
 from .model import BlockFactors, DiskGeometry, Hyperparams, MrpfRecord, Neighborhood
 from .policies import ApexPolicy, FirstFitPolicy, RandomPolicy, make_policy
 from .priority import (
-    priority_factor,
     record_file_access,
     record_overwrite_event,
     top_unused,
@@ -64,7 +62,6 @@ __all__ = [
     "OBSOLETE",
     "PARTIAL",
     "PerfWeights",
-    "PriorityHeap",
     "RandomPolicy",
     "RecoveryResult",
     "SimReport",
@@ -83,7 +80,6 @@ __all__ = [
     "make_policy",
     "new_disk",
     "performance",
-    "priority_factor",
     "read_trace",
     "record_file_access",
     "record_overwrite_event",

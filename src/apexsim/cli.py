@@ -12,9 +12,10 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
-from .compare import CompareSettings, compare_report, run_compare
+from .compare import compare_report, run_compare
 from .config import load_config
 from .disk import new_disk
 from .errors import ConfigError, TraceError
@@ -53,6 +54,7 @@ def _fresh_fs(cfg):
 
 
 def cmd_simulate(args) -> int:
+    """Run a seeded workload; write the report and its trace."""
     cfg = load_config(args.config, seed_override=args.seed, policy_override=args.policy)
     fs = _fresh_fs(cfg)
     report, trace = run_simulation(cfg.workload, fs, cfg.weights)
@@ -73,6 +75,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    """Re-execute a recorded trace on a fresh disk and report."""
     if not args.trace:
         raise ConfigError("replay requires --trace PATH")
     cfg = load_config(args.config, seed_override=args.seed, policy_override=args.policy)
@@ -94,6 +97,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_train(args) -> int:
+    """Tune the ranking coefficients; write the report and per-interval table."""
     cfg = load_config(args.config, seed_override=args.seed, policy_override=args.policy)
     tc = cfg.train_config()
     report = train(tc)
@@ -119,30 +123,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """Measure primary-corpus recovery under each policy as secondary data floods in."""
     cfg = load_config(args.config, seed_override=None, policy_override=None)
     settings = cfg.compare_settings
     if args.seed is not None:
-        settings = CompareSettings(
-            primary_count=settings.primary_count,
-            primary_data_blocks=settings.primary_data_blocks,
-            primary_type=settings.primary_type,
-            secondary_targets=settings.secondary_targets,
-            secondary_min_blocks=settings.secondary_min_blocks,
-            secondary_max_blocks=settings.secondary_max_blocks,
-            seeds=(args.seed,),
-            policies=settings.policies,
-        )
+        settings = replace(settings, seeds=(args.seed,))
     if args.policy is not None:
-        settings = CompareSettings(
-            primary_count=settings.primary_count,
-            primary_data_blocks=settings.primary_data_blocks,
-            primary_type=settings.primary_type,
-            secondary_targets=settings.secondary_targets,
-            secondary_min_blocks=settings.secondary_min_blocks,
-            secondary_max_blocks=settings.secondary_max_blocks,
-            seeds=settings.seeds,
-            policies=(args.policy,),
-        )
+        settings = replace(settings, policies=(args.policy,))
     rows = run_compare(cfg.geometry, cfg.coefficients, settings, cfg.invert_link_rule)
     stamp = _stamp()
     seed = settings.seeds[0]
@@ -170,6 +157,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    """Simulate or replay, then report what each deleted file could recover."""
     cfg = load_config(args.config, seed_override=args.seed, policy_override=args.policy)
     fs = _fresh_fs(cfg)
     if args.trace:

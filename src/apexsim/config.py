@@ -8,6 +8,7 @@ grammar and an annotated example.
 
 import configparser
 import os
+from dataclasses import replace
 
 from .compare import CompareSettings
 from .errors import ConfigError
@@ -127,14 +128,7 @@ def load_config(path, seed_override=None, policy_override=None) -> AppConfig:
             op_mix=_get(parser, "workload", "mix", _parse_floats, (0.70, 0.15, 0.15), path),
         )
         if seed_override is not None:
-            workload = WorkloadConfig(
-                rng_seed=seed_override,
-                total_ops=workload.total_ops,
-                max_file_blocks=workload.max_file_blocks,
-                linked_file_percent=workload.linked_file_percent,
-                min_utilization=workload.min_utilization,
-                op_mix=workload.op_mix,
-            )
+            workload = replace(workload, rng_seed=seed_override)
     except ValueError as e:
         raise ConfigError(f"{path}: [workload] {e}") from None
 

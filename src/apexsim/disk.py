@@ -1,9 +1,9 @@
 """In-memory model of the block device.
 
-The disk is a flat array of fixed-size blocks split into a used membership set
-and a max-priority collection of unused blocks keyed by score. Factors live in
-parallel numpy arrays so a spatial pass is a handful of vector ops; payload,
-version and lineage live on small per-block objects.
+The disk is a flat array of fixed-size blocks. A boolean used mask and four
+parallel factor arrays are the whole ranking state: scores are computed from
+them on demand, so a spatial pass or a ranking is a handful of vector ops.
+Payload, version and lineage live on small per-block objects.
 """
 
 import hashlib
@@ -12,9 +12,7 @@ import json
 import numpy as np
 
 from .errors import BlockStateError
-from .heap import PriorityHeap
 from .model import NONE, BlockFactors, DiskGeometry, Hyperparams, MrpfRecord
-from .priority import priority_factor
 
 TO_USED = "to-used"
 TO_UNUSED = "to-unused"
@@ -45,10 +43,7 @@ class Disk:
         self.sf = np.zeros(n, dtype=np.float64)
         self.lf = np.ones(n, dtype=np.int64)  # fresh blocks start linked
         self.blocks = [Block(i) for i in range(n)]
-        self.used: set[int] = set()
         self.used_mask = np.zeros(n, dtype=bool)
-        self.unused = PriorityHeap()
-        self.unused.reload((a, self.key_of(a)) for a in range(n))
         self.clock = 0
         self.event_log: list | None = None
 
@@ -66,12 +61,10 @@ class Disk:
             lf=int(self.lf[address]),
         )
 
-    def key_of(self, address: int) -> float:
-        return priority_factor(self.factors(address), self.hyperparams, self.spatial_enabled)
-
     def pf_array(self) -> np.ndarray:
-        """Scores of all blocks as float64. Same arithmetic shape as the
-        scalar priority_factor, so scalar and vector paths agree bitwise."""
+        """Scores of all blocks as float64: churn and linkage push a block
+        up, usage protects it, and higher means overwritten sooner. With
+        spatial ranking disabled the spatial term is dropped, not zeroed."""
         hp = self.hyperparams
         base = hp.hist * self.hf - hp.usage * self.uf
         if self.spatial_enabled:
@@ -79,27 +72,15 @@ class Disk:
             return pf + hp.link * self.lf
         return (base + hp.link * self.lf).astype(np.float64)
 
-    def refresh_key(self, address: int) -> None:
-        if address in self.unused:
-            self.unused.update(address, self.key_of(address))
-
-    def rebuild_unused_keys(self) -> None:
-        self.unused.reload((a, self.key_of(a)) for a in self.unused.addresses())
-
-    def set_hyperparams(self, hp: Hyperparams) -> None:
-        if hp != self.hyperparams:
-            self.hyperparams = hp
-            self.rebuild_unused_keys()
-
     # -- state --------------------------------------------------------------
 
     def is_used(self, address: int) -> bool:
-        return address in self.used
+        return bool(self.used_mask[address])
 
     def lineage_intact(self, address: int, file_id: int) -> bool:
         """True when the block still holds exactly the bytes the given file
         left behind: unused, lineage names the file, epoch matches payload."""
-        if address in self.used:
+        if self.used_mask[address]:
             return False
         rec = self.blocks[address].mrpf
         return (
@@ -126,7 +107,7 @@ class Disk:
         per_block = []
         for blk in self.blocks:
             entry = {
-                "state": "used" if blk.index in self.used else "unused",
+                "state": "used" if self.used_mask[blk.index] else "unused",
                 "hf": int(self.hf[blk.index]),
                 "uf": int(self.uf[blk.index]),
                 "sf": float(self.sf[blk.index]),
@@ -178,21 +159,17 @@ def transition_block(disk: Disk, address: int, direction: str) -> BlockFactors:
     if not 0 <= address < disk.geometry.total_blocks:
         raise IndexError(f"address {address} out of range")
     if direction == TO_USED:
-        if address in disk.used:
+        if disk.used_mask[address]:
             raise BlockStateError(f"block {address} already used")
-        disk.unused.remove(address)
-        disk.used.add(address)
         disk.used_mask[address] = True
         disk.hf[address] = 1
         disk.uf[address] = 1
         disk.sf[address] = 0.0
     elif direction == TO_UNUSED:
-        if address not in disk.used:
+        if not disk.used_mask[address]:
             raise BlockStateError(f"block {address} already unused")
-        disk.used.discard(address)
         disk.used_mask[address] = False
         disk.hf[address] = 0
-        disk.unused.insert(address, disk.key_of(address))
     else:
         raise ValueError(f"unknown transition {direction!r}")
     return disk.factors(address)

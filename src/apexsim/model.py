@@ -10,8 +10,10 @@ CONTIGUOUS = "contiguous"
 NONE = "none"
 
 # Spatial scores are a recomputed neighbor mean of full priority scores, which is
-# a positive feedback loop at spatial weights >= 2. Clamp keeps long exploratory
-# runs finite; no sanctioned run gets anywhere near it.
+# a positive feedback loop at spatial weights >= 2, and ordinary runs reach the
+# clamp: on a 16x16 grid-row disk (seed 0, coefficients 4,7,s,9) it is first hit
+# at op 43 for s=2 and op 24 for s=3, and after 1000 ops 50% (s=2) and 66% (s=3)
+# of unused blocks sit pinned at -SF_LIMIT. The clamp only keeps scores finite.
 SF_LIMIT = 1e12
 
 

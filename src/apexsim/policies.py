@@ -5,8 +5,7 @@ The factor engine keeps running under every policy; only the choice differs.
 
 import random
 
-from .errors import DiskFullError
-from .priority import top_unused
+from .priority import top_unused, unused_addresses
 
 APEX = "apex"
 FIRST_FIT = "first-fit"
@@ -28,10 +27,7 @@ class FirstFitPolicy:
     name = FIRST_FIT
 
     def select(self, disk, count: int) -> list:
-        free = len(disk.unused)
-        if count > free:
-            raise DiskFullError(f"need {count} unused blocks, only {free} free")
-        return sorted(disk.unused.addresses())[:count]
+        return unused_addresses(disk, count)[:count].tolist()
 
 
 class RandomPolicy:
@@ -43,10 +39,7 @@ class RandomPolicy:
         self._rng = random.Random(seed)
 
     def select(self, disk, count: int) -> list:
-        free = len(disk.unused)
-        if count > free:
-            raise DiskFullError(f"need {count} unused blocks, only {free} free")
-        return self._rng.sample(sorted(disk.unused.addresses()), count)
+        return self._rng.sample(unused_addresses(disk, count).tolist(), count)
 
 
 def make_policy(kind: str, seed: int = 0):

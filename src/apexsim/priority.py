@@ -1,27 +1,14 @@
-"""Ranking engine: block scores and the event-driven factor updates.
+"""Ranking engine: the event-driven factor updates and the ranking itself.
 
-Scores are refreshed when an event changes a factor, not on a timer. Every
-public filesystem operation leaves the unused-heap keys equal to a fresh
-recomputation of the score from the block factors.
+Factors change when an event fires, not on a timer. Scores are never stored:
+every ranking recomputes them from the disk's factor arrays, so there is no
+cached key that could go stale.
 """
 
 import numpy as np
 
 from .errors import DiskFullError
-from .model import CONTIGUOUS, GRID_ROW, NONE, SF_LIMIT, BlockFactors, Hyperparams
-
-
-def priority_factor(factors: BlockFactors, hp: Hyperparams, spatial_enabled: bool = True) -> float:
-    """Score of a block: churn and linkage push it up, usage protects it.
-
-    Higher score means overwritten sooner. With spatial ranking disabled the
-    spatial term is dropped entirely, not just zeroed.
-    """
-    score = hp.hist * factors.hf - hp.usage * factors.uf
-    if spatial_enabled:
-        score += hp.spatial * factors.sf
-    score += hp.link * factors.lf
-    return float(score)
+from .model import CONTIGUOUS, GRID_ROW, NONE, SF_LIMIT
 
 
 def record_file_access(disk, file) -> None:
@@ -41,21 +28,20 @@ def record_file_access(disk, file) -> None:
 
 def record_overwrite_event(disk, address: int) -> None:
     """A block with lineage is being claimed: its still-unused siblings that
-    carry the same parent file get one unit of churn each and fresh keys.
+    carry the same parent file get one unit of churn each.
 
     Deletion never calls this; it fires only when new data lands on a block.
     """
     rec = disk.blocks[address].mrpf
     if rec is None:
         return
-    for sib in sorted(rec.siblings):
-        if sib == address or disk.is_used(sib):
+    for sib in rec.siblings:
+        if sib == address or disk.used_mask[sib]:
             continue
         other = disk.blocks[sib].mrpf
         if other is None or other.file_id != rec.file_id:
             continue
         disk.hf[sib] += 1
-        disk.refresh_key(sib)
 
 
 def update_spatial_factors(disk) -> None:
@@ -83,22 +69,31 @@ def update_spatial_factors(disk) -> None:
             row_sums = pf.reshape(geo.rows, geo.cols).sum(axis=1)
             new_sf = (np.repeat(row_sums, geo.cols) - pf) / deg
     elif nb.kind == CONTIGUOUS:
+        # "full" then slice, not "same": "same" returns max(n, kernel) samples,
+        # which breaks when the window is wider than the disk.
         kernel = np.ones(2 * nb.span + 1)
-        window = np.convolve(pf, kernel, mode="same")
-        counts = np.convolve(np.ones(n), kernel, mode="same") - 1.0
+        window = np.convolve(pf, kernel, mode="full")[nb.span:nb.span + n]
+        counts = np.convolve(np.ones(n), kernel, mode="full")[nb.span:nb.span + n] - 1.0
         new_sf = np.where(counts > 0, (window - pf) / np.maximum(counts, 1.0), 0.0)
     else:  # pragma: no cover - kinds validated at construction
         raise ValueError(f"unknown neighborhood kind {nb.kind!r}")
     np.clip(new_sf, -SF_LIMIT, SF_LIMIT, out=new_sf)
     new_sf[disk.used_mask] = 0.0
     disk.sf[:] = new_sf
-    disk.rebuild_unused_keys()
 
 
 def top_unused(disk, count: int) -> list:
     """The count highest-scored unused addresses, descending score, lower
     address first on ties. Read-only; raises when the disk cannot supply."""
-    free = len(disk.unused)
-    if count > free:
-        raise DiskFullError(f"need {count} unused blocks, only {free} free")
-    return disk.unused.n_best(count)
+    free = unused_addresses(disk, count)
+    # stable, so equal scores keep the ascending address order of free
+    order = np.argsort(-disk.pf_array()[free], kind="stable")
+    return free[order[:count]].tolist()
+
+
+def unused_addresses(disk, count: int) -> np.ndarray:
+    """All unused addresses, ascending; raises unless at least count exist."""
+    free = np.flatnonzero(~disk.used_mask)
+    if count > len(free):
+        raise DiskFullError(f"need {count} unused blocks, only {len(free)} free")
+    return free

@@ -294,7 +294,7 @@ def train(config: TrainConfig) -> TrainReport:
             q_update(qtable, state, action, reward, next_state, lr, gamma)
         trajectory.append(MinRecord(m, p, eps, state, action, reward))
         state = next_state
-        disk.set_hyperparams(Hyperparams.from_tuple(state))
+        disk.hyperparams = Hyperparams.from_tuple(state)
         m += 1
 
     if len(qtable):

@@ -8,6 +8,8 @@ until someone allocates over them.
 
 import math
 
+import numpy as np
+
 from .disk import TO_UNUSED, TO_USED, transition_block
 from .errors import DiskFullError
 from .model import MrpfRecord
@@ -154,10 +156,10 @@ class FileSystem:
         return rec
 
     def utilization(self) -> float:
-        return len(self.disk.used) / self.disk.geometry.total_blocks
+        return int(np.count_nonzero(self.disk.used_mask)) / self.disk.geometry.total_blocks
 
     def free_blocks(self) -> int:
-        return len(self.disk.unused)
+        return self.disk.geometry.total_blocks - int(np.count_nonzero(self.disk.used_mask))
 
     # -- operations ----------------------------------------------------------
 
@@ -228,7 +230,6 @@ class FileSystem:
         for addr in rec.block_list:
             transition_block(self.disk, addr, TO_UNUSED)
             self.disk.lf[addr] = lf_value
-            self.disk.refresh_key(addr)
         rec.status = DELETED
         self._drop_live(rec)
         self._retired.append(rec)

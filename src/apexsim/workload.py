@@ -11,6 +11,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, TraceError
 from .priority import update_spatial_factors
 from .recovery import (
@@ -212,7 +214,7 @@ class WorkloadRunner:
 
     @property
     def used_blocks(self) -> int:
-        return len(self.fs.disk.used)
+        return int(np.count_nonzero(self.fs.disk.used_mask))
 
     @property
     def block_size(self) -> int:

@@ -4,6 +4,8 @@ is replayed literally from the event log, rankings come from a full sort, and
 recovery is reconstructed from claim history instead of epoch records.
 """
 
+from itertools import chain
+
 import numpy as np
 
 from apexsim.model import CONTIGUOUS, GRID_ROW, NONE, SF_LIMIT
@@ -33,21 +35,15 @@ def rank_by_full_sort(disk, count=None):
     return addrs if count is None else addrs[:count]
 
 
-def assert_conservation(disk):
+def assert_conservation(fs):
+    """Used plus free blocks cover the disk, and the live files' block lists
+    partition the used addresses exactly: no block owned twice, none lost."""
+    disk = fs.disk
     total = disk.geometry.total_blocks
-    used = set(disk.used)
-    unused = set(disk.unused.addresses())
-    assert len(used) + len(unused) == total
-    assert not (used & unused)
-    assert used | unused == set(range(total))
-
-
-def assert_heap_keys_fresh(disk):
-    hp = disk.hyperparams
-    enabled = disk.spatial_enabled
-    for addr in disk.unused.addresses():
-        f = disk.factors(addr)
-        assert disk.unused.key(addr) == score_of(f.hf, f.uf, f.sf, f.lf, hp, enabled)
+    used = np.flatnonzero(disk.used_mask)
+    assert len(used) + fs.free_blocks() == total
+    owned = np.fromiter(chain.from_iterable(f.block_list for f in fs.live_files()), dtype=np.intp)
+    assert np.array_equal(np.sort(owned), used)
 
 
 class FactorOracle:
@@ -168,9 +164,7 @@ class FactorOracle:
         assert np.array_equal(self.uf, disk.uf), f"uf mismatch {context}"
         assert np.array_equal(self.lf, disk.lf), f"lf mismatch {context}"
         assert np.allclose(self.sf, disk.sf, rtol=0.0, atol=1e-9), f"sf mismatch {context}"
-        engine_used = np.zeros(self.geometry.total_blocks, dtype=bool)
-        engine_used[sorted(disk.used)] = True
-        assert np.array_equal(self.used, engine_used), f"used-set mismatch {context}"
+        assert np.array_equal(self.used, disk.used_mask), f"used-set mismatch {context}"
 
 
 class ClaimHistoryRecovery:

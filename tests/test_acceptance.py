@@ -106,7 +106,7 @@ def long_conformance_run():
         oracle.apply_all(log[cursor:])
         cursor = len(log)
         oracle.assert_matches(fs.disk)
-        assert_conservation(fs.disk)
+        assert_conservation(fs)
     _long_run.update(ops=ops, seconds=time.monotonic() - started)
     return _long_run
 

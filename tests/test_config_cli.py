@@ -1,11 +1,12 @@
 """Config file parsing and the command line surface."""
 
+import argparse
 import json
 import os
 
 import pytest
 
-from apexsim.cli import main
+from apexsim.cli import build_parser, main
 from apexsim.config import load_config
 from apexsim.errors import ConfigError
 
@@ -159,6 +160,24 @@ def test_cli_simulate_same_seed_same_report(tmp_path):
     assert docs[0] == docs[1]
 
 
+def test_cli_simulate_contiguous_span_wider_than_disk(tmp_path):
+    body = """
+[disk]
+rows = 2
+cols = 4
+neighborhood = contiguous:10
+
+[workload]
+total_ops = 60
+max_file_blocks = 2
+"""
+    cfg = write_cfg(tmp_path, body)
+    out = str(tmp_path / "out")
+    assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
+    doc = json.loads(open(only_file(out, ".json")).read())
+    assert doc["executed_ops"] == 60
+
+
 def test_cli_seed_flag_overrides_config(tmp_path):
     cfg = write_cfg(tmp_path, MINIMAL)
     out = str(tmp_path / "out")
@@ -185,6 +204,15 @@ def test_cli_replay_without_trace_is_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL)
     assert run_cli(["replay", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "trace" in capsys.readouterr().err
+
+
+def test_cli_every_subcommand_has_help():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    assert sorted(helps) == sorted(sub.choices)
+    for name, text in helps.items():
+        assert text and text.strip(), f"{name} has no help text"
 
 
 def test_cli_missing_config_exits_two(tmp_path, capsys):

@@ -16,7 +16,6 @@ from apexsim.model import (
     Neighborhood,
 )
 from apexsim.priority import (
-    priority_factor,
     record_file_access,
     record_overwrite_event,
     top_unused,
@@ -24,9 +23,18 @@ from apexsim.priority import (
 )
 
 from conftest import ScriptedPolicy, make_disk, make_fs
-from oracles import score_of
+from oracles import FactorOracle, rank_by_full_sort, score_of
 
 HP = Hyperparams(4, 7, 1, 9)
+
+
+def score(f: BlockFactors, hp: Hyperparams = HP, spatial_enabled: bool = True) -> float:
+    """Score of a block with factors f, read through Disk.pf_array on a
+    one-block disk with or without a spatial neighborhood."""
+    neighborhood = "grid-row" if spatial_enabled else "none"
+    disk = make_disk(rows=1, cols=1, hp=hp.as_tuple(), neighborhood=neighborhood)
+    disk.hf[0], disk.uf[0], disk.sf[0], disk.lf[0] = f.hf, f.uf, f.sf, f.lf
+    return disk.pf_array()[0]
 
 
 # -- model types --------------------------------------------------------------
@@ -68,17 +76,17 @@ def test_geometry_validation():
 
 
 def test_score_worked_examples():
-    assert priority_factor(BlockFactors(1, 1, 0, 1), HP) == 6.0
-    assert priority_factor(BlockFactors(0, 0, 0, 0), HP) == 0.0
-    assert priority_factor(BlockFactors(2, 2, 3, 0), HP) == pytest.approx(-3.0)
+    assert score(BlockFactors(1, 1, 0, 1)) == 6.0
+    assert score(BlockFactors(0, 0, 0, 0)) == 0.0
+    assert score(BlockFactors(2, 2, 3, 0)) == pytest.approx(-3.0)
     # fresh block: hf=0 uf=0 sf=0 lf=1
-    assert priority_factor(BlockFactors(0, 0, 0, 1), HP) == 9.0
+    assert score(BlockFactors(0, 0, 0, 1)) == 9.0
 
 
 def test_score_spatial_term_dropped_when_disabled():
     f = BlockFactors(1, 1, 100.0, 1)
-    assert priority_factor(f, HP, spatial_enabled=False) == 6.0
-    assert priority_factor(f, HP, spatial_enabled=True) == 106.0
+    assert score(f, HP, spatial_enabled=False) == 6.0
+    assert score(f, HP, spatial_enabled=True) == 106.0
 
 
 def test_score_is_linear_in_each_factor():
@@ -91,11 +99,11 @@ def test_score_is_linear_in_each_factor():
             round(rng.uniform(-20, 20), 3),
             rng.randint(0, 1),
         )
-        assert priority_factor(f, hp) == pytest.approx(
+        assert score(f, hp) == pytest.approx(
             score_of(f.hf, f.uf, f.sf, f.lf, hp)
         )
         bumped = BlockFactors(f.hf + 1, f.uf, f.sf, f.lf)
-        delta = priority_factor(bumped, hp) - priority_factor(f, hp)
+        delta = score(bumped, hp) - score(f, hp)
         assert delta == pytest.approx(hp.hist)
 
 
@@ -157,7 +165,7 @@ def test_overwrite_event_skips_blocks_claimed_by_newer_file():
     assert fs.disk.hf[1] == 1.0  # now owned by /b.txt, left alone
     assert fs.disk.hf[2] == 2.0  # the only sibling still on the old lineage
     f2 = fs.disk.factors(2)
-    assert fs.disk.key_of(2) == pytest.approx(score_of(f2.hf, f2.uf, f2.sf, f2.lf, HP))
+    assert fs.disk.pf_array()[2] == pytest.approx(score_of(f2.hf, f2.uf, f2.sf, f2.lf, HP))
 
 
 def test_overwrite_event_without_lineage_is_noop():
@@ -183,7 +191,7 @@ def test_spatial_fresh_row_averages_to_nine():
     update_spatial_factors(disk)
     # every block's neighbors carry score 9 before the pass
     assert list(disk.sf) == [9.0, 9.0, 9.0]
-    assert disk.key_of(1) == pytest.approx(4 * 0 - 7 * 0 + 1 * 9.0 + 9 * 1)
+    assert disk.pf_array()[1] == pytest.approx(4 * 0 - 7 * 0 + 1 * 9.0 + 9 * 1)
 
 
 def test_spatial_middle_block_worked_example():
@@ -192,11 +200,10 @@ def test_spatial_middle_block_worked_example():
     disk.hf[2] = 6.0
     disk.uf[2] = 3.0
     disk.lf[2] = 0.0
-    disk.refresh_key(2)
-    assert disk.key_of(2) == pytest.approx(3.0)
+    assert disk.pf_array()[2] == pytest.approx(3.0)
     update_spatial_factors(disk)
     assert disk.sf[1] == pytest.approx(6.0)
-    assert disk.key_of(1) == pytest.approx(15.0)
+    assert disk.pf_array()[1] == pytest.approx(15.0)
     assert disk.sf[0] == pytest.approx(6.0)
     assert disk.sf[2] == pytest.approx(9.0)
 
@@ -212,7 +219,6 @@ def test_spatial_used_blocks_pinned_to_zero():
 def test_spatial_single_column_row_degenerates_to_zero():
     disk = make_disk(rows=3, cols=1)
     disk.hf[0] = 5.0
-    disk.refresh_key(0)
     update_spatial_factors(disk)
     assert list(disk.sf) == [0.0, 0.0, 0.0]
 
@@ -227,12 +233,27 @@ def test_spatial_none_neighborhood_is_noop():
 def test_spatial_contiguous_band_edges():
     disk = make_disk(rows=1, cols=4, neighborhood="contiguous:1")
     disk.hf[0] = 1.0  # score 4-0+0+9 = 13
-    disk.refresh_key(0)
     update_spatial_factors(disk)
     # block 0 sees only block 1 (score 9); block 1 sees 13 and 9
     assert disk.sf[0] == pytest.approx(9.0)
     assert disk.sf[1] == pytest.approx(11.0)
     assert disk.sf[3] == pytest.approx(9.0)
+
+
+def test_spatial_contiguous_window_wider_than_disk():
+    """A span that reaches past both ends makes every block a neighbor of
+    every other, and the pass agrees with the oracle's literal window."""
+    fs = make_fs(rows=2, cols=4, neighborhood="contiguous:10")
+    fs.disk.record_events(True)
+    oracle = FactorOracle(fs.disk.geometry, HP)
+    update_spatial_factors(fs.disk)
+    assert list(fs.disk.sf) == [9.0] * 8
+    fs.create_file("/a.txt", 2 * 4096)
+    fs.delete_file("/a.txt")
+    fs.create_file("/b.zip", 4096)
+    update_spatial_factors(fs.disk)
+    oracle.apply_all(fs.disk.event_log)
+    oracle.assert_matches(fs.disk)
 
 
 def test_spatial_uses_scores_frozen_before_the_pass():
@@ -242,7 +263,6 @@ def test_spatial_uses_scores_frozen_before_the_pass():
     for addr in range(8):
         disk.hf[addr] = rng.randint(0, 6)
         disk.uf[addr] = rng.randint(0, 6)
-        disk.refresh_key(addr)
     for _ in range(2):
         pf_before = disk.pf_array()
         update_spatial_factors(disk)
@@ -256,7 +276,6 @@ def test_spatial_uses_scores_frozen_before_the_pass():
 def test_spatial_clamped_to_limit():
     disk = make_disk(rows=1, cols=2)
     disk.sf[0] = 9e12  # runaway score feeding the next pass
-    disk.refresh_key(0)
     update_spatial_factors(disk)
     assert disk.sf[1] == SF_LIMIT
 
@@ -272,7 +291,6 @@ def test_top_unused_fresh_disk_prefers_low_addresses():
 def test_top_unused_picks_highest_score():
     disk = make_disk(rows=16, cols=16)
     disk.sf[100] = 6.0  # score 15 vs the 9.0 baseline
-    disk.refresh_key(100)
     assert top_unused(disk, 1) == [100]
     assert top_unused(disk, 3) == [100, 0, 1]
 
@@ -290,7 +308,5 @@ def test_top_unused_matches_full_sort_on_random_state():
         disk.hf[addr] = rng.randint(0, 9)
         disk.uf[addr] = rng.randint(0, 9)
         disk.lf[addr] = rng.randint(0, 1)
-        disk.refresh_key(addr)
     update_spatial_factors(disk)
-    ranked = sorted(range(64), key=lambda a: (-disk.key_of(a), a))
-    assert top_unused(disk, 10) == ranked[:10]
+    assert top_unused(disk, 10) == rank_by_full_sort(disk, 10)
