@@ -7,16 +7,11 @@ and a tabular reinforcement loop that tunes the ranking coefficients.
 """
 
 from .compare import CompareRow, CompareSettings, run_cell, run_compare
-from .disk import TO_UNUSED, TO_USED, Disk, new_disk, transition_block
+from .disk import Disk, claim, new_disk, release
 from .errors import BlockStateError, ConfigError, DiskFullError, TraceError
-from .model import BlockFactors, DiskGeometry, Hyperparams, MrpfRecord, Neighborhood
+from .model import DiskGeometry, Hyperparams, Neighborhood
 from .policies import ApexPolicy, FirstFitPolicy, RandomPolicy, make_policy
-from .priority import (
-    record_file_access,
-    record_overwrite_event,
-    top_unused,
-    update_spatial_factors,
-)
+from .priority import record_file_access, top_unused, update_spatial_factors
 from .recovery import (
     PerfWeights,
     RecoveryResult,
@@ -43,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApexPolicy",
-    "BlockFactors",
     "BlockStateError",
     "CompareRow",
     "CompareSettings",
@@ -57,7 +51,6 @@ __all__ = [
     "FirstFitPolicy",
     "Hyperparams",
     "LINKED",
-    "MrpfRecord",
     "Neighborhood",
     "OBSOLETE",
     "PARTIAL",
@@ -65,8 +58,6 @@ __all__ = [
     "RandomPolicy",
     "RecoveryResult",
     "SimReport",
-    "TO_UNUSED",
-    "TO_USED",
     "TraceError",
     "TrainConfig",
     "TrainReport",
@@ -75,6 +66,7 @@ __all__ = [
     "WorkloadConfig",
     "WorkloadOp",
     "access_time_term",
+    "claim",
     "evaluate_policy",
     "generate_op",
     "make_policy",
@@ -82,16 +74,15 @@ __all__ = [
     "performance",
     "read_trace",
     "record_file_access",
-    "record_overwrite_event",
     "recover_file",
     "recovery_table",
+    "release",
     "replay_trace",
     "run_cell",
     "run_compare",
     "run_simulation",
     "top_unused",
     "train",
-    "transition_block",
     "update_spatial_factors",
     "weighted_rr",
     "write_trace",

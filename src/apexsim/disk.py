@@ -1,36 +1,26 @@
 """In-memory model of the block device.
 
-The disk is a flat array of fixed-size blocks. A boolean used mask and four
-parallel factor arrays are the whole ranking state: scores are computed from
-them on demand, so a spatial pass or a ranking is a handful of vector ops.
-Payload, version and lineage live on small per-block objects.
+The disk is a flat array of fixed-size blocks, and every piece of block state
+is one entry of a per-block array: the used mask, the four ranking factors,
+the payload version, the payload itself and the lineage owner (the most
+recent parent file, -1 for a block never owned). Scores are computed from the
+arrays on demand, and claiming or releasing a file's blocks is one vectorised
+call. The sibling list of each owner is the owning file's own block list,
+kept by reference for the snapshot.
 """
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 
 from .errors import BlockStateError
-from .model import NONE, BlockFactors, DiskGeometry, Hyperparams, MrpfRecord
-
-TO_USED = "to-used"
-TO_UNUSED = "to-unused"
+from .model import NONE, DiskGeometry, Hyperparams
 
 SNAPSHOT_FORMAT = "apexsim-snapshot"
 SNAPSHOT_VERSION = 1
-
-
-class Block:
-    """Payload-side state of one block. Factor values live on the disk arrays."""
-
-    __slots__ = ("index", "version", "payload", "mrpf")
-
-    def __init__(self, index: int):
-        self.index = index
-        self.version = 0  # bumps on every write; 0 means never written
-        self.payload = None  # bytes, or None meaning all zeroes
-        self.mrpf: MrpfRecord | None = None
+NO_OWNER = -1
 
 
 class Disk:
@@ -38,12 +28,15 @@ class Disk:
         self.geometry = geometry
         self.hyperparams = hyperparams
         n = geometry.total_blocks
-        self.hf = np.zeros(n, dtype=np.int64)
-        self.uf = np.zeros(n, dtype=np.int64)
-        self.sf = np.zeros(n, dtype=np.float64)
-        self.lf = np.ones(n, dtype=np.int64)  # fresh blocks start linked
-        self.blocks = [Block(i) for i in range(n)]
+        self.hf = np.zeros(n, dtype=np.int64)  # churn of the block's lineage while unused
+        self.uf = np.zeros(n, dtype=np.int64)  # accesses of the owning file, frozen once freed
+        self.sf = np.zeros(n, dtype=np.float64)  # neighbor mean of scores, 0 while used
+        self.lf = np.ones(n, dtype=np.int64)  # last owner's linkage flag; fresh blocks start linked
         self.used_mask = np.zeros(n, dtype=bool)
+        self.version = np.zeros(n, dtype=np.int64)  # bumps on every write; 0 = never written
+        self.payload = [None] * n  # bytes, or None meaning all zeroes
+        self.owner = np.full(n, NO_OWNER, dtype=np.int64)
+        self.siblings: dict[int, list] = {}  # owner file id -> its block list
         self.clock = 0
         self.event_log: list | None = None
 
@@ -52,14 +45,6 @@ class Disk:
     @property
     def spatial_enabled(self) -> bool:
         return self.geometry.neighborhood.kind != NONE
-
-    def factors(self, address: int) -> BlockFactors:
-        return BlockFactors(
-            hf=int(self.hf[address]),
-            uf=int(self.uf[address]),
-            sf=float(self.sf[address]),
-            lf=int(self.lf[address]),
-        )
 
     def pf_array(self) -> np.ndarray:
         """Scores of all blocks as float64: churn and linkage push a block
@@ -77,17 +62,11 @@ class Disk:
     def is_used(self, address: int) -> bool:
         return bool(self.used_mask[address])
 
-    def lineage_intact(self, address: int, file_id: int) -> bool:
-        """True when the block still holds exactly the bytes the given file
-        left behind: unused, lineage names the file, epoch matches payload."""
-        if self.used_mask[address]:
-            return False
-        rec = self.blocks[address].mrpf
-        return (
-            rec is not None
-            and rec.file_id == file_id
-            and rec.content_epoch == self.blocks[address].version
-        )
+    def lineage_intact(self, addrs: list, file_id: int) -> np.ndarray:
+        """Per address, whether the block still holds exactly the bytes the
+        given file left behind: unused, and no later file has claimed it."""
+        idx = np.asarray(addrs, dtype=np.intp)
+        return ~self.used_mask[idx] & (self.owner[idx] == file_id)
 
     def tick(self) -> None:
         self.clock += 1
@@ -104,29 +83,32 @@ class Disk:
     # -- serialization ------------------------------------------------------
 
     def snapshot(self) -> dict:
+        sorted_siblings = {fid: sorted(blocks) for fid, blocks in self.siblings.items()}
         per_block = []
-        for blk in self.blocks:
-            entry = {
-                "state": "used" if self.used_mask[blk.index] else "unused",
-                "hf": int(self.hf[blk.index]),
-                "uf": int(self.uf[blk.index]),
-                "sf": float(self.sf[blk.index]),
-                "lf": int(self.lf[blk.index]),
-                "version": blk.version,
+        for used, hf, uf, sf, lf, version, payload, owner in zip(
+            self.used_mask.tolist(), self.hf.tolist(), self.uf.tolist(), self.sf.tolist(),
+            self.lf.tolist(), self.version.tolist(), self.payload, self.owner.tolist(),
+        ):
+            per_block.append({
+                "state": "used" if used else "unused",
+                "hf": hf,
+                "uf": uf,
+                "sf": sf,
+                "lf": lf,
+                "version": version,
                 "payload_sha256": (
-                    hashlib.sha256(blk.payload).hexdigest() if blk.payload is not None else None
+                    hashlib.sha256(payload).hexdigest() if payload is not None else None
                 ),
                 "mrpf": (
                     {
-                        "file_id": blk.mrpf.file_id,
-                        "siblings": sorted(blk.mrpf.siblings),
-                        "content_epoch": blk.mrpf.content_epoch,
+                        "file_id": owner,
+                        "siblings": sorted_siblings[owner],
+                        "content_epoch": version,
                     }
-                    if blk.mrpf is not None
+                    if owner != NO_OWNER
                     else None
                 ),
-            }
-            per_block.append(entry)
+            })
         return {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
@@ -148,28 +130,50 @@ def new_disk(geometry: DiskGeometry, hyperparams: Hyperparams) -> Disk:
     return Disk(geometry, hyperparams)
 
 
-def transition_block(disk: Disk, address: int, direction: str) -> BlockFactors:
-    """Move one block between states, applying the factor transition rules.
+def _addresses(disk: Disk, addrs: list) -> np.ndarray:
+    n = disk.geometry.total_blocks
+    if addrs and not (0 <= min(addrs) and max(addrs) < n):
+        raise IndexError(f"address out of range 0..{n - 1}: {addrs}")
+    if len(set(addrs)) != len(addrs):
+        raise BlockStateError(f"repeated address in {addrs}")
+    return np.asarray(addrs, dtype=np.intp)
 
-    to-used: churn resets to 1, usage starts at 1, spatial zeroes.
-    to-unused: churn resets to 0; usage freezes at its current value.
-    The linkage flag is owned by the filesystem's delete path, and lineage
-    records are installed by the allocation path; neither changes here.
+
+def claim(disk: Disk, addrs: list, file_id: int) -> None:
+    """New data lands on unused blocks: they become used by file_id.
+
+    Overwrite propagation first: a claimed block whose lineage names a prior
+    owner F damages F's copy, so each of F's blocks still unused and still
+    owned by F gains one unit of churn per claimed block F owned. Then the
+    claim lands: churn resets to 1, usage starts at 1, spatial zeroes, the
+    payload version bumps and lineage names file_id. addrs is kept by
+    reference as file_id's sibling list, so it must be the file's block list.
     """
-    if not 0 <= address < disk.geometry.total_blocks:
-        raise IndexError(f"address {address} out of range")
-    if direction == TO_USED:
-        if disk.used_mask[address]:
-            raise BlockStateError(f"block {address} already used")
-        disk.used_mask[address] = True
-        disk.hf[address] = 1
-        disk.uf[address] = 1
-        disk.sf[address] = 0.0
-    elif direction == TO_UNUSED:
-        if not disk.used_mask[address]:
-            raise BlockStateError(f"block {address} already unused")
-        disk.used_mask[address] = False
-        disk.hf[address] = 0
-    else:
-        raise ValueError(f"unknown transition {direction!r}")
-    return disk.factors(address)
+    idx = _addresses(disk, addrs)
+    if disk.used_mask[idx].any():
+        raise BlockStateError(f"already used: {idx[disk.used_mask[idx]].tolist()}")
+    prior = Counter(disk.owner[idx].tolist())
+    prior.pop(NO_OWNER, None)
+    disk.used_mask[idx] = True
+    if prior:
+        free = ~disk.used_mask
+        for owner, count in prior.items():
+            disk.hf[free & (disk.owner == owner)] += count
+    disk.hf[idx] = 1
+    disk.uf[idx] = 1
+    disk.sf[idx] = 0.0
+    disk.version[idx] += 1
+    disk.owner[idx] = file_id
+    disk.siblings[file_id] = addrs
+
+
+def release(disk: Disk, addrs: list, lf: int) -> None:
+    """Used blocks become unused: churn resets to 0, usage freezes at its
+    current value, the linkage flag becomes lf. Payload and lineage stay
+    until a later claim lands on the block."""
+    idx = _addresses(disk, addrs)
+    if not disk.used_mask[idx].all():
+        raise BlockStateError(f"already unused: {idx[~disk.used_mask[idx]].tolist()}")
+    disk.used_mask[idx] = False
+    disk.hf[idx] = 0
+    disk.lf[idx] = lf

@@ -126,30 +126,3 @@ class Hyperparams:
         return all(
             self.LATTICE_MIN <= c <= self.LATTICE_MAX for c in self.as_tuple()
         )
-
-
-@dataclass
-class BlockFactors:
-    """Per-block ranking inputs.
-
-    hf counts sibling delete/overwrite churn while the block sits unused.
-    uf counts accesses of the owning file (frozen once the block is freed).
-    sf is the recomputed neighbor mean of full scores, 0 while used.
-    lf is the binary linkage flag of the last owning file's format class.
-    """
-
-    hf: int
-    uf: int
-    sf: float
-    lf: int
-
-
-@dataclass
-class MrpfRecord:
-    """Most recent parent file of a block: which file last owned it, the full
-    sibling set allocated to that file, and the content epoch of this block's
-    payload while that file owned it. Drives churn propagation and recovery."""
-
-    file_id: int
-    siblings: frozenset
-    content_epoch: int

@@ -1,8 +1,10 @@
-"""Ranking engine: the event-driven factor updates and the ranking itself.
+"""Ranking engine: the usage and spatial factor updates and the ranking itself.
 
-Factors change when an event fires, not on a timer. Scores are never stored:
-every ranking recomputes them from the disk's factor arrays, so there is no
-cached key that could go stale.
+Factors change when an event fires, not on a timer: a file access bumps
+usage, and each op ends with one spatial pass. Churn moves with claims and
+releases, in the disk module. Scores are never stored: every ranking
+recomputes them from the disk's factor arrays, so there is no cached key that
+could go stale.
 """
 
 import numpy as np
@@ -24,24 +26,6 @@ def record_file_access(disk, file) -> None:
     file.uf_counter += 1
     file.last_access_tick = disk.clock
     disk.emit("access", file.id)
-
-
-def record_overwrite_event(disk, address: int) -> None:
-    """A block with lineage is being claimed: its still-unused siblings that
-    carry the same parent file get one unit of churn each.
-
-    Deletion never calls this; it fires only when new data lands on a block.
-    """
-    rec = disk.blocks[address].mrpf
-    if rec is None:
-        return
-    for sib in rec.siblings:
-        if sib == address or disk.used_mask[sib]:
-            continue
-        other = disk.blocks[sib].mrpf
-        if other is None or other.file_id != rec.file_id:
-            continue
-        disk.hf[sib] += 1
 
 
 def update_spatial_factors(disk) -> None:

@@ -1,12 +1,13 @@
 """Post-deletion recovery measurement and the scalar objective.
 
 A block counts as recovered for a file when it still holds exactly the bytes
-that file left behind: unused, lineage pointing at the file, content epoch
-matching. Linked formats are all-or-nothing; partial formats recover byte
-ranges once their metadata block survives.
+that file left behind: unused, and its lineage still names the file. Linked
+formats are all-or-nothing; partial formats recover byte ranges once their
+metadata block survives.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .vfs import LINKED, OBSOLETE, USED
 
@@ -45,17 +46,16 @@ def recover_file(disk, file) -> RecoveryResult:
     """Recovery ratio of one deleted or obsolete file against current disk state."""
     if file.status == USED:
         raise ValueError(f"file {file.path} is live, nothing to recover")
-    surviving = frozenset(
-        a for a in file.block_list if disk.lineage_intact(a, file.id)
-    )
-    metadata_intact = bool(file.block_list) and file.block_list[0] in surviving
+    intact = disk.lineage_intact(file.block_list, file.id)
+    surviving = frozenset(compress(file.block_list, intact))
+    metadata_intact = bool(file.block_list) and bool(intact[0])
     if file.type_class == LINKED:
-        complete = bool(file.block_list) and len(surviving) == len(file.block_list)
+        complete = bool(file.block_list) and bool(intact.all())
         recovered = file.size_bytes if complete else 0
         rr = 1.0 if complete else 0.0
     else:
         bs = disk.geometry.block_size_bytes
-        data_surviving = sum(1 for a in file.block_list[1:] if a in surviving)
+        data_surviving = int(intact[1:].sum())
         if metadata_intact and file.size_bytes > 0:
             recovered = min(data_surviving * bs, file.size_bytes)
             rr = recovered / file.size_bytes

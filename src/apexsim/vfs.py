@@ -3,17 +3,18 @@
 Paths form a tree rooted at "/". Files are fixed-size at creation: block 0 of
 every non-empty file is its metadata block, the rest carry data in order.
 Deletion is logical - blocks are freed but their payload and lineage stay put
-until someone allocates over them.
+until someone allocates over them. A create is one disk.claim of the file's
+block list and a delete one disk.release; the disk keeps that same list as
+the file's sibling list, so it is never copied or mutated.
 """
 
 import math
 
 import numpy as np
 
-from .disk import TO_UNUSED, TO_USED, transition_block
+from .disk import claim, release
 from .errors import DiskFullError
-from .model import MrpfRecord
-from .priority import record_file_access, record_overwrite_event
+from .priority import record_file_access
 
 LINKED = "linked"
 PARTIAL = "partial"
@@ -168,8 +169,8 @@ class FileSystem:
 
         Validation happens before any mutation, so a failed create leaves the
         disk untouched. Blocks are claimed in ranking order; the first becomes
-        the metadata block. Claiming a block with live lineage fires the
-        overwrite event for its siblings before the claim lands.
+        the metadata block. Claiming blocks with live lineage adds churn to
+        their prior owners' still-unused blocks (see disk.claim).
         """
         parts = _components(path)
         if not parts:
@@ -193,24 +194,20 @@ class FileSystem:
                 f"{norm}: need {needed} blocks, {self.free_blocks()} free"
             )
 
-        addrs = self.policy.select(self.disk, needed)
+        addrs = list(self.policy.select(self.disk, needed))
         fid = self._next_id
         self._next_id += 1
-        siblings = frozenset(addrs)
+        claim(self.disk, addrs, fid)
+        payload = self.disk.payload
         for i, addr in enumerate(addrs):
-            record_overwrite_event(self.disk, addr)
-            transition_block(self.disk, addr, TO_USED)
-            blk = self.disk.blocks[addr]
-            blk.version += 1
             if data is not None and i > 0:
-                blk.payload = data[(i - 1) * bs : i * bs].ljust(
+                payload[addr] = data[(i - 1) * bs : i * bs].ljust(
                     min(bs, size_bytes - (i - 1) * bs), b"\x00"
                 )
             else:
-                blk.payload = None
-            blk.mrpf = MrpfRecord(fid, siblings, blk.version)
+                payload[addr] = None
 
-        rec = FileRecord(fid, norm, type_class, list(addrs), size_bytes, self.disk.clock)
+        rec = FileRecord(fid, norm, type_class, addrs, size_bytes, self.disk.clock)
         self.files[fid] = rec
         self._by_path[norm] = rec
         rec._live_index = len(self._live)
@@ -227,9 +224,7 @@ class FileSystem:
         """
         rec = self.lookup(path)
         lf_value = 0 if (rec.type_class == PARTIAL) != self.invert_link_rule else 1
-        for addr in rec.block_list:
-            transition_block(self.disk, addr, TO_UNUSED)
-            self.disk.lf[addr] = lf_value
+        release(self.disk, rec.block_list, lf_value)
         rec.status = DELETED
         self._drop_live(rec)
         self._retired.append(rec)
@@ -242,7 +237,7 @@ class FileSystem:
         bs = self.disk.geometry.block_size_bytes
         parts = []
         for addr in rec.block_list[1:]:
-            payload = self.disk.blocks[addr].payload
+            payload = self.disk.payload[addr]
             parts.append(payload if payload is not None else bytes(bs))
         record_file_access(self.disk, rec)
         return b"".join(parts)[: rec.size_bytes]
@@ -250,9 +245,8 @@ class FileSystem:
     def write_file(self, path: str, offset: int, data: bytes) -> None:
         """Overwrite bytes inside the current size; files never grow here.
 
-        Affected data blocks bump their payload epoch and lineage epoch;
-        untouched blocks keep theirs. Usage increments once even for a
-        zero-length write.
+        Affected data blocks bump their payload version; untouched blocks
+        keep theirs. Usage increments once even for a zero-length write.
         """
         rec = self.lookup(path)
         if offset < 0 or offset + len(data) > rec.size_bytes:
@@ -263,17 +257,16 @@ class FileSystem:
         if data:
             first = offset // bs
             last = (offset + len(data) - 1) // bs
+            payload = self.disk.payload
             for j in range(first, last + 1):
                 addr = rec.block_list[1 + j]
-                blk = self.disk.blocks[addr]
                 span = min(bs, rec.size_bytes - j * bs)
-                base = bytearray(blk.payload) if blk.payload is not None else bytearray(span)
+                base = bytearray(payload[addr]) if payload[addr] is not None else bytearray(span)
                 lo = max(offset, j * bs)
                 hi = min(offset + len(data), (j + 1) * bs)
                 base[lo - j * bs : hi - j * bs] = data[lo - offset : hi - offset]
-                blk.payload = bytes(base)
-                blk.version += 1
-                blk.mrpf.content_epoch = blk.version
+                payload[addr] = bytes(base)
+                self.disk.version[addr] += 1
         record_file_access(self.disk, rec)
 
     def mark_obsolete_sweep(self) -> int:
@@ -282,7 +275,7 @@ class FileSystem:
         flipped = 0
         still_active = []
         for rec in self._deleted_active:
-            if any(self.disk.lineage_intact(a, rec.id) for a in rec.block_list):
+            if self.disk.lineage_intact(rec.block_list, rec.id).any():
                 still_active.append(rec)
             else:
                 rec.status = OBSOLETE

@@ -28,8 +28,8 @@ def rank_by_full_sort(disk, count=None):
     for addr in range(disk.geometry.total_blocks):
         if disk.is_used(addr):
             continue
-        f = disk.factors(addr)
-        scored.append((-score_of(f.hf, f.uf, f.sf, f.lf, hp, enabled), addr))
+        factors = disk.hf[addr], disk.uf[addr], disk.sf[addr], disk.lf[addr]
+        scored.append((-score_of(*factors, hp, enabled), addr))
     scored.sort()
     addrs = [a for _, a in scored]
     return addrs if count is None else addrs[:count]

@@ -1,11 +1,11 @@
-"""Block store: transitions, the used/unused partition, snapshots."""
+"""Block store: claims and releases, the used/unused partition, snapshots."""
 
 import random
 
 import numpy as np
 import pytest
 
-from apexsim.disk import TO_UNUSED, TO_USED, new_disk, transition_block
+from apexsim.disk import NO_OWNER, claim, new_disk, release
 from apexsim.errors import BlockStateError
 from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
 from apexsim.priority import top_unused
@@ -38,18 +38,20 @@ def test_transition_to_used_resets_tracking():
     disk = make_disk(rows=4, cols=4)
     disk.hf[5] = 5.0
     disk.sf[5] = 2.5
-    transition_block(disk, 5, TO_USED)
+    claim(disk, [5], 1)
     assert (disk.hf[5], disk.uf[5], disk.sf[5], disk.lf[5]) == (1.0, 1.0, 0.0, 1.0)
+    assert (disk.version[5], disk.owner[5]) == (1, 1)
     assert disk.is_used(5)
     assert 5 not in top_unused(disk, 15)
 
 
 def test_transition_to_unused_freezes_usage():
     disk = make_disk(rows=4, cols=4)
-    transition_block(disk, 5, TO_USED)
+    claim(disk, [5], 1)
     disk.uf[5] = 7.0
-    transition_block(disk, 5, TO_UNUSED)
-    assert (disk.hf[5], disk.uf[5]) == (0.0, 7.0)
+    release(disk, [5], 0)
+    assert (disk.hf[5], disk.uf[5], disk.lf[5]) == (0.0, 7.0, 0.0)
+    assert (disk.version[5], disk.owner[5]) == (1, 1)  # lineage stays until a claim lands
     assert not disk.is_used(5)
     assert 5 in top_unused(disk, 16)
 
@@ -57,16 +59,52 @@ def test_transition_to_unused_freezes_usage():
 def test_transition_same_state_rejected():
     disk = make_disk(rows=4, cols=4)
     with pytest.raises(BlockStateError):
-        transition_block(disk, 5, TO_UNUSED)
-    transition_block(disk, 5, TO_USED)
+        release(disk, [5], 0)
+    claim(disk, [5], 1)
     with pytest.raises(BlockStateError):
-        transition_block(disk, 5, TO_USED)
+        claim(disk, [5], 2)
+    # a mixed batch is rejected before anything changes
+    with pytest.raises(BlockStateError):
+        claim(disk, [6, 5], 2)
+    with pytest.raises(BlockStateError):
+        release(disk, [5, 6], 0)
+    assert np.flatnonzero(disk.used_mask).tolist() == [5]
+    assert disk.owner[6] == NO_OWNER and disk.lf[5] == 1
 
 
-def test_transition_unknown_kind_rejected():
+def test_repeated_or_out_of_range_address_rejected():
     disk = make_disk(rows=4, cols=4)
-    with pytest.raises(ValueError):
-        transition_block(disk, 5, "sideways")
+    with pytest.raises(BlockStateError):
+        claim(disk, [3, 3], 1)
+    claim(disk, [3, 4], 1)
+    with pytest.raises(BlockStateError):
+        release(disk, [4, 4], 0)
+    for bad in (16, -1):
+        with pytest.raises(IndexError):
+            claim(disk, [bad], 2)
+        with pytest.raises(IndexError):
+            release(disk, [bad], 0)
+    assert np.flatnonzero(disk.used_mask).tolist() == [3, 4]
+
+
+def test_claim_adds_churn_per_block_taken_from_each_prior_owner():
+    """Two deleted files lose blocks to one claim: each of a file's blocks
+    still on its lineage gains one unit per block the claim took from it."""
+    disk = make_disk(rows=4, cols=4)
+    a, b = [0, 1, 2, 3, 4], [5, 6, 7]
+    claim(disk, a, 1)
+    claim(disk, b, 2)
+    claim(disk, [8], 3)
+    release(disk, a, 0)
+    release(disk, b, 0)
+    release(disk, [8], 0)
+    claim(disk, [9], 4)
+    release(disk, [9], 0)  # never-owned block claimed, then freed: no churn
+    assert not disk.hf.any()
+    claim(disk, [3, 9, 1, 6, 4, 10], 5)
+    assert disk.hf.tolist() == [3, 1, 3, 1, 1, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0]
+    assert disk.owner.tolist() == [1, 5, 1, 5, 5, 2, 5, 2, 3, 5, 5] + [NO_OWNER] * 5
+    assert disk.siblings == {1: a, 2: b, 3: [8], 4: [9], 5: [3, 9, 1, 6, 4, 10]}
 
 
 def test_partition_invariant_under_random_transitions():
@@ -74,10 +112,12 @@ def test_partition_invariant_under_random_transitions():
     disk = make_disk(rows=8, cols=8)
     fs = make_fs(disk=disk)
     used = set()
-    for _ in range(500):
+    for fid in range(500):
         addr = rng.randrange(64)
-        kind = TO_UNUSED if disk.is_used(addr) else TO_USED
-        transition_block(disk, addr, kind)
+        if disk.is_used(addr):
+            release(disk, [addr], rng.randint(0, 1))
+        else:
+            claim(disk, [addr], fid)
         used ^= {addr}
         assert np.flatnonzero(disk.used_mask).tolist() == sorted(used)
         assert fs.free_blocks() == 64 - len(used)
@@ -118,8 +158,8 @@ def test_pf_array_matches_scalar_keys():
             disk.lf[addr] = rng.randint(0, 1)
         pf = disk.pf_array()
         for addr in range(16):
-            f = disk.factors(addr)
-            want = score_of(f.hf, f.uf, f.sf, f.lf, disk.hyperparams, disk.spatial_enabled)
+            factors = disk.hf[addr], disk.uf[addr], disk.sf[addr], disk.lf[addr]
+            want = score_of(*factors, disk.hyperparams, disk.spatial_enabled)
             assert pf[addr] == want
 
 
@@ -127,16 +167,29 @@ def test_snapshot_hash_is_stable_and_state_sensitive():
     a = make_disk(rows=4, cols=4)
     b = make_disk(rows=4, cols=4)
     assert a.snapshot_sha256() == b.snapshot_sha256()
-    transition_block(b, 0, TO_USED)
+    claim(b, [0], 1)
     assert a.snapshot_sha256() != b.snapshot_sha256()
 
 
 def test_snapshot_sees_payload_changes():
     disk = make_disk(rows=2, cols=2)
-    transition_block(disk, 0, TO_USED)
+    claim(disk, [0], 1)
     before = disk.snapshot_sha256()
-    disk.blocks[0].payload = b"x" * 16
+    disk.payload[0] = b"x" * 16
     assert disk.snapshot_sha256() != before
+
+
+def test_snapshot_lineage_reads_owner_version_and_sibling_list():
+    disk = make_disk(rows=2, cols=2)
+    blocks = [3, 1]
+    claim(disk, blocks, 7)
+    disk.version[1] += 1
+    release(disk, blocks, 0)
+    snap = disk.snapshot()["blocks"]
+    assert snap[0]["mrpf"] is None
+    assert snap[1]["mrpf"] == {"file_id": 7, "siblings": [1, 3], "content_epoch": 2}
+    assert snap[3]["mrpf"] == {"file_id": 7, "siblings": [1, 3], "content_epoch": 1}
+    assert (snap[1]["state"], snap[1]["version"], snap[1]["lf"]) == ("unused", 2, 0)
 
 
 def test_event_recording_off_by_default():

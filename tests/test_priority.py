@@ -5,22 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from apexsim.disk import TO_USED, new_disk, transition_block
+from apexsim.disk import claim, new_disk, release
 from apexsim.errors import DiskFullError
-from apexsim.model import (
-    SF_LIMIT,
-    BlockFactors,
-    DiskGeometry,
-    Hyperparams,
-    MrpfRecord,
-    Neighborhood,
-)
-from apexsim.priority import (
-    record_file_access,
-    record_overwrite_event,
-    top_unused,
-    update_spatial_factors,
-)
+from apexsim.model import SF_LIMIT, DiskGeometry, Hyperparams, Neighborhood
+from apexsim.priority import record_file_access, top_unused, update_spatial_factors
 
 from conftest import ScriptedPolicy, make_disk, make_fs
 from oracles import FactorOracle, rank_by_full_sort, score_of
@@ -28,12 +16,12 @@ from oracles import FactorOracle, rank_by_full_sort, score_of
 HP = Hyperparams(4, 7, 1, 9)
 
 
-def score(f: BlockFactors, hp: Hyperparams = HP, spatial_enabled: bool = True) -> float:
-    """Score of a block with factors f, read through Disk.pf_array on a
-    one-block disk with or without a spatial neighborhood."""
+def score(f: tuple, hp: Hyperparams = HP, spatial_enabled: bool = True) -> float:
+    """Score of a block with factors f = (hf, uf, sf, lf), read through
+    Disk.pf_array on a one-block disk with or without a spatial neighborhood."""
     neighborhood = "grid-row" if spatial_enabled else "none"
     disk = make_disk(rows=1, cols=1, hp=hp.as_tuple(), neighborhood=neighborhood)
-    disk.hf[0], disk.uf[0], disk.sf[0], disk.lf[0] = f.hf, f.uf, f.sf, f.lf
+    disk.hf[0], disk.uf[0], disk.sf[0], disk.lf[0] = f
     return disk.pf_array()[0]
 
 
@@ -76,15 +64,15 @@ def test_geometry_validation():
 
 
 def test_score_worked_examples():
-    assert score(BlockFactors(1, 1, 0, 1)) == 6.0
-    assert score(BlockFactors(0, 0, 0, 0)) == 0.0
-    assert score(BlockFactors(2, 2, 3, 0)) == pytest.approx(-3.0)
+    assert score((1, 1, 0, 1)) == 6.0
+    assert score((0, 0, 0, 0)) == 0.0
+    assert score((2, 2, 3, 0)) == pytest.approx(-3.0)
     # fresh block: hf=0 uf=0 sf=0 lf=1
-    assert score(BlockFactors(0, 0, 0, 1)) == 9.0
+    assert score((0, 0, 0, 1)) == 9.0
 
 
 def test_score_spatial_term_dropped_when_disabled():
-    f = BlockFactors(1, 1, 100.0, 1)
+    f = (1, 1, 100.0, 1)
     assert score(f, HP, spatial_enabled=False) == 6.0
     assert score(f, HP, spatial_enabled=True) == 106.0
 
@@ -93,16 +81,14 @@ def test_score_is_linear_in_each_factor():
     rng = random.Random(9)
     for _ in range(200):
         hp = Hyperparams(*(rng.randint(1, 10) for _ in range(4)))
-        f = BlockFactors(
+        f = (
             rng.randint(0, 30),
             rng.randint(0, 30),
             round(rng.uniform(-20, 20), 3),
             rng.randint(0, 1),
         )
-        assert score(f, hp) == pytest.approx(
-            score_of(f.hf, f.uf, f.sf, f.lf, hp)
-        )
-        bumped = BlockFactors(f.hf + 1, f.uf, f.sf, f.lf)
+        assert score(f, hp) == pytest.approx(score_of(*f, hp))
+        bumped = (f[0] + 1, *f[1:])
         delta = score(bumped, hp) - score(f, hp)
         assert delta == pytest.approx(hp.hist)
 
@@ -147,10 +133,11 @@ def test_overwrite_event_bumps_unused_siblings():
     fs.create_file("/a.txt", 2 * 4096)
     fs.delete_file("/a.txt")
     assert list(fs.disk.hf[:3]) == [0.0, 0.0, 0.0]
-    record_overwrite_event(fs.disk, 0)
-    assert list(fs.disk.hf[:4]) == [0.0, 1.0, 1.0, 0.0]
-    record_overwrite_event(fs.disk, 1)
-    # block 0 is a sibling of block 1, so it picks up the second event too
+    claim(fs.disk, [0], 90)
+    # the claimed block resets to 1; its still-unused siblings gain one each
+    assert list(fs.disk.hf[:4]) == [1.0, 1.0, 1.0, 0.0]
+    claim(fs.disk, [1], 91)
+    # block 0 now carries another file's data, so only block 2 is bumped
     assert list(fs.disk.hf[:4]) == [1.0, 1.0, 2.0, 0.0]
 
 
@@ -161,25 +148,29 @@ def test_overwrite_event_skips_blocks_claimed_by_newer_file():
     # reclaiming block 1 fires one event against the old lineage first
     fs.create_file("/b.txt", 4096)
     assert list(fs.disk.hf[:4]) == [1.0, 1.0, 1.0, 1.0]
-    record_overwrite_event(fs.disk, 0)
-    assert fs.disk.hf[1] == 1.0  # now owned by /b.txt, left alone
+    fs.delete_file("/b.txt")
+    claim(fs.disk, [0], 99)
+    assert fs.disk.hf[1] == 0.0  # /b.txt's block now, left alone
     assert fs.disk.hf[2] == 2.0  # the only sibling still on the old lineage
-    f2 = fs.disk.factors(2)
-    assert fs.disk.pf_array()[2] == pytest.approx(score_of(f2.hf, f2.uf, f2.sf, f2.lf, HP))
+    d = fs.disk
+    assert d.pf_array()[2] == pytest.approx(score_of(d.hf[2], d.uf[2], d.sf[2], d.lf[2], HP))
 
 
 def test_overwrite_event_without_lineage_is_noop():
     disk = make_disk(rows=4, cols=4)
     before = disk.hf.copy()
-    record_overwrite_event(disk, 5)
+    claim(disk, [5], 1)
+    before[5] = 1
     assert np.array_equal(disk.hf, before)
 
 
 def test_overwrite_event_single_member_lineage():
     disk = make_disk(rows=4, cols=4)
-    disk.blocks[3].mrpf = MrpfRecord(99, frozenset({3}), 0)
+    claim(disk, [3], 99)
+    release(disk, [3], 0)
     before = disk.hf.copy()
-    record_overwrite_event(disk, 3)
+    claim(disk, [3], 100)
+    before[3] = 1
     assert np.array_equal(disk.hf, before)
 
 
@@ -210,7 +201,7 @@ def test_spatial_middle_block_worked_example():
 
 def test_spatial_used_blocks_pinned_to_zero():
     disk = make_disk(rows=1, cols=3)
-    transition_block(disk, 1, TO_USED)
+    claim(disk, [1], 1)
     update_spatial_factors(disk)
     assert disk.sf[1] == 0.0
     assert disk.sf[0] != 0.0

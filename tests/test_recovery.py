@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from apexsim.disk import TO_USED, transition_block
-from apexsim.priority import record_overwrite_event
+from apexsim.disk import claim
 from apexsim.recovery import (
     SEEK_COST,
     TIMESTAMP,
@@ -23,11 +22,9 @@ from conftest import ScriptedPolicy, make_fs
 
 
 def overwrite(fs, addrs):
-    """Stamp new content onto freed blocks, breaking their old lineage."""
-    for addr in addrs:
-        record_overwrite_event(fs.disk, addr)
-        transition_block(fs.disk, addr, TO_USED)
-        fs.disk.blocks[addr].version += 1
+    """Stamp new content onto freed blocks, breaking their old lineage: a
+    claim by a file id the file system never hands out."""
+    claim(fs.disk, list(addrs), 999)
 
 
 def test_untouched_delete_recovers_fully():

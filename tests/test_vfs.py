@@ -2,7 +2,6 @@
 
 import pytest
 
-from apexsim.disk import TO_USED, transition_block
 from apexsim.errors import DiskFullError
 from apexsim.recovery import recover_file
 from apexsim.vfs import (
@@ -38,8 +37,8 @@ def test_create_claims_metadata_plus_data_blocks():
     for addr in rec.block_list:
         assert fs.disk.is_used(addr)
         assert (fs.disk.hf[addr], fs.disk.uf[addr]) == (1.0, 1.0)
-        assert fs.disk.blocks[addr].mrpf.file_id == rec.id
-        assert fs.disk.blocks[addr].mrpf.siblings == frozenset(rec.block_list)
+        assert fs.disk.owner[addr] == rec.id
+    assert fs.disk.siblings[rec.id] is rec.block_list
 
 
 def test_create_zero_byte_file_claims_nothing():
@@ -100,7 +99,7 @@ def test_delete_frees_blocks_and_keeps_lineage():
         assert not fs.disk.is_used(addr)
         assert fs.disk.hf[addr] == 0.0
         assert fs.disk.uf[addr] == 2.0  # frozen at its live value
-        assert fs.disk.blocks[addr].mrpf.file_id == rec.id
+        assert fs.disk.owner[addr] == rec.id
     # fully intact right after the delete
     assert recover_file(fs.disk, rec).rr == 1.0
 
@@ -165,14 +164,14 @@ def test_write_bumps_epoch_only_on_touched_blocks():
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.bin", 3 * 4096)
     meta, d0, d1, d2 = rec.block_list
-    epochs = {a: fs.disk.blocks[a].mrpf.content_epoch for a in rec.block_list}
+    epochs = fs.disk.version.copy()
     fs.write_file("/a.bin", 4096, b"hello")  # lands entirely in d1
-    blocks = fs.disk.blocks
-    assert blocks[d1].mrpf.content_epoch == epochs[d1] + 1
-    assert blocks[d1].version == epochs[d1] + 1
-    assert blocks[d0].mrpf.content_epoch == epochs[d0]
-    assert blocks[d2].mrpf.content_epoch == epochs[d2]
-    assert blocks[meta].mrpf.content_epoch == epochs[meta]
+    version = fs.disk.version
+    assert version[d1] == epochs[d1] + 1
+    assert version[d0] == epochs[d0]
+    assert version[d2] == epochs[d2]
+    assert version[meta] == epochs[meta]
+    assert fs.disk.snapshot()["blocks"][d1]["mrpf"]["content_epoch"] == epochs[d1] + 1
     assert fs.read_file("/a.bin")[4096:4101] == b"hello"
     assert rec.uf_counter == 3  # create + write + read
 
@@ -189,11 +188,11 @@ def test_write_spanning_two_blocks():
 def test_zero_length_write_still_counts_as_usage():
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.bin", 4096)
-    epoch = fs.disk.blocks[rec.block_list[1]].mrpf.content_epoch
+    epoch = fs.disk.version[rec.block_list[1]]
     fs.write_file("/a.bin", 0, b"")
     assert rec.uf_counter == 2
     assert all(fs.disk.uf[a] == 2.0 for a in rec.block_list)
-    assert fs.disk.blocks[rec.block_list[1]].mrpf.content_epoch == epoch
+    assert fs.disk.version[rec.block_list[1]] == epoch
 
 
 def test_write_outside_size_rejected():
