@@ -19,7 +19,7 @@ from .compare import compare_report, run_compare
 from .config import load_config
 from .disk import new_disk
 from .errors import ConfigError, TraceError
-from .policies import make_policy
+from .policies import KINDS, make_policy
 from .recovery import recovery_table, weighted_rr
 from .tuner import train
 from .vfs import FileSystem
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument(
             "--policy",
-            choices=["apex", "first-fit", "random"],
+            choices=KINDS,
             default=None,
             help="override the allocation policy",
         )

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 from .disk import new_disk
 from .model import DiskGeometry, Hyperparams
-from .policies import make_policy
-from .priority import update_spatial_factors
+from .errors import ConfigError
+from .policies import KINDS, make_policy
 from .recovery import recover_file, weighted_rr
-from .vfs import PARTIAL, FileSystem
+from .vfs import LINKED, PARTIAL, FileSystem
+from .workload import OP_CREATE, OP_DELETE, WorkloadOp, execute_op
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,11 @@ class CompareSettings:
             raise ValueError("secondary file size range is invalid")
         if not self.seeds or not self.policies or not self.secondary_targets:
             raise ValueError("seeds, policies and secondary_targets must be non-empty")
+        for kind in self.policies:
+            if kind not in KINDS:
+                raise ValueError(f"unknown policy {kind!r} (expected one of {', '.join(KINDS)})")
+        if self.primary_type not in (LINKED, PARTIAL):
+            raise ValueError(f"unknown type class {self.primary_type!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -82,23 +88,17 @@ def run_cell(
     policy = make_policy(policy_kind, seed=seed + 1000003)
     fs = FileSystem(disk, policy=policy, invert_link_rule=invert_link_rule)
     rng = random.Random(seed)
-    bs = geometry.block_size_bytes
-
-    def step(fn):
-        disk.tick()
-        fn()
-        update_spatial_factors(disk)
 
     primary_ext = ".avi" if settings.primary_type == PARTIAL else ".zip"
     primary_paths = [f"/primary{i}{primary_ext}" for i in range(settings.primary_count)]
     for path in primary_paths:
-        step(
-            lambda p=path: fs.create_file(
-                p, settings.primary_data_blocks * bs, settings.primary_type
-            )
-        )
+        disk.tick()
+        execute_op(fs, WorkloadOp(
+            disk.clock, OP_CREATE, path, settings.primary_data_blocks, settings.primary_type
+        ))
     for path in primary_paths:
-        step(lambda p=path: fs.delete_file(p))
+        disk.tick()
+        execute_op(fs, WorkloadOp(disk.clock, OP_DELETE, path))
 
     written = 0
     seq = 0
@@ -110,8 +110,8 @@ def run_cell(
         size = min(size, target_blocks - written, free - 1)
         size = max(size, 1)
         seq += 1
-        path = f"/secondary{seq:04d}.dat"
-        step(lambda p=path, s=size: fs.create_file(p, s * bs, PARTIAL))
+        disk.tick()
+        execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, f"/secondary{seq:04d}.dat", size, PARTIAL))
         written += size
 
     fs.mark_obsolete_sweep()
@@ -132,6 +132,13 @@ def run_compare(
     settings: CompareSettings,
     invert_link_rule: bool = False,
 ) -> list[CompareRow]:
+    need = settings.primary_count * (settings.primary_data_blocks + 1)
+    if need > geometry.total_blocks:
+        raise ConfigError(
+            f"primary corpus needs {need} blocks ({settings.primary_count} files of "
+            f"{settings.primary_data_blocks} data blocks plus metadata), the disk has "
+            f"{geometry.total_blocks}"
+        )
     rows = []
     for policy_kind in settings.policies:
         for target in settings.secondary_targets:

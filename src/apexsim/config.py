@@ -13,7 +13,7 @@ from dataclasses import replace
 from .compare import CompareSettings
 from .errors import ConfigError
 from .model import DiskGeometry, Hyperparams, Neighborhood
-from .policies import APEX, FIRST_FIT, RANDOM
+from .policies import APEX, KINDS
 from .recovery import SEEK_COST, TIMESTAMP, PerfWeights
 from .tuner import HILL_CLIMB, Q_LEARNING, TrainConfig, TrainSchedule
 from .workload import WorkloadConfig
@@ -112,9 +112,10 @@ def load_config(path, seed_override=None, policy_override=None) -> AppConfig:
     policy_kind = _get(parser, "policy", "kind", str, APEX, path).strip()
     if policy_override is not None:
         policy_kind = policy_override
-    if policy_kind not in (APEX, FIRST_FIT, RANDOM):
-        raise ConfigError(f"{path}: [policy] kind = {policy_kind!r} "
-                          f"(expected {APEX}, {FIRST_FIT} or {RANDOM})")
+    if policy_kind not in KINDS:
+        raise ConfigError(
+            f"{path}: [policy] kind = {policy_kind!r} (expected one of {', '.join(KINDS)})"
+        )
     coefficients = _get(parser, "policy", "coefficients", Hyperparams.parse,
                         Hyperparams(4, 7, 1, 9), path)
 

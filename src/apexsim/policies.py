@@ -10,6 +10,7 @@ from .priority import top_unused, unused_addresses
 APEX = "apex"
 FIRST_FIT = "first-fit"
 RANDOM = "random"
+KINDS = (APEX, FIRST_FIT, RANDOM)
 
 
 class ApexPolicy:

@@ -48,8 +48,8 @@ class TrainSchedule:
             raise ValueError("oin_per_min must be >= 1")
         if not 0.0 < self.epsilon_floor < 1.0:
             raise ValueError("epsilon_floor must lie in (0, 1)")
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if self.tau is not None and not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be positive and finite")
 
     @property
     def effective_tau(self) -> float:

@@ -7,6 +7,7 @@ bit for bit.
 """
 
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -52,8 +53,8 @@ class WorkloadConfig:
             raise ValueError("linked_file_percent must lie in [0, 100]")
         if not 0.0 <= self.min_utilization < 1.0:
             raise ValueError("min_utilization must lie in [0, 1)")
-        if len(self.op_mix) != 3 or any(p < 0 for p in self.op_mix):
-            raise ValueError("op_mix needs three non-negative weights")
+        if len(self.op_mix) != 3 or not all(math.isfinite(p) and p >= 0 for p in self.op_mix):
+            raise ValueError("op_mix needs three finite non-negative weights")
         if abs(sum(self.op_mix) - 1.0) > 1e-9:
             raise ValueError("op_mix must sum to 1")
 
@@ -124,7 +125,8 @@ class WorkloadOp:
 def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp:
     """Sample the next operation against a live view of the simulation.
 
-    state needs: tick, utilization(), free_blocks(), live_files(), next_path().
+    state needs: tick, total_blocks, used_blocks, block_size, free_blocks(),
+    live_files() and next_path().
     Enforcement, in order: an empty namespace forces Create; a sampled Delete
     whose target would drop utilization below the floor becomes a Create (this
     covers the plain utilization < floor case, since any delete drops it
@@ -220,9 +222,6 @@ class WorkloadRunner:
     def block_size(self) -> int:
         return self.fs.disk.geometry.block_size_bytes
 
-    def utilization(self) -> float:
-        return self.fs.utilization()
-
     def free_blocks(self) -> int:
         return self.fs.free_blocks()
 
@@ -237,7 +236,6 @@ class WorkloadRunner:
         self.fs.disk.tick()
         op = generate_op(self.rng, self.config, self)
         execute_op(self.fs, op)
-        update_spatial_factors(self.fs.disk)
         self.trace.append(op)
         self.counts[op.kind] += 1
         return op
@@ -248,6 +246,8 @@ class WorkloadRunner:
 
 
 def execute_op(fs, op: WorkloadOp) -> None:
+    """Apply one op to the file system, then run the op's spatial pass. The
+    caller advances the clock first."""
     bs = fs.disk.geometry.block_size_bytes
     if op.kind == OP_CREATE:
         fs.create_file(op.path, op.size_blocks * bs, op.type_class)
@@ -259,6 +259,7 @@ def execute_op(fs, op: WorkloadOp) -> None:
         fs.write_file(op.path, op.offset, bytes([op.tick & 0xFF]) * op.length)
     else:
         raise TraceError(f"unknown op kind {op.kind!r}")
+    update_spatial_factors(fs.disk)
 
 
 @dataclass(frozen=True)
@@ -366,7 +367,6 @@ def replay_trace(ops, fs, weights: PerfWeights | None = None) -> SimReport:
         last_tick = op.tick
         fs.disk.clock = op.tick
         execute_op(fs, op)
-        update_spatial_factors(fs.disk)
         counts[op.kind] += 1
     return _build_report(fs, None, len(ops), counts, weights, {})
 

@@ -289,3 +289,23 @@ def test_cli_recover_reports_deleted_files(tmp_path):
     for row in rows:
         assert 0.0 <= row["rr"] <= 1.0
         assert row["status"] in ("deleted", "obsolete")
+
+
+@pytest.mark.parametrize(
+    "command,body,named",
+    [
+        ("compare", MINIMAL + "[compare]\nprimary_count = 2\npolicies = apex,bogus\n", "bogus"),
+        ("compare", MINIMAL + "[compare]\nprimary_count = 2\nprimary_type = weird\n", "weird"),
+        ("compare", "[disk]\nrows = 8\ncols = 8\n", "primary corpus"),
+        ("simulate", MINIMAL + "mix = nan,0.5,0.5\n", "op_mix"),
+        ("train", MINIMAL + "[train]\nmin_budget = 2\noin_per_min = 20\ntau = nan\n", "tau"),
+    ],
+    ids=["unknown-compare-policy", "unknown-primary-type", "disk-smaller-than-corpus",
+         "nan-op-mix", "nan-tau"],
+)
+def test_cli_rejects_accepted_but_unusable_values(tmp_path, capsys, command, body, named):
+    """Values the grammar parses but no run can use are bad input (exit 2),
+    named in the message, not an internal error or a NaN in the report."""
+    cfg = write_cfg(tmp_path, body)
+    assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
