@@ -21,6 +21,11 @@ from .model import NONE, DiskGeometry, Hyperparams
 SNAPSHOT_FORMAT = "apexsim-snapshot"
 SNAPSHOT_VERSION = 1
 NO_OWNER = -1
+_STATE = {True: '"used"', False: '"unused"'}
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 class Disk:
@@ -47,24 +52,31 @@ class Disk:
         return self.geometry.neighborhood.kind != NONE
 
     def pf_array(self) -> np.ndarray:
-        """Scores of all blocks as float64: churn and linkage push a block
-        up, usage protects it, and higher means overwritten sooner. With
-        spatial ranking disabled the spatial term is dropped, not zeroed."""
+        """Scores of all blocks as a fresh float64 array: churn and linkage
+        push a block up, usage protects it, and higher means overwritten
+        sooner. Evaluated as ((hist*hf - usage*uf) + spatial*sf) + link*lf,
+        the integer terms exactly in int64. With spatial ranking disabled the
+        spatial term is dropped, not zeroed."""
         hp = self.hyperparams
-        base = hp.hist * self.hf - hp.usage * self.uf
+        base = np.multiply(self.hf, hp.hist)
+        base -= np.multiply(self.uf, hp.usage)
         if self.spatial_enabled:
-            pf = base + hp.spatial * self.sf
-            return pf + hp.link * self.lf
-        return (base + hp.link * self.lf).astype(np.float64)
+            pf = np.multiply(self.sf, hp.spatial)
+            np.add(base, pf, out=pf)
+        else:
+            pf = base
+        pf += np.multiply(self.lf, hp.link)
+        return pf.astype(np.float64, copy=False)
 
     # -- state --------------------------------------------------------------
 
     def is_used(self, address: int) -> bool:
         return bool(self.used_mask[address])
 
-    def lineage_intact(self, addrs: list, file_id: int) -> np.ndarray:
+    def lineage_intact(self, addrs: list, file_id) -> np.ndarray:
         """Per address, whether the block still holds exactly the bytes the
-        given file left behind: unused, and no later file has claimed it."""
+        given file left behind: unused, and no later file has claimed it.
+        file_id is one id, or one id per address."""
         idx = np.asarray(addrs, dtype=np.intp)
         return ~self.used_mask[idx] & (self.owner[idx] == file_id)
 
@@ -83,43 +95,43 @@ class Disk:
     # -- serialization ------------------------------------------------------
 
     def snapshot(self) -> dict:
-        sorted_siblings = {fid: sorted(blocks) for fid, blocks in self.siblings.items()}
-        per_block = []
+        return json.loads(self.snapshot_json())
+
+    def snapshot_json(self) -> str:
+        """Canonical JSON of the whole device (sorted keys, no whitespace),
+        written in one pass over the blocks. Each owner's sorted sibling list
+        is encoded once, however many blocks name that owner."""
+        owners = self.owner.tolist()
+        lineage = {
+            owner: _dumps(sorted(self.siblings[owner]))
+            for owner in set(owners) if owner != NO_OWNER
+        }
+        # json's own float spelling, one encoder call for the whole column
+        sf_text = _dumps(self.sf.tolist())[1:-1].split(",")
+        blocks = []
         for used, hf, uf, sf, lf, version, payload, owner in zip(
-            self.used_mask.tolist(), self.hf.tolist(), self.uf.tolist(), self.sf.tolist(),
-            self.lf.tolist(), self.version.tolist(), self.payload, self.owner.tolist(),
+            self.used_mask.tolist(), self.hf.tolist(), self.uf.tolist(), sf_text,
+            self.lf.tolist(), self.version.tolist(), self.payload, owners,
         ):
-            per_block.append({
-                "state": "used" if used else "unused",
-                "hf": hf,
-                "uf": uf,
-                "sf": sf,
-                "lf": lf,
-                "version": version,
-                "payload_sha256": (
-                    hashlib.sha256(payload).hexdigest() if payload is not None else None
-                ),
-                "mrpf": (
-                    {
-                        "file_id": owner,
-                        "siblings": sorted_siblings[owner],
-                        "content_epoch": version,
-                    }
-                    if owner != NO_OWNER
-                    else None
-                ),
-            })
-        return {
+            mrpf = (
+                f'{{"content_epoch":{version},"file_id":{owner},"siblings":{lineage[owner]}}}'
+                if owner != NO_OWNER
+                else "null"
+            )
+            digest = f'"{hashlib.sha256(payload).hexdigest()}"' if payload is not None else "null"
+            blocks.append(
+                f'{{"hf":{hf},"lf":{lf},"mrpf":{mrpf},"payload_sha256":{digest},'
+                f'"sf":{sf},"state":{_STATE[used]},"uf":{uf},"version":{version}}}'
+            )
+        # "blocks" sorts before every other top-level key
+        rest = _dumps({
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "geometry": self.geometry.to_dict(),
             "hyperparams": list(self.hyperparams.as_tuple()),
             "clock": self.clock,
-            "blocks": per_block,
-        }
-
-    def snapshot_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":"))
+        })
+        return '{"blocks":[' + ",".join(blocks) + "]," + rest[1:]
 
     def snapshot_sha256(self) -> str:
         return hashlib.sha256(self.snapshot_json().encode()).hexdigest()

@@ -106,6 +106,14 @@ class Hyperparams:
 
     LATTICE_MIN = 1
     LATTICE_MAX = 10
+    # Largest coefficient magnitude: with factor values below 2**32, every
+    # integer score term stays exact in int64.
+    LIMIT = 2**31 - 1
+
+    def __post_init__(self):
+        for c in self.as_tuple():
+            if abs(c) > self.LIMIT:
+                raise ValueError(f"coefficient {c} outside -{self.LIMIT}..{self.LIMIT}")
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.hist, self.usage, self.spatial, self.link)

@@ -21,8 +21,7 @@ def record_file_access(disk, file) -> None:
     """
     if file.status != "used":
         raise ValueError(f"cannot record access on a {file.status} file")
-    for addr in file.block_list:
-        disk.uf[addr] += 1
+    disk.uf[np.asarray(file.block_list, dtype=np.intp)] += 1
     file.uf_counter += 1
     file.last_access_tick = disk.clock
     disk.emit("access", file.id)
@@ -33,7 +32,7 @@ def update_spatial_factors(disk) -> None:
     score of its neighbors; used blocks stay at 0.
 
     All new values are computed from a frozen snapshot of the pre-pass scores
-    (Jacobi style), then committed together. The mean is evaluated in the
+    (Jacobi style), then written in place. The mean is evaluated in the
     canonical form (neighborhood_sum - own_score) / neighbor_count so that any
     independent reimplementation of the same formula agrees bitwise. A block
     with no neighbors gets sf = 0. Runs once per workload operation.
@@ -43,27 +42,33 @@ def update_spatial_factors(disk) -> None:
     nb = geo.neighborhood
     if nb.kind == NONE:
         return
-    pf = disk.pf_array()
+    sf = disk.sf
     n = geo.total_blocks
     if nb.kind == GRID_ROW:
         deg = geo.cols - 1
         if deg == 0:
-            new_sf = np.zeros(n)
-        else:
-            row_sums = pf.reshape(geo.rows, geo.cols).sum(axis=1)
-            new_sf = (np.repeat(row_sums, geo.cols) - pf) / deg
+            sf.fill(0.0)
+            return
+        pf = disk.pf_array().reshape(geo.rows, geo.cols)
+        np.subtract(pf.sum(axis=1, keepdims=True), pf, out=sf.reshape(geo.rows, geo.cols))
+        np.divide(sf, deg, out=sf)
     elif nb.kind == CONTIGUOUS:
+        if n == 1:
+            sf.fill(0.0)
+            return
+        pf = disk.pf_array()
         # "full" then slice, not "same": "same" returns max(n, kernel) samples,
         # which breaks when the window is wider than the disk.
         kernel = np.ones(2 * nb.span + 1)
         window = np.convolve(pf, kernel, mode="full")[nb.span:nb.span + n]
         counts = np.convolve(np.ones(n), kernel, mode="full")[nb.span:nb.span + n] - 1.0
-        new_sf = np.where(counts > 0, (window - pf) / np.maximum(counts, 1.0), 0.0)
+        np.subtract(window, pf, out=sf)
+        np.divide(sf, counts, out=sf)
     else:  # pragma: no cover - kinds validated at construction
         raise ValueError(f"unknown neighborhood kind {nb.kind!r}")
-    np.clip(new_sf, -SF_LIMIT, SF_LIMIT, out=new_sf)
-    new_sf[disk.used_mask] = 0.0
-    disk.sf[:] = new_sf
+    np.maximum(sf, -SF_LIMIT, out=sf)
+    np.minimum(sf, SF_LIMIT, out=sf)
+    np.putmask(sf, disk.used_mask, 0.0)
 
 
 def top_unused(disk, count: int) -> list:

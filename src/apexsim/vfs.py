@@ -9,6 +9,7 @@ the file's sibling list, so it is never copied or mutated.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -271,17 +272,27 @@ class FileSystem:
 
     def mark_obsolete_sweep(self) -> int:
         """Deleted files with no surviving lineage become obsolete. Returns
-        how many flipped this sweep."""
-        flipped = 0
-        still_active = []
-        for rec in self._deleted_active:
-            if self.disk.lineage_intact(rec.block_list, rec.id).any():
-                still_active.append(rec)
+        how many flipped this sweep.
+
+        One lineage check covers the concatenated block lists of every
+        deleted file; a file survives when any of its blocks is intact."""
+        active = self._deleted_active
+        if not active:
+            return 0
+        lengths = [len(rec.block_list) for rec in active]
+        intact = self.disk.lineage_intact(
+            list(chain.from_iterable(rec.block_list for rec in active)),
+            np.repeat([rec.id for rec in active], lengths),
+        )
+        holder = np.repeat(np.arange(len(active)), lengths)
+        survivors = np.bincount(holder[intact], minlength=len(active)).tolist()
+        self._deleted_active = []
+        for rec, left in zip(active, survivors):
+            if left:
+                self._deleted_active.append(rec)
             else:
                 rec.status = OBSOLETE
-                flipped += 1
-        self._deleted_active = still_active
-        return flipped
+        return len(active) - len(self._deleted_active)
 
     # -- internals -----------------------------------------------------------
 

@@ -4,10 +4,12 @@ is replayed literally from the event log, rankings come from a full sort, and
 recovery is reconstructed from claim history instead of epoch records.
 """
 
+import hashlib
 from itertools import chain
 
 import numpy as np
 
+from apexsim.disk import NO_OWNER, SNAPSHOT_FORMAT, SNAPSHOT_VERSION
 from apexsim.model import CONTIGUOUS, GRID_ROW, NONE, SF_LIMIT
 
 
@@ -33,6 +35,46 @@ def rank_by_full_sort(disk, count=None):
     scored.sort()
     addrs = [a for _, a in scored]
     return addrs if count is None else addrs[:count]
+
+
+def reference_snapshot(disk):
+    """The device snapshot as a plain dict, built block by block; its
+    canonical JSON (sorted keys, no whitespace) is what Disk.snapshot_json
+    must write."""
+    sorted_siblings = {fid: sorted(blocks) for fid, blocks in disk.siblings.items()}
+    per_block = []
+    for used, hf, uf, sf, lf, version, payload, owner in zip(
+        disk.used_mask.tolist(), disk.hf.tolist(), disk.uf.tolist(), disk.sf.tolist(),
+        disk.lf.tolist(), disk.version.tolist(), disk.payload, disk.owner.tolist(),
+    ):
+        per_block.append({
+            "state": "used" if used else "unused",
+            "hf": hf,
+            "uf": uf,
+            "sf": sf,
+            "lf": lf,
+            "version": version,
+            "payload_sha256": (
+                hashlib.sha256(payload).hexdigest() if payload is not None else None
+            ),
+            "mrpf": (
+                {
+                    "file_id": owner,
+                    "siblings": sorted_siblings[owner],
+                    "content_epoch": version,
+                }
+                if owner != NO_OWNER
+                else None
+            ),
+        })
+    return {
+        "format": SNAPSHOT_FORMAT,
+        "version": SNAPSHOT_VERSION,
+        "geometry": disk.geometry.to_dict(),
+        "hyperparams": list(disk.hyperparams.as_tuple()),
+        "clock": disk.clock,
+        "blocks": per_block,
+    }
 
 
 def assert_conservation(fs):

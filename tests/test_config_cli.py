@@ -299,9 +299,11 @@ def test_cli_recover_reports_deleted_files(tmp_path):
         ("compare", "[disk]\nrows = 8\ncols = 8\n", "primary corpus"),
         ("simulate", MINIMAL + "mix = nan,0.5,0.5\n", "op_mix"),
         ("train", MINIMAL + "[train]\nmin_budget = 2\noin_per_min = 20\ntau = nan\n", "tau"),
+        ("simulate", MINIMAL + "[policy]\ncoefficients = 100000000000000000000000,1,1,1\n",
+         "2147483647"),
     ],
     ids=["unknown-compare-policy", "unknown-primary-type", "disk-smaller-than-corpus",
-         "nan-op-mix", "nan-tau"],
+         "nan-op-mix", "nan-tau", "coefficient-beyond-bound"],
 )
 def test_cli_rejects_accepted_but_unusable_values(tmp_path, capsys, command, body, named):
     """Values the grammar parses but no run can use are bad input (exit 2),

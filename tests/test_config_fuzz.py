@@ -136,6 +136,8 @@ def ini_text(entries) -> str:
 })
 @example(command="simulate", entries={**SMALL, ("workload", "mix"): "nan,0.5,0.5"})
 @example(command="train", entries={**SMALL, ("train", "tau"): "nan"})
+@example(command="simulate", entries={
+    **SMALL, ("policy", "coefficients"): "100000000000000000000000,1,1,1"})
 def test_cli_exits_zero_or_two_on_generated_configs(command, entries):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.ini"

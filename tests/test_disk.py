@@ -1,5 +1,6 @@
 """Block store: claims and releases, the used/unused partition, snapshots."""
 
+import json
 import random
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 
 from apexsim.disk import NO_OWNER, claim, new_disk, release
 from apexsim.errors import BlockStateError
-from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
+from apexsim.model import SF_LIMIT, DiskGeometry, Hyperparams, Neighborhood
 from apexsim.priority import top_unused
 
 from conftest import make_disk, make_fs
-from oracles import rank_by_full_sort, score_of
+from oracles import rank_by_full_sort, reference_snapshot, score_of
 
 
 def test_new_disk_starts_fully_unused_at_baseline_score():
@@ -190,6 +191,29 @@ def test_snapshot_lineage_reads_owner_version_and_sibling_list():
     assert snap[1]["mrpf"] == {"file_id": 7, "siblings": [1, 3], "content_epoch": 2}
     assert snap[3]["mrpf"] == {"file_id": 7, "siblings": [1, 3], "content_epoch": 1}
     assert (snap[1]["state"], snap[1]["version"], snap[1]["lf"]) == ("unused", 2, 0)
+
+
+@pytest.mark.parametrize("neighborhood", ["grid-row", "none", "contiguous:2"])
+def test_snapshot_json_matches_reference_encoder(neighborhood):
+    disk = make_disk(rows=4, cols=4, neighborhood=neighborhood)
+    claim(disk, [0, 5, 2], 1)
+    claim(disk, [7, 3], 2)
+    claim(disk, [9], 3)
+    release(disk, [0, 5, 2], 0)  # freed blocks keep their lineage
+    release(disk, [9], 1)
+    claim(disk, [9], 4)  # owner 3 has no block left
+    disk.version[5] += 2
+    disk.uf[3] += 5
+    disk.payload[7] = b"abc"
+    disk.payload[0] = b""
+    rng = random.Random(5)
+    disk.sf[:] = [rng.uniform(-1e6, 1e6) for _ in range(16)]
+    disk.sf[[1, 4, 6, 8, 10]] = [-2.5, SF_LIMIT, -SF_LIMIT, -0.0, 0.1 + 0.2]
+    disk.tick()
+    assert (disk.owner[10:] == NO_OWNER).all()  # never owned
+    want = json.dumps(reference_snapshot(disk), sort_keys=True, separators=(",", ":"))
+    assert disk.snapshot_json() == want
+    assert disk.snapshot() == reference_snapshot(disk)
 
 
 def test_event_recording_off_by_default():

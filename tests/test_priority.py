@@ -199,6 +199,29 @@ def test_spatial_middle_block_worked_example():
     assert disk.sf[2] == pytest.approx(9.0)
 
 
+@pytest.mark.parametrize("neighborhood", ["grid-row", "contiguous:2", "none"])
+def test_spatial_pass_writes_only_sf_and_scores_are_fresh(neighborhood):
+    disk = make_disk(rows=4, cols=4, neighborhood=neighborhood)
+    claim(disk, [0, 5, 6], 1)
+    release(disk, [5], 0)
+    claim(disk, [9], 2)
+    disk.uf[9] += 3
+    names = ("hf", "uf", "sf", "lf", "used_mask", "version", "owner")
+    arrays = {name: getattr(disk, name) for name in names}
+    before = {name: a.tobytes() for name, a in arrays.items()}
+    update_spatial_factors(disk)
+    for name, a in arrays.items():
+        assert getattr(disk, name) is a, f"{name} rebound"
+        if name != "sf":
+            assert a.tobytes() == before[name], f"{name} changed by the spatial pass"
+    after = {name: a.tobytes() for name, a in arrays.items()}
+    pf = disk.pf_array()
+    for name, a in arrays.items():
+        assert not np.shares_memory(pf, a), f"pf_array shares memory with {name}"
+    pf[:] = 12345.0
+    assert {name: a.tobytes() for name, a in arrays.items()} == after
+
+
 def test_spatial_used_blocks_pinned_to_zero():
     disk = make_disk(rows=1, cols=3)
     claim(disk, [1], 1)

@@ -226,6 +226,24 @@ def test_obsolete_sweep_partial_survivor_stays_deleted():
     assert a.status == DELETED
 
 
+def test_obsolete_sweep_checks_every_deleted_file_at_once():
+    fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy(
+        [], [0, 1], [2, 3, 4], [5, 6], [0, 1], [3, 7]))
+    empty = fs.create_file("/empty.txt", 0)
+    gone = fs.create_file("/gone.txt", 4096)
+    partial = fs.create_file("/partial.txt", 2 * 4096)
+    kept = fs.create_file("/kept.txt", 4096)
+    for rec in (kept, empty, partial, gone):
+        fs.delete_file(rec.path)
+    fs.create_file("/b.txt", 4096)  # overwrites all of gone
+    fs.create_file("/c.txt", 4096)  # takes block 3 of partial, leaves 2 and 4
+    assert fs.mark_obsolete_sweep() == 2
+    assert (empty.status, gone.status) == (OBSOLETE, OBSOLETE)
+    assert (partial.status, kept.status) == (DELETED, DELETED)
+    assert fs._deleted_active == [kept, partial]  # delete order
+    assert fs.mark_obsolete_sweep() == 0
+
+
 def test_lineage_broken_by_version_bump_on_rewrite():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1], [0, 1]))
     a = fs.create_file("/a.txt", 4096)
