@@ -26,25 +26,24 @@ from .vfs import FileSystem
 from .workload import read_trace, replay_trace, run_simulation, write_trace
 
 
-def _stamp() -> str:
+def _write_report(args, command, seed, payload, table=None) -> str:
+    """Write a run's report, with the config file's sha256, to
+    <command>-<seed>-<stamp>.json in the output directory, and its table, if
+    any, to the .csv of the same name. Returns that name without extension,
+    for any further file of the run."""
     # microsecond resolution so back-to-back runs never collide on a name
-    return datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
-
-
-def _config_sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _out_path(out_dir: str, command: str, seed, stamp: str, ext: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, f"{command}-{seed}-{stamp}.{ext}")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
+    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
+    os.makedirs(args.out, exist_ok=True)
+    base = os.path.join(args.out, f"{command}-{seed}-{stamp}")
+    with open(args.config, "rb") as fh:
+        payload["config_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    with open(f"{base}.json", "w") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+    if table is not None:
+        with open(f"{base}.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(table)
+    return base
 
 
 def _fresh_fs(cfg):
@@ -58,18 +57,14 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed, policy_override=args.policy)
     fs = _fresh_fs(cfg)
     report, trace = run_simulation(cfg.workload, fs, cfg.weights)
-    stamp = _stamp()
     seed = cfg.workload.rng_seed
-    payload = report.to_dict()
-    payload["config_sha256"] = _config_sha256(args.config)
-    report_path = _out_path(args.out, "simulate", seed, stamp, "json")
-    _write_json(report_path, payload)
-    trace_path = args.trace or _out_path(args.out, "simulate", seed, stamp, "trace.jsonl")
+    base = _write_report(args, "simulate", seed, report.to_dict())
+    trace_path = args.trace or f"{base}.trace.jsonl"
     write_trace(trace, trace_path)
     print(
         f"simulate seed={seed} ops={report.executed_ops} "
         f"wrr={report.weighted_rr:.4f} perf={report.performance:.4f} "
-        f"report={report_path} trace={trace_path}"
+        f"report={base}.json trace={trace_path}"
     )
     return 0
 
@@ -82,16 +77,12 @@ def cmd_replay(args) -> int:
     ops = read_trace(args.trace)
     fs = _fresh_fs(cfg)
     report = replay_trace(ops, fs, cfg.weights)
-    stamp = _stamp()
-    seed = cfg.workload.rng_seed
     payload = report.to_dict()
-    payload["config_sha256"] = _config_sha256(args.config)
     payload["trace_path"] = os.path.basename(args.trace)
-    report_path = _out_path(args.out, "replay", seed, stamp, "json")
-    _write_json(report_path, payload)
+    base = _write_report(args, "replay", cfg.workload.rng_seed, payload)
     print(
         f"replay ops={report.executed_ops} wrr={report.weighted_rr:.4f} "
-        f"snapshot={report.snapshot_sha256[:12]} report={report_path}"
+        f"snapshot={report.snapshot_sha256[:12]} report={base}.json"
     )
     return 0
 
@@ -99,25 +90,15 @@ def cmd_replay(args) -> int:
 def cmd_train(args) -> int:
     """Tune the ranking coefficients; write the report and per-interval table."""
     cfg = load_config(args.config, seed_override=args.seed, policy_override=args.policy)
-    tc = cfg.train_config()
-    report = train(tc)
-    stamp = _stamp()
+    report = train(cfg.train_config())
     seed = cfg.workload.rng_seed
-    payload = report.to_dict()
-    payload["config_sha256"] = _config_sha256(args.config)
-    report_path = _out_path(args.out, "train", seed, stamp, "json")
-    _write_json(report_path, payload)
-    csv_path = _out_path(args.out, "train", seed, stamp, "csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in report.csv_rows():
-            writer.writerow(row)
+    base = _write_report(args, "train", seed, report.to_dict(), report.csv_rows())
     first = report.first_min_p
     ratio = report.final_greedy_p / first if first > 0 else float("inf")
     print(
         f"train seed={seed} final={report.best_state} "
         f"p_first={first:.4f} p_final={report.final_greedy_p:.4f} "
-        f"gain={ratio:.2f}x report={report_path} table={csv_path}"
+        f"gain={ratio:.2f}x report={base}.json table={base}.csv"
     )
     return 0
 
@@ -131,27 +112,21 @@ def cmd_compare(args) -> int:
     if args.policy is not None:
         settings = replace(settings, policies=(args.policy,))
     rows = run_compare(cfg.geometry, cfg.coefficients, settings, cfg.invert_link_rule)
-    stamp = _stamp()
-    seed = settings.seeds[0]
-    payload = compare_report(settings, rows, cfg.geometry, cfg.coefficients)
-    payload["config_sha256"] = _config_sha256(args.config)
-    report_path = _out_path(args.out, "compare", seed, stamp, "json")
-    _write_json(report_path, payload)
-    csv_path = _out_path(args.out, "compare", seed, stamp, "csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["policy", "secondary_blocks", "seed", "weighted_rr"]
-        header += [f"rr_file_{i}" for i in range(settings.primary_count)]
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [row.policy, row.secondary_blocks, row.seed, repr(row.weighted_rr)]
-                + [repr(v) for v in row.per_file_rr]
-            )
+    header = ["policy", "secondary_blocks", "seed", "weighted_rr"]
+    header += [f"rr_file_{i}" for i in range(settings.primary_count)]
+    table = [header] + [
+        [row.policy, row.secondary_blocks, row.seed, repr(row.weighted_rr)]
+        + [repr(v) for v in row.per_file_rr]
+        for row in rows
+    ]
+    base = _write_report(
+        args, "compare", settings.seeds[0],
+        compare_report(settings, rows, cfg.geometry, cfg.coefficients), table,
+    )
     print(
         f"compare cells={len(rows)} policies={','.join(settings.policies)} "
         f"targets={','.join(str(t) for t in settings.secondary_targets)} "
-        f"report={report_path} table={csv_path}"
+        f"report={base}.json table={base}.csv"
     )
     return 0
 
@@ -168,17 +143,10 @@ def cmd_recover(args) -> int:
     fs.mark_obsolete_sweep()
     table = recovery_table(fs.disk, fs)
     wrr = weighted_rr(fs.disk, fs.deleted_files())
-    stamp = _stamp()
     seed = cfg.workload.rng_seed
-    payload = {
-        "config_sha256": _config_sha256(args.config),
-        "seed": seed,
-        "weighted_rr": wrr,
-        "rows": table,
-    }
-    report_path = _out_path(args.out, "recover", seed, stamp, "json")
-    _write_json(report_path, payload)
-    print(f"recover files={len(table)} wrr={wrr:.4f} report={report_path}")
+    payload = {"seed": seed, "weighted_rr": wrr, "rows": table}
+    base = _write_report(args, "recover", seed, payload)
+    print(f"recover files={len(table)} wrr={wrr:.4f} report={base}.json")
     return 0
 
 

@@ -115,13 +115,14 @@ def run_cell(
         written += size
 
     fs.mark_obsolete_sweep()
-    primary = [fs.files[fid] for fid in sorted(fs.files) if fs.files[fid].path in primary_paths]
+    # a cell deletes only the primaries, in creation order
+    primary = fs.deleted_files()
     per_file = tuple(recover_file(disk, f).rr for f in primary)
     return CompareRow(
         policy=policy_kind,
         secondary_blocks=target_blocks,
         seed=seed,
-        weighted_rr=weighted_rr(disk, fs.deleted_files()),
+        weighted_rr=weighted_rr(disk, primary),
         per_file_rr=per_file,
     )
 

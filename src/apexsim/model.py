@@ -25,8 +25,12 @@ class Neighborhood:
     def __post_init__(self):
         if self.kind not in (GRID_ROW, CONTIGUOUS, NONE):
             raise ValueError(f"unknown neighborhood kind: {self.kind!r}")
-        if self.kind == CONTIGUOUS and self.span < 1:
-            raise ValueError("contiguous neighborhood needs span >= 1")
+        # the window sums allocate 2 * span + 1 entries, so a span is capped
+        # like a disk; DiskGeometry is looked up only once a span is checked
+        if self.kind == CONTIGUOUS and not 1 <= self.span <= DiskGeometry.MAX_BLOCKS:
+            raise ValueError(
+                f"contiguous neighborhood needs span in 1..{DiskGeometry.MAX_BLOCKS}"
+            )
 
     @classmethod
     def grid_row(cls) -> "Neighborhood":
@@ -50,11 +54,12 @@ class Neighborhood:
             return cls.none()
         if text.startswith(CONTIGUOUS):
             _, _, rest = text.partition(":")
-            if rest:
-                try:
-                    return cls.contiguous(int(rest))
-                except ValueError:
-                    pass
+            try:
+                span = int(rest)
+            except ValueError:
+                pass
+            else:
+                return cls.contiguous(span)
         raise ValueError(f"cannot parse neighborhood: {text!r}")
 
     def __str__(self) -> str:
@@ -70,16 +75,26 @@ class DiskGeometry:
     Addresses are row-major: block (r, c) lives at address r * cols + c.
     """
 
-    rows: int
-    cols: int
+    rows: int = 16
+    cols: int = 16
     block_size_bytes: int = 4096
     neighborhood: Neighborhood = Neighborhood.grid_row()
+
+    # Caps that reject a size before anything is allocated for it: every
+    # per-block array holds rows * cols entries, and ext4's largest block
+    # size is 64 KiB.
+    MAX_BLOCKS = 2**20
+    MAX_BLOCK_SIZE = 65536
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("geometry needs at least one row and one column")
-        if self.block_size_bytes < 1:
-            raise ValueError("block size must be positive")
+        if self.rows * self.cols > self.MAX_BLOCKS:
+            raise ValueError(
+                f"{self.rows}x{self.cols} disk has more than {self.MAX_BLOCKS} blocks"
+            )
+        if not 1 <= self.block_size_bytes <= self.MAX_BLOCK_SIZE:
+            raise ValueError(f"block size must lie in 1..{self.MAX_BLOCK_SIZE}")
 
     @property
     def total_blocks(self) -> int:

@@ -20,8 +20,8 @@ class PerfWeights:
     """Objective weights. alpha scales recoverability, beta scales the access
     time proxy; they must sum to one."""
 
-    alpha: float
-    beta: float
+    alpha: float = 1.0
+    beta: float = 0.0
     aat_mode: str = SEEK_COST
 
     def __post_init__(self):

@@ -36,7 +36,7 @@ class TrainSchedule:
     """Exploration schedule: epsilon decays exponentially per interval and
     reaches the floor exactly when the interval budget runs out."""
 
-    min_budget: int
+    min_budget: int = 500
     oin_per_min: int = 1000
     epsilon_floor: float = 3e-5
     tau: float | None = None
@@ -132,7 +132,7 @@ class TrainConfig:
     geometry: DiskGeometry
     schedule: TrainSchedule
     workload: WorkloadConfig
-    weights: PerfWeights = PerfWeights(1.0, 0.0)
+    weights: PerfWeights = PerfWeights()
     initial: Hyperparams = Hyperparams(1, 1, 1, 1)
     learning_rate: float = 0.1
     discount: float = 0.9

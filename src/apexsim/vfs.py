@@ -49,7 +49,6 @@ class FileRecord:
         "block_list",
         "size_bytes",
         "uf_counter",
-        "created_tick",
         "last_access_tick",
         "_live_index",
     )
@@ -62,17 +61,12 @@ class FileRecord:
         self.block_list = block_list
         self.size_bytes = size_bytes
         self.uf_counter = 1  # creation counts as the first use
-        self.created_tick = tick
         self.last_access_tick = tick
         self._live_index = -1
 
     @property
     def data_blocks(self) -> int:
         return max(len(self.block_list) - 1, 0)
-
-    @property
-    def metadata_block(self):
-        return self.block_list[0] if self.block_list else None
 
 
 class PathNode:
@@ -111,7 +105,6 @@ class FileSystem:
         self.policy = policy
         self.invert_link_rule = invert_link_rule
         self.root = PathNode("/", is_dir=True)
-        self.files: dict[int, FileRecord] = {}
         self._live: list[FileRecord] = []  # swap-remove list for uniform sampling
         self._by_path: dict[str, FileRecord] = {}
         self._retired: list[FileRecord] = []  # deleted and obsolete, in delete order
@@ -209,7 +202,6 @@ class FileSystem:
                 payload[addr] = None
 
         rec = FileRecord(fid, norm, type_class, addrs, size_bytes, self.disk.clock)
-        self.files[fid] = rec
         self._by_path[norm] = rec
         rec._live_index = len(self._live)
         self._live.append(rec)

@@ -339,10 +339,8 @@ def _build_report(fs, seed, executed, counts, weights, workload_echo) -> SimRepo
     )
 
 
-def run_simulation(config: WorkloadConfig, fs, weights: PerfWeights | None = None):
+def run_simulation(config: WorkloadConfig, fs, weights: PerfWeights = PerfWeights()):
     """Run the configured number of ops; returns (SimReport, trace list)."""
-    if weights is None:
-        weights = PerfWeights(1.0, 0.0)
     runner = WorkloadRunner(config, fs)
     runner.run(config.total_ops)
     report = _build_report(
@@ -351,14 +349,12 @@ def run_simulation(config: WorkloadConfig, fs, weights: PerfWeights | None = Non
     return report, runner.trace
 
 
-def replay_trace(ops, fs, weights: PerfWeights | None = None) -> SimReport:
+def replay_trace(ops, fs, weights: PerfWeights = PerfWeights()) -> SimReport:
     """Re-execute a recorded trace literally on a fresh filesystem.
 
     Ticks must be strictly increasing; allocation is a deterministic function
     of disk state, so the end state matches the recording run bit for bit.
     """
-    if weights is None:
-        weights = PerfWeights(1.0, 0.0)
     counts = Counter()
     last_tick = None
     for op in ops:

@@ -7,8 +7,13 @@ import os
 import pytest
 
 from apexsim.cli import build_parser, main
-from apexsim.config import load_config
+from apexsim.compare import CompareSettings
+from apexsim.config import AppConfig, load_config
 from apexsim.errors import ConfigError
+from apexsim.model import DiskGeometry
+from apexsim.recovery import PerfWeights
+from apexsim.tuner import TrainConfig, TrainSchedule
+from apexsim.workload import WorkloadConfig
 
 
 def write_cfg(tmp_path, body, name="run.ini"):
@@ -39,7 +44,21 @@ def test_load_config_defaults(tmp_path):
     assert cfg.invert_link_rule is False
     assert cfg.workload.total_ops == 1000
     assert cfg.weights.alpha == 1.0
-    assert cfg.train_settings["min_budget"] == 500
+    assert cfg.train_config().schedule.min_budget == 500
+
+
+def test_defaults_are_the_dataclass_defaults(tmp_path):
+    """An empty file gets every default from the dataclasses, and example.ini,
+    which spells out the built-in defaults, loads to the same config."""
+    cfg = load_config(write_cfg(tmp_path, ""))
+    assert cfg == load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "example.ini"))
+    assert cfg.geometry == DiskGeometry()
+    assert cfg.workload == WorkloadConfig()
+    assert cfg.weights == PerfWeights()
+    assert cfg.compare_settings == CompareSettings()
+    assert cfg.train_config() == TrainConfig(DiskGeometry(), TrainSchedule(), WorkloadConfig())
+    assert cfg == AppConfig(DiskGeometry(), WorkloadConfig(), PerfWeights(),
+                            cfg.train_config(), CompareSettings())
 
 
 def test_load_config_reads_every_section(tmp_path):
@@ -88,12 +107,12 @@ seed_count = 3
     assert cfg.workload.rng_seed == 9
     assert cfg.workload.op_mix == (0.6, 0.2, 0.2)
     assert cfg.weights.aat_mode == "timestamp"
-    assert cfg.train_settings["mode"] == "hill-climb"
-    assert cfg.train_settings["initial"].as_tuple() == (2, 2, 2, 2)
     assert cfg.compare_settings.seeds == (0, 1, 2)
     tc = cfg.train_config()
-    assert tc.schedule.min_budget == 12
     assert tc.mode == "hill-climb"
+    assert tc.initial.as_tuple() == (2, 2, 2, 2)
+    assert tc.schedule.min_budget == 12
+    assert tc.invert_link_rule is True
 
 
 def test_load_config_overrides(tmp_path):
@@ -301,9 +320,15 @@ def test_cli_recover_reports_deleted_files(tmp_path):
         ("train", MINIMAL + "[train]\nmin_budget = 2\noin_per_min = 20\ntau = nan\n", "tau"),
         ("simulate", MINIMAL + "[policy]\ncoefficients = 100000000000000000000000,1,1,1\n",
          "2147483647"),
+        ("simulate", MINIMAL + "[train]\nmin_budget = -1\n", "min_budget"),
+        ("simulate", "[disk]\nrows = 2\ncols = 2\nneighborhood = contiguous:100000000000\n",
+         "1048576"),
+        ("simulate", "[disk]\nblock_size = 100000000000000\n", "65536"),
+        ("simulate", "[disk]\nrows = 1025\ncols = 1024\n", "1048576"),
     ],
     ids=["unknown-compare-policy", "unknown-primary-type", "disk-smaller-than-corpus",
-         "nan-op-mix", "nan-tau", "coefficient-beyond-bound"],
+         "nan-op-mix", "nan-tau", "coefficient-beyond-bound", "bad-train-value-in-simulate",
+         "span-beyond-cap", "block-size-beyond-cap", "disk-beyond-cap"],
 )
 def test_cli_rejects_accepted_but_unusable_values(tmp_path, capsys, command, body, named):
     """Values the grammar parses but no run can use are bad input (exit 2),

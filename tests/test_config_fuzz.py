@@ -7,7 +7,9 @@ so that every run takes milliseconds: disks of at most 8x8, at most 100
 workload ops, at most 3 training intervals of at most 50 ops and at most 2
 compare seeds. The keys that bound the run time, and the primary corpus, are
 always written, because their defaults are full-size runs; out-of-range
-values for them stay small too.
+values for them stay small too. Disk, block and window sizes beyond their caps
+are drawn as out-of-range values: they are rejected before anything is
+allocated for them.
 """
 
 import tempfile
@@ -41,12 +43,13 @@ def tuples(n, lo, hi):
 # key -> (valid values, out-of-range values). Every key also draws the
 # non-finite and garbage values.
 KEYS = {
-    ("disk", "rows"): (ints(1, 8), ["0", "-2"]),
-    ("disk", "cols"): (ints(1, 8), ["0", "-2"]),
-    ("disk", "block_size"): (ints(1, 4096), ["0", "-4096"]),
+    ("disk", "rows"): (ints(1, 8), ["0", "-2", "2000000"]),
+    ("disk", "cols"): (ints(1, 8), ["0", "-2", "2000000"]),
+    ("disk", "block_size"): (ints(1, 4096), ["0", "-4096", "65537", "100000000000000"]),
     ("disk", "neighborhood"): (
         words("grid-row", "none", "contiguous:1", "contiguous:3", "contiguous:40"),
-        ["contiguous:0", "contiguous:-2", "contiguous:", "contiguous:x", "hexagonal"],
+        ["contiguous:0", "contiguous:-2", "contiguous:", "contiguous:x", "hexagonal",
+         "contiguous:1048577", "contiguous:100000000000"],
     ),
     ("disk", "invert_link_rule"): (words("true", "false", "yes", "0"), ["2", "maybe"]),
     ("policy", "kind"): (words("apex", "first-fit", "random"), ["best"]),
