@@ -22,6 +22,8 @@ from .workload import OP_CREATE, OP_DELETE, WorkloadOp, execute_op
 
 @dataclass(frozen=True)
 class CompareSettings:
+    MAX_SEEDS = 10000  # cap on [compare] seed_count
+
     primary_count: int = 5
     primary_data_blocks: int = 25
     primary_type: str = PARTIAL

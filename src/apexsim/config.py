@@ -63,7 +63,10 @@ def _parse_names(raw: str) -> tuple:
 
 
 def _parse_seed_count(raw: str) -> tuple:
-    return tuple(range(int(raw)))
+    n = int(raw)
+    if not 1 <= n <= CompareSettings.MAX_SEEDS:  # checked before the tuple is built
+        raise ValueError(f"needs a count in 1..{CompareSettings.MAX_SEEDS}")
+    return tuple(range(n))
 
 
 # [section] key -> (dataclass field, parser), sections in the order they are

@@ -57,11 +57,13 @@ def update_spatial_factors(disk) -> None:
             sf.fill(0.0)
             return
         pf = disk.pf_array()
+        # a span past n - 1 reaches no further block, only widens the kernel
+        span = min(nb.span, n - 1)
         # "full" then slice, not "same": "same" returns max(n, kernel) samples,
         # which breaks when the window is wider than the disk.
-        kernel = np.ones(2 * nb.span + 1)
-        window = np.convolve(pf, kernel, mode="full")[nb.span:nb.span + n]
-        counts = np.convolve(np.ones(n), kernel, mode="full")[nb.span:nb.span + n] - 1.0
+        window = np.convolve(pf, np.ones(2 * span + 1), mode="full")[span:span + n]
+        i = np.arange(n)
+        counts = np.minimum(i, span) + np.minimum(n - 1 - i, span)  # neighbors left + right
         np.subtract(window, pf, out=sf)
         np.divide(sf, counts, out=sf)
     else:  # pragma: no cover - kinds validated at construction

@@ -1,14 +1,15 @@
 """Minimal file layer over the disk model.
 
-Paths form a tree rooted at "/". Files are fixed-size at creation: block 0 of
-every non-empty file is its metadata block, the rest carry data in order.
+The namespace is flat: a path is "/" plus one name, and one dict from path to
+file record holds it; there are no directories. Files are fixed-size at
+creation: block 0 of every non-empty file is its metadata block, the rest
+carry data in order.
 Deletion is logical - blocks are freed but their payload and lineage stay put
 until someone allocates over them. A create is one disk.claim of the file's
 block list and a delete one disk.release; the disk keeps that same list as
 the file's sibling list, so it is never copied or mutated.
 """
 
-import math
 from itertools import chain
 
 import numpy as np
@@ -69,32 +70,24 @@ class FileRecord:
         return max(len(self.block_list) - 1, 0)
 
 
-class PathNode:
-    __slots__ = ("name", "children", "file_id")
+def check_path(path) -> None:
+    """Raise unless path is "/" plus one name.
 
-    def __init__(self, name, is_dir, file_id=None):
-        self.name = name
-        self.children = {} if is_dir else None
-        self.file_id = file_id
-
-    @property
-    def is_dir(self):
-        return self.children is not None
-
-
-def _components(path: str) -> list[str]:
+    A path that is not a string, not absolute, or that has an empty, "." or
+    ".." component is malformed (ValueError). A well-formed path with more
+    than one component names a directory, and none exists (FileNotFoundError).
+    """
     if not isinstance(path, str) or not path.startswith("/"):
         raise ValueError(f"path must be absolute: {path!r}")
-    if path == "/":
-        return []
     parts = path[1:].split("/")
     if any(p in ("", ".", "..") for p in parts):
         raise ValueError(f"malformed path: {path!r}")
-    return parts
+    if len(parts) > 1:
+        raise FileNotFoundError(f"no such directory: {path.rsplit('/', 1)[0]}")
 
 
 class FileSystem:
-    """Path tree plus file table, bound to one disk and one allocation policy."""
+    """Flat file table, bound to one disk and one allocation policy."""
 
     def __init__(self, disk, policy=None, invert_link_rule: bool = False):
         if policy is None:
@@ -104,37 +97,11 @@ class FileSystem:
         self.disk = disk
         self.policy = policy
         self.invert_link_rule = invert_link_rule
-        self.root = PathNode("/", is_dir=True)
         self._live: list[FileRecord] = []  # swap-remove list for uniform sampling
-        self._by_path: dict[str, FileRecord] = {}
+        self._by_path: dict[str, FileRecord] = {}  # the namespace: live files only
         self._retired: list[FileRecord] = []  # deleted and obsolete, in delete order
         self._deleted_active: list[FileRecord] = []  # deleted, not yet obsolete
         self._next_id = 1
-
-    # -- path plumbing -------------------------------------------------------
-
-    def _resolve_dir(self, parts) -> PathNode:
-        node = self.root
-        for name in parts:
-            child = node.children.get(name)
-            if child is None:
-                raise FileNotFoundError(f"no such directory: /{'/'.join(parts)}")
-            if not child.is_dir:
-                raise NotADirectoryError(f"not a directory: {name}")
-            node = child
-        return node
-
-    def mkdir(self, path: str) -> None:
-        parts = _components(path)
-        if not parts:
-            raise FileExistsError("/")
-        parent = self._resolve_dir(parts[:-1])
-        if parts[-1] in parent.children:
-            raise FileExistsError(path)
-        parent.children[parts[-1]] = PathNode(parts[-1], is_dir=True)
-
-    def _normalize(self, path: str) -> str:
-        return "/" + "/".join(_components(path))
 
     # -- queries -------------------------------------------------------------
 
@@ -145,10 +112,11 @@ class FileSystem:
         return list(self._retired)
 
     def lookup(self, path: str) -> FileRecord:
-        rec = self._by_path.get(self._normalize(path))
-        if rec is None:
-            raise FileNotFoundError(path)
-        return rec
+        try:
+            return self._by_path[path]
+        except (KeyError, TypeError):
+            check_path(path)  # a malformed path is a ValueError, not a miss
+            raise FileNotFoundError(path) from None
 
     def utilization(self) -> float:
         return int(np.count_nonzero(self.disk.used_mask)) / self.disk.geometry.total_blocks
@@ -166,26 +134,22 @@ class FileSystem:
         the metadata block. Claiming blocks with live lineage adds churn to
         their prior owners' still-unused blocks (see disk.claim).
         """
-        parts = _components(path)
-        if not parts:
-            raise ValueError("cannot create a file at /")
-        norm = "/" + "/".join(parts)
-        parent = self._resolve_dir(parts[:-1])
-        if parts[-1] in parent.children:
-            raise FileExistsError(norm)
+        check_path(path)
+        if path in self._by_path:
+            raise FileExistsError(path)
         if size_bytes < 0:
             raise ValueError("negative size")
         if data is not None and len(data) != size_bytes:
             raise ValueError("data length must equal size_bytes")
         if type_class is None:
-            type_class = type_class_for_path(norm)
+            type_class = type_class_for_path(path)
         if type_class not in (LINKED, PARTIAL):
             raise ValueError(f"unknown type class {type_class!r}")
         bs = self.disk.geometry.block_size_bytes
-        needed = math.ceil(size_bytes / bs) + 1 if size_bytes > 0 else 0
+        needed = -(-size_bytes // bs) + 1 if size_bytes > 0 else 0
         if needed > self.free_blocks():
             raise DiskFullError(
-                f"{norm}: need {needed} blocks, {self.free_blocks()} free"
+                f"{path}: need {needed} blocks, {self.free_blocks()} free"
             )
 
         addrs = list(self.policy.select(self.disk, needed))
@@ -201,11 +165,10 @@ class FileSystem:
             else:
                 payload[addr] = None
 
-        rec = FileRecord(fid, norm, type_class, addrs, size_bytes, self.disk.clock)
-        self._by_path[norm] = rec
+        rec = FileRecord(fid, path, type_class, addrs, size_bytes, self.disk.clock)
+        self._by_path[path] = rec
         rec._live_index = len(self._live)
         self._live.append(rec)
-        parent.children[parts[-1]] = PathNode(parts[-1], is_dir=False, file_id=fid)
         self.disk.emit("create", fid, type_class, tuple(addrs), size_bytes)
         return rec
 
@@ -225,14 +188,19 @@ class FileSystem:
         self.disk.emit("delete", rec.id, rec.type_class, tuple(rec.block_list))
         return rec
 
-    def read_file(self, path: str) -> bytes:
+    def access(self, path: str) -> FileRecord:
+        """One read of a file: record the use, build no bytes."""
         rec = self.lookup(path)
+        record_file_access(self.disk, rec)
+        return rec
+
+    def read_file(self, path: str) -> bytes:
+        rec = self.access(path)
         bs = self.disk.geometry.block_size_bytes
         parts = []
         for addr in rec.block_list[1:]:
             payload = self.disk.payload[addr]
             parts.append(payload if payload is not None else bytes(bs))
-        record_file_access(self.disk, rec)
         return b"".join(parts)[: rec.size_bytes]
 
     def write_file(self, path: str, offset: int, data: bytes) -> None:
@@ -296,6 +264,3 @@ class FileSystem:
         self._live.pop()
         rec._live_index = -1
         del self._by_path[rec.path]
-        parts = _components(rec.path)
-        parent = self._resolve_dir(parts[:-1])
-        del parent.children[parts[-1]]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TraceError
+from .errors import ConfigError, DiskFullError, TraceError
 from .priority import update_spatial_factors
 from .recovery import (
     SEEK_COST,
@@ -24,7 +24,7 @@ from .recovery import (
     weighted_rr,
 )
 from .vfs import (DELETED, LINKED, LINKED_EXTENSIONS, OBSOLETE, PARTIAL,
-                  PARTIAL_EXTENSIONS)
+                  PARTIAL_EXTENSIONS, check_path)
 
 OP_CREATE = "create"
 OP_DELETE = "delete"
@@ -103,14 +103,25 @@ class WorkloadOp:
             tick = int(doc["tick"])
             kind = doc["op"]
             path = doc["path"]
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise TraceError(f"bad trace line: missing or invalid field ({e})") from None
+        if not -(2**63) <= tick < 2**63:  # the clock is averaged as a float
+            raise TraceError(f"bad trace line: tick {tick} outside the int64 range")
         if kind not in (OP_CREATE, OP_DELETE, OP_READ, OP_WRITE):
             raise TraceError(f"bad trace line: unknown op {kind!r}")
         if kind == OP_CREATE and ("size_blocks" not in doc or "type" not in doc):
             raise TraceError("bad trace line: create needs size_blocks and type")
         if kind == OP_WRITE and ("offset" not in doc or "len" not in doc):
             raise TraceError("bad trace line: write needs offset and len")
+        try:
+            check_path(path)  # a nested path stays a FileNotFoundError, as in the fs
+        except ValueError as e:
+            raise TraceError(f"bad trace line: {e}") from None
+        for key in ("size_blocks", "offset", "len"):
+            if key in doc and (type(doc[key]) is not int or doc[key] < 0):
+                raise TraceError(f"bad trace line: {key} must be an integer >= 0, got {doc[key]!r}")
+        if "type" in doc and doc["type"] not in (LINKED, PARTIAL):
+            raise TraceError(f"bad trace line: unknown type {doc['type']!r}")
         return cls(
             tick=tick,
             kind=kind,
@@ -254,7 +265,7 @@ def execute_op(fs, op: WorkloadOp) -> None:
     elif op.kind == OP_DELETE:
         fs.delete_file(op.path)
     elif op.kind == OP_READ:
-        fs.read_file(op.path)
+        fs.access(op.path)
     elif op.kind == OP_WRITE:
         fs.write_file(op.path, op.offset, bytes([op.tick & 0xFF]) * op.length)
     else:
@@ -353,7 +364,9 @@ def replay_trace(ops, fs, weights: PerfWeights = PerfWeights()) -> SimReport:
     """Re-execute a recorded trace literally on a fresh filesystem.
 
     Ticks must be strictly increasing; allocation is a deterministic function
-    of disk state, so the end state matches the recording run bit for bit.
+    of disk state, so the end state matches the recording run bit for bit. A
+    create that does not fit the free space, or a write outside its file, is
+    a TraceError naming the tick.
     """
     counts = Counter()
     last_tick = None
@@ -361,8 +374,14 @@ def replay_trace(ops, fs, weights: PerfWeights = PerfWeights()) -> SimReport:
         if last_tick is not None and op.tick <= last_tick:
             raise TraceError(f"tick {op.tick} does not increase (previous {last_tick})")
         last_tick = op.tick
+        # checked before execute_op builds the op.length bytes it writes
+        if op.kind == OP_WRITE and op.offset + op.length > fs.lookup(op.path).size_bytes:
+            raise TraceError(f"tick {op.tick}: write of {op.length} at {op.offset} outside {op.path}")
         fs.disk.clock = op.tick
-        execute_op(fs, op)
+        try:
+            execute_op(fs, op)
+        except DiskFullError as e:
+            raise TraceError(f"tick {op.tick}: {e}") from None
         counts[op.kind] += 1
     return _build_report(fs, None, len(ops), counts, weights, {})
 

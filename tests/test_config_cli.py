@@ -225,6 +225,38 @@ def test_cli_replay_without_trace_is_usage_error(tmp_path, capsys):
     assert "trace" in capsys.readouterr().err
 
 
+CREATE = '{"tick":1,"op":"create","path":"/a.txt","size_blocks":1,"type":"partial"}\n'
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        '{"tick":1,"op":"create","path":"a.txt","size_blocks":1,"type":"partial"}\n',
+        '{"tick":1,"op":"create","path":5,"size_blocks":1,"type":"partial"}\n',
+        '{"tick":1,"op":"create","path":"/","size_blocks":1,"type":"partial"}\n',
+        '{"tick":1,"op":"create","path":"/a/b.txt","size_blocks":1,"type":"partial"}\n',
+        '{"tick":1,"op":"create","path":"/a.txt","size_blocks":-3,"type":"partial"}\n',
+        '{"tick":1,"op":"create","path":"/a.txt","size_blocks":"x","type":"partial"}\n',
+        '{"tick":1,"op":"create","path":"/a.txt","size_blocks":1,"type":"bogus"}\n',
+        '{"tick":1,"op":"create","path":"/a.txt","size_blocks":64,"type":"partial"}\n',
+        CREATE + '{"tick":2,"op":"write","path":"/a.txt","offset":4000,"len":200}\n',
+        CREATE + '{"tick":2,"op":"write","path":"/a.txt","offset":"0","len":10}\n',
+    ],
+    ids=["relative-path", "int-path", "root-path", "nested-path", "negative-size",
+         "text-size", "unknown-type", "create-beyond-disk", "write-past-size", "text-offset"],
+)
+def test_cli_replay_rejects_malformed_trace(tmp_path, capsys, trace):
+    """A trace line of the wrong shape, or an op the disk cannot carry out, is
+    bad input (exit 2) that writes no report, not an internal error."""
+    cfg = write_cfg(tmp_path, MINIMAL)
+    path = tmp_path / "bad.trace.jsonl"
+    path.write_text(trace)
+    out = tmp_path / "out"
+    assert run_cli(["replay", "--config", cfg, "--trace", str(path), "--out", str(out)]) == 2
+    assert "internal error" not in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_cli_every_subcommand_has_help():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -325,10 +357,11 @@ def test_cli_recover_reports_deleted_files(tmp_path):
          "1048576"),
         ("simulate", "[disk]\nblock_size = 100000000000000\n", "65536"),
         ("simulate", "[disk]\nrows = 1025\ncols = 1024\n", "1048576"),
+        ("simulate", MINIMAL + "[compare]\nseed_count = 100000000000\n", "10000"),
     ],
     ids=["unknown-compare-policy", "unknown-primary-type", "disk-smaller-than-corpus",
          "nan-op-mix", "nan-tau", "coefficient-beyond-bound", "bad-train-value-in-simulate",
-         "span-beyond-cap", "block-size-beyond-cap", "disk-beyond-cap"],
+         "span-beyond-cap", "block-size-beyond-cap", "disk-beyond-cap", "seed-count-beyond-cap"],
 )
 def test_cli_rejects_accepted_but_unusable_values(tmp_path, capsys, command, body, named):
     """Values the grammar parses but no run can use are bad input (exit 2),

@@ -7,9 +7,9 @@ so that every run takes milliseconds: disks of at most 8x8, at most 100
 workload ops, at most 3 training intervals of at most 50 ops and at most 2
 compare seeds. The keys that bound the run time, and the primary corpus, are
 always written, because their defaults are full-size runs; out-of-range
-values for them stay small too. Disk, block and window sizes beyond their caps
-are drawn as out-of-range values: they are rejected before anything is
-allocated for them.
+values for them stay small too. Disk, block and window sizes and seed counts
+beyond their caps are drawn as out-of-range values: they are rejected before
+anything is allocated for them.
 """
 
 import tempfile
@@ -81,7 +81,7 @@ KEYS = {
     ("compare", "secondary_min_blocks"): (ints(1, 6), ["0"]),
     ("compare", "secondary_max_blocks"): (ints(1, 6), ["0"]),
     ("compare", "seeds"): (tuples(2, 0, 9), []),
-    ("compare", "seed_count"): (ints(1, 2), ["0", "-1"]),
+    ("compare", "seed_count"): (ints(1, 2), ["0", "-1", "10001", "100000000000"]),
     ("compare", "policies"): (words("apex", "apex,first-fit", "random,apex"), ["apex,bogus", ","]),
 }
 # Always written: the defaults of these keys are full-size runs, and the
@@ -141,6 +141,7 @@ def ini_text(entries) -> str:
 @example(command="train", entries={**SMALL, ("train", "tau"): "nan"})
 @example(command="simulate", entries={
     **SMALL, ("policy", "coefficients"): "100000000000000000000000,1,1,1"})
+@example(command="simulate", entries={**SMALL, ("compare", "seed_count"): "100000000000"})
 def test_cli_exits_zero_or_two_on_generated_configs(command, entries):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.ini"

@@ -270,6 +270,33 @@ def test_spatial_contiguous_window_wider_than_disk():
     oracle.assert_matches(fs.disk)
 
 
+def test_spatial_contiguous_pass_equals_full_kernel_bitwise():
+    """The pass clamps the span to n - 1 and counts neighbors in closed form.
+    Over a sweep of disk sizes and spans, spans wider than the disk and the
+    span cap included, its sf is bitwise equal to the unclamped kernel with
+    convolved counts."""
+    rng = np.random.default_rng(5)
+    for n in range(2, 34):
+        spans = {*range(1, n + 3), 2 * n, 3 * n + 1}
+        if n <= 3:  # the reference kernel at the cap is 2 M wide
+            spans.add(DiskGeometry.MAX_BLOCKS)
+        for span in sorted(spans):
+            disk = make_disk(rows=1, cols=n, neighborhood=f"contiguous:{span}")
+            disk.hf[:] = rng.integers(0, 40, n)
+            disk.uf[:] = rng.integers(0, 40, n)
+            disk.lf[:] = rng.integers(0, 2, n)
+            disk.sf[:] = rng.normal(0.0, 1e3, n)
+            disk.used_mask[:] = rng.random(n) < 0.3
+            pf = disk.pf_array()
+            kernel = np.ones(2 * span + 1)
+            window = np.convolve(pf, kernel, mode="full")[span:span + n]
+            counts = np.convolve(np.ones(n), kernel, mode="full")[span:span + n] - 1.0
+            want = np.minimum(np.maximum((window - pf) / counts, -SF_LIMIT), SF_LIMIT)
+            want[disk.used_mask] = 0.0
+            update_spatial_factors(disk)
+            assert disk.sf.tobytes() == want.tobytes(), (n, span)
+
+
 def test_spatial_uses_scores_frozen_before_the_pass():
     """Each pass averages pre-pass scores, not values updated mid-sweep."""
     disk = make_disk(rows=2, cols=4)

@@ -80,13 +80,43 @@ def test_create_validation_errors():
         fs.create_file("/nodir/x.txt", 4096)
 
 
-def test_mkdir_and_nested_create():
+def test_flat_namespace():
+    """A path is "/" plus one name: a nested path names a directory that
+    cannot exist, and there is no directory API."""
     fs = make_fs(rows=4, cols=4)
-    fs.mkdir("/logs")
-    rec = fs.create_file("/logs/day1.txt", 4096)
-    assert rec.path == "/logs/day1.txt"
-    with pytest.raises(FileExistsError):
-        fs.mkdir("/logs")
+    before = fs.disk.snapshot_sha256()
+    with pytest.raises(FileNotFoundError):
+        fs.create_file("/a/b.txt", 4096)
+    assert fs.disk.snapshot_sha256() == before
+    rec = fs.create_file("/a.txt", 4096)
+    assert fs.lookup("/a.txt") is rec
+    assert rec.path == "/a.txt"
+    with pytest.raises(FileNotFoundError):
+        fs.lookup("/a.txt/b.txt")
+    for path in ("a.txt", 5, ["/a.txt"], "/", "/.", "/..", "//a.txt"):
+        with pytest.raises(ValueError):
+            fs.lookup(path)
+    assert not hasattr(fs, "mkdir")
+    assert not hasattr(fs, "root")
+
+
+def test_access_records_the_same_use_as_read_file():
+    """execute_op's reads go through access, which builds no bytes; it must
+    leave the same factors, counters and snapshot as read_file."""
+    twins = [make_fs(rows=4, cols=4), make_fs(rows=4, cols=4)]
+    for fs in twins:
+        fs.create_file("/a.txt", 2 * 4096, data=bytes(range(256)) * 32)
+        fs.create_file("/b.txt", 4096)
+        fs.disk.tick()
+    by_access, by_read = twins
+    assert by_access.access("/a.txt") is by_access.lookup("/a.txt")
+    assert by_read.read_file("/a.txt") == bytes(range(256)) * 32
+    assert by_access.disk.uf.tobytes() == by_read.disk.uf.tobytes()
+    a, b = by_access.lookup("/a.txt"), by_read.lookup("/a.txt")
+    assert (a.uf_counter, a.last_access_tick) == (b.uf_counter, b.last_access_tick) == (2, 1)
+    assert by_access.disk.snapshot_sha256() == by_read.disk.snapshot_sha256()
+    with pytest.raises(FileNotFoundError):
+        by_access.access("/ghost.txt")
 
 
 def test_delete_frees_blocks_and_keeps_lineage():
