@@ -15,7 +15,7 @@ from .disk import new_disk
 from .model import DiskGeometry, Hyperparams
 from .errors import ConfigError
 from .policies import KINDS, make_policy
-from .recovery import recover_file, weighted_rr
+from .recovery import recover_file, usage_weighted_rr
 from .vfs import LINKED, PARTIAL, FileSystem
 from .workload import OP_CREATE, OP_DELETE, WorkloadOp, execute_op
 
@@ -124,7 +124,7 @@ def run_cell(
         policy=policy_kind,
         secondary_blocks=target_blocks,
         seed=seed,
-        weighted_rr=weighted_rr(disk, primary),
+        weighted_rr=usage_weighted_rr(primary, per_file),
         per_file_rr=per_file,
     )
 

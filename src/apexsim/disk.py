@@ -56,17 +56,19 @@ class Disk:
         push a block up, usage protects it, and higher means overwritten
         sooner. Evaluated as ((hist*hf - usage*uf) + spatial*sf) + link*lf,
         the integer terms exactly in int64. With spatial ranking disabled the
-        spatial term is dropped, not zeroed."""
+        spatial term is dropped, not zeroed, and the integer sum reaches
+        float64 in one conversion at the end."""
         hp = self.hyperparams
         base = np.multiply(self.hf, hp.hist)
         base -= np.multiply(self.uf, hp.usage)
-        if self.spatial_enabled:
-            pf = np.multiply(self.sf, hp.spatial)
-            np.add(base, pf, out=pf)
-        else:
-            pf = base
+        if self.geometry.neighborhood.kind == NONE:
+            base += np.multiply(self.lf, hp.link)
+            return base.astype(np.float64)
+        # spatial*sf + base is base + spatial*sf: float addition commutes
+        pf = np.multiply(self.sf, hp.spatial)
+        pf += base
         pf += np.multiply(self.lf, hp.link)
-        return pf.astype(np.float64, copy=False)
+        return pf
 
     # -- state --------------------------------------------------------------
 
@@ -162,7 +164,7 @@ def claim(disk: Disk, addrs: list, file_id: int) -> None:
     reference as file_id's sibling list, so it must be the file's block list.
     """
     idx = _addresses(disk, addrs)
-    if disk.used_mask[idx].any():
+    if np.count_nonzero(disk.used_mask[idx]):
         raise BlockStateError(f"already used: {idx[disk.used_mask[idx]].tolist()}")
     prior = Counter(disk.owner[idx].tolist())
     prior.pop(NO_OWNER, None)
@@ -184,7 +186,7 @@ def release(disk: Disk, addrs: list, lf: int) -> None:
     current value, the linkage flag becomes lf. Payload and lineage stay
     until a later claim lands on the block."""
     idx = _addresses(disk, addrs)
-    if not disk.used_mask[idx].all():
+    if np.count_nonzero(disk.used_mask[idx]) != len(idx):
         raise BlockStateError(f"already unused: {idx[~disk.used_mask[idx]].tolist()}")
     disk.used_mask[idx] = False
     disk.hf[idx] = 0

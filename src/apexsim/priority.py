@@ -50,7 +50,7 @@ def update_spatial_factors(disk) -> None:
             sf.fill(0.0)
             return
         pf = disk.pf_array().reshape(geo.rows, geo.cols)
-        np.subtract(pf.sum(axis=1, keepdims=True), pf, out=sf.reshape(geo.rows, geo.cols))
+        np.subtract(np.add.reduce(pf, axis=1, keepdims=True), pf, out=sf.reshape(geo.rows, geo.cols))
         np.divide(sf, deg, out=sf)
     elif nb.kind == CONTIGUOUS:
         if n == 1:

@@ -66,20 +66,27 @@ def recover_file(disk, file) -> RecoveryResult:
 
 
 def weighted_rr(disk, files) -> float:
-    """Usage-weighted recovery percentage over deleted and obsolete files.
+    """Usage-weighted recovery percentage over deleted and obsolete files,
+    measured against current disk state. Obsolete files are not scanned."""
+    return usage_weighted_rr(
+        files, [0.0 if f.status == OBSOLETE else recover_file(disk, f).rr for f in files]
+    )
 
-    Obsolete files contribute rr = 0 by definition (no lineage survives), so
-    they are folded in without a block scan. No files -> 0.0.
+
+def usage_weighted_rr(files, rrs) -> float:
+    """Usage-weighted recovery percentage of files whose recovery ratios are
+    rrs, in the same order. Obsolete files contribute rr = 0 by definition
+    (no lineage survives), whatever rrs holds for them. No files -> 0.0.
     """
     num = 0.0
     den = 0
-    for f in files:
+    for f, rr in zip(files, rrs, strict=True):
         if f.status == USED:
             raise ValueError(f"live file {f.path} in recovery set")
         den += f.uf_counter
         if f.status == OBSOLETE:
             continue
-        num += recover_file(disk, f).rr * f.uf_counter
+        num += rr * f.uf_counter
     if den == 0:
         return 0.0
     return 100.0 * num / den

@@ -11,6 +11,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +70,10 @@ class WorkloadConfig:
         }
 
 
-@dataclass(frozen=True)
-class WorkloadOp:
+class WorkloadOp(NamedTuple):
+    """One op of the stream: immutable and hashable, a plain tuple underneath
+    so that building one per tick stays cheap."""
+
     tick: int
     kind: str
     path: str
@@ -206,13 +209,18 @@ def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp
 
 
 class WorkloadRunner:
-    """Drives one filesystem through a seeded op stream, recording the trace."""
+    """Drives one filesystem through a seeded op stream. It keeps no op once
+    the op has run: step() returns it, and a caller that wants the trace (as
+    run_simulation does) collects it."""
+
+    # No retained ops. bench/tracer.py reports len(trace) as
+    # workload.trace.entries, so the name stays, as an empty history.
+    trace = ()
 
     def __init__(self, config: WorkloadConfig, fs):
         self.config = config
         self.fs = fs
         self.rng = random.Random(config.rng_seed)
-        self.trace: list[WorkloadOp] = []
         self.counts = Counter()
         self._name_seq = 0
 
@@ -247,7 +255,6 @@ class WorkloadRunner:
         self.fs.disk.tick()
         op = generate_op(self.rng, self.config, self)
         execute_op(self.fs, op)
-        self.trace.append(op)
         self.counts[op.kind] += 1
         return op
 
@@ -353,11 +360,11 @@ def _build_report(fs, seed, executed, counts, weights, workload_echo) -> SimRepo
 def run_simulation(config: WorkloadConfig, fs, weights: PerfWeights = PerfWeights()):
     """Run the configured number of ops; returns (SimReport, trace list)."""
     runner = WorkloadRunner(config, fs)
-    runner.run(config.total_ops)
+    trace = [runner.step() for _ in range(config.total_ops)]
     report = _build_report(
-        fs, config.rng_seed, len(runner.trace), runner.counts, weights, config.to_dict()
+        fs, config.rng_seed, len(trace), runner.counts, weights, config.to_dict()
     )
-    return report, runner.trace
+    return report, trace
 
 
 def replay_trace(ops, fs, weights: PerfWeights = PerfWeights()) -> SimReport:

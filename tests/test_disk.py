@@ -1,5 +1,6 @@
 """Block store: claims and releases, the used/unused partition, snapshots."""
 
+import itertools
 import json
 import random
 
@@ -162,6 +163,38 @@ def test_pf_array_matches_scalar_keys():
             factors = disk.hf[addr], disk.uf[addr], disk.sf[addr], disk.lf[addr]
             want = score_of(*factors, disk.hyperparams, disk.spatial_enabled)
             assert pf[addr] == want
+
+
+def test_pf_array_bitwise_at_extreme_magnitudes():
+    """Where the order of the float steps shows: integer terms near 2**63, so
+    base needs rounding to reach float64; sf at the clamp and -0.0; and a
+    `none` disk, whose int64 sum must reach float64 in one conversion. The
+    last eight blocks of each disk are drawn so that rounding base before
+    adding link*lf gives another float; at random draws near 2**63 that
+    happens about twice in 1024."""
+    top = Hyperparams.LIMIT  # top * (2**32 + 1) < 2**63: every exact sum below fits int64
+    rng = random.Random(31)
+    sfs = [SF_LIMIT, -SF_LIMIT, -0.0, 0.0, None]
+    for neighborhood in ("grid-row", "none"):
+        for signs in itertools.product((1, -1), repeat=4):
+            disk = make_disk(rows=4, cols=8, neighborhood=neighborhood, hp=[s * top for s in signs])
+            hp = disk.hyperparams
+            for addr in range(32):
+                while True:
+                    big, small = rng.randrange(2**32 - 2**20, 2**32), rng.randint(0, 1)
+                    hf, uf = (big, small) if addr % 2 else (small, big)
+                    lf = 1 if addr >= 24 else rng.randint(0, 1)
+                    base = hp.hist * hf - hp.usage * uf
+                    if addr < 24 or float(float(base) + hp.link) != float(base + hp.link):
+                        break
+                sf = sfs[addr % 5]
+                disk.hf[addr], disk.uf[addr], disk.lf[addr] = hf, uf, lf
+                disk.sf[addr] = rng.uniform(-SF_LIMIT, SF_LIMIT) if sf is None else sf
+            want = np.array([
+                score_of(hf, uf, sf, lf, hp, disk.spatial_enabled)
+                for hf, uf, sf, lf in zip(disk.hf.tolist(), disk.uf.tolist(), disk.sf.tolist(), disk.lf.tolist())
+            ])
+            assert disk.pf_array().tobytes() == want.tobytes(), (neighborhood, signs)
 
 
 def test_snapshot_hash_is_stable_and_state_sensitive():
