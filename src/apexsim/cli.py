@@ -20,7 +20,7 @@ from .config import load_config
 from .disk import new_disk
 from .errors import ConfigError, TraceError
 from .policies import KINDS, make_policy
-from .recovery import recovery_table, weighted_rr
+from .recovery import recovery_table, usage_weighted_rr
 from .tuner import train
 from .vfs import FileSystem
 from .workload import read_trace, replay_trace, run_simulation, write_trace
@@ -140,9 +140,8 @@ def cmd_recover(args) -> int:
         replay_trace(ops, fs, cfg.weights)
     else:
         run_simulation(cfg.workload, fs, cfg.weights)
-    fs.mark_obsolete_sweep()
     table = recovery_table(fs.disk, fs)
-    wrr = weighted_rr(fs.disk, fs.deleted_files())
+    wrr = usage_weighted_rr(fs.deleted_files(), [row["rr"] for row in table])
     seed = cfg.workload.rng_seed
     payload = {"seed": seed, "weighted_rr": wrr, "rows": table}
     base = _write_report(args, "recover", seed, payload)

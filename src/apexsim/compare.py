@@ -116,7 +116,6 @@ def run_cell(
         execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, f"/secondary{seq:04d}.dat", size, PARTIAL))
         written += size
 
-    fs.mark_obsolete_sweep()
     # a cell deletes only the primaries, in creation order
     primary = fs.deleted_files()
     per_file = tuple(recover_file(disk, f).rr for f in primary)

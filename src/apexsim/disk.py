@@ -75,10 +75,9 @@ class Disk:
     def is_used(self, address: int) -> bool:
         return bool(self.used_mask[address])
 
-    def lineage_intact(self, addrs: list, file_id) -> np.ndarray:
-        """Per address, whether the block still holds exactly the bytes the
-        given file left behind: unused, and no later file has claimed it.
-        file_id is one id, or one id per address."""
+    def lineage_intact(self, addrs: list, file_id: int) -> np.ndarray:
+        """Per address, whether the block still holds exactly the bytes file
+        file_id left behind: unused, and no later file has claimed it."""
         idx = np.asarray(addrs, dtype=np.intp)
         return ~self.used_mask[idx] & (self.owner[idx] == file_id)
 
@@ -153,7 +152,7 @@ def _addresses(disk: Disk, addrs: list) -> np.ndarray:
     return np.asarray(addrs, dtype=np.intp)
 
 
-def claim(disk: Disk, addrs: list, file_id: int) -> None:
+def claim(disk: Disk, addrs: list, file_id: int) -> list:
     """New data lands on unused blocks: they become used by file_id.
 
     Overwrite propagation first: a claimed block whose lineage names a prior
@@ -162,6 +161,10 @@ def claim(disk: Disk, addrs: list, file_id: int) -> None:
     claim lands: churn resets to 1, usage starts at 1, spatial zeroes, the
     payload version bumps and lineage names file_id. addrs is kept by
     reference as file_id's sibling list, so it must be the file's block list.
+
+    Returns the prior owners this claim left with no block on their lineage,
+    in the order the claim first took one of their blocks: nothing of those
+    files can be recovered any more.
     """
     idx = _addresses(disk, addrs)
     if np.count_nonzero(disk.used_mask[idx]):
@@ -169,16 +172,22 @@ def claim(disk: Disk, addrs: list, file_id: int) -> None:
     prior = Counter(disk.owner[idx].tolist())
     prior.pop(NO_OWNER, None)
     disk.used_mask[idx] = True
-    if prior:
-        free = ~disk.used_mask
-        for owner, count in prior.items():
-            disk.hf[free & (disk.owner == owner)] += count
+    emptied = []
+    for owner, count in prior.items():
+        # a block whose lineage names owner is on owner's sibling list
+        sibs = np.asarray(disk.siblings[owner], dtype=np.intp)
+        left = sibs[~disk.used_mask[sibs] & (disk.owner[sibs] == owner)]
+        if left.size:
+            disk.hf[left] += count
+        else:
+            emptied.append(owner)
     disk.hf[idx] = 1
     disk.uf[idx] = 1
     disk.sf[idx] = 0.0
     disk.version[idx] += 1
     disk.owner[idx] = file_id
     disk.siblings[file_id] = addrs
+    return emptied
 
 
 def release(disk: Disk, addrs: list, lf: int) -> None:

@@ -52,8 +52,8 @@ class Neighborhood:
             return cls.grid_row()
         if text == NONE:
             return cls.none()
-        if text.startswith(CONTIGUOUS):
-            _, _, rest = text.partition(":")
+        kind, _, rest = text.partition(":")
+        if kind == CONTIGUOUS:
             try:
                 span = int(rest)
             except ValueError:

@@ -3,9 +3,11 @@ coefficients, one step per measurement interval (MIN), rewarded by the change
 in the scalar objective between consecutive intervals.
 
 The disk persists across intervals; the workload stream continues from the
-same generator. A hill-climb mode reuses the identical machinery with
-learning rate 1 and discount 0, which makes the table hold the latest
-observed objective delta per (state, action).
+same generator. Each interval's objective reads the file system as its ops
+left it: a file's obsolete status is set by the claim that ends its lineage,
+so a measurement needs no sweep first. A hill-climb mode reuses the identical
+machinery with learning rate 1 and discount 0, which makes the table hold the
+latest observed objective delta per (state, action).
 """
 
 import hashlib
@@ -241,11 +243,6 @@ class TrainReport:
             yield (r.min_index, r.p, r.epsilon, *r.state)
 
 
-def _measure(fs, weights) -> float:
-    fs.mark_obsolete_sweep()
-    return performance(fs.disk, fs, weights)
-
-
 def evaluate_policy(config: TrainConfig, hp: Hyperparams, policy_kind: str) -> float:
     """Objective after one interval's worth of ops on a fresh disk under the
     given coefficients and allocation policy, same workload seed."""
@@ -254,7 +251,7 @@ def evaluate_policy(config: TrainConfig, hp: Hyperparams, policy_kind: str) -> f
     fs = FileSystem(disk, policy=policy, invert_link_rule=config.invert_link_rule)
     runner = WorkloadRunner(config.workload, fs)
     runner.run(config.schedule.oin_per_min)
-    return _measure(fs, config.weights)
+    return performance(disk, fs, config.weights)
 
 
 def train(config: TrainConfig) -> TrainReport:
@@ -273,7 +270,7 @@ def train(config: TrainConfig) -> TrainReport:
     state = config.initial.as_tuple()
     visited: dict[tuple, int] = {}
     trajectory: list[MinRecord] = []
-    p_prev = _measure(fs, config.weights)
+    p_prev = performance(disk, fs, config.weights)
     p_initial = p_prev
 
     m = 0
@@ -283,7 +280,7 @@ def train(config: TrainConfig) -> TrainReport:
             break
         visited[state] = visited.get(state, 0) + 1
         runner.run(schedule.oin_per_min)
-        p = _measure(fs, config.weights)
+        p = performance(disk, fs, config.weights)
         # The first interval has no predecessor to difference against, so it
         # carries no reward and leaves the table untouched.
         reward = p - p_prev if m > 0 else 0.0

@@ -8,9 +8,10 @@ Deletion is logical - blocks are freed but their payload and lineage stay put
 until someone allocates over them. A create is one disk.claim of the file's
 block list and a delete one disk.release; the disk keeps that same list as
 the file's sibling list, so it is never copied or mutated.
+A deleted file turns obsolete at the one moment nothing of it can come back:
+when a create's claim takes the last block on its lineage, or at its delete
+if it has no blocks.
 """
-
-from itertools import chain
 
 import numpy as np
 
@@ -99,8 +100,7 @@ class FileSystem:
         self.invert_link_rule = invert_link_rule
         self._live: list[FileRecord] = []  # swap-remove list for uniform sampling
         self._by_path: dict[str, FileRecord] = {}  # the namespace: live files only
-        self._retired: list[FileRecord] = []  # deleted and obsolete, in delete order
-        self._deleted_active: list[FileRecord] = []  # deleted, not yet obsolete
+        self._retired: dict[int, FileRecord] = {}  # id -> retired file, in delete order
         self._next_id = 1
 
     # -- queries -------------------------------------------------------------
@@ -109,7 +109,7 @@ class FileSystem:
         return list(self._live)
 
     def deleted_files(self) -> list[FileRecord]:
-        return list(self._retired)
+        return list(self._retired.values())
 
     def lookup(self, path: str) -> FileRecord:
         try:
@@ -132,7 +132,8 @@ class FileSystem:
         Validation happens before any mutation, so a failed create leaves the
         disk untouched. Blocks are claimed in ranking order; the first becomes
         the metadata block. Claiming blocks with live lineage adds churn to
-        their prior owners' still-unused blocks (see disk.claim).
+        their prior owners' still-unused blocks (see disk.claim); a prior
+        owner left with none of them becomes obsolete.
         """
         check_path(path)
         if path in self._by_path:
@@ -155,7 +156,8 @@ class FileSystem:
         addrs = list(self.policy.select(self.disk, needed))
         fid = self._next_id
         self._next_id += 1
-        claim(self.disk, addrs, fid)
+        for owner in claim(self.disk, addrs, fid):
+            self._retired[owner].status = OBSOLETE
         payload = self.disk.payload
         for i, addr in enumerate(addrs):
             if data is not None and i > 0:
@@ -176,15 +178,15 @@ class FileSystem:
         """Logical delete: free the blocks, freeze usage, keep lineage.
 
         No overwrite event fires here; churn only moves when new data lands.
-        Freed blocks take the linkage flag of this file's format class.
+        Freed blocks take the linkage flag of this file's format class. A file
+        with no blocks has nothing to recover, so it is obsolete at once.
         """
         rec = self.lookup(path)
         lf_value = 0 if (rec.type_class == PARTIAL) != self.invert_link_rule else 1
         release(self.disk, rec.block_list, lf_value)
-        rec.status = DELETED
+        rec.status = DELETED if rec.block_list else OBSOLETE
         self._drop_live(rec)
-        self._retired.append(rec)
-        self._deleted_active.append(rec)
+        self._retired[rec.id] = rec
         self.disk.emit("delete", rec.id, rec.type_class, tuple(rec.block_list))
         return rec
 
@@ -229,30 +231,6 @@ class FileSystem:
                 payload[addr] = bytes(base)
                 self.disk.version[addr] += 1
         record_file_access(self.disk, rec)
-
-    def mark_obsolete_sweep(self) -> int:
-        """Deleted files with no surviving lineage become obsolete. Returns
-        how many flipped this sweep.
-
-        One lineage check covers the concatenated block lists of every
-        deleted file; a file survives when any of its blocks is intact."""
-        active = self._deleted_active
-        if not active:
-            return 0
-        lengths = [len(rec.block_list) for rec in active]
-        intact = self.disk.lineage_intact(
-            list(chain.from_iterable(rec.block_list for rec in active)),
-            np.repeat([rec.id for rec in active], lengths),
-        )
-        holder = np.repeat(np.arange(len(active)), lengths)
-        survivors = np.bincount(holder[intact], minlength=len(active)).tolist()
-        self._deleted_active = []
-        for rec, left in zip(active, survivors):
-            if left:
-                self._deleted_active.append(rec)
-            else:
-                rec.status = OBSOLETE
-        return len(active) - len(self._deleted_active)
 
     # -- internals -----------------------------------------------------------
 

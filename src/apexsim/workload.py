@@ -103,11 +103,13 @@ class WorkloadOp(NamedTuple):
         if not isinstance(doc, dict):
             raise TraceError(f"bad trace line: expected object, got {type(doc).__name__}")
         try:
-            tick = int(doc["tick"])
+            tick = doc["tick"]
             kind = doc["op"]
             path = doc["path"]
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise TraceError(f"bad trace line: missing or invalid field ({e})") from None
+        except KeyError as e:
+            raise TraceError(f"bad trace line: missing field {e}") from None
+        if type(tick) is not int:
+            raise TraceError(f"bad trace line: tick must be an integer, got {tick!r}")
         if not -(2**63) <= tick < 2**63:  # the clock is averaged as a float
             raise TraceError(f"bad trace line: tick {tick} outside the int64 range")
         if kind not in (OP_CREATE, OP_DELETE, OP_READ, OP_WRITE):
@@ -329,7 +331,6 @@ class SimReport:
 
 def _build_report(fs, seed, executed, counts, weights, workload_echo) -> SimReport:
     disk = fs.disk
-    fs.mark_obsolete_sweep()
     wrr = weighted_rr(disk, fs.deleted_files())
     aat_ts = access_time_term(disk, fs, TIMESTAMP)
     aat_seek = access_time_term(disk, fs, SEEK_COST)

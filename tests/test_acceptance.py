@@ -25,7 +25,7 @@ from apexsim.recovery import (
     weighted_rr,
 )
 from apexsim.tuner import TrainConfig, TrainSchedule, train
-from apexsim.vfs import FileSystem
+from apexsim.vfs import OBSOLETE, FileSystem
 from apexsim.workload import WorkloadConfig, WorkloadRunner, run_simulation
 
 from conftest import make_fs
@@ -162,6 +162,9 @@ def test_criterion_4_recovery_matches_history_oracle():
                 assert got.surviving_blocks == oracle.surviving(rec.id), (
                     f"surviving set mismatch, run {i} file {rec.path}"
                 )
+                assert (rec.status == OBSOLETE) == (not oracle.surviving(rec.id)), (
+                    f"status {rec.status} disagrees with surviving set, run {i} file {rec.path}"
+                )
                 assert got.rr == pytest.approx(oracle.rr(rec.id), abs=1e-12), (
                     f"rr mismatch, run {i} file {rec.path}"
                 )
@@ -285,7 +288,6 @@ def test_criterion_8_objective_corner_weights():
             runner = WorkloadRunner(cfg, fs)
             for _ in range(5):
                 runner.run(rng.randint(10, 30))
-                fs.mark_obsolete_sweep()
                 wrr = weighted_rr(fs.disk, fs.deleted_files())
                 for mode in (TIMESTAMP, SEEK_COST):
                     aat = access_time_term(fs.disk, fs, mode)

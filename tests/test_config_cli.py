@@ -241,9 +241,13 @@ CREATE = '{"tick":1,"op":"create","path":"/a.txt","size_blocks":1,"type":"partia
         '{"tick":1,"op":"create","path":"/a.txt","size_blocks":64,"type":"partial"}\n',
         CREATE + '{"tick":2,"op":"write","path":"/a.txt","offset":4000,"len":200}\n',
         CREATE + '{"tick":2,"op":"write","path":"/a.txt","offset":"0","len":10}\n',
+        '{"tick":1.7,"op":"create","path":"/a.txt","size_blocks":1,"type":"partial"}\n',
+        '{"tick":"7","op":"create","path":"/a.txt","size_blocks":1,"type":"partial"}\n',
+        '{"tick":true,"op":"create","path":"/a.txt","size_blocks":1,"type":"partial"}\n',
     ],
     ids=["relative-path", "int-path", "root-path", "nested-path", "negative-size",
-         "text-size", "unknown-type", "create-beyond-disk", "write-past-size", "text-offset"],
+         "text-size", "unknown-type", "create-beyond-disk", "write-past-size", "text-offset",
+         "float-tick", "text-tick", "bool-tick"],
 )
 def test_cli_replay_rejects_malformed_trace(tmp_path, capsys, trace):
     """A trace line of the wrong shape, or an op the disk cannot carry out, is
@@ -358,10 +362,13 @@ def test_cli_recover_reports_deleted_files(tmp_path):
         ("simulate", "[disk]\nblock_size = 100000000000000\n", "65536"),
         ("simulate", "[disk]\nrows = 1025\ncols = 1024\n", "1048576"),
         ("simulate", MINIMAL + "[compare]\nseed_count = 100000000000\n", "10000"),
+        ("simulate", "[disk]\nneighborhood = contiguous_x:2\n", "contiguous_x:2"),
+        ("simulate", "[disk]\nneighborhood = contiguousness:4\n", "contiguousness:4"),
     ],
     ids=["unknown-compare-policy", "unknown-primary-type", "disk-smaller-than-corpus",
          "nan-op-mix", "nan-tau", "coefficient-beyond-bound", "bad-train-value-in-simulate",
-         "span-beyond-cap", "block-size-beyond-cap", "disk-beyond-cap", "seed-count-beyond-cap"],
+         "span-beyond-cap", "block-size-beyond-cap", "disk-beyond-cap", "seed-count-beyond-cap",
+         "contiguous-prefixed-kind", "contiguous-longer-kind"],
 )
 def test_cli_rejects_accepted_but_unusable_values(tmp_path, capsys, command, body, named):
     """Values the grammar parses but no run can use are bad input (exit 2),

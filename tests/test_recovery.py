@@ -94,13 +94,12 @@ def test_weighted_rr_usage_weighted_mean():
 
 
 def test_weighted_rr_obsolete_keeps_denominator_weight():
-    fs = make_fs(rows=8, cols=8, policy=ScriptedPolicy([0, 1], [2, 3]))
+    fs = make_fs(rows=8, cols=8, policy=ScriptedPolicy([0, 1], [2, 3], [2, 3]))
     a = fs.create_file("/a.txt", 4096)
     b = fs.create_file("/b.txt", 4096)
     fs.delete_file("/a.txt")
     fs.delete_file("/b.txt")
-    overwrite(fs, [2, 3])
-    fs.mark_obsolete_sweep()
+    fs.create_file("/c.txt", 4096)  # lands on all of b
     assert b.status == "obsolete"
     assert weighted_rr(fs.disk, [a, b]) == pytest.approx(50.0)
 

@@ -70,6 +70,9 @@ def mutated(line: int, field: str, value) -> str:
 @example(line=0, field="path", value="/a/b.txt")
 @example(line=0, field="size_blocks", value=10**400)
 @example(line=0, field="tick", value=float("inf"))
+@example(line=0, field="tick", value=1.7)
+@example(line=0, field="tick", value="7")
+@example(line=0, field="tick", value=True)
 @example(line=len(BASE) - 1, field="tick", value=10**400)
 @example(line=next(i for i, d in enumerate(BASE) if d["op"] == "write"), field="len", value=2**63)
 def test_replay_exits_zero_or_two_on_mutated_traces(line, field, value):

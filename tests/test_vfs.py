@@ -234,29 +234,28 @@ def test_write_outside_size_rejected():
         fs.write_file("/a.bin", -1, b"x")
 
 
-def test_obsolete_sweep_flips_fully_overwritten_files():
+def test_obsolete_when_a_create_takes_the_last_lineage_block():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1], [0, 1], [2, 3]))
     a = fs.create_file("/a.txt", 4096)
     fs.delete_file("/a.txt")
+    assert a.status == DELETED
     fs.create_file("/b.txt", 4096)  # lands exactly on a's old blocks
-    assert fs.mark_obsolete_sweep() == 1
     assert a.status == OBSOLETE
     c = fs.create_file("/c.txt", 4096)
     fs.delete_file("/c.txt")
-    assert fs.mark_obsolete_sweep() == 0  # c still fully recoverable
-    assert c.status == DELETED
+    assert c.status == DELETED  # c still fully recoverable
+    assert a.status == OBSOLETE
 
 
-def test_obsolete_sweep_partial_survivor_stays_deleted():
+def test_obsolete_partial_survivor_stays_deleted():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1, 2], [1, 3]))
     a = fs.create_file("/a.txt", 2 * 4096)
     fs.delete_file("/a.txt")
     fs.create_file("/b.txt", 4096)  # takes block 1, leaves 0 and 2
-    assert fs.mark_obsolete_sweep() == 0
     assert a.status == DELETED
 
 
-def test_obsolete_sweep_checks_every_deleted_file_at_once():
+def test_obsolete_status_of_every_retired_file_in_delete_order():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy(
         [], [0, 1], [2, 3, 4], [5, 6], [0, 1], [3, 7]))
     empty = fs.create_file("/empty.txt", 0)
@@ -265,13 +264,13 @@ def test_obsolete_sweep_checks_every_deleted_file_at_once():
     kept = fs.create_file("/kept.txt", 4096)
     for rec in (kept, empty, partial, gone):
         fs.delete_file(rec.path)
+    assert empty.status == OBSOLETE  # no blocks: nothing to recover from the start
+    assert (gone.status, partial.status, kept.status) == (DELETED, DELETED, DELETED)
     fs.create_file("/b.txt", 4096)  # overwrites all of gone
     fs.create_file("/c.txt", 4096)  # takes block 3 of partial, leaves 2 and 4
-    assert fs.mark_obsolete_sweep() == 2
     assert (empty.status, gone.status) == (OBSOLETE, OBSOLETE)
     assert (partial.status, kept.status) == (DELETED, DELETED)
-    assert fs._deleted_active == [kept, partial]  # delete order
-    assert fs.mark_obsolete_sweep() == 0
+    assert fs.deleted_files() == [kept, empty, partial, gone]  # delete order
 
 
 def test_lineage_broken_by_version_bump_on_rewrite():
