@@ -6,7 +6,7 @@ the payload version, the payload itself and the lineage owner (the most
 recent parent file, -1 for a block never owned). Scores are computed from the
 arrays on demand, and claiming or releasing a file's blocks is one vectorised
 call. The sibling list of each owner is the owning file's own block list,
-kept by reference for the snapshot.
+kept by reference for the snapshot while at least one block names that owner.
 """
 
 import hashlib
@@ -41,7 +41,7 @@ class Disk:
         self.version = np.zeros(n, dtype=np.int64)  # bumps on every write; 0 = never written
         self.payload = [None] * n  # bytes, or None meaning all zeroes
         self.owner = np.full(n, NO_OWNER, dtype=np.int64)
-        self.siblings: dict[int, list] = {}  # owner file id -> its block list
+        self.siblings: dict[int, list] = {}  # owner named by a block -> its block list
         self.clock = 0
         self.event_log: list | None = None
 
@@ -159,8 +159,9 @@ def claim(disk: Disk, addrs: list, file_id: int) -> list:
     owner F damages F's copy, so each of F's blocks still unused and still
     owned by F gains one unit of churn per claimed block F owned. Then the
     claim lands: churn resets to 1, usage starts at 1, spatial zeroes, the
-    payload version bumps and lineage names file_id. addrs is kept by
-    reference as file_id's sibling list, so it must be the file's block list.
+    payload version bumps and lineage names file_id. A non-empty addrs is
+    kept by reference as file_id's sibling list, so it must be the file's
+    block list; an owner's entry goes once no block names it.
 
     Returns the prior owners this claim left with no block on their lineage,
     in the order the claim first took one of their blocks: nothing of those
@@ -181,12 +182,14 @@ def claim(disk: Disk, addrs: list, file_id: int) -> list:
             disk.hf[left] += count
         else:
             emptied.append(owner)
+            del disk.siblings[owner]  # no block names owner once this claim lands
     disk.hf[idx] = 1
     disk.uf[idx] = 1
     disk.sf[idx] = 0.0
     disk.version[idx] += 1
     disk.owner[idx] = file_id
-    disk.siblings[file_id] = addrs
+    if addrs:
+        disk.siblings[file_id] = addrs
     return emptied
 
 

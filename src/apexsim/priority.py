@@ -75,16 +75,27 @@ def update_spatial_factors(disk) -> None:
 
 def top_unused(disk, count: int) -> list:
     """The count highest-scored unused addresses, descending score, lower
-    address first on ties. Read-only; raises when the disk cannot supply."""
+    address first on ties. Read-only; raises when the disk cannot supply.
+
+    Most free blocks usually share the best score, so when that class alone
+    can supply count blocks its lowest addresses are the answer, and no sort
+    runs."""
     free = unused_addresses(disk, count)
+    if count == 0:
+        return []
+    pf = disk.pf_array()[free]
+    # positions of the best score; argmax finds it faster than max on small disks
+    best = (pf == pf[pf.argmax()]).nonzero()[0]
+    if len(best) >= count:
+        return free[best[:count]].tolist()
     # stable, so equal scores keep the ascending address order of free
-    order = np.argsort(-disk.pf_array()[free], kind="stable")
+    order = np.argsort(np.negative(pf, out=pf), kind="stable")
     return free[order[:count]].tolist()
 
 
 def unused_addresses(disk, count: int) -> np.ndarray:
     """All unused addresses, ascending; raises unless at least count exist."""
-    free = np.flatnonzero(~disk.used_mask)
+    free = (~disk.used_mask).nonzero()[0]
     if count > len(free):
         raise DiskFullError(f"need {count} unused blocks, only {len(free)} free")
     return free

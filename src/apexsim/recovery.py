@@ -73,6 +73,19 @@ def weighted_rr(disk, files) -> float:
     )
 
 
+def retired_rr(disk, fs) -> float:
+    """weighted_rr(disk, fs.deleted_files()) to the bit, reading only the
+    files that can still be recovered. An obsolete file adds its usage to the
+    denominator, which fs keeps as a running total, and nothing to the
+    numerator; the numerator sums in delete order, as weighted_rr does."""
+    num = 0.0
+    for f in fs.recoverable_files():
+        num += recover_file(disk, f).rr * f.uf_counter
+    if fs.retired_usage == 0:
+        return 0.0
+    return 100.0 * num / fs.retired_usage
+
+
 def usage_weighted_rr(files, rrs) -> float:
     """Usage-weighted recovery percentage of files whose recovery ratios are
     rrs, in the same order. Obsolete files contribute rr = 0 by definition
@@ -118,7 +131,7 @@ def access_time_term(disk, fs, mode: str = SEEK_COST) -> float:
 
 def performance(disk, fs, weights: PerfWeights) -> float:
     """The tuning objective: recoverability minus the access-time penalty."""
-    return weights.alpha * weighted_rr(disk, fs.deleted_files()) - weights.beta * access_time_term(
+    return weights.alpha * retired_rr(disk, fs) - weights.beta * access_time_term(
         disk, fs, weights.aat_mode
     )
 

@@ -10,7 +10,9 @@ block list and a delete one disk.release; the disk keeps that same list as
 the file's sibling list, so it is never copied or mutated.
 A deleted file turns obsolete at the one moment nothing of it can come back:
 when a create's claim takes the last block on its lineage, or at its delete
-if it has no blocks.
+if it has no blocks. The deleted files that are not yet obsolete are kept
+apart, and the usage of every retired file is kept as a running total, so
+that recovery is measured over those files only.
 """
 
 import numpy as np
@@ -100,7 +102,9 @@ class FileSystem:
         self.invert_link_rule = invert_link_rule
         self._live: list[FileRecord] = []  # swap-remove list for uniform sampling
         self._by_path: dict[str, FileRecord] = {}  # the namespace: live files only
-        self._retired: dict[int, FileRecord] = {}  # id -> retired file, in delete order
+        self._retired: list[FileRecord] = []  # deleted and obsolete files, in delete order
+        self._recoverable: dict[int, FileRecord] = {}  # id -> deleted file, in delete order
+        self.retired_usage = 0  # sum of uf_counter over _retired; a retired file never gains usage
         self._next_id = 1
 
     # -- queries -------------------------------------------------------------
@@ -109,7 +113,12 @@ class FileSystem:
         return list(self._live)
 
     def deleted_files(self) -> list[FileRecord]:
-        return list(self._retired.values())
+        """Deleted and obsolete files, in delete order."""
+        return list(self._retired)
+
+    def recoverable_files(self) -> list[FileRecord]:
+        """Deleted files not yet obsolete, in delete order."""
+        return list(self._recoverable.values())
 
     def lookup(self, path: str) -> FileRecord:
         try:
@@ -157,7 +166,7 @@ class FileSystem:
         fid = self._next_id
         self._next_id += 1
         for owner in claim(self.disk, addrs, fid):
-            self._retired[owner].status = OBSOLETE
+            self._recoverable.pop(owner).status = OBSOLETE
         payload = self.disk.payload
         for i, addr in enumerate(addrs):
             if data is not None and i > 0:
@@ -184,9 +193,14 @@ class FileSystem:
         rec = self.lookup(path)
         lf_value = 0 if (rec.type_class == PARTIAL) != self.invert_link_rule else 1
         release(self.disk, rec.block_list, lf_value)
-        rec.status = DELETED if rec.block_list else OBSOLETE
+        if rec.block_list:
+            rec.status = DELETED
+            self._recoverable[rec.id] = rec
+        else:
+            rec.status = OBSOLETE
         self._drop_live(rec)
-        self._retired[rec.id] = rec
+        self._retired.append(rec)
+        self.retired_usage += rec.uf_counter
         self.disk.emit("delete", rec.id, rec.type_class, tuple(rec.block_list))
         return rec
 

@@ -22,10 +22,9 @@ from .recovery import (
     TIMESTAMP,
     PerfWeights,
     access_time_term,
-    weighted_rr,
+    retired_rr,
 )
-from .vfs import (DELETED, LINKED, LINKED_EXTENSIONS, OBSOLETE, PARTIAL,
-                  PARTIAL_EXTENSIONS, check_path)
+from .vfs import LINKED, LINKED_EXTENSIONS, PARTIAL, PARTIAL_EXTENSIONS, check_path
 
 OP_CREATE = "create"
 OP_DELETE = "delete"
@@ -331,19 +330,19 @@ class SimReport:
 
 def _build_report(fs, seed, executed, counts, weights, workload_echo) -> SimReport:
     disk = fs.disk
-    wrr = weighted_rr(disk, fs.deleted_files())
+    wrr = retired_rr(disk, fs)
     aat_ts = access_time_term(disk, fs, TIMESTAMP)
     aat_seek = access_time_term(disk, fs, SEEK_COST)
     aat = aat_ts if weights.aat_mode == TIMESTAMP else aat_seek
-    retired = fs.deleted_files()
+    deleted = len(fs.recoverable_files())
     return SimReport(
         seed=seed,
         executed_ops=executed,
         op_counts=dict(counts),
         final_utilization=fs.utilization(),
         files_used=len(fs.live_files()),
-        files_deleted=sum(1 for f in retired if f.status == DELETED),
-        files_obsolete=sum(1 for f in retired if f.status == OBSOLETE),
+        files_deleted=deleted,
+        files_obsolete=len(fs.deleted_files()) - deleted,
         weighted_rr=wrr,
         aat_timestamp=aat_ts,
         aat_seek=aat_seek,

@@ -106,7 +106,7 @@ def test_claim_adds_churn_per_block_taken_from_each_prior_owner():
     assert claim(disk, [3, 9, 1, 6, 4, 10], 5) == [4]  # 4 lost its only block
     assert disk.hf.tolist() == [3, 1, 3, 1, 1, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0]
     assert disk.owner.tolist() == [1, 5, 1, 5, 5, 2, 5, 2, 3, 5, 5] + [NO_OWNER] * 5
-    assert disk.siblings == {1: a, 2: b, 3: [8], 4: [9], 5: [3, 9, 1, 6, 4, 10]}
+    assert disk.siblings == {1: a, 2: b, 3: [8], 5: [3, 9, 1, 6, 4, 10]}  # 4 goes
 
 
 def test_partition_invariant_under_random_transitions():

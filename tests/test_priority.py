@@ -342,12 +342,55 @@ def test_top_unused_exhaustion_raises():
         top_unused(disk, 5)
 
 
-def test_top_unused_matches_full_sort_on_random_state():
+@pytest.mark.parametrize("neighborhood", ["grid-row", "contiguous:2", "none"])
+@pytest.mark.parametrize(
+    "case", ["random", "best-short", "best-exact", "best-over", "full-disk", "signed-zero"]
+)
+def test_top_unused_matches_full_sort_on_random_state(case, neighborhood, monkeypatch):
+    """Tie-heavy states against the reference sort. A best score class that
+    alone holds count free blocks gives its lowest addresses with no sort;
+    one block short of count, the stable sort runs."""
     rng = random.Random(77)
-    disk = make_disk(rows=8, cols=8)
-    for addr in range(64):
-        disk.hf[addr] = rng.randint(0, 9)
-        disk.uf[addr] = rng.randint(0, 9)
-        disk.lf[addr] = rng.randint(0, 1)
-    update_spatial_factors(disk)
-    assert top_unused(disk, 10) == rank_by_full_sort(disk, 10)
+    disk = make_disk(rows=8, cols=8, neighborhood=neighborhood)
+    count, best = 5, None
+    if case == "random":
+        count = 10
+        for addr in range(64):
+            disk.hf[addr] = rng.randint(0, 9)
+            disk.uf[addr] = rng.randint(0, 9)
+            disk.lf[addr] = rng.randint(0, 1)
+        update_spatial_factors(disk)
+    elif case == "full-disk":
+        count = 0
+        disk.used_mask[:] = True
+    elif case == "signed-zero":
+        # the engine never scores -0.0, so the scores are handed in; -0.0 and
+        # 0.0 are one class, and it holds count + 1 free blocks
+        pf = np.full(64, -1.0)
+        pf[[3, 40, 41, 50]], pf[[9, 17, 63]] = -0.0, 0.0
+        disk.used_mask[40] = True
+        disk.pf_array = pf.copy
+        best = count + 1
+    else:
+        best = {"best-short": count - 1, "best-exact": count, "best-over": count + 1}[case]
+        for addr in range(64):
+            # few distinct scores, all below the best class's 4*20 + 9
+            disk.hf[addr] = rng.randint(0, 2)
+            disk.uf[addr] = rng.randint(0, 2)
+            disk.sf[addr] = rng.choice((-1.0, 0.0, 0.5))
+            disk.lf[addr] = rng.randint(0, 1)
+        top = rng.sample(range(64), best + 2)
+        for addr in top:
+            disk.hf[addr], disk.uf[addr], disk.sf[addr], disk.lf[addr] = 20, 0, 0.0, 1
+        rest = sorted(set(range(64)) - set(top))
+        disk.used_mask[top[:2] + rng.sample(rest, 8)] = True  # used blocks never rank
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(a) or argsort(*a, **kw))
+    got = top_unused(disk, count)
+    if case == "signed-zero":
+        assert got == [3, 9, 17, 41, 50]
+    else:
+        assert got == rank_by_full_sort(disk, count)
+    if best is not None:
+        assert bool(sorts) == (best < count)

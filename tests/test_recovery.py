@@ -16,7 +16,8 @@ from apexsim.recovery import (
     recovery_table,
     weighted_rr,
 )
-from apexsim.vfs import LINKED, PARTIAL
+from apexsim.vfs import DELETED, LINKED, PARTIAL
+from apexsim.workload import OP_CREATE, WorkloadConfig, WorkloadRunner
 
 from conftest import ScriptedPolicy, make_fs
 
@@ -211,3 +212,28 @@ def test_recovery_table_shape():
     assert by_path["/b.exe"]["type_class"] == LINKED
     assert all(r["rr"] == 1.0 for r in rows)
     assert all(r["status"] == "deleted" for r in rows)
+
+
+@pytest.mark.parametrize("neighborhood", ["grid-row", "none"])
+def test_recoverable_index_matches_retired_list_after_every_op(neighborhood):
+    """The file system's recoverable files and running usage total agree with
+    the full retired list after every op of a seeded run in which creates
+    empty prior owners, and the objective read from them equals the
+    full-list weighted_rr form bit for bit."""
+    fs = make_fs(rows=8, cols=8, neighborhood=neighborhood)
+    runner = WorkloadRunner(WorkloadConfig(rng_seed=9, total_ops=0, max_file_blocks=6), fs)
+    mixed = PerfWeights(0.7, 0.3)
+    flips = 0
+    for _ in range(600):
+        obsolete = len(fs.deleted_files()) - len(fs.recoverable_files())
+        op = runner.step()
+        retired = fs.deleted_files()
+        assert fs.recoverable_files() == [f for f in retired if f.status == DELETED]
+        assert fs.retired_usage == sum(f.uf_counter for f in retired)
+        wrr = weighted_rr(fs.disk, retired)
+        assert performance(fs.disk, fs, PerfWeights(1.0, 0.0)) == wrr
+        aat = access_time_term(fs.disk, fs, mixed.aat_mode)
+        assert performance(fs.disk, fs, mixed) == 0.7 * wrr - 0.3 * aat
+        if op.kind == OP_CREATE and len(retired) - len(fs.recoverable_files()) > obsolete:
+            flips += 1
+    assert flips >= 20, f"only {flips} creates emptied a prior owner"

@@ -266,11 +266,15 @@ def test_obsolete_status_of_every_retired_file_in_delete_order():
         fs.delete_file(rec.path)
     assert empty.status == OBSOLETE  # no blocks: nothing to recover from the start
     assert (gone.status, partial.status, kept.status) == (DELETED, DELETED, DELETED)
-    fs.create_file("/b.txt", 4096)  # overwrites all of gone
-    fs.create_file("/c.txt", 4096)  # takes block 3 of partial, leaves 2 and 4
+    b = fs.create_file("/b.txt", 4096)  # overwrites all of gone
+    c = fs.create_file("/c.txt", 4096)  # takes block 3 of partial, leaves 2 and 4
     assert (empty.status, gone.status) == (OBSOLETE, OBSOLETE)
     assert (partial.status, kept.status) == (DELETED, DELETED)
     assert fs.deleted_files() == [kept, empty, partial, gone]  # delete order
+    assert fs.recoverable_files() == [kept, partial]
+    assert fs.retired_usage == 4
+    # no block names empty or gone, so the disk keeps no sibling list for them
+    assert set(fs.disk.siblings) == {kept.id, partial.id, b.id, c.id}
 
 
 def test_lineage_broken_by_version_bump_on_rewrite():
