@@ -2,9 +2,12 @@
 flood the disk with secondary data under each policy, and measure how much of
 the primary corpus is still recoverable.
 
-Every cell (policy, secondary size, seed) runs on a fresh disk. The sweep
-counts secondary data blocks, so targets map directly onto fractions of the
-device.
+A cell (policy, secondary size, seed) is what a fresh disk flooded up to that
+one size would hold. The cells of one (policy, seed) share their ops up to
+where a smaller size clips its last file, so they run as one flood toward the
+largest size, each smaller cell finishing on a copy of the file system (see
+run_flood). The sweep counts secondary data blocks, so targets map directly
+onto fractions of the device.
 """
 
 import json
@@ -40,6 +43,8 @@ class CompareSettings:
             raise ValueError("secondary file size range is invalid")
         if not self.seeds or not self.policies or not self.secondary_targets:
             raise ValueError("seeds, policies and secondary_targets must be non-empty")
+        if min(self.secondary_targets) < 0:
+            raise ValueError(f"secondary_blocks must be >= 0, got {min(self.secondary_targets)}")
         for kind in self.policies:
             if kind not in KINDS:
                 raise ValueError(f"unknown policy {kind!r} (expected one of {', '.join(KINDS)})")
@@ -77,15 +82,41 @@ class CompareRow:
         }
 
 
-def run_cell(
+def _row(fs, policy_kind: str, target_blocks: int, seed: int) -> CompareRow:
+    # a flood deletes only the primaries, in creation order
+    primary = fs.deleted_files()
+    per_file = tuple(recover_file(fs.disk, f).rr for f in primary)
+    return CompareRow(
+        policy=policy_kind,
+        secondary_blocks=target_blocks,
+        seed=seed,
+        weighted_rr=usage_weighted_rr(primary, per_file),
+        per_file_rr=per_file,
+    )
+
+
+def run_flood(
     geometry: DiskGeometry,
     hp: Hyperparams,
     settings: CompareSettings,
     policy_kind: str,
-    target_blocks: int,
+    targets: tuple,
     seed: int,
     invert_link_rule: bool = False,
-) -> CompareRow:
+) -> dict:
+    """The cells of one (policy, seed) for every target in targets, keyed by
+    target, from one flood.
+
+    Each target's cell is the flood a fresh disk would see for that target
+    alone: the primaries, then secondary creates of seeded sizes clipped to
+    the blocks left to write and to the free space, until the target is
+    written or the disk is full. Those cells agree up to the step where a
+    smaller target clips its last file, so one line floods toward the
+    largest target, each size drawn once. A target that clips its last file
+    below the line's size finishes on a copy taken before the line's op; a
+    target the line reaches exactly, or that a full disk stops first, is
+    measured on the line.
+    """
     disk = new_disk(geometry, hp)
     policy = make_policy(policy_kind, seed=seed + 1000003)
     fs = FileSystem(disk, policy=policy, invert_link_rule=invert_link_rule)
@@ -102,30 +133,54 @@ def run_cell(
         disk.tick()
         execute_op(fs, WorkloadOp(disk.clock, OP_DELETE, path))
 
+    cells = {}
+    pending = sorted(set(targets))  # ascending; pending[-1] is the line's target
     written = 0
     seq = 0
-    while written < target_blocks:
+    while True:
+        while pending and pending[0] <= written:
+            target = pending.pop(0)
+            cells[target] = _row(fs, policy_kind, target, seed)
+        if not pending:
+            break
         free = fs.free_blocks()
         if free < 2:
             break
         size = rng.randint(settings.secondary_min_blocks, settings.secondary_max_blocks)
-        size = min(size, target_blocks - written, free - 1)
-        size = max(size, 1)
+        size = max(min(size, pending[-1] - written, free - 1), 1)
         seq += 1
+        path = f"/secondary{seq:04d}.dat"
+        # the size is a min over (drawn, blocks left, free - 1), so a smaller
+        # target clips below it exactly when its blocks left are fewer
+        while pending[0] - written < size:
+            target = pending.pop(0)
+            cell = fs.copy()
+            cell.disk.tick()
+            execute_op(cell, WorkloadOp(
+                cell.disk.clock, OP_CREATE, path, target - written, PARTIAL
+            ))
+            cells[target] = _row(cell, policy_kind, target, seed)
         disk.tick()
-        execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, f"/secondary{seq:04d}.dat", size, PARTIAL))
+        execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, path, size, PARTIAL))
         written += size
+    for target in pending:  # a full disk stopped these
+        cells[target] = _row(fs, policy_kind, target, seed)
+    return cells
 
-    # a cell deletes only the primaries, in creation order
-    primary = fs.deleted_files()
-    per_file = tuple(recover_file(disk, f).rr for f in primary)
-    return CompareRow(
-        policy=policy_kind,
-        secondary_blocks=target_blocks,
-        seed=seed,
-        weighted_rr=usage_weighted_rr(primary, per_file),
-        per_file_rr=per_file,
-    )
+
+def run_cell(
+    geometry: DiskGeometry,
+    hp: Hyperparams,
+    settings: CompareSettings,
+    policy_kind: str,
+    target_blocks: int,
+    seed: int,
+    invert_link_rule: bool = False,
+) -> CompareRow:
+    """One cell (policy, target, seed): a flood with that target alone."""
+    return run_flood(
+        geometry, hp, settings, policy_kind, (target_blocks,), seed, invert_link_rule
+    )[target_blocks]
 
 
 def run_compare(
@@ -134,6 +189,9 @@ def run_compare(
     settings: CompareSettings,
     invert_link_rule: bool = False,
 ) -> list[CompareRow]:
+    """Every cell of the sweep, policy by policy, then target by target in
+    settings order, then seed by seed; one flood per (policy, seed) serves
+    all of that seed's targets, and equal targets share one row."""
     need = settings.primary_count * (settings.primary_data_blocks + 1)
     if need > geometry.total_blocks:
         raise ConfigError(
@@ -143,13 +201,14 @@ def run_compare(
         )
     rows = []
     for policy_kind in settings.policies:
-        for target in settings.secondary_targets:
-            for seed in settings.seeds:
-                rows.append(
-                    run_cell(
-                        geometry, hp, settings, policy_kind, target, seed, invert_link_rule
-                    )
-                )
+        floods = [
+            run_flood(
+                geometry, hp, settings, policy_kind, settings.secondary_targets, seed,
+                invert_link_rule,
+            )
+            for seed in settings.seeds
+        ]
+        rows += [cells[target] for target in settings.secondary_targets for cells in floods]
     return rows
 
 

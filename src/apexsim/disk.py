@@ -22,6 +22,7 @@ SNAPSHOT_FORMAT = "apexsim-snapshot"
 SNAPSHOT_VERSION = 1
 NO_OWNER = -1
 _STATE = {True: '"used"', False: '"unused"'}
+_ARRAYS = ("hf", "uf", "sf", "lf", "used_mask", "version", "owner")  # the per-block state
 
 
 def _dumps(value) -> str:
@@ -83,6 +84,20 @@ class Disk:
 
     def tick(self) -> None:
         self.clock += 1
+
+    def copy(self) -> "Disk":
+        """An independent device in the same state. The per-block arrays, the
+        payload list, the sibling map and the event log are copied; payload
+        bytes and sibling lists are shared, since neither is ever mutated."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        for name in _ARRAYS:
+            setattr(new, name, getattr(self, name).copy())
+        new.payload = list(self.payload)
+        new.siblings = dict(self.siblings)
+        if self.event_log is not None:
+            new.event_log = list(self.event_log)
+        return new
 
     # -- events -------------------------------------------------------------
 

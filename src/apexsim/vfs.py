@@ -15,6 +15,8 @@ apart, and the usage of every retired file is kept as a running total, so
 that recovery is measured over those files only.
 """
 
+from copy import deepcopy
+
 import numpy as np
 
 from .disk import claim, release
@@ -72,6 +74,13 @@ class FileRecord:
     def data_blocks(self) -> int:
         return max(len(self.block_list) - 1, 0)
 
+    def copy(self) -> "FileRecord":
+        """A record with the same fields; the block list is shared."""
+        new = object.__new__(FileRecord)
+        for name in FileRecord.__slots__:
+            setattr(new, name, getattr(self, name))
+        return new
+
 
 def check_path(path) -> None:
     """Raise unless path is "/" plus one name.
@@ -106,6 +115,24 @@ class FileSystem:
         self._recoverable: dict[int, FileRecord] = {}  # id -> deleted file, in delete order
         self.retired_usage = 0  # sum of uf_counter over _retired; a retired file never gains usage
         self._next_id = 1
+
+    def copy(self) -> "FileSystem":
+        """An independent file system on a copy of the disk. Every file record
+        is copied and the indexes name the copies, in their own order. The
+        policy is deep-copied, so a seeded policy goes on with the same
+        stream. Block lists stay shared with the records and the disk's
+        sibling map: none is ever mutated."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.disk = self.disk.copy()
+        new.policy = deepcopy(self.policy)
+        twin = {rec.id: rec.copy() for rec in self._live}
+        twin.update((rec.id, rec.copy()) for rec in self._retired)
+        new._live = [twin[rec.id] for rec in self._live]
+        new._by_path = {path: twin[rec.id] for path, rec in self._by_path.items()}
+        new._retired = [twin[rec.id] for rec in self._retired]
+        new._recoverable = {fid: twin[fid] for fid in self._recoverable}
+        return new
 
     # -- queries -------------------------------------------------------------
 

@@ -1,5 +1,8 @@
 """Head-to-head policy comparison over the archival churn scenario."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from apexsim.compare import (
@@ -9,7 +12,12 @@ from apexsim.compare import (
     run_cell,
     run_compare,
 )
+from apexsim.disk import new_disk
 from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
+from apexsim.policies import make_policy
+from apexsim.recovery import recover_file, usage_weighted_rr
+from apexsim.vfs import LINKED, PARTIAL, FileSystem
+from apexsim.workload import OP_CREATE, OP_DELETE, WorkloadOp, execute_op
 
 GEO = DiskGeometry(16, 16, 4096, Neighborhood.grid_row())
 HP = Hyperparams(4, 7, 1, 9)
@@ -38,6 +46,9 @@ def test_settings_validation():
         small_settings(seeds=())
     with pytest.raises(ValueError):
         small_settings(policies=())
+    with pytest.raises(ValueError):
+        small_settings(secondary_targets=(-5, 102))
+    small_settings(secondary_targets=(0,))  # zero churn is a valid sweep point
 
 
 def test_zero_churn_leaves_everything_recoverable():
@@ -87,3 +98,90 @@ def test_report_document_shape():
     assert set(doc["rows"][0]) == {
         "policy", "secondary_blocks", "seed", "weighted_rr", "per_file_rr",
     }
+
+
+def reference_cell(geometry, hp, settings, policy_kind, target, seed, invert_link_rule):
+    """One cell on its own fresh disk: the primaries, then a flood of seeded
+    sizes clipped to the blocks left and the free space. Returns the row and
+    how the flood ended: "reached" (the last file fit as drawn), "clipped"
+    (the last file was cut to the blocks left) or "full"."""
+    disk = new_disk(geometry, hp)
+    fs = FileSystem(disk, make_policy(policy_kind, seed=seed + 1000003), invert_link_rule)
+    rng = random.Random(seed)
+    ext = ".avi" if settings.primary_type == PARTIAL else ".zip"
+    paths = [f"/primary{i}{ext}" for i in range(settings.primary_count)]
+    for path in paths:
+        disk.tick()
+        execute_op(fs, WorkloadOp(
+            disk.clock, OP_CREATE, path, settings.primary_data_blocks, settings.primary_type
+        ))
+    for path in paths:
+        disk.tick()
+        execute_op(fs, WorkloadOp(disk.clock, OP_DELETE, path))
+    written, seq, end = 0, 0, "reached"
+    while written < target:
+        free = fs.free_blocks()
+        if free < 2:
+            end = "full"
+            break
+        drawn = rng.randint(settings.secondary_min_blocks, settings.secondary_max_blocks)
+        size = max(min(drawn, target - written, free - 1), 1)
+        end = "clipped" if size == target - written < drawn else "reached"
+        seq += 1
+        disk.tick()
+        execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, f"/secondary{seq:04d}.dat", size, PARTIAL))
+        written += size
+    primary = fs.deleted_files()
+    per_file = tuple(recover_file(disk, f).rr for f in primary)
+    row = CompareRow(policy_kind, target, seed, usage_weighted_rr(primary, per_file), per_file)
+    return row, end
+
+
+SWEEP = dict(
+    primary_count=4,
+    primary_data_blocks=12,
+    secondary_targets=(200, 30, 102, 30, 0, 500),
+    seeds=tuple(range(20)),
+    policies=("apex", "first-fit", "random"),
+)
+SHARED_FLOOD_CASES = {
+    # name: (neighborhood, disk side, inverted link rule, settings)
+    "grid-row-partial": ("grid-row", 16, False, dict(SWEEP)),
+    "grid-row-small-sizes-inverted": (
+        "grid-row", 16, True, dict(SWEEP, secondary_min_blocks=1, secondary_max_blocks=3)
+    ),
+    "none-linked-small-sizes": (
+        "none", 16, False,
+        dict(SWEEP, primary_type=LINKED, secondary_min_blocks=1, secondary_max_blocks=3),
+    ),
+    "contiguous-linked-inverted": ("contiguous:3", 16, True, dict(SWEEP, primary_type=LINKED)),
+    # Many two-block primaries on a small disk: here a random create on a
+    # copy can empty a primary that the line's larger create leaves whole
+    # (under apex and first-fit a copy's create claims a prefix of the line's).
+    "small-disk-many-linked-random": (
+        "grid-row", 8, False,
+        dict(SWEEP, primary_count=20, primary_data_blocks=1, primary_type=LINKED,
+             secondary_targets=(3, 9, 14, 22, 30, 41, 70), seeds=tuple(range(100)),
+             policies=("random",)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SHARED_FLOOD_CASES))
+def test_shared_flood_equals_one_fresh_disk_per_cell(case):
+    """run_compare runs one flood per (policy, seed); its rows equal, in
+    order, the cells each flooded on their own fresh disk. The targets are
+    unsorted, repeated, zero and beyond the disk."""
+    neighborhood, side, inverted, fields = SHARED_FLOOD_CASES[case]
+    geometry = replace(GEO, rows=side, cols=side, neighborhood=Neighborhood.parse(neighborhood))
+    settings = CompareSettings(**fields)
+    expected, ends = [], set()
+    for policy in settings.policies:
+        for target in settings.secondary_targets:
+            for seed in settings.seeds:
+                row, end = reference_cell(geometry, HP, settings, policy, target, seed, inverted)
+                expected.append(row)
+                ends.add((target > 0, end))
+    assert run_compare(geometry, HP, settings, inverted) == expected
+    # the sweep exercised every way a cell can end
+    assert {(True, "reached"), (True, "clipped"), (True, "full")} <= ends

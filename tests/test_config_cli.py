@@ -3,9 +3,13 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import apexsim
 from apexsim.cli import build_parser, main
 from apexsim.compare import CompareSettings
 from apexsim.config import AppConfig, load_config
@@ -277,6 +281,19 @@ def test_cli_missing_config_exits_two(tmp_path, capsys):
     assert "gone.ini" in capsys.readouterr().err
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """`python -m apexsim` is the same command line, exit code included."""
+    src = str(Path(apexsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    missing = str(tmp_path / "gone.ini")
+    done = subprocess.run(
+        [sys.executable, "-m", "apexsim", "simulate", "--config", missing, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "gone.ini" in done.stderr
+
+
 def test_cli_bad_initial_exits_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[train]\ninitial = 11,1,1,1\n")
     code = run_cli(["train", "--config", cfg, "--out", str(tmp_path)])
@@ -352,6 +369,8 @@ def test_cli_recover_reports_deleted_files(tmp_path):
         ("compare", MINIMAL + "[compare]\nprimary_count = 2\npolicies = apex,bogus\n", "bogus"),
         ("compare", MINIMAL + "[compare]\nprimary_count = 2\nprimary_type = weird\n", "weird"),
         ("compare", "[disk]\nrows = 8\ncols = 8\n", "primary corpus"),
+        ("compare", MINIMAL + "[compare]\nprimary_count = 2\nsecondary_blocks = -5,102\n",
+         "secondary_blocks"),
         ("simulate", MINIMAL + "mix = nan,0.5,0.5\n", "op_mix"),
         ("train", MINIMAL + "[train]\nmin_budget = 2\noin_per_min = 20\ntau = nan\n", "tau"),
         ("simulate", MINIMAL + "[policy]\ncoefficients = 100000000000000000000000,1,1,1\n",
@@ -366,6 +385,7 @@ def test_cli_recover_reports_deleted_files(tmp_path):
         ("simulate", "[disk]\nneighborhood = contiguousness:4\n", "contiguousness:4"),
     ],
     ids=["unknown-compare-policy", "unknown-primary-type", "disk-smaller-than-corpus",
+         "negative-secondary-target",
          "nan-op-mix", "nan-tau", "coefficient-beyond-bound", "bad-train-value-in-simulate",
          "span-beyond-cap", "block-size-beyond-cap", "disk-beyond-cap", "seed-count-beyond-cap",
          "contiguous-prefixed-kind", "contiguous-longer-kind"],

@@ -3,7 +3,8 @@
 import pytest
 
 from apexsim.errors import DiskFullError
-from apexsim.recovery import recover_file
+from apexsim.policies import make_policy
+from apexsim.recovery import recover_file, recovery_table
 from apexsim.vfs import (
     DELETED,
     LINKED,
@@ -13,6 +14,8 @@ from apexsim.vfs import (
     FileSystem,
     type_class_for_path,
 )
+
+from apexsim.workload import WorkloadConfig, replay_trace, run_simulation
 
 from conftest import ScriptedPolicy, make_disk, make_fs
 
@@ -286,3 +289,39 @@ def test_lineage_broken_by_version_bump_on_rewrite():
     # both files once owned blocks 0 and 1; only b's epochs match now
     assert recover_file(fs.disk, a).rr == 0.0
     assert recover_file(fs.disk, b).rr == 1.0
+
+
+def _state(fs):
+    """Everything a copy must keep apart from its original."""
+    return (
+        fs.disk.snapshot_json(),
+        recovery_table(fs.disk, fs),
+        [(f.id, f.path, f.status, f.uf_counter, f.last_access_tick) for f in fs.live_files()],
+        [(f.id, f.status) for f in fs.deleted_files()],
+        [f.id for f in fs.recoverable_files()],
+        fs.retired_usage,
+        list(fs.disk.event_log),
+    )
+
+
+@pytest.mark.parametrize("policy", ["apex", "first-fit", "random"])
+def test_copy_replays_a_suffix_as_the_original_does(policy):
+    """A copy taken mid-trace runs the rest of the trace to the same state as
+    the original, and running it leaves the original as it was."""
+    workload = WorkloadConfig(rng_seed=5, total_ops=400, max_file_blocks=6, min_utilization=0.5)
+    _, trace = run_simulation(workload, make_fs(policy=make_policy(policy, seed=9), rows=8, cols=8))
+    # cut just after a delete, so that the copy starts with a recoverable file
+    cut = max(i for i, op in enumerate(trace[:200]) if op.kind == "delete") + 1
+    prefix, suffix = trace[:cut], trace[cut:]
+
+    fs = make_fs(policy=make_policy(policy, seed=9), rows=8, cols=8)
+    fs.disk.record_events()
+    replay_trace(prefix, fs)
+    assert fs.deleted_files() and fs.recoverable_files(), "the prefix should retire files"
+    at_copy = _state(fs)
+    twin = fs.copy()
+    replay_trace(suffix, twin)
+    assert _state(fs) == at_copy
+    replay_trace(suffix, fs)
+    assert _state(fs) == _state(twin)
+    assert _state(fs) != at_copy
