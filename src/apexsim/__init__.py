@@ -1,12 +1,12 @@
 """Recoverability-aware block allocation sandbox.
 
-A small modeled disk, a path-tree filesystem on top of it, allocation
+A small modeled disk, a flat-namespace filesystem on top of it, allocation
 policies that rank unused blocks by a tunable priority score, deterministic
 workload simulation with trace replay, post-deletion recovery measurement,
 and a tabular reinforcement loop that tunes the ranking coefficients.
 """
 
-from .compare import CompareRow, CompareSettings, run_cell, run_compare
+from .compare import CompareRow, CompareSettings, run_compare
 from .disk import Disk, claim, new_disk, release
 from .errors import BlockStateError, ConfigError, DiskFullError, TraceError
 from .model import DiskGeometry, Hyperparams, Neighborhood
@@ -78,7 +78,6 @@ __all__ = [
     "recovery_table",
     "release",
     "replay_trace",
-    "run_cell",
     "run_compare",
     "run_simulation",
     "top_unused",

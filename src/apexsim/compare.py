@@ -168,21 +168,6 @@ def run_flood(
     return cells
 
 
-def run_cell(
-    geometry: DiskGeometry,
-    hp: Hyperparams,
-    settings: CompareSettings,
-    policy_kind: str,
-    target_blocks: int,
-    seed: int,
-    invert_link_rule: bool = False,
-) -> CompareRow:
-    """One cell (policy, target, seed): a flood with that target alone."""
-    return run_flood(
-        geometry, hp, settings, policy_kind, (target_blocks,), seed, invert_link_rule
-    )[target_blocks]
-
-
 def run_compare(
     geometry: DiskGeometry,
     hp: Hyperparams,

@@ -2,8 +2,9 @@
 
 The disk is a flat array of fixed-size blocks, and every piece of block state
 is one entry of a per-block array: the used mask, the four ranking factors,
-the payload version, the payload itself and the lineage owner (the most
-recent parent file, -1 for a block never owned). Scores are computed from the
+the content version and the lineage owner (the most recent parent file, -1
+for a block never owned). A block's content is named by its lineage and its
+version; no bytes are kept. Scores are computed from the
 arrays on demand, and claiming or releasing a file's blocks is one vectorised
 call. The sibling list of each owner is the owning file's own block list,
 kept by reference for the snapshot while at least one block names that owner.
@@ -19,7 +20,7 @@ from .errors import BlockStateError
 from .model import NONE, DiskGeometry, Hyperparams
 
 SNAPSHOT_FORMAT = "apexsim-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 NO_OWNER = -1
 _STATE = {True: '"used"', False: '"unused"'}
 _ARRAYS = ("hf", "uf", "sf", "lf", "used_mask", "version", "owner")  # the per-block state
@@ -40,7 +41,6 @@ class Disk:
         self.lf = np.ones(n, dtype=np.int64)  # last owner's linkage flag; fresh blocks start linked
         self.used_mask = np.zeros(n, dtype=bool)
         self.version = np.zeros(n, dtype=np.int64)  # bumps on every write; 0 = never written
-        self.payload = [None] * n  # bytes, or None meaning all zeroes
         self.owner = np.full(n, NO_OWNER, dtype=np.int64)
         self.siblings: dict[int, list] = {}  # owner named by a block -> its block list
         self.clock = 0
@@ -73,9 +73,6 @@ class Disk:
 
     # -- state --------------------------------------------------------------
 
-    def is_used(self, address: int) -> bool:
-        return bool(self.used_mask[address])
-
     def lineage_intact(self, addrs: list, file_id: int) -> np.ndarray:
         """Per address, whether the block still holds exactly the bytes file
         file_id left behind: unused, and no later file has claimed it."""
@@ -87,13 +84,12 @@ class Disk:
 
     def copy(self) -> "Disk":
         """An independent device in the same state. The per-block arrays, the
-        payload list, the sibling map and the event log are copied; payload
-        bytes and sibling lists are shared, since neither is ever mutated."""
+        sibling map and the event log are copied; sibling lists are shared,
+        since none is ever mutated."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         for name in _ARRAYS:
             setattr(new, name, getattr(self, name).copy())
-        new.payload = list(self.payload)
         new.siblings = dict(self.siblings)
         if self.event_log is not None:
             new.event_log = list(self.event_log)
@@ -125,19 +121,18 @@ class Disk:
         # json's own float spelling, one encoder call for the whole column
         sf_text = _dumps(self.sf.tolist())[1:-1].split(",")
         blocks = []
-        for used, hf, uf, sf, lf, version, payload, owner in zip(
+        for used, hf, uf, sf, lf, version, owner in zip(
             self.used_mask.tolist(), self.hf.tolist(), self.uf.tolist(), sf_text,
-            self.lf.tolist(), self.version.tolist(), self.payload, owners,
+            self.lf.tolist(), self.version.tolist(), owners,
         ):
             mrpf = (
                 f'{{"content_epoch":{version},"file_id":{owner},"siblings":{lineage[owner]}}}'
                 if owner != NO_OWNER
                 else "null"
             )
-            digest = f'"{hashlib.sha256(payload).hexdigest()}"' if payload is not None else "null"
             blocks.append(
-                f'{{"hf":{hf},"lf":{lf},"mrpf":{mrpf},"payload_sha256":{digest},'
-                f'"sf":{sf},"state":{_STATE[used]},"uf":{uf},"version":{version}}}'
+                f'{{"hf":{hf},"lf":{lf},"mrpf":{mrpf},"sf":{sf},'
+                f'"state":{_STATE[used]},"uf":{uf},"version":{version}}}'
             )
         # "blocks" sorts before every other top-level key
         rest = _dumps({
@@ -174,7 +169,7 @@ def claim(disk: Disk, addrs: list, file_id: int) -> list:
     owner F damages F's copy, so each of F's blocks still unused and still
     owned by F gains one unit of churn per claimed block F owned. Then the
     claim lands: churn resets to 1, usage starts at 1, spatial zeroes, the
-    payload version bumps and lineage names file_id. A non-empty addrs is
+    content version bumps and lineage names file_id. A non-empty addrs is
     kept by reference as file_id's sibling list, so it must be the file's
     block list; an owner's entry goes once no block names it.
 
@@ -210,7 +205,7 @@ def claim(disk: Disk, addrs: list, file_id: int) -> list:
 
 def release(disk: Disk, addrs: list, lf: int) -> None:
     """Used blocks become unused: churn resets to 0, usage freezes at its
-    current value, the linkage flag becomes lf. Payload and lineage stay
+    current value, the linkage flag becomes lf. Version and lineage stay
     until a later claim lands on the block."""
     idx = _addresses(disk, addrs)
     if np.count_nonzero(disk.used_mask[idx]) != len(idx):

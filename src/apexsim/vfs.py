@@ -4,8 +4,9 @@ The namespace is flat: a path is "/" plus one name, and one dict from path to
 file record holds it; there are no directories. Files are fixed-size at
 creation: block 0 of every non-empty file is its metadata block, the rest
 carry data in order.
-Deletion is logical - blocks are freed but their payload and lineage stay put
-until someone allocates over them. A create is one disk.claim of the file's
+Deletion is logical - blocks are freed but their version and lineage stay put
+until someone allocates over them. No bytes are stored: a write is recorded as
+a version bump on the blocks it touches. A create is one disk.claim of the file's
 block list and a delete one disk.release; the disk keeps that same list as
 the file's sibling list, so it is never copied or mutated.
 A deleted file turns obsolete at the one moment nothing of it can come back:
@@ -162,7 +163,7 @@ class FileSystem:
 
     # -- operations ----------------------------------------------------------
 
-    def create_file(self, path, size_bytes, type_class=None, data=None) -> FileRecord:
+    def create_file(self, path, size_bytes, type_class=None) -> FileRecord:
         """Allocate and install a new fixed-size file.
 
         Validation happens before any mutation, so a failed create leaves the
@@ -176,8 +177,6 @@ class FileSystem:
             raise FileExistsError(path)
         if size_bytes < 0:
             raise ValueError("negative size")
-        if data is not None and len(data) != size_bytes:
-            raise ValueError("data length must equal size_bytes")
         if type_class is None:
             type_class = type_class_for_path(path)
         if type_class not in (LINKED, PARTIAL):
@@ -194,14 +193,6 @@ class FileSystem:
         self._next_id += 1
         for owner in claim(self.disk, addrs, fid):
             self._recoverable.pop(owner).status = OBSOLETE
-        payload = self.disk.payload
-        for i, addr in enumerate(addrs):
-            if data is not None and i > 0:
-                payload[addr] = data[(i - 1) * bs : i * bs].ljust(
-                    min(bs, size_bytes - (i - 1) * bs), b"\x00"
-                )
-            else:
-                payload[addr] = None
 
         rec = FileRecord(fid, path, type_class, addrs, size_bytes, self.disk.clock)
         self._by_path[path] = rec
@@ -237,40 +228,23 @@ class FileSystem:
         record_file_access(self.disk, rec)
         return rec
 
-    def read_file(self, path: str) -> bytes:
-        rec = self.access(path)
-        bs = self.disk.geometry.block_size_bytes
-        parts = []
-        for addr in rec.block_list[1:]:
-            payload = self.disk.payload[addr]
-            parts.append(payload if payload is not None else bytes(bs))
-        return b"".join(parts)[: rec.size_bytes]
+    def write_file(self, path: str, offset: int, length: int) -> None:
+        """Overwrite length bytes at offset inside the current size; files
+        never grow here.
 
-    def write_file(self, path: str, offset: int, data: bytes) -> None:
-        """Overwrite bytes inside the current size; files never grow here.
-
-        Affected data blocks bump their payload version; untouched blocks
-        keep theirs. Usage increments once even for a zero-length write.
+        Each data block the range touches bumps its version once; untouched
+        blocks keep theirs. Usage increments once even for a zero-length write.
         """
         rec = self.lookup(path)
-        if offset < 0 or offset + len(data) > rec.size_bytes:
+        if offset < 0 or length < 0 or offset + length > rec.size_bytes:
             raise ValueError(
-                f"write [{offset}, {offset + len(data)}) outside size {rec.size_bytes}"
+                f"write [{offset}, {offset + length}) outside size {rec.size_bytes}"
             )
-        bs = self.disk.geometry.block_size_bytes
-        if data:
-            first = offset // bs
-            last = (offset + len(data) - 1) // bs
-            payload = self.disk.payload
-            for j in range(first, last + 1):
-                addr = rec.block_list[1 + j]
-                span = min(bs, rec.size_bytes - j * bs)
-                base = bytearray(payload[addr]) if payload[addr] is not None else bytearray(span)
-                lo = max(offset, j * bs)
-                hi = min(offset + len(data), (j + 1) * bs)
-                base[lo - j * bs : hi - j * bs] = data[lo - offset : hi - offset]
-                payload[addr] = bytes(base)
-                self.disk.version[addr] += 1
+        if length:
+            bs = self.disk.geometry.block_size_bytes
+            first = 1 + offset // bs
+            last = 1 + (offset + length - 1) // bs
+            self.disk.version[rec.block_list[first : last + 1]] += 1
         record_file_access(self.disk, rec)
 
     # -- internals -----------------------------------------------------------

@@ -275,7 +275,7 @@ def execute_op(fs, op: WorkloadOp) -> None:
     elif op.kind == OP_READ:
         fs.access(op.path)
     elif op.kind == OP_WRITE:
-        fs.write_file(op.path, op.offset, bytes([op.tick & 0xFF]) * op.length)
+        fs.write_file(op.path, op.offset, op.length)
     else:
         raise TraceError(f"unknown op kind {op.kind!r}")
     update_spatial_factors(fs.disk)
@@ -381,7 +381,8 @@ def replay_trace(ops, fs, weights: PerfWeights = PerfWeights()) -> SimReport:
         if last_tick is not None and op.tick <= last_tick:
             raise TraceError(f"tick {op.tick} does not increase (previous {last_tick})")
         last_tick = op.tick
-        # checked before execute_op builds the op.length bytes it writes
+        # trace input: a write outside its file is a TraceError (exit 2), not
+        # the ValueError write_file raises for a caller's bad range (exit 1)
         if op.kind == OP_WRITE and op.offset + op.length > fs.lookup(op.path).size_bytes:
             raise TraceError(f"tick {op.tick}: write of {op.length} at {op.offset} outside {op.path}")
         fs.disk.clock = op.tick

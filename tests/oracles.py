@@ -4,7 +4,6 @@ is replayed literally from the event log, rankings come from a full sort, and
 recovery is reconstructed from claim history instead of epoch records.
 """
 
-import hashlib
 from itertools import chain
 
 import numpy as np
@@ -28,7 +27,7 @@ def rank_by_full_sort(disk, count=None):
     enabled = disk.spatial_enabled
     scored = []
     for addr in range(disk.geometry.total_blocks):
-        if disk.is_used(addr):
+        if disk.used_mask[addr]:
             continue
         factors = disk.hf[addr], disk.uf[addr], disk.sf[addr], disk.lf[addr]
         scored.append((-score_of(*factors, hp, enabled), addr))
@@ -43,9 +42,9 @@ def reference_snapshot(disk):
     must write."""
     sorted_siblings = {fid: sorted(blocks) for fid, blocks in disk.siblings.items()}
     per_block = []
-    for used, hf, uf, sf, lf, version, payload, owner in zip(
+    for used, hf, uf, sf, lf, version, owner in zip(
         disk.used_mask.tolist(), disk.hf.tolist(), disk.uf.tolist(), disk.sf.tolist(),
-        disk.lf.tolist(), disk.version.tolist(), disk.payload, disk.owner.tolist(),
+        disk.lf.tolist(), disk.version.tolist(), disk.owner.tolist(),
     ):
         per_block.append({
             "state": "used" if used else "unused",
@@ -54,9 +53,6 @@ def reference_snapshot(disk):
             "sf": sf,
             "lf": lf,
             "version": version,
-            "payload_sha256": (
-                hashlib.sha256(payload).hexdigest() if payload is not None else None
-            ),
             "mrpf": (
                 {
                     "file_id": owner,

@@ -9,8 +9,8 @@ from apexsim.compare import (
     CompareRow,
     CompareSettings,
     compare_report,
-    run_cell,
     run_compare,
+    run_flood,
 )
 from apexsim.disk import new_disk
 from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
@@ -52,7 +52,7 @@ def test_settings_validation():
 
 
 def test_zero_churn_leaves_everything_recoverable():
-    row = run_cell(GEO, HP, small_settings(secondary_targets=(0,)), "apex", 0, 0)
+    row = run_flood(GEO, HP, small_settings(secondary_targets=(0,)), "apex", (0,), 0)[0]
     assert row.weighted_rr == pytest.approx(100.0)
     assert row.per_file_rr == (1.0,) * 2
 
@@ -60,15 +60,15 @@ def test_zero_churn_leaves_everything_recoverable():
 def test_full_capacity_churn_destroys_everything():
     settings = small_settings(secondary_targets=(256,))
     for policy in ("apex", "first-fit"):
-        row = run_cell(GEO, HP, settings, policy, 256, 0)
+        row = run_flood(GEO, HP, settings, policy, (256,), 0)[256]
         assert row.weighted_rr == pytest.approx(0.0)
         assert row.per_file_rr == (0.0,) * 2
 
 
 def test_cell_is_deterministic():
     settings = small_settings()
-    a = run_cell(GEO, HP, settings, "apex", 30, 7)
-    b = run_cell(GEO, HP, settings, "apex", 30, 7)
+    a = run_flood(GEO, HP, settings, "apex", (30,), 7)[30]
+    b = run_flood(GEO, HP, settings, "apex", (30,), 7)[30]
     assert a == b
 
 

@@ -43,7 +43,7 @@ def test_transition_to_used_resets_tracking():
     claim(disk, [5], 1)
     assert (disk.hf[5], disk.uf[5], disk.sf[5], disk.lf[5]) == (1.0, 1.0, 0.0, 1.0)
     assert (disk.version[5], disk.owner[5]) == (1, 1)
-    assert disk.is_used(5)
+    assert disk.used_mask[5]
     assert 5 not in top_unused(disk, 15)
 
 
@@ -54,7 +54,7 @@ def test_transition_to_unused_freezes_usage():
     release(disk, [5], 0)
     assert (disk.hf[5], disk.uf[5], disk.lf[5]) == (0.0, 7.0, 0.0)
     assert (disk.version[5], disk.owner[5]) == (1, 1)  # lineage stays until a claim lands
-    assert not disk.is_used(5)
+    assert not disk.used_mask[5]
     assert 5 in top_unused(disk, 16)
 
 
@@ -116,7 +116,7 @@ def test_partition_invariant_under_random_transitions():
     used = set()
     for fid in range(500):
         addr = rng.randrange(64)
-        if disk.is_used(addr):
+        if disk.used_mask[addr]:
             release(disk, [addr], rng.randint(0, 1))
         else:
             claim(disk, [addr], fid)
@@ -206,11 +206,14 @@ def test_snapshot_hash_is_stable_and_state_sensitive():
 
 
 def test_snapshot_sees_payload_changes():
-    disk = make_disk(rows=2, cols=2)
-    claim(disk, [0], 1)
-    before = disk.snapshot_sha256()
-    disk.payload[0] = b"x" * 16
-    assert disk.snapshot_sha256() != before
+    """No bytes are stored: a write changes a block's content, and the
+    snapshot sees it through that block's version."""
+    fs = make_fs(rows=2, cols=2)
+    rec = fs.create_file("/a.bin", 4096)
+    before = fs.disk.snapshot_sha256()
+    fs.write_file("/a.bin", 0, 16)
+    assert fs.disk.version[rec.block_list[1]] == 2
+    assert fs.disk.snapshot_sha256() != before
 
 
 def test_snapshot_lineage_reads_owner_version_and_sibling_list():
@@ -237,8 +240,6 @@ def test_snapshot_json_matches_reference_encoder(neighborhood):
     claim(disk, [9], 4)  # owner 3 has no block left
     disk.version[5] += 2
     disk.uf[3] += 5
-    disk.payload[7] = b"abc"
-    disk.payload[0] = b""
     rng = random.Random(5)
     disk.sf[:] = [rng.uniform(-1e6, 1e6) for _ in range(16)]
     disk.sf[[1, 4, 6, 8, 10]] = [-2.5, SF_LIMIT, -SF_LIMIT, -0.0, 0.1 + 0.2]

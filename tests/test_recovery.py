@@ -85,8 +85,8 @@ def test_weighted_rr_usage_weighted_mean():
     fs = make_fs(rows=8, cols=8, policy=ScriptedPolicy([0, 1], [2, 3]))
     a = fs.create_file("/a.txt", 4096)
     b = fs.create_file("/b.txt", 4096)
-    fs.read_file("/a.txt")
-    fs.read_file("/a.txt")  # a.uf_counter 3, b.uf_counter 1
+    fs.access("/a.txt")
+    fs.access("/a.txt")  # a.uf_counter 3, b.uf_counter 1
     fs.delete_file("/a.txt")
     fs.delete_file("/b.txt")
     assert weighted_rr(fs.disk, [a, b]) == pytest.approx(100.0)
@@ -122,7 +122,7 @@ def test_weighted_rr_never_increases_as_blocks_die():
         fs.policy._picks.append([start, start + 1, start + 2])
         files.append(fs.create_file(f"/f{i}.txt", 2 * 4096))
         for _ in range(rng.randrange(3)):
-            fs.read_file(f"/f{i}.txt")
+            fs.access(f"/f{i}.txt")
     for i in range(5):
         fs.delete_file(f"/f{i}.txt")
     prev = weighted_rr(fs.disk, files)
@@ -143,7 +143,7 @@ def test_access_time_timestamp_mode():
     fs.create_file("/a.txt", 4096)
     assert access_time_term(fs.disk, fs, TIMESTAMP) == 7.0
     fs.disk.clock = 11
-    fs.read_file("/a.txt")
+    fs.access("/a.txt")
     fs.create_file("/b.txt", 4096)
     assert access_time_term(fs.disk, fs, TIMESTAMP) == 11.0
 

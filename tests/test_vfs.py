@@ -1,4 +1,4 @@
-"""File layer: create, delete, read, write, obsolescence."""
+"""File layer: create, delete, access, write, obsolescence."""
 
 import pytest
 
@@ -38,7 +38,7 @@ def test_create_claims_metadata_plus_data_blocks():
     assert rec.type_class == PARTIAL
     assert rec.uf_counter == 1
     for addr in rec.block_list:
-        assert fs.disk.is_used(addr)
+        assert fs.disk.used_mask[addr]
         assert (fs.disk.hf[addr], fs.disk.uf[addr]) == (1.0, 1.0)
         assert fs.disk.owner[addr] == rec.id
     assert fs.disk.siblings[rec.id] is rec.block_list
@@ -49,7 +49,8 @@ def test_create_zero_byte_file_claims_nothing():
     rec = fs.create_file("/empty.txt", 0)
     assert rec.block_list == []
     assert fs.free_blocks() == 16
-    assert fs.read_file("/empty.txt") == b""
+    assert fs.access("/empty.txt") is rec
+    assert rec.uf_counter == 2
 
 
 def test_create_rounds_partial_block_up():
@@ -77,8 +78,6 @@ def test_create_validation_errors():
         fs.create_file("/", 4096)
     with pytest.raises(ValueError):
         fs.create_file("/neg.txt", -1)
-    with pytest.raises(ValueError):
-        fs.create_file("/short.txt", 4096, data=b"ab")
     with pytest.raises(FileNotFoundError):
         fs.create_file("/nodir/x.txt", 4096)
 
@@ -103,33 +102,14 @@ def test_flat_namespace():
     assert not hasattr(fs, "root")
 
 
-def test_access_records_the_same_use_as_read_file():
-    """execute_op's reads go through access, which builds no bytes; it must
-    leave the same factors, counters and snapshot as read_file."""
-    twins = [make_fs(rows=4, cols=4), make_fs(rows=4, cols=4)]
-    for fs in twins:
-        fs.create_file("/a.txt", 2 * 4096, data=bytes(range(256)) * 32)
-        fs.create_file("/b.txt", 4096)
-        fs.disk.tick()
-    by_access, by_read = twins
-    assert by_access.access("/a.txt") is by_access.lookup("/a.txt")
-    assert by_read.read_file("/a.txt") == bytes(range(256)) * 32
-    assert by_access.disk.uf.tobytes() == by_read.disk.uf.tobytes()
-    a, b = by_access.lookup("/a.txt"), by_read.lookup("/a.txt")
-    assert (a.uf_counter, a.last_access_tick) == (b.uf_counter, b.last_access_tick) == (2, 1)
-    assert by_access.disk.snapshot_sha256() == by_read.disk.snapshot_sha256()
-    with pytest.raises(FileNotFoundError):
-        by_access.access("/ghost.txt")
-
-
 def test_delete_frees_blocks_and_keeps_lineage():
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.txt", 2 * 4096)
-    fs.read_file("/a.txt")
+    fs.access("/a.txt")
     fs.delete_file("/a.txt")
     assert rec.status == DELETED
     for addr in rec.block_list:
-        assert not fs.disk.is_used(addr)
+        assert not fs.disk.used_mask[addr]
         assert fs.disk.hf[addr] == 0.0
         assert fs.disk.uf[addr] == 2.0  # frozen at its live value
         assert fs.disk.owner[addr] == rec.id
@@ -177,20 +157,20 @@ def test_path_reusable_after_delete():
 
 
 def test_read_round_trip_and_usage_bump():
+    """A read is one use of the file: usage and last access move on every
+    block, and no block's version does."""
     fs = make_fs(rows=4, cols=4)
-    data = bytes(range(256)) * 20  # 5120 bytes, metadata + 2 data blocks
-    rec = fs.create_file("/a.bin", len(data), data=data)
-    assert fs.read_file("/a.bin") == data
-    assert rec.uf_counter == 2
+    rec = fs.create_file("/a.bin", 5120)  # metadata + 2 data blocks
+    fs.create_file("/b.bin", 4096)
+    fs.disk.tick()
+    versions = fs.disk.version.copy()
+    assert fs.access("/a.bin") is fs.lookup("/a.bin") is rec
+    assert (rec.uf_counter, rec.last_access_tick) == (2, 1)
+    assert fs.disk.uf.tolist() == [2, 2, 2, 1, 1] + [0] * 11
+    assert fs.disk.version.tolist() == versions.tolist()
     fs.delete_file("/a.bin")
     with pytest.raises(FileNotFoundError):
-        fs.read_file("/a.bin")
-
-
-def test_read_unwritten_file_returns_zeros():
-    fs = make_fs(rows=4, cols=4)
-    fs.create_file("/a.bin", 100)
-    assert fs.read_file("/a.bin") == bytes(100)
+        fs.access("/a.bin")
 
 
 def test_write_bumps_epoch_only_on_touched_blocks():
@@ -198,31 +178,34 @@ def test_write_bumps_epoch_only_on_touched_blocks():
     rec = fs.create_file("/a.bin", 3 * 4096)
     meta, d0, d1, d2 = rec.block_list
     epochs = fs.disk.version.copy()
-    fs.write_file("/a.bin", 4096, b"hello")  # lands entirely in d1
+    fs.write_file("/a.bin", 4096, 5)  # lands entirely in d1
     version = fs.disk.version
     assert version[d1] == epochs[d1] + 1
     assert version[d0] == epochs[d0]
     assert version[d2] == epochs[d2]
     assert version[meta] == epochs[meta]
     assert fs.disk.snapshot()["blocks"][d1]["mrpf"]["content_epoch"] == epochs[d1] + 1
-    assert fs.read_file("/a.bin")[4096:4101] == b"hello"
+    fs.access("/a.bin")
+    assert fs.disk.version.tolist() == version.tolist()
     assert rec.uf_counter == 3  # create + write + read
 
 
 def test_write_spanning_two_blocks():
     fs = make_fs(rows=4, cols=4)
-    fs.create_file("/a.bin", 2 * 4096)
-    fs.write_file("/a.bin", 4090, b"0123456789")
-    got = fs.read_file("/a.bin")
-    assert got[4090:4100] == b"0123456789"
-    assert got[:4090] == bytes(4090)
+    rec = fs.create_file("/a.bin", 3 * 4096)
+    meta, d0, d1, d2 = rec.block_list
+    fs.write_file("/a.bin", 4090, 10)  # the last 6 bytes of d0, the first 4 of d1
+    assert fs.disk.version[[meta, d0, d1, d2]].tolist() == [1, 2, 2, 1]
+    fs.write_file("/a.bin", 4096, 8192)  # exactly d1 and d2
+    assert fs.disk.version[[meta, d0, d1, d2]].tolist() == [1, 2, 3, 2]
+    assert rec.uf_counter == 3
 
 
 def test_zero_length_write_still_counts_as_usage():
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.bin", 4096)
     epoch = fs.disk.version[rec.block_list[1]]
-    fs.write_file("/a.bin", 0, b"")
+    fs.write_file("/a.bin", 0, 0)
     assert rec.uf_counter == 2
     assert all(fs.disk.uf[a] == 2.0 for a in rec.block_list)
     assert fs.disk.version[rec.block_list[1]] == epoch
@@ -230,11 +213,13 @@ def test_zero_length_write_still_counts_as_usage():
 
 def test_write_outside_size_rejected():
     fs = make_fs(rows=4, cols=4)
-    fs.create_file("/a.bin", 4096)
-    with pytest.raises(ValueError):
-        fs.write_file("/a.bin", 4090, b"0123456789")
-    with pytest.raises(ValueError):
-        fs.write_file("/a.bin", -1, b"x")
+    rec = fs.create_file("/a.bin", 4096)
+    before = fs.disk.snapshot_sha256()
+    for offset, length in ((4090, 10), (-1, 1), (0, -1), (4097, 0)):
+        with pytest.raises(ValueError):
+            fs.write_file("/a.bin", offset, length)
+    assert fs.disk.snapshot_sha256() == before
+    assert rec.uf_counter == 1
 
 
 def test_obsolete_when_a_create_takes_the_last_lineage_block():

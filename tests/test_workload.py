@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -188,22 +189,25 @@ def test_op_json_round_trip_all_kinds():
 
 def test_op_loop_keeps_no_history():
     """The runner's net heap growth per op is the file system's own state
-    (retired files, written payloads), not a record of the ops: about 90 B/op
-    on example.ini, against 274 B/op while the runner kept every op."""
+    (retired files), not a record of the ops, and it does not grow with the
+    block size: about 60 B/op on example.ini at 4 KiB and at 64 KiB blocks,
+    against 274 B/op while the runner kept every op."""
     cfg = load_config(str(Path(__file__).parent.parent / "configs" / "example.ini"))
-    disk = new_disk(cfg.geometry, cfg.coefficients)
-    fs = FileSystem(disk, policy=make_policy(cfg.policy_kind, seed=cfg.workload.rng_seed))
-    runner = WorkloadRunner(cfg.workload, fs)
-    runner.run(2_000)
-    ops = 10_000
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        runner.run(ops)
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert grown / ops <= 150, f"{grown / ops:.0f} B/op retained"
+    for block_size in (cfg.geometry.block_size_bytes, 65536):
+        geometry = replace(cfg.geometry, block_size_bytes=block_size)
+        disk = new_disk(geometry, cfg.coefficients)
+        fs = FileSystem(disk, policy=make_policy(cfg.policy_kind, seed=cfg.workload.rng_seed))
+        runner = WorkloadRunner(cfg.workload, fs)
+        runner.run(2_000)
+        ops = 10_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            runner.run(ops)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown / ops <= 150, f"{grown / ops:.0f} B/op retained at {block_size} B blocks"
 
 
 def test_malformed_trace_lines_rejected():
