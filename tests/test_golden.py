@@ -38,39 +38,39 @@ SIM_TRACE_GOLDEN = "5494025583a4a38cf4219e0718930db1ef4cf685d46de293a6f4d657c1b1
 # (neighborhood, policy) -> (report sha256, factor trajectory sha256)
 SIM_GOLDEN = {
     ("grid-row", "apex"): (
-        "ee8adce18a9f1dd6570443ab9316b233089b89c014875f5c4f414ff654077837",
+        "f70a65cadd62a74a95159e673b82e4e894f98f555f246667f34a273bee99f15d",
         "197f74a98acd3ec88894a73679b1680cd66f1af91c1c93584f4bd26e329b1517",
     ),
     ("grid-row", "first-fit"): (
-        "f23993088e416206c91e9e3a4370f95dae4128f8687d2d1215fc1600adf6b528",
+        "b274ee62189ce4fc807f8869ecadc62551c6dd3bafbcd86a8bb0b5da5f2b036b",
         "e2aba3b50a7a1d025877da03f84e1aebd46a869890498c500c9b3c64a6a6eb6b",
     ),
     ("grid-row", "random"): (
-        "16c7df6f767eaf9864474b3a8b886dfcfcf21e41b009a2ecce92bf977d1fd78b",
+        "47cc40296ef678982e67d5daeac0101182947bf3061c83f32dff24f8b6599a01",
         "87cf27ce857cfcc30c6f5be84da25f4672496132cdbf793c74ee8595aecef657",
     ),
     ("none", "apex"): (
-        "8482104d32d508e4421e9f970ed1feed1601b740316e22a0e1c1a466c82a9599",
+        "40d6eb39f4f04e1fc4a0fc05e75ed51379d0027587be4f45a847ca3f515c6e69",
         "f7d92d38df0c32689c16f518e104cc450f21377e05015495588640ca9afad7bf",
     ),
     ("none", "first-fit"): (
-        "3740e8f46c39de885a67ba94b1251504cda1cfbdecef80e3cd328fab76771d70",
+        "b8b65b2469e01a34524819006d7caaf584b829abf9fda99c818e70dd8f1551c6",
         "06fc46627feb236ceeb369c30a5e4ab36d169b0786586dde8e8e0633ea60f5bf",
     ),
     ("none", "random"): (
-        "b98b001bbe8ecabe0d362366c0a457d97e0d20ce8a87dcc3caa40e9b31cf968b",
+        "e3eb68f1388c94f3009a4d9b04a4d0d83e4a8ab1392397363bd7535740082abe",
         "e7abda7983f6f19fb34e36377f06b903052c0f8c7e40cea828cbae4f5d5fe8c4",
     ),
     ("contiguous:3", "apex"): (
-        "d9e29046003af07bbebde8ff436b05721dcd2ebe9403a1fce2eab01ad6ff0db1",
+        "5dbeefe4c79ff10b8106f728931acb7a4b6ec70c8d6dd9700298919cd27f1ade",
         "8dab82a35ad322502a3123449d9c6015906aa9b499c725fb0aab8ac5db172af1",
     ),
     ("contiguous:3", "first-fit"): (
-        "67150e6164259ccd30c8759992de6dd51cd67d5ba54ab4ae40c9d038a927d104",
+        "4a4298d094d4a699e0e224fd8cbf9050a0982eba18d54d5c59947fc7bcc9835d",
         "51a0476677ca2bd8d18398e779d59c9328a5d79072676dcc1876e29403f6b2b5",
     ),
     ("contiguous:3", "random"): (
-        "c62ff525d2345c2d1a5e17ffeb6e8ea88870b20ce0ddb891beea6c4e1941e3ad",
+        "76e49f792c2adc08ac4968a6b77c1619e05eb13366458a371427415e0bbc71cb",
         "7595e7ee57a695cd6f47acffc6c3557503d94b006adce16bc43d60db11ddee8c",
     ),
 }
