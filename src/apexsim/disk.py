@@ -4,9 +4,8 @@ The disk is a flat array of fixed-size blocks, and every piece of block state
 is one entry of a per-block array: the used mask, the four ranking factors,
 the content version and the lineage owner (the most recent parent file, -1
 for a block never owned). A block's content is named by its lineage and its
-version; no bytes are kept. Scores are computed from the
-arrays on demand, and claiming or releasing a file's blocks is one vectorised
-call. The sibling list of each owner is the owning file's own block list,
+version; no bytes are kept. Scores are computed from the arrays on demand,
+and claiming or releasing a file's blocks is one vectorised call. The sibling list of each owner is the owning file's own block list,
 kept by reference for the snapshot while at least one block names that owner.
 """
 

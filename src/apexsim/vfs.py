@@ -4,11 +4,11 @@ The namespace is flat: a path is "/" plus one name, and one dict from path to
 file record holds it; there are no directories. Files are fixed-size at
 creation: block 0 of every non-empty file is its metadata block, the rest
 carry data in order.
-Deletion is logical - blocks are freed but their version and lineage stay put
-until someone allocates over them. No bytes are stored: a write is recorded as
-a version bump on the blocks it touches. A create is one disk.claim of the file's
-block list and a delete one disk.release; the disk keeps that same list as
-the file's sibling list, so it is never copied or mutated.
+No bytes are stored: a write is recorded as a version bump on the blocks it
+touches. Deletion is logical - blocks are freed but their version and lineage
+stay put until someone allocates over them. A create is one disk.claim of the
+file's block list and a delete one disk.release; the disk keeps that same list
+as the file's sibling list, so it is never copied or mutated.
 A deleted file turns obsolete at the one moment nothing of it can come back:
 when a create's claim takes the last block on its lineage, or at its delete
 if it has no blocks. The deleted files that are not yet obsolete are kept
@@ -223,7 +223,7 @@ class FileSystem:
         return rec
 
     def access(self, path: str) -> FileRecord:
-        """One read of a file: record the use, build no bytes."""
+        """One read of a file: record the use."""
         rec = self.lookup(path)
         record_file_access(self.disk, rec)
         return rec
@@ -242,9 +242,11 @@ class FileSystem:
             )
         if length:
             bs = self.disk.geometry.block_size_bytes
-            first = 1 + offset // bs
-            last = 1 + (offset + length - 1) // bs
-            self.disk.version[rec.block_list[first : last + 1]] += 1
+            version = self.disk.version
+            # scalar adds: a generated write touches one block, where a fancy-
+            # indexed add costs several times as much
+            for addr in rec.block_list[1 + offset // bs : 2 + (offset + length - 1) // bs]:
+                version[addr] += 1
         record_file_access(self.disk, rec)
 
     # -- internals -----------------------------------------------------------
