@@ -2,11 +2,12 @@
 
 Each case hashes what a command writes: the simulate report JSON and its
 trace bytes on every neighborhood kind under every policy, one two-seed
-surveillance compare and one short train. The report embeds the end state's
-snapshot sha256, which covers every block's factors, lineage and version.
-Most churn bumps are wiped before the end, when their block is claimed again,
-so the simulate cases also hash the used mask and the factor arrays after
-every op: a single bump that moves changes that hash. A change that sets out
+surveillance compare, one short train, and the report file each of the
+simulate, replay, recover and compare commands writes. The report embeds the
+end state's snapshot sha256, which covers every block's factors, lineage and
+version. Most churn bumps are wiped before the end, when their block is
+claimed again, so the simulate cases also hash the used mask and the factor
+arrays after every op: a single bump that moves changes that hash. A change that sets out
 to alter behaviour updates these values and says so.
 """
 
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from apexsim.cli import main
 from apexsim.compare import compare_report_json, run_compare
 from apexsim.config import load_config
 from apexsim.disk import new_disk
@@ -77,6 +79,36 @@ SIM_GOLDEN = {
 COMPARE_GOLDEN = "0fe614a548be6fbb526da0bf2a450d9c885c74812b69f32714838d08d5c79126"
 TRAIN_GOLDEN = "e614cdb091e517ce8095e0fc86b550a7d1139332c25e48ae5b33887b05b33ee8"
 
+# The report file embeds the config file's sha256, so the config text is part
+# of the pin.
+CLI_CONFIG = """\
+[disk]
+rows = 8
+cols = 8
+neighborhood = contiguous:2
+
+[workload]
+seed = 7
+total_ops = 120
+max_file_blocks = 4
+
+[compare]
+primary_count = 2
+primary_blocks = 4
+secondary_blocks = 10,20
+secondary_min_blocks = 2
+secondary_max_blocks = 3
+seed_count = 2
+policies = apex,first-fit,random
+"""
+# command -> sha256 of the .json report file it writes
+CLI_GOLDEN = {
+    "compare": "fad10648d4ffc2afe27550f2d3fcd8471aa178416b006b2394e826536f07e57d",
+    "recover": "173b682050bf8438afab64d79ed772fc35ca061c635e3c8d0784324a5d37b982",
+    "replay": "0c879af1b3068009e295ef1a2820eabfefbbad05db3d200bfa183547c3afaf6c",
+    "simulate": "d728b1a2b26dbed6337b7cbcc44f6ed33773cfaee1b37ef73de705b5b5ef9232",
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -121,3 +153,19 @@ def test_train_three_intervals():
     tc = cfg.train_config()
     tc = replace(tc, schedule=replace(tc.schedule, min_budget=3))
     assert sha256(train(tc).to_json()) == TRAIN_GOLDEN
+
+
+@pytest.mark.parametrize("command", sorted(CLI_GOLDEN))
+def test_cli_report_file(tmp_path, command):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CLI_CONFIG)
+    trace = tmp_path / "run.trace.jsonl"
+    args = ["--config", str(cfg)]
+    if command in ("simulate", "replay"):
+        args += ["--trace", str(trace)]
+    if command == "replay":
+        assert main(["simulate", *args, "--out", str(tmp_path / "sim")]) == 0
+    out = tmp_path / "out"
+    assert main([command, *args, "--out", str(out)]) == 0
+    (report,) = out.glob("*.json")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == CLI_GOLDEN[command]
