@@ -19,7 +19,6 @@ from .recovery import (
     performance,
     recover_file,
     recovery_table,
-    weighted_rr,
 )
 from .tuner import TrainConfig, TrainReport, TrainSchedule, evaluate_policy, train
 from .vfs import DELETED, LINKED, OBSOLETE, PARTIAL, USED, FileRecord, FileSystem
@@ -83,6 +82,5 @@ __all__ = [
     "top_unused",
     "train",
     "update_spatial_factors",
-    "weighted_rr",
     "write_trace",
 ]

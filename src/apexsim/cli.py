@@ -9,7 +9,6 @@ config validation failure, 1 internal invariant violation.
 import argparse
 import csv
 import hashlib
-import json
 import os
 import sys
 from dataclasses import replace
@@ -19,6 +18,7 @@ from .compare import compare_report, run_compare
 from .config import load_config
 from .disk import new_disk
 from .errors import ConfigError, TraceError
+from .model import canonical_json
 from .policies import KINDS, make_policy
 from .recovery import recovery_table, usage_weighted_rr
 from .tuner import train
@@ -38,8 +38,7 @@ def _write_report(args, command, seed, payload, table=None) -> str:
     with open(args.config, "rb") as fh:
         payload["config_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     with open(f"{base}.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(canonical_json(payload) + "\n")
     if table is not None:
         with open(f"{base}.csv", "w", newline="") as fh:
             csv.writer(fh).writerows(table)

@@ -10,12 +10,11 @@ run_flood). The sweep counts secondary data blocks, so targets map directly
 onto fractions of the device.
 """
 
-import json
 import random
 from dataclasses import dataclass
 
 from .disk import new_disk
-from .model import DiskGeometry, Hyperparams
+from .model import DiskGeometry, Hyperparams, canonical_json, field_dict
 from .errors import ConfigError
 from .policies import KINDS, make_policy
 from .recovery import recover_file, usage_weighted_rr
@@ -52,16 +51,7 @@ class CompareSettings:
             raise ValueError(f"unknown type class {self.primary_type!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "primary_count": self.primary_count,
-            "primary_data_blocks": self.primary_data_blocks,
-            "primary_type": self.primary_type,
-            "secondary_targets": list(self.secondary_targets),
-            "secondary_min_blocks": self.secondary_min_blocks,
-            "secondary_max_blocks": self.secondary_max_blocks,
-            "seeds": list(self.seeds),
-            "policies": list(self.policies),
-        }
+        return field_dict(self)
 
 
 @dataclass(frozen=True)
@@ -73,13 +63,7 @@ class CompareRow:
     per_file_rr: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "secondary_blocks": self.secondary_blocks,
-            "seed": self.seed,
-            "weighted_rr": self.weighted_rr,
-            "per_file_rr": list(self.per_file_rr),
-        }
+        return field_dict(self)
 
 
 def _row(fs, policy_kind: str, target_blocks: int, seed: int) -> CompareRow:
@@ -207,4 +191,4 @@ def compare_report(settings: CompareSettings, rows, geometry, hp) -> dict:
 
 
 def compare_report_json(settings, rows, geometry, hp) -> str:
-    return json.dumps(compare_report(settings, rows, geometry, hp), sort_keys=True, separators=(",", ":"))
+    return canonical_json(compare_report(settings, rows, geometry, hp))

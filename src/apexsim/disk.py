@@ -5,8 +5,9 @@ is one entry of a per-block array: the used mask, the four ranking factors,
 the content version and the lineage owner (the most recent parent file, -1
 for a block never owned). A block's content is named by its lineage and its
 version; no bytes are kept. Scores are computed from the arrays on demand,
-and claiming or releasing a file's blocks is one vectorised call. The sibling list of each owner is the owning file's own block list,
-kept by reference for the snapshot while at least one block names that owner.
+and claiming or releasing a file's blocks is one vectorised call. The sibling
+list of each owner is the owning file's own block list, kept by reference for
+the snapshot while at least one block names that owner.
 """
 
 import hashlib
@@ -16,17 +17,13 @@ from collections import Counter
 import numpy as np
 
 from .errors import BlockStateError
-from .model import NONE, DiskGeometry, Hyperparams
+from .model import NONE, DiskGeometry, Hyperparams, canonical_json
 
 SNAPSHOT_FORMAT = "apexsim-snapshot"
 SNAPSHOT_VERSION = 2
 NO_OWNER = -1
 _STATE = {True: '"used"', False: '"unused"'}
 _ARRAYS = ("hf", "uf", "sf", "lf", "used_mask", "version", "owner")  # the per-block state
-
-
-def _dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 class Disk:
@@ -73,8 +70,8 @@ class Disk:
     # -- state --------------------------------------------------------------
 
     def lineage_intact(self, addrs: list, file_id: int) -> np.ndarray:
-        """Per address, whether the block still holds exactly the bytes file
-        file_id left behind: unused, and no later file has claimed it."""
+        """Per address, whether the block's lineage and version are still
+        file file_id's: unused, and no later file has claimed it."""
         idx = np.asarray(addrs, dtype=np.intp)
         return ~self.used_mask[idx] & (self.owner[idx] == file_id)
 
@@ -114,11 +111,11 @@ class Disk:
         is encoded once, however many blocks name that owner."""
         owners = self.owner.tolist()
         lineage = {
-            owner: _dumps(sorted(self.siblings[owner]))
+            owner: canonical_json(sorted(self.siblings[owner]))
             for owner in set(owners) if owner != NO_OWNER
         }
         # json's own float spelling, one encoder call for the whole column
-        sf_text = _dumps(self.sf.tolist())[1:-1].split(",")
+        sf_text = canonical_json(self.sf.tolist())[1:-1].split(",")
         blocks = []
         for used, hf, uf, sf, lf, version, owner in zip(
             self.used_mask.tolist(), self.hf.tolist(), self.uf.tolist(), sf_text,
@@ -134,7 +131,7 @@ class Disk:
                 f'"state":{_STATE[used]},"uf":{uf},"version":{version}}}'
             )
         # "blocks" sorts before every other top-level key
-        rest = _dumps({
+        rest = canonical_json({
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "geometry": self.geometry.to_dict(),

@@ -1,6 +1,8 @@
-"""Plain data types shared by the disk model and the ranking engine."""
+"""Plain data types shared by the disk model and the ranking engine, and the
+one encoding of every report, trace line and snapshot."""
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, fields
 
 # Neighborhood kinds. "grid-row" treats every other block in the same row of the
 # rows x cols grid as adjacent (track/sector analog). "contiguous" uses a window
@@ -15,6 +17,22 @@ NONE = "none"
 # at op 43 for s=2 and op 24 for s=3, and after 1000 ops 50% (s=2) and 66% (s=3)
 # of unused blocks sit pinned at -SF_LIMIT. The clamp only keeps scores finite.
 SF_LIMIT = 1e12
+
+
+def canonical_json(value) -> str:
+    """JSON with sorted keys and no whitespace: the byte form that reports,
+    traces and snapshots are compared and hashed in."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def field_dict(obj) -> dict:
+    """A dataclass's fields by name, each tuple turned into a list, so the
+    dict holds what its JSON decodes to. Values are not copied."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Post-deletion recovery measurement and the scalar objective.
 
-A block counts as recovered for a file when it still holds exactly the bytes
-that file left behind: unused, and its lineage still names the file. Linked
+A block counts as recovered for a file when its lineage and version are still
+that file's: the block is unused and no later file has claimed it. Linked
 formats are all-or-nothing; partial formats recover byte ranges once their
 metadata block survives.
 """
@@ -65,19 +65,13 @@ def recover_file(disk, file) -> RecoveryResult:
     return RecoveryResult(file.id, surviving, metadata_intact, recovered, rr)
 
 
-def weighted_rr(disk, files) -> float:
-    """Usage-weighted recovery percentage over deleted and obsolete files,
-    measured against current disk state. Obsolete files are not scanned."""
-    return usage_weighted_rr(
-        files, [0.0 if f.status == OBSOLETE else recover_file(disk, f).rr for f in files]
-    )
-
-
 def retired_rr(disk, fs) -> float:
-    """weighted_rr(disk, fs.deleted_files()) to the bit, reading only the
-    files that can still be recovered. An obsolete file adds its usage to the
+    """Usage-weighted recovery percentage over every deleted and obsolete file
+    of fs, measured against current disk state, reading only the files that
+    can still be recovered. An obsolete file adds its usage to the
     denominator, which fs keeps as a running total, and nothing to the
-    numerator; the numerator sums in delete order, as weighted_rr does."""
+    numerator; the numerator sums in delete order, so the result equals the
+    full-list reference weighted_rr in tests/oracles.py to the bit."""
     num = 0.0
     for f in fs.recoverable_files():
         num += recover_file(disk, f).rr * f.uf_counter

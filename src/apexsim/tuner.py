@@ -11,13 +11,12 @@ latest observed objective delta per (state, action).
 """
 
 import hashlib
-import json
 import math
 import random
 from dataclasses import dataclass
 
 from .disk import new_disk
-from .model import DiskGeometry, Hyperparams
+from .model import DiskGeometry, Hyperparams, canonical_json, field_dict
 from .policies import FIRST_FIT, ApexPolicy, make_policy
 from .recovery import PerfWeights, performance
 from .vfs import FileSystem
@@ -164,11 +163,7 @@ class TrainConfig:
                 "tau": self.schedule.effective_tau,
             },
             "workload": self.workload.to_dict(),
-            "weights": {
-                "alpha": self.weights.alpha,
-                "beta": self.weights.beta,
-                "aat_mode": self.weights.aat_mode,
-            },
+            "weights": field_dict(self.weights),
             "initial": list(self.initial.as_tuple()),
             "learning_rate": self.learning_rate,
             "discount": self.discount,
@@ -217,24 +212,14 @@ class TrainReport:
         return self.trajectory[0].p if self.trajectory else self.p_initial
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "config_sha256": self.config_sha256,
-            "seed": self.seed,
-            "p_initial": self.p_initial,
+        return field_dict(self) | {
             "trajectory": [r.to_dict() for r in self.trajectory],
-            "final_epsilon": self.final_epsilon,
             "visited": {",".join(map(str, k)): v for k, v in self.visited.items()},
-            "best_state": list(self.best_state),
-            "final_state": list(self.final_state),
             "first_min_p": self.first_min_p,
-            "final_greedy_p": self.final_greedy_p,
-            "first_fit_p": self.first_fit_p,
-            "states_seen": self.states_seen,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     def csv_rows(self):
         """Trajectory as (MIN, P, epsilon, hist, usage, spatial, link) rows."""
@@ -306,10 +291,9 @@ def train(config: TrainConfig) -> TrainReport:
         best_state = state
 
     cfg_dict = config.to_dict()
-    cfg_json = json.dumps(cfg_dict, sort_keys=True, separators=(",", ":"))
     return TrainReport(
         config=cfg_dict,
-        config_sha256=hashlib.sha256(cfg_json.encode()).hexdigest(),
+        config_sha256=hashlib.sha256(canonical_json(cfg_dict).encode()).hexdigest(),
         seed=config.workload.rng_seed,
         p_initial=p_initial,
         trajectory=trajectory,

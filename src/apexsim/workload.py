@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DiskFullError, TraceError
+from .model import canonical_json, field_dict
 from .priority import update_spatial_factors
 from .recovery import (
     SEEK_COST,
@@ -59,14 +60,7 @@ class WorkloadConfig:
             raise ValueError("op_mix must sum to 1")
 
     def to_dict(self) -> dict:
-        return {
-            "rng_seed": self.rng_seed,
-            "total_ops": self.total_ops,
-            "max_file_blocks": self.max_file_blocks,
-            "linked_file_percent": self.linked_file_percent,
-            "min_utilization": self.min_utilization,
-            "op_mix": list(self.op_mix),
-        }
+        return field_dict(self)
 
 
 class WorkloadOp(NamedTuple):
@@ -91,7 +85,7 @@ class WorkloadOp(NamedTuple):
             doc["offset"] = self.offset
         if self.length is not None:
             doc["len"] = self.length
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return canonical_json(doc)
 
     @classmethod
     def from_json_line(cls, line: str) -> "WorkloadOp":
@@ -303,29 +297,10 @@ class SimReport:
     workload: dict
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "executed_ops": self.executed_ops,
-            "op_counts": dict(sorted(self.op_counts.items())),
-            "final_utilization": self.final_utilization,
-            "files_used": self.files_used,
-            "files_deleted": self.files_deleted,
-            "files_obsolete": self.files_obsolete,
-            "weighted_rr": self.weighted_rr,
-            "aat_timestamp": self.aat_timestamp,
-            "aat_seek": self.aat_seek,
-            "perf_alpha": self.perf_alpha,
-            "perf_beta": self.perf_beta,
-            "aat_mode": self.aat_mode,
-            "performance": self.performance,
-            "snapshot_sha256": self.snapshot_sha256,
-            "geometry": self.geometry,
-            "hyperparams": self.hyperparams,
-            "workload": self.workload,
-        }
+        return field_dict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
 
 def _build_report(fs, seed, executed, counts, weights, workload_echo) -> SimReport:

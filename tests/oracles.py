@@ -1,7 +1,9 @@
 """Independent reference implementations the test suite checks the engine
 against. Everything here recomputes from first principles: factor bookkeeping
-is replayed literally from the event log, rankings come from a full sort, and
-recovery is reconstructed from claim history instead of epoch records.
+is replayed literally from the event log, rankings come from a full sort,
+recovery is reconstructed from claim history instead of epoch records, and
+the recovery aggregate scans every retired file instead of only the
+recoverable ones.
 """
 
 from itertools import chain
@@ -10,6 +12,8 @@ import numpy as np
 
 from apexsim.disk import NO_OWNER, SNAPSHOT_FORMAT, SNAPSHOT_VERSION
 from apexsim.model import CONTIGUOUS, GRID_ROW, NONE, SF_LIMIT
+from apexsim.recovery import recover_file, usage_weighted_rr
+from apexsim.vfs import OBSOLETE
 
 
 def score_of(hf, uf, sf, lf, hp, spatial_enabled=True):
@@ -246,3 +250,13 @@ class ClaimHistoryRecovery:
             return 0.0
         data_alive = sum(1 for a in addrs[1:] if a in alive)
         return min(data_alive * self.bs, size_bytes) / size_bytes
+
+
+def weighted_rr(disk, files) -> float:
+    """Usage-weighted recovery percentage over deleted and obsolete files,
+    measured against current disk state. Obsolete files are not scanned.
+    recovery.retired_rr(disk, fs) must equal weighted_rr(disk,
+    fs.deleted_files()) to the bit."""
+    return usage_weighted_rr(
+        files, [0.0 if f.status == OBSOLETE else recover_file(disk, f).rr for f in files]
+    )

@@ -22,7 +22,6 @@ from apexsim.recovery import (
     access_time_term,
     performance,
     recover_file,
-    weighted_rr,
 )
 from apexsim.tuner import TrainConfig, TrainSchedule, train
 from apexsim.vfs import OBSOLETE, FileSystem
@@ -34,6 +33,7 @@ from oracles import (
     FactorOracle,
     assert_conservation,
     rank_by_full_sort,
+    weighted_rr,
 )
 
 REFERENCE = Hyperparams(4, 7, 1, 9)

@@ -14,12 +14,12 @@ from apexsim.recovery import (
     performance,
     recover_file,
     recovery_table,
-    weighted_rr,
 )
 from apexsim.vfs import DELETED, LINKED, PARTIAL
 from apexsim.workload import OP_CREATE, WorkloadConfig, WorkloadRunner
 
 from conftest import ScriptedPolicy, make_fs
+from oracles import weighted_rr
 
 
 def overwrite(fs, addrs):
