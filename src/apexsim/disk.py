@@ -44,10 +44,6 @@ class Disk:
 
     # -- factor access ------------------------------------------------------
 
-    @property
-    def spatial_enabled(self) -> bool:
-        return self.geometry.neighborhood.kind != NONE
-
     def pf_array(self) -> np.ndarray:
         """Scores of all blocks as a fresh float64 array: churn and linkage
         push a block up, usage protects it, and higher means overwritten
@@ -70,8 +66,9 @@ class Disk:
     # -- state --------------------------------------------------------------
 
     def lineage_intact(self, addrs: list, file_id: int) -> np.ndarray:
-        """Per address, whether the block's lineage and version are still
-        file file_id's: unused, and no later file has claimed it."""
+        """Per address, whether the block is still file file_id's: unused,
+        and the owner array names file_id, so no later file has claimed it.
+        Versions play no part."""
         idx = np.asarray(addrs, dtype=np.intp)
         return ~self.used_mask[idx] & (self.owner[idx] == file_id)
 

@@ -1,9 +1,10 @@
 """Post-deletion recovery measurement and the scalar objective.
 
-A block counts as recovered for a file when its lineage and version are still
-that file's: the block is unused and no later file has claimed it. Linked
-formats are all-or-nothing; partial formats recover byte ranges once their
-metadata block survives.
+A block counts as recovered for a file when the owner array still names that
+file: the block is unused and no later file has claimed it. Only the owner
+array is compared, never the block versions. Linked formats are
+all-or-nothing; partial formats recover byte ranges once their metadata block
+survives.
 """
 
 from dataclasses import dataclass

@@ -13,6 +13,7 @@ latest observed objective delta per (state, action).
 import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .disk import new_disk
@@ -28,6 +29,7 @@ HILL_CLIMB = "hill-climb"
 # Eight actions: bump one of the four coefficients up or down by one.
 # Index order is fixed; ties in greedy selection go to the lowest index.
 ACTIONS = tuple((coef, delta) for coef in range(4) for delta in (1, -1))
+_ZERO_ROW = (0.0,) * len(ACTIONS)  # the values of a state the table has not seen
 
 _AGENT_SEED_OFFSET = 7919  # keeps the agent stream off the workload stream
 
@@ -64,41 +66,6 @@ class TrainSchedule:
         return math.exp(-min_count / self.effective_tau)
 
 
-class QTable:
-    """State -> eight action values, lazily zero-initialized. Only visited
-    states ever materialize."""
-
-    def __init__(self):
-        self._table: dict[tuple, list[float]] = {}
-
-    def values(self, state: tuple) -> list[float]:
-        row = self._table.get(state)
-        if row is None:
-            row = [0.0] * len(ACTIONS)
-            self._table[state] = row
-        return row
-
-    def best_action(self, state: tuple) -> int:
-        row = self._table.get(state)
-        if row is None:
-            return 0
-        best = 0
-        for i in range(1, len(row)):
-            if row[i] > row[best]:
-                best = i
-        return best
-
-    def max_q(self, state: tuple) -> float:
-        row = self._table.get(state)
-        return max(row) if row else 0.0
-
-    def items(self):
-        return self._table.items()
-
-    def __len__(self):
-        return len(self._table)
-
-
 def apply_action(state: tuple, action: int) -> tuple:
     """Next lattice point; stepping outside the range is a self-loop."""
     coef, delta = ACTIONS[action]
@@ -110,20 +77,23 @@ def apply_action(state: tuple, action: int) -> tuple:
     return tuple(out)
 
 
-def select_action(qtable: QTable, state: tuple, eps: float, rng: random.Random) -> int:
-    """Epsilon-greedy over the eight actions."""
+def select_action(qtable: dict, state: tuple, eps: float, rng: random.Random) -> int:
+    """Epsilon-greedy over the eight actions. The table maps a state to its
+    eight action values; an unseen state reads as all zeros, so its greedy
+    action is 0, and ties go to the lowest index."""
     if rng.random() < eps:
         return rng.randrange(len(ACTIONS))
-    return qtable.best_action(state)
+    row = qtable.get(state, _ZERO_ROW)
+    return row.index(max(row))
 
 
-def q_update(qtable, state, action, reward, next_state, learning_rate, discount) -> float:
-    """One tabular update; returns the new value. Non-finite rewards are a
-    caller bug and get rejected loudly."""
+def q_update(qtable: dict, state, action, reward, next_state, learning_rate, discount) -> float:
+    """One tabular update; returns the new value. Only updated states get a
+    row. Non-finite rewards are a caller bug and get rejected loudly."""
     if not math.isfinite(reward):
         raise ValueError(f"non-finite reward {reward!r}")
-    row = qtable.values(state)
-    target = reward + discount * qtable.max_q(next_state)
+    row = qtable.setdefault(state, [0.0] * len(ACTIONS))
+    target = reward + discount * max(qtable.get(next_state, _ZERO_ROW))
     row[action] += learning_rate * (target - row[action])
     return row[action]
 
@@ -154,21 +124,12 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
     def to_dict(self) -> dict:
-        return {
+        return field_dict(self) | {
             "geometry": self.geometry.to_dict(),
-            "schedule": {
-                "min_budget": self.schedule.min_budget,
-                "oin_per_min": self.schedule.oin_per_min,
-                "epsilon_floor": self.schedule.epsilon_floor,
-                "tau": self.schedule.effective_tau,
-            },
+            "schedule": field_dict(self.schedule) | {"tau": self.schedule.effective_tau},
             "workload": self.workload.to_dict(),
             "weights": field_dict(self.weights),
             "initial": list(self.initial.as_tuple()),
-            "learning_rate": self.learning_rate,
-            "discount": self.discount,
-            "mode": self.mode,
-            "invert_link_rule": self.invert_link_rule,
         }
 
 
@@ -200,7 +161,6 @@ class TrainReport:
     p_initial: float
     trajectory: list[MinRecord]
     final_epsilon: float
-    visited: dict
     best_state: tuple
     final_state: tuple
     final_greedy_p: float
@@ -210,6 +170,11 @@ class TrainReport:
     @property
     def first_min_p(self) -> float:
         return self.trajectory[0].p if self.trajectory else self.p_initial
+
+    @property
+    def visited(self) -> Counter:
+        """Intervals spent in each state, in order of first visit."""
+        return Counter(r.state for r in self.trajectory)
 
     def to_dict(self) -> dict:
         return field_dict(self) | {
@@ -251,9 +216,8 @@ def train(config: TrainConfig) -> TrainReport:
     if config.mode == HILL_CLIMB:
         lr, gamma = 1.0, 0.0
 
-    qtable = QTable()
+    qtable: dict[tuple, list[float]] = {}
     state = config.initial.as_tuple()
-    visited: dict[tuple, int] = {}
     trajectory: list[MinRecord] = []
     p_prev = performance(disk, fs, config.weights)
     p_initial = p_prev
@@ -263,7 +227,6 @@ def train(config: TrainConfig) -> TrainReport:
         eps = schedule.epsilon(m)
         if eps <= schedule.epsilon_floor:
             break
-        visited[state] = visited.get(state, 0) + 1
         runner.run(schedule.oin_per_min)
         p = performance(disk, fs, config.weights)
         # The first interval has no predecessor to difference against, so it
@@ -279,16 +242,8 @@ def train(config: TrainConfig) -> TrainReport:
         disk.hyperparams = Hyperparams.from_tuple(state)
         m += 1
 
-    if len(qtable):
-        best_state = None
-        best_q = -math.inf
-        for s, row in sorted(qtable.items()):
-            top = max(row)
-            if top > best_q:
-                best_q = top
-                best_state = s
-    else:
-        best_state = state
+    # the highest action value wins; ties go to the lowest state
+    best_state = max(sorted(qtable), key=lambda s: max(qtable[s]), default=state)
 
     cfg_dict = config.to_dict()
     return TrainReport(
@@ -298,7 +253,6 @@ def train(config: TrainConfig) -> TrainReport:
         p_initial=p_initial,
         trajectory=trajectory,
         final_epsilon=schedule.epsilon(m),
-        visited=visited,
         best_state=best_state,
         final_state=state,
         final_greedy_p=evaluate_policy(config, Hyperparams.from_tuple(best_state), "apex"),

@@ -22,6 +22,7 @@ import numpy as np
 
 from .disk import claim, release
 from .errors import DiskFullError
+from .policies import ApexPolicy
 from .priority import record_file_access
 
 LINKED = "linked"
@@ -104,8 +105,6 @@ class FileSystem:
 
     def __init__(self, disk, policy=None, invert_link_rule: bool = False):
         if policy is None:
-            from .policies import ApexPolicy
-
             policy = ApexPolicy()
         self.disk = disk
         self.policy = policy

@@ -216,7 +216,6 @@ class WorkloadRunner:
         self.config = config
         self.fs = fs
         self.rng = random.Random(config.rng_seed)
-        self.counts = Counter()
         self._name_seq = 0
 
     # live view for generate_op
@@ -250,7 +249,6 @@ class WorkloadRunner:
         self.fs.disk.tick()
         op = generate_op(self.rng, self.config, self)
         execute_op(self.fs, op)
-        self.counts[op.kind] += 1
         return op
 
     def run(self, ops: int) -> None:
@@ -303,7 +301,7 @@ class SimReport:
         return canonical_json(self.to_dict())
 
 
-def _build_report(fs, seed, executed, counts, weights, workload_echo) -> SimReport:
+def _build_report(fs, seed, ops, weights, workload_echo) -> SimReport:
     disk = fs.disk
     wrr = retired_rr(disk, fs)
     aat_ts = access_time_term(disk, fs, TIMESTAMP)
@@ -312,8 +310,8 @@ def _build_report(fs, seed, executed, counts, weights, workload_echo) -> SimRepo
     deleted = len(fs.recoverable_files())
     return SimReport(
         seed=seed,
-        executed_ops=executed,
-        op_counts=dict(counts),
+        executed_ops=len(ops),
+        op_counts=dict(Counter(op.kind for op in ops)),
         final_utilization=fs.utilization(),
         files_used=len(fs.live_files()),
         files_deleted=deleted,
@@ -336,10 +334,7 @@ def run_simulation(config: WorkloadConfig, fs, weights: PerfWeights = PerfWeight
     """Run the configured number of ops; returns (SimReport, trace list)."""
     runner = WorkloadRunner(config, fs)
     trace = [runner.step() for _ in range(config.total_ops)]
-    report = _build_report(
-        fs, config.rng_seed, len(trace), runner.counts, weights, config.to_dict()
-    )
-    return report, trace
+    return _build_report(fs, config.rng_seed, trace, weights, config.to_dict()), trace
 
 
 def replay_trace(ops, fs, weights: PerfWeights = PerfWeights()) -> SimReport:
@@ -350,7 +345,6 @@ def replay_trace(ops, fs, weights: PerfWeights = PerfWeights()) -> SimReport:
     create that does not fit the free space, or a write outside its file, is
     a TraceError naming the tick.
     """
-    counts = Counter()
     last_tick = None
     for op in ops:
         if last_tick is not None and op.tick <= last_tick:
@@ -365,8 +359,7 @@ def replay_trace(ops, fs, weights: PerfWeights = PerfWeights()) -> SimReport:
             execute_op(fs, op)
         except DiskFullError as e:
             raise TraceError(f"tick {op.tick}: {e}") from None
-        counts[op.kind] += 1
-    return _build_report(fs, None, len(ops), counts, weights, {})
+    return _build_report(fs, None, ops, weights, {})
 
 
 def write_trace(ops, path) -> None:

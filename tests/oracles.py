@@ -1,7 +1,7 @@
 """Independent reference implementations the test suite checks the engine
 against. Everything here recomputes from first principles: factor bookkeeping
 is replayed literally from the event log, rankings come from a full sort,
-recovery is reconstructed from claim history instead of epoch records, and
+recovery is reconstructed from claim history instead of the owner array, and
 the recovery aggregate scans every retired file instead of only the
 recoverable ones.
 """
@@ -28,7 +28,7 @@ def score_of(hf, uf, sf, lf, hp, spatial_enabled=True):
 def rank_by_full_sort(disk, count=None):
     """Unused addresses ordered by (-score, address), recomputed from factors."""
     hp = disk.hyperparams
-    enabled = disk.spatial_enabled
+    enabled = disk.geometry.neighborhood.kind != NONE
     scored = []
     for addr in range(disk.geometry.total_blocks):
         if disk.used_mask[addr]:
@@ -212,7 +212,7 @@ class FactorOracle:
 class ClaimHistoryRecovery:
     """Recovery reconstructed purely from the claim/delete order in the event
     log: a block survives for a file exactly when no later create claimed it
-    after that file's delete. No epoch bookkeeping involved."""
+    after that file's delete. The disk's owner array is never read."""
 
     def __init__(self, block_size_bytes):
         self.bs = block_size_bytes

@@ -363,6 +363,21 @@ def test_cli_recover_reports_deleted_files(tmp_path):
         assert row["status"] in ("deleted", "obsolete")
 
 
+def test_cli_recover_from_trace_matches_simulation(tmp_path):
+    """recover --trace replays a trace that simulate wrote; its report is the
+    one recover writes from running the same simulation itself."""
+    cfg = write_cfg(tmp_path, MINIMAL)
+    trace = str(tmp_path / "run.trace.jsonl")
+    assert run_cli(["simulate", "--config", cfg, "--trace", trace, "--out", str(tmp_path / "sim")]) == 0
+    docs = []
+    for name, extra in (("direct", []), ("replayed", ["--trace", trace])):
+        out = str(tmp_path / name)
+        assert run_cli(["recover", "--config", cfg, "--out", out, *extra]) == 0
+        docs.append(open(only_file(out, ".json")).read())
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["rows"]
+
+
 @pytest.mark.parametrize(
     "command,body,named",
     [
@@ -383,12 +398,15 @@ def test_cli_recover_reports_deleted_files(tmp_path):
         ("simulate", MINIMAL + "[compare]\nseed_count = 100000000000\n", "10000"),
         ("simulate", "[disk]\nneighborhood = contiguous_x:2\n", "contiguous_x:2"),
         ("simulate", "[disk]\nneighborhood = contiguousness:4\n", "contiguousness:4"),
+        ("simulate", "[disk]\ninvert_link_rule = maybe\n", "not a boolean: 'maybe'"),
+        ("simulate", "rows = 8\n" + MINIMAL, "no section headers"),
     ],
     ids=["unknown-compare-policy", "unknown-primary-type", "disk-smaller-than-corpus",
          "negative-secondary-target",
          "nan-op-mix", "nan-tau", "coefficient-beyond-bound", "bad-train-value-in-simulate",
          "span-beyond-cap", "block-size-beyond-cap", "disk-beyond-cap", "seed-count-beyond-cap",
-         "contiguous-prefixed-kind", "contiguous-longer-kind"],
+         "contiguous-prefixed-kind", "contiguous-longer-kind", "non-boolean-flag",
+         "key-before-any-section"],
 )
 def test_cli_rejects_accepted_but_unusable_values(tmp_path, capsys, command, body, named):
     """Values the grammar parses but no run can use are bad input (exit 2),

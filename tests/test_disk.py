@@ -9,7 +9,7 @@ import pytest
 
 from apexsim.disk import NO_OWNER, claim, new_disk, release
 from apexsim.errors import BlockStateError
-from apexsim.model import SF_LIMIT, DiskGeometry, Hyperparams, Neighborhood
+from apexsim.model import NONE, SF_LIMIT, DiskGeometry, Hyperparams, Neighborhood
 from apexsim.priority import top_unused
 
 from conftest import make_disk, make_fs
@@ -161,7 +161,7 @@ def test_pf_array_matches_scalar_keys():
         pf = disk.pf_array()
         for addr in range(16):
             factors = disk.hf[addr], disk.uf[addr], disk.sf[addr], disk.lf[addr]
-            want = score_of(*factors, disk.hyperparams, disk.spatial_enabled)
+            want = score_of(*factors, disk.hyperparams, disk.geometry.neighborhood.kind != NONE)
             assert pf[addr] == want
 
 
@@ -191,7 +191,7 @@ def test_pf_array_bitwise_at_extreme_magnitudes():
                 disk.hf[addr], disk.uf[addr], disk.lf[addr] = hf, uf, lf
                 disk.sf[addr] = rng.uniform(-SF_LIMIT, SF_LIMIT) if sf is None else sf
             want = np.array([
-                score_of(hf, uf, sf, lf, hp, disk.spatial_enabled)
+                score_of(hf, uf, sf, lf, hp, disk.geometry.neighborhood.kind != NONE)
                 for hf, uf, sf, lf in zip(disk.hf.tolist(), disk.uf.tolist(), disk.sf.tolist(), disk.lf.tolist())
             ])
             assert disk.pf_array().tobytes() == want.tobytes(), (neighborhood, signs)

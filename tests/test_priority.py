@@ -1,6 +1,7 @@
 """Ranking score, usage tracking, churn propagation, neighborhood smoothing."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -231,10 +232,15 @@ def test_spatial_used_blocks_pinned_to_zero():
 
 
 def test_spatial_single_column_row_degenerates_to_zero():
-    disk = make_disk(rows=3, cols=1)
-    disk.hf[0] = 5.0
-    update_spatial_factors(disk)
-    assert list(disk.sf) == [0.0, 0.0, 0.0]
+    """A block with no neighbor gets sf 0, not 0/0: a one-column grid row, and
+    a one-block contiguous disk."""
+    for rows, cols, neighborhood in ((3, 1, "grid-row"), (1, 1, "contiguous:2")):
+        disk = make_disk(rows=rows, cols=cols, neighborhood=neighborhood)
+        disk.hf[0] = 5.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            update_spatial_factors(disk)
+        assert list(disk.sf) == [0.0] * rows, neighborhood
 
 
 def test_spatial_none_neighborhood_is_noop():

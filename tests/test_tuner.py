@@ -9,7 +9,6 @@ from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
 from apexsim.recovery import PerfWeights
 from apexsim.tuner import (
     ACTIONS,
-    QTable,
     TrainConfig,
     TrainSchedule,
     apply_action,
@@ -101,37 +100,49 @@ def test_boundary_moves_are_self_loops():
 
 
 def test_qtable_best_action_breaks_ties_low():
-    q = QTable()
-    row = q.values((1, 1, 1, 1))
-    assert row == [0.0] * len(ACTIONS)
-    assert q.best_action((1, 1, 1, 1)) == 0
-    row[3] = 2.0
-    row[5] = 2.0
-    assert q.best_action((1, 1, 1, 1)) == 3
-    assert q.max_q((1, 1, 1, 1)) == 2.0
+    q = {}
+    s = (1, 1, 1, 1)
+    rng = random.Random(0)
+    assert select_action(q, s, 0.0, rng) == 0  # unseen state: all values read 0.0
+    q_update(q, s, 3, 2.0, (9, 9, 9, 9), 1.0, 0.0)
+    q_update(q, s, 5, 2.0, (9, 9, 9, 9), 1.0, 0.0)
+    assert q[s] == [0.0, 0.0, 0.0, 2.0, 0.0, 2.0, 0.0, 0.0]
+    assert select_action(q, s, 0.0, rng) == 3
+    q_update(q, s, 0, -1.0, (9, 9, 9, 9), 1.0, 0.0)  # a negative value stays below unseen zeros
+    assert select_action(q, s, 0.0, rng) == 3
+
+
+def test_q_update_creates_only_the_updated_state():
+    q = {}
+    s, unseen = (4, 4, 4, 4), (5, 4, 4, 4)
+    # the unseen next state's best value reads 0.0: the target is the reward alone
+    assert q_update(q, s, 1, 3.0, unseen, 1.0, 0.9) == 3.0
+    assert list(q) == [s]
+    assert q[s] == [0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_q_update_hand_trace():
-    q = QTable()
+    q = {}
     s = (2, 2, 2, 2)
     got = q_update(q, s, 0, 1.0, s, 1.0, 0.9)
     assert got == pytest.approx(1.0)
     got = q_update(q, s, 0, 1.0, s, 1.0, 0.9)
     assert got == pytest.approx(1.9)
-    assert q.values(s)[0] == pytest.approx(1.9)
+    assert q[s][0] == pytest.approx(1.9)
 
 
 def test_q_update_uses_next_state_max():
-    q = QTable()
+    q = {}
     s, s2 = (1, 1, 1, 1), (2, 1, 1, 1)
-    q.values(s2)[4] = 10.0
+    q[s2] = [0.0] * len(ACTIONS)
+    q[s2][4] = 10.0
     got = q_update(q, s, 2, 0.0, s2, 0.5, 0.5)
     # 0 + 0.5 * (0 + 0.5 * 10 - 0)
     assert got == pytest.approx(2.5)
 
 
 def test_q_update_rejects_non_finite_reward():
-    q = QTable()
+    q = {}
     s = (1, 1, 1, 1)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
@@ -139,17 +150,17 @@ def test_q_update_rejects_non_finite_reward():
 
 
 def test_select_action_greedy_at_zero_epsilon():
-    q = QTable()
     s = (3, 3, 3, 3)
-    q.values(s)[6] = 4.0
+    q = {s: [0.0] * len(ACTIONS)}
+    q[s][6] = 4.0
     rng = random.Random(0)
     assert all(select_action(q, s, 0.0, rng) == 6 for _ in range(50))
 
 
 def test_select_action_uniform_at_full_epsilon():
-    q = QTable()
     s = (3, 3, 3, 3)
-    q.values(s)[6] = 4.0  # must not bias exploration
+    q = {s: [0.0] * len(ACTIONS)}
+    q[s][6] = 4.0  # must not bias exploration
     rng = random.Random(99)
     counts = [0] * len(ACTIONS)
     n = 100_000
@@ -204,6 +215,22 @@ def test_zero_budget_returns_initial_state():
     assert report.states_seen == 0
 
 
+def test_train_stops_once_epsilon_reaches_the_floor():
+    """An explicit tau can bring epsilon down to the floor before the budget
+    runs out; training stops at that interval."""
+    good = small_train_config()
+    cfg = TrainConfig(
+        geometry=good.geometry,
+        schedule=TrainSchedule(min_budget=10, oin_per_min=20, epsilon_floor=0.1, tau=1.0),
+        workload=good.workload,
+        weights=good.weights,
+    )
+    report = train(cfg)
+    # exp(-2) > 0.1 >= exp(-3): intervals 0, 1 and 2 run, interval 3 does not
+    assert [r.min_index for r in report.trajectory] == [0, 1, 2]
+    assert report.final_epsilon == cfg.schedule.epsilon(3) <= 0.1
+
+
 def test_train_repeat_is_identical():
     a = train(small_train_config())
     b = train(small_train_config())
@@ -221,6 +248,8 @@ def test_train_trajectory_bookkeeping():
     for rec in report.trajectory:
         assert Hyperparams.from_tuple(rec.state).in_lattice()
     assert sum(report.visited.values()) == 8
+    # the first interval carries no reward, so its state gets no row unless revisited
+    assert report.states_seen == len({r.state for r in report.trajectory[1:]})
     assert report.final_epsilon == cfg.schedule.epsilon(8)
 
 

@@ -272,7 +272,7 @@ def test_lineage_broken_by_version_bump_on_rewrite():
     fs.delete_file("/a.txt")
     b = fs.create_file("/b.txt", 4096)
     fs.delete_file("/b.txt")
-    # both files once owned blocks 0 and 1; only b's epochs match now
+    # both files once owned blocks 0 and 1; the owner array now names only b
     assert recover_file(fs.disk, a).rr == 0.0
     assert recover_file(fs.disk, b).rr == 1.0
 
