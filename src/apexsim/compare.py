@@ -3,20 +3,22 @@ flood the disk with secondary data under each policy, and measure how much of
 the primary corpus is still recoverable.
 
 A cell (policy, secondary size, seed) is what a fresh disk flooded up to that
-one size would hold. The cells of one (policy, seed) share their ops up to
-where a smaller size clips its last file, so they run as one flood toward the
-largest size, each smaller cell finishing on a copy of the file system (see
-run_flood). The sweep counts secondary data blocks, so targets map directly
-onto fractions of the device.
+one size would hold. Each flood starts from a copy of a primary phase: a
+fresh disk after the primary creates and deletes. A policy whose choices do
+not depend on the seed (apex, first-fit) writes its primaries once for every
+seed; random writes them once per seed (see run_compare). The cells of one
+(policy, seed) share their ops up to where a smaller size clips its last
+file, so they run as one flood toward the largest size, each smaller cell
+finishing on a copy of the file system (see run_flood). The sweep counts
+secondary data blocks, so targets map directly onto fractions of the device.
 """
-
 import random
 from dataclasses import dataclass
 
 from .disk import new_disk
 from .model import DiskGeometry, Hyperparams, canonical_json, field_dict
 from .errors import ConfigError
-from .policies import KINDS, make_policy
+from .policies import APEX, FIRST_FIT, KINDS, make_policy
 from .recovery import recover_file, usage_weighted_rr
 from .vfs import LINKED, PARTIAL, FileSystem
 from .workload import OP_CREATE, OP_DELETE, WorkloadOp, execute_op
@@ -79,17 +81,36 @@ def _row(fs, policy_kind: str, target_blocks: int, seed: int) -> CompareRow:
     )
 
 
-def run_flood(
+def primary_phase(
     geometry: DiskGeometry,
     hp: Hyperparams,
     settings: CompareSettings,
     policy_kind: str,
-    targets: tuple,
     seed: int,
     invert_link_rule: bool = False,
-) -> dict:
+) -> FileSystem:
+    """A fresh disk after the primary creates, then the primary deletes, each
+    one tick, in path order."""
+    disk = new_disk(geometry, hp)
+    policy = make_policy(policy_kind, seed=seed + 1000003)
+    fs = FileSystem(disk, policy=policy, invert_link_rule=invert_link_rule)
+    primary_ext = ".avi" if settings.primary_type == PARTIAL else ".zip"
+    primary_paths = [f"/primary{i}{primary_ext}" for i in range(settings.primary_count)]
+    for path in primary_paths:
+        disk.tick()
+        execute_op(fs, WorkloadOp(
+            disk.clock, OP_CREATE, path, settings.primary_data_blocks, settings.primary_type
+        ))
+    for path in primary_paths:
+        disk.tick()
+        execute_op(fs, WorkloadOp(disk.clock, OP_DELETE, path))
+    return fs
+
+
+def run_flood(phase: FileSystem, settings: CompareSettings, targets: tuple, seed: int) -> dict:
     """The cells of one (policy, seed) for every target in targets, keyed by
-    target, from one flood.
+    target, from one flood on a copy of phase (see primary_phase), which is
+    left as it was.
 
     Each target's cell is the flood a fresh disk would see for that target
     alone: the primaries, then secondary creates of seeded sizes clipped to
@@ -101,21 +122,10 @@ def run_flood(
     target the line reaches exactly, or that a full disk stops first, is
     measured on the line.
     """
-    disk = new_disk(geometry, hp)
-    policy = make_policy(policy_kind, seed=seed + 1000003)
-    fs = FileSystem(disk, policy=policy, invert_link_rule=invert_link_rule)
+    fs = phase.copy()
+    disk = fs.disk
+    policy_kind = fs.policy.name
     rng = random.Random(seed)
-
-    primary_ext = ".avi" if settings.primary_type == PARTIAL else ".zip"
-    primary_paths = [f"/primary{i}{primary_ext}" for i in range(settings.primary_count)]
-    for path in primary_paths:
-        disk.tick()
-        execute_op(fs, WorkloadOp(
-            disk.clock, OP_CREATE, path, settings.primary_data_blocks, settings.primary_type
-        ))
-    for path in primary_paths:
-        disk.tick()
-        execute_op(fs, WorkloadOp(disk.clock, OP_DELETE, path))
 
     cells = {}
     pending = sorted(set(targets))  # ascending; pending[-1] is the line's target
@@ -159,8 +169,11 @@ def run_compare(
     invert_link_rule: bool = False,
 ) -> list[CompareRow]:
     """Every cell of the sweep, policy by policy, then target by target in
-    settings order, then seed by seed; one flood per (policy, seed) serves
-    all of that seed's targets, and equal targets share one row."""
+    settings order, then seed by seed. One flood per (policy, seed) serves
+    all of that seed's targets, and equal targets share one row. Each flood
+    starts from a copy of its policy's primary phase, written once for a
+    seed-free policy and once per seed for random, so a cell still equals a
+    fresh disk flooded to that one target."""
     need = settings.primary_count * (settings.primary_data_blocks + 1)
     if need > geometry.total_blocks:
         raise ConfigError(
@@ -170,10 +183,18 @@ def run_compare(
         )
     rows = []
     for policy_kind in settings.policies:
+        def phase(seed):
+            return primary_phase(geometry, hp, settings, policy_kind, seed, invert_link_rule)
+
+        # apex and first-fit never read the seed, so their primary phase is
+        # the same for every seed and one serves all floods; random draws
+        # its primary blocks from the seed's own stream, so each seed writes
+        # its own primaries.
+        shared = phase(settings.seeds[0]) if policy_kind in (APEX, FIRST_FIT) else None
         floods = [
             run_flood(
-                geometry, hp, settings, policy_kind, settings.secondary_targets, seed,
-                invert_link_rule,
+                shared if shared is not None else phase(seed),
+                settings, settings.secondary_targets, seed,
             )
             for seed in settings.seeds
         ]

@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import pytest
 
+import apexsim.compare
 from apexsim.compare import (
     CompareRow,
     CompareSettings,
     compare_report,
+    primary_phase,
     run_compare,
     run_flood,
 )
@@ -52,7 +54,8 @@ def test_settings_validation():
 
 
 def test_zero_churn_leaves_everything_recoverable():
-    row = run_flood(GEO, HP, small_settings(secondary_targets=(0,)), "apex", (0,), 0)[0]
+    settings = small_settings(secondary_targets=(0,))
+    row = run_flood(primary_phase(GEO, HP, settings, "apex", 0), settings, (0,), 0)[0]
     assert row.weighted_rr == pytest.approx(100.0)
     assert row.per_file_rr == (1.0,) * 2
 
@@ -60,16 +63,41 @@ def test_zero_churn_leaves_everything_recoverable():
 def test_full_capacity_churn_destroys_everything():
     settings = small_settings(secondary_targets=(256,))
     for policy in ("apex", "first-fit"):
-        row = run_flood(GEO, HP, settings, policy, (256,), 0)[256]
+        row = run_flood(primary_phase(GEO, HP, settings, policy, 0), settings, (256,), 0)[256]
         assert row.weighted_rr == pytest.approx(0.0)
         assert row.per_file_rr == (0.0,) * 2
 
 
 def test_cell_is_deterministic():
     settings = small_settings()
-    a = run_flood(GEO, HP, settings, "apex", (30,), 7)[30]
-    b = run_flood(GEO, HP, settings, "apex", (30,), 7)[30]
+    a = run_flood(primary_phase(GEO, HP, settings, "apex", 7), settings, (30,), 7)[30]
+    b = run_flood(primary_phase(GEO, HP, settings, "apex", 7), settings, (30,), 7)[30]
     assert a == b
+
+
+def test_flood_leaves_its_primary_phase_as_it_was():
+    settings = small_settings()
+    phase = primary_phase(GEO, HP, settings, "random", 7)
+    before = phase.disk.snapshot_sha256()
+    first = run_flood(phase, settings, (30,), 7)
+    assert phase.disk.snapshot_sha256() == before
+    assert run_flood(phase, settings, (30,), 7) == first
+
+
+def test_primaries_written_once_per_seed_free_policy(monkeypatch):
+    """apex and first-fit share one primary phase across seeds; random,
+    whose primary blocks come from the seed's stream, writes one per seed."""
+    built = []
+
+    def counting_new_disk(*args):
+        built.append(args)
+        return new_disk(*args)
+
+    monkeypatch.setattr(apexsim.compare, "new_disk", counting_new_disk)
+    settings = small_settings(seeds=(0, 1, 2, 3), policies=("apex", "first-fit", "random"))
+    rows = run_compare(GEO, HP, settings)
+    assert len(rows) == 3 * 4
+    assert len(built) == 1 + 1 + 4
 
 
 def test_run_compare_row_grid():
