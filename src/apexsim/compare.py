@@ -12,6 +12,7 @@ file, so they run as one flood toward the largest size, each smaller cell
 finishing on a copy of the file system (see run_flood). The sweep counts
 secondary data blocks, so targets map directly onto fractions of the device.
 """
+
 import random
 from dataclasses import dataclass
 

@@ -75,15 +75,6 @@ def test_cell_is_deterministic():
     assert a == b
 
 
-def test_flood_leaves_its_primary_phase_as_it_was():
-    settings = small_settings()
-    phase = primary_phase(GEO, HP, settings, "random", 7)
-    before = phase.disk.snapshot_sha256()
-    first = run_flood(phase, settings, (30,), 7)
-    assert phase.disk.snapshot_sha256() == before
-    assert run_flood(phase, settings, (30,), 7) == first
-
-
 def test_primaries_written_once_per_seed_free_policy(monkeypatch):
     """apex and first-fit share one primary phase across seeds; random,
     whose primary blocks come from the seed's stream, writes one per seed."""
