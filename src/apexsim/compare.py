@@ -20,7 +20,7 @@ from .disk import new_disk
 from .model import DiskGeometry, Hyperparams, canonical_json, field_dict
 from .errors import ConfigError
 from .policies import APEX, FIRST_FIT, KINDS, make_policy
-from .recovery import recover_file, usage_weighted_rr
+from .recovery import recovery_ratios, usage_weighted_rr
 from .vfs import LINKED, PARTIAL, FileSystem
 from .workload import OP_CREATE, OP_DELETE, WorkloadOp, execute_op
 
@@ -70,9 +70,11 @@ class CompareRow:
 
 
 def _row(fs, policy_kind: str, target_blocks: int, seed: int) -> CompareRow:
+    """The cell fs holds: each primary's recovery ratio, all from one lineage
+    read (see recovery_ratios), and their usage-weighted percentage."""
     # a flood deletes only the primaries, in creation order
     primary = fs.deleted_files()
-    per_file = tuple(recover_file(fs.disk, f).rr for f in primary)
+    per_file = tuple(recovery_ratios(fs.disk, primary))
     return CompareRow(
         policy=policy_kind,
         secondary_blocks=target_blocks,

@@ -43,39 +43,65 @@ class RecoveryResult:
     rr: float
 
 
+def _recovered(file, intact: list, block_size: int) -> tuple:
+    """Recovered bytes and recovery ratio of file, where intact holds per
+    block of its block list whether the block is still the file's. Nothing
+    comes back without the metadata block; then a linked file comes back
+    whole or not at all, and a partial file by the data blocks that survive."""
+    if not intact or not intact[0]:
+        return 0, 0.0
+    if file.type_class == LINKED:
+        return (file.size_bytes, 1.0) if all(intact) else (0, 0.0)
+    if file.size_bytes <= 0:
+        return 0, 0.0
+    recovered = min(sum(intact[1:]) * block_size, file.size_bytes)
+    return recovered, recovered / file.size_bytes
+
+
 def recover_file(disk, file) -> RecoveryResult:
     """Recovery ratio of one deleted or obsolete file against current disk state."""
     if file.status == USED:
         raise ValueError(f"file {file.path} is live, nothing to recover")
-    intact = disk.lineage_intact(file.block_list, file.id)
+    intact = disk.lineage_intact(file.block_list, file.id).tolist()
+    recovered, rr = _recovered(file, intact, disk.geometry.block_size_bytes)
     surviving = frozenset(compress(file.block_list, intact))
-    metadata_intact = bool(file.block_list) and bool(intact[0])
-    if file.type_class == LINKED:
-        complete = bool(file.block_list) and bool(intact.all())
-        recovered = file.size_bytes if complete else 0
-        rr = 1.0 if complete else 0.0
-    else:
-        bs = disk.geometry.block_size_bytes
-        data_surviving = int(intact[1:].sum())
-        if metadata_intact and file.size_bytes > 0:
-            recovered = min(data_surviving * bs, file.size_bytes)
-            rr = recovered / file.size_bytes
-        else:
-            recovered = 0
-            rr = 0.0
-    return RecoveryResult(file.id, surviving, metadata_intact, recovered, rr)
+    return RecoveryResult(file.id, surviving, bool(intact) and intact[0], recovered, rr)
+
+
+def recovery_ratios(disk, files) -> list[float]:
+    """The recovery ratio of each deleted or obsolete file of files, in
+    order, equal to recover_file(disk, f).rr, from one lineage read over the
+    block lists of all of them."""
+    addrs = []
+    ids = []
+    for f in files:
+        if f.status == USED:
+            raise ValueError(f"file {f.path} is live, nothing to recover")
+        addrs += f.block_list
+        ids += [f.id] * len(f.block_list)
+    intact = disk.lineage_intact(addrs, ids).tolist()
+    bs = disk.geometry.block_size_bytes
+    rrs = []
+    start = 0
+    for f in files:
+        end = start + len(f.block_list)
+        rrs.append(_recovered(f, intact[start:end], bs)[1])
+        start = end
+    return rrs
 
 
 def retired_rr(disk, fs) -> float:
     """Usage-weighted recovery percentage over every deleted and obsolete file
     of fs, measured against current disk state, reading only the files that
-    can still be recovered. An obsolete file adds its usage to the
-    denominator, which fs keeps as a running total, and nothing to the
-    numerator; the numerator sums in delete order, so the result equals the
-    full-list reference weighted_rr in tests/oracles.py to the bit."""
+    can still be recovered, all in one lineage read (see recovery_ratios). An
+    obsolete file adds its usage to the denominator, which fs keeps as a
+    running total, and nothing to the numerator; the numerator sums in delete
+    order, so the result equals the full-list reference weighted_rr in
+    tests/oracles.py to the bit."""
+    files = fs.recoverable_files()
     num = 0.0
-    for f in fs.recoverable_files():
-        num += recover_file(disk, f).rr * f.uf_counter
+    for f, rr in zip(files, recovery_ratios(disk, files)):
+        num += rr * f.uf_counter
     if fs.retired_usage == 0:
         return 0.0
     return 100.0 * num / fs.retired_usage

@@ -79,8 +79,15 @@ class FileRecord:
     def copy(self) -> "FileRecord":
         """A record with the same fields; the block list is shared."""
         new = object.__new__(FileRecord)
-        for name in FileRecord.__slots__:
-            setattr(new, name, getattr(self, name))
+        new.id = self.id
+        new.path = self.path
+        new.type_class = self.type_class
+        new.status = self.status
+        new.block_list = self.block_list
+        new.size_bytes = self.size_bytes
+        new.uf_counter = self.uf_counter
+        new.last_access_tick = self.last_access_tick
+        new._live_index = self._live_index
         return new
 
 
@@ -182,10 +189,9 @@ class FileSystem:
             raise ValueError(f"unknown type class {type_class!r}")
         bs = self.disk.geometry.block_size_bytes
         needed = -(-size_bytes // bs) + 1 if size_bytes > 0 else 0
-        if needed > self.free_blocks():
-            raise DiskFullError(
-                f"{path}: need {needed} blocks, {self.free_blocks()} free"
-            )
+        free = self.free_blocks()
+        if needed > free:
+            raise DiskFullError(f"{path}: need {needed} blocks, {free} free")
 
         addrs = list(self.policy.select(self.disk, needed))
         fid = self._next_id

@@ -109,6 +109,28 @@ def test_claim_adds_churn_per_block_taken_from_each_prior_owner():
     assert disk.siblings == {1: a, 2: b, 3: [8], 5: [3, 9, 1, 6, 4, 10]}  # 4 goes
 
 
+def test_lineage_intact_per_address_with_one_or_many_file_ids():
+    """A block is still a file's while it is unused and the owner array names
+    the file: never-owned, used and re-claimed blocks are not."""
+    disk = make_disk(rows=4, cols=4)
+    claim(disk, [0, 1, 2], 1)
+    claim(disk, [3, 4], 2)
+    release(disk, [0, 1, 2], 0)
+    claim(disk, [1], 3)  # re-claims one of file 1's freed blocks
+    # 0 and 2 freed and intact, 1 re-claimed, 3 used, 5 never owned
+    assert disk.lineage_intact([0, 1, 2, 3, 5], 1).tolist() == [True, False, True, False, False]
+    assert disk.lineage_intact([3, 4], 2).tolist() == [False, False]
+    assert disk.lineage_intact([1], 3).tolist() == [False]
+    release(disk, [1], 0)
+    assert disk.lineage_intact([1], 3).tolist() == [True]
+    assert disk.lineage_intact([1], 1).tolist() == [False]
+    # one file id per address
+    assert disk.lineage_intact([2, 1, 0, 3, 5, 1], [1, 3, 1, 2, 1, 1]).tolist() == [
+        True, True, True, False, False, False,
+    ]
+    assert disk.lineage_intact([], []).tolist() == []
+
+
 def test_partition_invariant_under_random_transitions():
     rng = random.Random(40)
     disk = make_disk(rows=8, cols=8)

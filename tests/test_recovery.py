@@ -13,9 +13,10 @@ from apexsim.recovery import (
     access_time_term,
     performance,
     recover_file,
+    recovery_ratios,
     recovery_table,
 )
-from apexsim.vfs import DELETED, LINKED, PARTIAL
+from apexsim.vfs import DELETED, LINKED, OBSOLETE, PARTIAL
 from apexsim.workload import OP_CREATE, WorkloadConfig, WorkloadRunner
 
 from conftest import ScriptedPolicy, make_fs
@@ -237,3 +238,41 @@ def test_recoverable_index_matches_retired_list_after_every_op(neighborhood):
         if op.kind == OP_CREATE and len(retired) - len(fs.recoverable_files()) > obsolete:
             flips += 1
     assert flips >= 20, f"only {flips} creates emptied a prior owner"
+
+
+@pytest.mark.parametrize("neighborhood", ["grid-row", "none"])
+def test_recovery_ratios_equal_recover_file_per_file(neighborhood):
+    """One lineage read over many files gives each file the ratio recover_file
+    gives it, in order: linked and partial files, whole, partly re-claimed
+    and lost ones, zero-block and obsolete files."""
+    fs = make_fs(rows=8, cols=8, neighborhood=neighborhood)
+    runner = WorkloadRunner(WorkloadConfig(rng_seed=6, total_ops=0, max_file_blocks=6), fs)
+    seen = set()
+    for i in range(400):
+        if i in (0, 200):  # a zero-block file, first and mid-way in delete order
+            fs.create_file(f"/empty{i}.txt", 0)
+            fs.delete_file(f"/empty{i}.txt")
+        runner.step()
+        if i % 10:
+            continue
+        for files in (fs.deleted_files(), fs.recoverable_files()):
+            expected = [recover_file(fs.disk, f).rr for f in files]
+            assert recovery_ratios(fs.disk, files) == expected
+        for f in fs.deleted_files():
+            res = recover_file(fs.disk, f)
+            kept = len(res.surviving_blocks)
+            if f.status == OBSOLETE:
+                seen.add("zero-block" if not f.block_list else OBSOLETE)
+            elif kept == len(f.block_list):
+                seen.add((f.type_class, "whole"))
+            elif f.type_class == LINKED and kept:
+                seen.add((LINKED, "partly re-claimed"))
+            elif 0.0 < res.rr < 1.0:
+                seen.add((PARTIAL, "partly re-claimed"))
+    assert seen >= {
+        "zero-block", OBSOLETE, (LINKED, "whole"), (PARTIAL, "whole"),
+        (LINKED, "partly re-claimed"), (PARTIAL, "partly re-claimed"),
+    }, seen
+    assert recovery_ratios(fs.disk, []) == []
+    with pytest.raises(ValueError):
+        recovery_ratios(fs.disk, fs.live_files()[:1])

@@ -11,6 +11,7 @@ from apexsim.vfs import (
     OBSOLETE,
     PARTIAL,
     USED,
+    FileRecord,
     FileSystem,
     type_class_for_path,
 )
@@ -275,6 +276,19 @@ def test_lineage_broken_by_version_bump_on_rewrite():
     # both files once owned blocks 0 and 1; the owner array now names only b
     assert recover_file(fs.disk, a).rr == 0.0
     assert recover_file(fs.disk, b).rr == 1.0
+
+
+def test_record_copy_equals_original_on_every_slot():
+    fs = make_fs(rows=4, cols=4)
+    fs.create_file("/a.txt", 2 * 4096)
+    rec = fs.access("/a.txt")
+    twin = rec.copy()
+    assert type(twin) is FileRecord
+    for name in FileRecord.__slots__:
+        assert getattr(twin, name) == getattr(rec, name), name
+    assert twin.block_list is rec.block_list
+    twin.status = DELETED
+    assert rec.status == USED
 
 
 def _state(fs):
