@@ -12,14 +12,7 @@ from .errors import BlockStateError, ConfigError, DiskFullError, TraceError
 from .model import DiskGeometry, Hyperparams, Neighborhood
 from .policies import ApexPolicy, FirstFitPolicy, RandomPolicy, make_policy
 from .priority import record_file_access, top_unused, update_spatial_factors
-from .recovery import (
-    PerfWeights,
-    RecoveryResult,
-    access_time_term,
-    performance,
-    recover_file,
-    recovery_table,
-)
+from .recovery import PerfWeights, access_time_term, measure_recovery, performance, recovery_table
 from .tuner import TrainConfig, TrainReport, TrainSchedule, evaluate_policy, train
 from .vfs import DELETED, LINKED, OBSOLETE, PARTIAL, USED, FileRecord, FileSystem
 from .workload import (
@@ -55,7 +48,6 @@ __all__ = [
     "PARTIAL",
     "PerfWeights",
     "RandomPolicy",
-    "RecoveryResult",
     "SimReport",
     "TraceError",
     "TrainConfig",
@@ -69,11 +61,11 @@ __all__ = [
     "evaluate_policy",
     "generate_op",
     "make_policy",
+    "measure_recovery",
     "new_disk",
     "performance",
     "read_trace",
     "record_file_access",
-    "recover_file",
     "recovery_table",
     "release",
     "replay_trace",

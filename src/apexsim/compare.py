@@ -20,7 +20,7 @@ from .disk import new_disk
 from .model import DiskGeometry, Hyperparams, canonical_json, field_dict
 from .errors import ConfigError
 from .policies import APEX, FIRST_FIT, KINDS, make_policy
-from .recovery import recovery_ratios, usage_weighted_rr
+from .recovery import measure_recovery, usage_weighted_rr
 from .vfs import LINKED, PARTIAL, FileSystem
 from .workload import OP_CREATE, OP_DELETE, WorkloadOp, execute_op
 
@@ -71,10 +71,10 @@ class CompareRow:
 
 def _row(fs, policy_kind: str, target_blocks: int, seed: int) -> CompareRow:
     """The cell fs holds: each primary's recovery ratio, all from one lineage
-    read (see recovery_ratios), and their usage-weighted percentage."""
+    read (see measure_recovery), and their usage-weighted percentage."""
     # a flood deletes only the primaries, in creation order
     primary = fs.deleted_files()
-    per_file = tuple(recovery_ratios(fs.disk, primary))
+    per_file = tuple(rr for _, _, rr in measure_recovery(fs.disk, primary))
     return CompareRow(
         policy=policy_kind,
         secondary_blocks=target_blocks,

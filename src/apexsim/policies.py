@@ -1,6 +1,8 @@
 """Allocation policies: which unused blocks a create claims, in what order.
 
 The factor engine keeps running under every policy; only the choice differs.
+A policy's copy() carries whatever state its choices depend on, so a copied
+file system allocates as the original would.
 """
 
 import random
@@ -21,6 +23,9 @@ class ApexPolicy:
     def select(self, disk, count: int) -> list:
         return top_unused(disk, count)
 
+    def copy(self) -> "ApexPolicy":
+        return self  # stateless
+
 
 class FirstFitPolicy:
     """Recovery-blind baseline: lowest addresses first."""
@@ -29,6 +34,9 @@ class FirstFitPolicy:
 
     def select(self, disk, count: int) -> list:
         return unused_addresses(disk, count)[:count].tolist()
+
+    def copy(self) -> "FirstFitPolicy":
+        return self  # stateless
 
 
 class RandomPolicy:
@@ -41,6 +49,12 @@ class RandomPolicy:
 
     def select(self, disk, count: int) -> list:
         return self._rng.sample(unused_addresses(disk, count).tolist(), count)
+
+    def copy(self) -> "RandomPolicy":
+        """A policy whose stream goes on from where this one's stands."""
+        twin = RandomPolicy()
+        twin._rng.setstate(self._rng.getstate())
+        return twin
 
 
 def make_policy(kind: str, seed: int = 0):

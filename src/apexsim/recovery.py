@@ -4,11 +4,12 @@ A block counts as recovered for a file when the owner array still names that
 file: the block is unused and no later file has claimed it. Only the owner
 array is compared, never the block versions. Linked formats are
 all-or-nothing; partial formats recover byte ranges once their metadata block
-survives.
+survives. One lineage read over many files (measure_recovery) is the only
+way a file's recovery is measured: the objective, compare rows and the
+recovery table all take it from there.
 """
 
 from dataclasses import dataclass
-from itertools import compress
 
 from .vfs import LINKED, OBSOLETE, USED
 
@@ -34,44 +35,14 @@ class PerfWeights:
             raise ValueError(f"unknown access-time mode {self.aat_mode!r}")
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
-    file_id: int
-    surviving_blocks: frozenset
-    metadata_intact: bool
-    recovered_bytes: int
-    rr: float
-
-
-def _recovered(file, intact: list, block_size: int) -> tuple:
-    """Recovered bytes and recovery ratio of file, where intact holds per
-    block of its block list whether the block is still the file's. Nothing
-    comes back without the metadata block; then a linked file comes back
-    whole or not at all, and a partial file by the data blocks that survive."""
-    if not intact or not intact[0]:
-        return 0, 0.0
-    if file.type_class == LINKED:
-        return (file.size_bytes, 1.0) if all(intact) else (0, 0.0)
-    if file.size_bytes <= 0:
-        return 0, 0.0
-    recovered = min(sum(intact[1:]) * block_size, file.size_bytes)
-    return recovered, recovered / file.size_bytes
-
-
-def recover_file(disk, file) -> RecoveryResult:
-    """Recovery ratio of one deleted or obsolete file against current disk state."""
-    if file.status == USED:
-        raise ValueError(f"file {file.path} is live, nothing to recover")
-    intact = disk.lineage_intact(file.block_list, file.id).tolist()
-    recovered, rr = _recovered(file, intact, disk.geometry.block_size_bytes)
-    surviving = frozenset(compress(file.block_list, intact))
-    return RecoveryResult(file.id, surviving, bool(intact) and intact[0], recovered, rr)
-
-
-def recovery_ratios(disk, files) -> list[float]:
-    """The recovery ratio of each deleted or obsolete file of files, in
-    order, equal to recover_file(disk, f).rr, from one lineage read over the
-    block lists of all of them."""
+def measure_recovery(disk, files) -> list[tuple]:
+    """Per deleted or obsolete file of files, in order, (intact,
+    recovered_bytes, rr), all from one lineage read over the block lists of
+    all of them. intact holds per block of the file's block list whether the
+    block is still the file's; intact[0] is its metadata block. Nothing comes
+    back without the metadata block; then a linked file comes back whole or
+    not at all, and a partial file by the data blocks that survive, at most
+    its size."""
     addrs = []
     ids = []
     for f in files:
@@ -81,26 +52,35 @@ def recovery_ratios(disk, files) -> list[float]:
         ids += [f.id] * len(f.block_list)
     intact = disk.lineage_intact(addrs, ids).tolist()
     bs = disk.geometry.block_size_bytes
-    rrs = []
+    out = []
     start = 0
     for f in files:
         end = start + len(f.block_list)
-        rrs.append(_recovered(f, intact[start:end], bs)[1])
+        own = intact[start:end]
         start = end
-    return rrs
+        if not own or not own[0]:
+            out.append((own, 0, 0.0))
+        elif f.type_class == LINKED:
+            out.append((own, f.size_bytes, 1.0) if all(own) else (own, 0, 0.0))
+        elif f.size_bytes <= 0:
+            out.append((own, 0, 0.0))
+        else:
+            recovered = min(sum(own[1:]) * bs, f.size_bytes)
+            out.append((own, recovered, recovered / f.size_bytes))
+    return out
 
 
 def retired_rr(disk, fs) -> float:
     """Usage-weighted recovery percentage over every deleted and obsolete file
     of fs, measured against current disk state, reading only the files that
-    can still be recovered, all in one lineage read (see recovery_ratios). An
+    can still be recovered, all in one lineage read (see measure_recovery). An
     obsolete file adds its usage to the denominator, which fs keeps as a
     running total, and nothing to the numerator; the numerator sums in delete
     order, so the result equals the full-list reference weighted_rr in
     tests/oracles.py to the bit."""
     files = fs.recoverable_files()
     num = 0.0
-    for f, rr in zip(files, recovery_ratios(disk, files)):
+    for f, (_, _, rr) in zip(files, measure_recovery(disk, files)):
         num += rr * f.uf_counter
     if fs.retired_usage == 0:
         return 0.0
@@ -159,9 +139,9 @@ def performance(disk, fs, weights: PerfWeights) -> float:
 
 def recovery_table(disk, fs) -> list[dict]:
     """Per-file recovery rows for deleted and obsolete files, in delete order."""
+    files = fs.deleted_files()
     rows = []
-    for f in fs.deleted_files():
-        res = recover_file(disk, f)
+    for f, (intact, recovered, rr) in zip(files, measure_recovery(disk, files)):
         rows.append(
             {
                 "file_id": f.id,
@@ -170,10 +150,10 @@ def recovery_table(disk, fs) -> list[dict]:
                 "status": f.status,
                 "uf": f.uf_counter,
                 "total_blocks": len(f.block_list),
-                "surviving_blocks": len(res.surviving_blocks),
-                "metadata_intact": res.metadata_intact,
-                "recovered_bytes": res.recovered_bytes,
-                "rr": res.rr,
+                "surviving_blocks": sum(intact),
+                "metadata_intact": bool(intact) and intact[0],
+                "recovered_bytes": recovered,
+                "rr": rr,
             }
         )
     return rows

@@ -16,8 +16,6 @@ apart, and the usage of every retired file is kept as a running total, so
 that recovery is measured over those files only.
 """
 
-from copy import deepcopy
-
 import numpy as np
 
 from .disk import claim, release
@@ -126,13 +124,13 @@ class FileSystem:
     def copy(self) -> "FileSystem":
         """An independent file system on a copy of the disk. Every file record
         is copied and the indexes name the copies, in their own order. The
-        policy is deep-copied, so a seeded policy goes on with the same
-        stream. Block lists stay shared with the records and the disk's
-        sibling map: none is ever mutated."""
+        policy copies itself (see policies), so a seeded policy goes on with
+        the same stream. Block lists stay shared with the records and the
+        disk's sibling map: none is ever mutated."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         new.disk = self.disk.copy()
-        new.policy = deepcopy(self.policy)
+        new.policy = self.policy.copy()
         twin = {rec.id: rec.copy() for rec in self._live}
         twin.update((rec.id, rec.copy()) for rec in self._retired)
         new._live = [twin[rec.id] for rec in self._live]

@@ -1,9 +1,10 @@
 """Independent reference implementations the test suite checks the engine
 against. Everything here recomputes from first principles: factor bookkeeping
 is replayed literally from the event log, rankings come from a full sort,
-recovery is reconstructed from claim history instead of the owner array, and
-the recovery aggregate scans every retired file instead of only the
-recoverable ones.
+recovery is reconstructed from claim history instead of the owner array or
+read file by file and block by block from the used mask and the owner array
+instead of in one batch, and the recovery aggregate scans every retired file
+instead of only the recoverable ones.
 """
 
 from itertools import chain
@@ -12,8 +13,7 @@ import numpy as np
 
 from apexsim.disk import NO_OWNER, SNAPSHOT_FORMAT, SNAPSHOT_VERSION
 from apexsim.model import CONTIGUOUS, GRID_ROW, NONE, SF_LIMIT
-from apexsim.recovery import recover_file, usage_weighted_rr
-from apexsim.vfs import OBSOLETE
+from apexsim.vfs import LINKED, USED
 
 
 def score_of(hf, uf, sf, lf, hp, spatial_enabled=True):
@@ -252,11 +252,40 @@ class ClaimHistoryRecovery:
         return min(data_alive * self.bs, size_bytes) / size_bytes
 
 
+def recovery_of(disk, f):
+    """(surviving blocks, metadata intact, recovered bytes, rr) of one deleted
+    or obsolete file, block by block: a block survives while it is unused and
+    the owner array still names the file. Nothing comes back without the
+    metadata block; a linked file comes back whole or not at all, a partial
+    one by its surviving data blocks, at most its size."""
+    if f.status == USED:
+        raise ValueError(f"live file {f.path} has nothing to recover")
+    alive = frozenset(
+        a for a in f.block_list if not disk.used_mask[a] and disk.owner[a] == f.id
+    )
+    meta = bool(f.block_list) and f.block_list[0] in alive
+    if not meta:
+        return alive, False, 0, 0.0
+    if f.type_class == LINKED:
+        whole = len(alive) == len(f.block_list)
+        return alive, True, f.size_bytes if whole else 0, 1.0 if whole else 0.0
+    if f.size_bytes <= 0:
+        return alive, True, 0, 0.0
+    data = sum(1 for a in f.block_list[1:] if a in alive)
+    recovered = min(data * disk.geometry.block_size_bytes, f.size_bytes)
+    return alive, True, recovered, recovered / f.size_bytes
+
+
 def weighted_rr(disk, files) -> float:
     """Usage-weighted recovery percentage over deleted and obsolete files,
-    measured against current disk state. Obsolete files are not scanned.
+    measured against current disk state, scanning every file of files in
+    order. An obsolete file is measured like the rest, where the engine
+    takes its ratio to be 0 without reading it.
     recovery.retired_rr(disk, fs) must equal weighted_rr(disk,
     fs.deleted_files()) to the bit."""
-    return usage_weighted_rr(
-        files, [0.0 if f.status == OBSOLETE else recover_file(disk, f).rr for f in files]
-    )
+    num = 0.0
+    den = 0
+    for f in files:
+        num += recovery_of(disk, f)[3] * f.uf_counter
+        den += f.uf_counter
+    return 100.0 * num / den if den else 0.0

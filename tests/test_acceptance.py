@@ -8,6 +8,7 @@ backing criteria 2 and 3 executes once per session.
 import random
 import sys
 import time
+from itertools import compress
 
 import pytest
 
@@ -20,8 +21,8 @@ from apexsim.recovery import (
     TIMESTAMP,
     PerfWeights,
     access_time_term,
+    measure_recovery,
     performance,
-    recover_file,
 )
 from apexsim.tuner import TrainConfig, TrainSchedule, train
 from apexsim.vfs import OBSOLETE, FileSystem
@@ -157,15 +158,16 @@ def test_criterion_4_recovery_matches_history_oracle():
             WorkloadRunner(cfg, fs).run(rng.randint(40, 80))
             oracle = ClaimHistoryRecovery(fs.disk.geometry.block_size_bytes)
             oracle.apply_all(fs.disk.event_log)
-            for rec in fs.deleted_files():
-                got = recover_file(fs.disk, rec)
-                assert got.surviving_blocks == oracle.surviving(rec.id), (
+            retired = fs.deleted_files()
+            measured = measure_recovery(fs.disk, retired)
+            for rec, (intact, _, rr) in zip(retired, measured, strict=True):
+                assert frozenset(compress(rec.block_list, intact)) == oracle.surviving(rec.id), (
                     f"surviving set mismatch, run {i} file {rec.path}"
                 )
                 assert (rec.status == OBSOLETE) == (not oracle.surviving(rec.id)), (
                     f"status {rec.status} disagrees with surviving set, run {i} file {rec.path}"
                 )
-                assert got.rr == pytest.approx(oracle.rr(rec.id), abs=1e-12), (
+                assert rr == pytest.approx(oracle.rr(rec.id), abs=1e-12), (
                     f"rr mismatch, run {i} file {rec.path}"
                 )
                 files_checked += 1

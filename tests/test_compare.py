@@ -17,9 +17,10 @@ from apexsim.compare import (
 from apexsim.disk import new_disk
 from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
 from apexsim.policies import make_policy
-from apexsim.recovery import recover_file, usage_weighted_rr
 from apexsim.vfs import LINKED, PARTIAL, FileSystem
 from apexsim.workload import OP_CREATE, OP_DELETE, WorkloadOp, execute_op
+
+from oracles import recovery_of, weighted_rr
 
 GEO = DiskGeometry(16, 16, 4096, Neighborhood.grid_row())
 HP = Hyperparams(4, 7, 1, 9)
@@ -151,8 +152,8 @@ def reference_cell(geometry, hp, settings, policy_kind, target, seed, invert_lin
         execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, f"/secondary{seq:04d}.dat", size, PARTIAL))
         written += size
     primary = fs.deleted_files()
-    per_file = tuple(recover_file(disk, f).rr for f in primary)
-    row = CompareRow(policy_kind, target, seed, usage_weighted_rr(primary, per_file), per_file)
+    per_file = tuple(recovery_of(disk, f)[3] for f in primary)
+    row = CompareRow(policy_kind, target, seed, weighted_rr(disk, primary), per_file)
     return row, end
 
 

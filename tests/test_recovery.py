@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from itertools import compress
 
 import pytest
 
@@ -11,16 +12,15 @@ from apexsim.recovery import (
     TIMESTAMP,
     PerfWeights,
     access_time_term,
+    measure_recovery,
     performance,
-    recover_file,
-    recovery_ratios,
     recovery_table,
 )
 from apexsim.vfs import DELETED, LINKED, OBSOLETE, PARTIAL
 from apexsim.workload import OP_CREATE, WorkloadConfig, WorkloadRunner
 
 from conftest import ScriptedPolicy, make_fs
-from oracles import weighted_rr
+from oracles import recovery_of, weighted_rr
 
 
 def overwrite(fs, addrs):
@@ -33,22 +33,22 @@ def test_untouched_delete_recovers_fully():
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.txt", 2 * 4096)
     fs.delete_file("/a.txt")
-    result = recover_file(fs.disk, rec)
-    assert result.rr == 1.0
-    assert result.metadata_intact
-    assert result.recovered_bytes == 2 * 4096
-    assert result.surviving_blocks == frozenset(rec.block_list)
+    [(intact, recovered, rr)] = measure_recovery(fs.disk, [rec])
+    assert rr == 1.0
+    assert recovered == 2 * 4096
+    assert intact == [True, True, True]  # metadata block and both data blocks
 
 
 def test_linked_file_is_all_or_nothing():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1, 2, 3]))
     rec = fs.create_file("/tool.exe", 3 * 4096)
     fs.delete_file("/tool.exe")
-    assert recover_file(fs.disk, rec).rr == 1.0
+    assert measure_recovery(fs.disk, [rec]) == [([True] * 4, 3 * 4096, 1.0)]
     overwrite(fs, [3])
-    result = recover_file(fs.disk, rec)
-    assert result.rr == 0.0
-    assert result.recovered_bytes == 0
+    [(intact, recovered, rr)] = measure_recovery(fs.disk, [rec])
+    assert intact == [True, True, True, False]
+    assert rr == 0.0
+    assert recovered == 0
 
 
 def test_partial_file_recovers_per_surviving_data_block():
@@ -58,28 +58,33 @@ def test_partial_file_recovers_per_surviving_data_block():
         rec = fs.create_file("/a.txt", 3 * 4096)
         fs.delete_file("/a.txt")
         overwrite(fs, list(lost))
-        result = recover_file(fs.disk, rec)
+        [(intact, recovered, rr)] = measure_recovery(fs.disk, [rec])
+        assert intact == [a not in lost for a in range(4)]
         if 0 in lost:  # metadata gone, nothing comes back
-            assert result.rr == 0.0
+            assert rr == 0.0
         else:
-            assert result.rr == pytest.approx(1 / 3)
-            assert result.recovered_bytes == 4096
+            assert rr == pytest.approx(1 / 3)
+            assert recovered == 4096
 
 
 def test_partial_recovered_bytes_capped_by_size():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1, 2]))
     rec = fs.create_file("/a.txt", 4097)  # second data block holds one byte
     fs.delete_file("/a.txt")
-    result = recover_file(fs.disk, rec)
-    assert result.recovered_bytes == 4097
-    assert result.rr == 1.0
+    [(_, recovered, rr)] = measure_recovery(fs.disk, [rec])
+    assert recovered == 4097
+    assert rr == 1.0
 
 
 def test_recover_live_file_rejected():
     fs = make_fs(rows=4, cols=4)
+    gone = fs.create_file("/gone.txt", 4096)
     rec = fs.create_file("/a.txt", 4096)
+    fs.delete_file("/gone.txt")
     with pytest.raises(ValueError):
-        recover_file(fs.disk, rec)
+        measure_recovery(fs.disk, [rec])
+    with pytest.raises(ValueError):  # anywhere in the batch
+        measure_recovery(fs.disk, [gone, rec])
 
 
 def test_weighted_rr_usage_weighted_mean():
@@ -241,10 +246,11 @@ def test_recoverable_index_matches_retired_list_after_every_op(neighborhood):
 
 
 @pytest.mark.parametrize("neighborhood", ["grid-row", "none"])
-def test_recovery_ratios_equal_recover_file_per_file(neighborhood):
-    """One lineage read over many files gives each file the ratio recover_file
-    gives it, in order: linked and partial files, whole, partly re-claimed
-    and lost ones, zero-block and obsolete files."""
+def test_measure_recovery_equals_oracle_per_file(neighborhood):
+    """One lineage read over many files gives each file, in order, what the
+    block-by-block reference gives it alone: the surviving blocks, the
+    metadata flag, the recovered bytes and the ratio. The files are linked
+    and partial, whole, partly re-claimed and lost, zero-block and obsolete."""
     fs = make_fs(rows=8, cols=8, neighborhood=neighborhood)
     runner = WorkloadRunner(WorkloadConfig(rng_seed=6, total_ops=0, max_file_blocks=6), fs)
     seen = set()
@@ -256,23 +262,25 @@ def test_recovery_ratios_equal_recover_file_per_file(neighborhood):
         if i % 10:
             continue
         for files in (fs.deleted_files(), fs.recoverable_files()):
-            expected = [recover_file(fs.disk, f).rr for f in files]
-            assert recovery_ratios(fs.disk, files) == expected
+            got = [
+                (frozenset(compress(f.block_list, intact)), bool(intact) and intact[0], rb, rr)
+                for f, (intact, rb, rr) in zip(files, measure_recovery(fs.disk, files), strict=True)
+            ]
+            assert got == [recovery_of(fs.disk, f) for f in files]
         for f in fs.deleted_files():
-            res = recover_file(fs.disk, f)
-            kept = len(res.surviving_blocks)
+            alive, _, _, rr = recovery_of(fs.disk, f)
             if f.status == OBSOLETE:
                 seen.add("zero-block" if not f.block_list else OBSOLETE)
-            elif kept == len(f.block_list):
+            elif len(alive) == len(f.block_list):
                 seen.add((f.type_class, "whole"))
-            elif f.type_class == LINKED and kept:
+            elif f.type_class == LINKED and alive:
                 seen.add((LINKED, "partly re-claimed"))
-            elif 0.0 < res.rr < 1.0:
+            elif 0.0 < rr < 1.0:
                 seen.add((PARTIAL, "partly re-claimed"))
     assert seen >= {
         "zero-block", OBSOLETE, (LINKED, "whole"), (PARTIAL, "whole"),
         (LINKED, "partly re-claimed"), (PARTIAL, "partly re-claimed"),
     }, seen
-    assert recovery_ratios(fs.disk, []) == []
+    assert measure_recovery(fs.disk, []) == []
     with pytest.raises(ValueError):
-        recovery_ratios(fs.disk, fs.live_files()[:1])
+        measure_recovery(fs.disk, fs.live_files()[:1])

@@ -4,7 +4,7 @@ import pytest
 
 from apexsim.errors import DiskFullError
 from apexsim.policies import make_policy
-from apexsim.recovery import recover_file, recovery_table
+from apexsim.recovery import measure_recovery, recovery_table
 from apexsim.vfs import (
     DELETED,
     LINKED,
@@ -115,7 +115,7 @@ def test_delete_frees_blocks_and_keeps_lineage():
         assert fs.disk.uf[addr] == 2.0  # frozen at its live value
         assert fs.disk.owner[addr] == rec.id
     # fully intact right after the delete
-    assert recover_file(fs.disk, rec).rr == 1.0
+    assert measure_recovery(fs.disk, [rec]) == [([True, True, True], 2 * 4096, 1.0)]
 
 
 def test_delete_linkage_flag_per_type_class():
@@ -274,8 +274,7 @@ def test_lineage_broken_by_version_bump_on_rewrite():
     b = fs.create_file("/b.txt", 4096)
     fs.delete_file("/b.txt")
     # both files once owned blocks 0 and 1; the owner array now names only b
-    assert recover_file(fs.disk, a).rr == 0.0
-    assert recover_file(fs.disk, b).rr == 1.0
+    assert [rr for _, _, rr in measure_recovery(fs.disk, [a, b])] == [0.0, 1.0]
 
 
 def test_record_copy_equals_original_on_every_slot():
