@@ -20,7 +20,7 @@ from .disk import new_disk
 from .errors import ConfigError, TraceError
 from .model import canonical_json
 from .policies import KINDS, make_policy
-from .recovery import recovery_table, usage_weighted_rr
+from .recovery import recovery_table, retired_rr
 from .tuner import train
 from .vfs import FileSystem
 from .workload import read_trace, replay_trace, run_simulation, write_trace
@@ -140,7 +140,7 @@ def cmd_recover(args) -> int:
     else:
         run_simulation(cfg.workload, fs, cfg.weights)
     table = recovery_table(fs.disk, fs)
-    wrr = usage_weighted_rr(fs.deleted_files(), [row["rr"] for row in table])
+    wrr = retired_rr(fs.disk, fs)
     seed = cfg.workload.rng_seed
     payload = {"seed": seed, "weighted_rr": wrr, "rows": table}
     base = _write_report(args, "recover", seed, payload)

@@ -72,14 +72,14 @@ class CompareRow:
 def _row(fs, policy_kind: str, target_blocks: int, seed: int) -> CompareRow:
     """The cell fs holds: each primary's recovery ratio, all from one lineage
     read (see measure_recovery), and their usage-weighted percentage."""
-    # a flood deletes only the primaries, in creation order
+    # a flood retires only the primaries, in creation order
     primary = fs.deleted_files()
     per_file = tuple(rr for _, _, rr in measure_recovery(fs.disk, primary))
     return CompareRow(
         policy=policy_kind,
         secondary_blocks=target_blocks,
         seed=seed,
-        weighted_rr=usage_weighted_rr(primary, per_file),
+        weighted_rr=usage_weighted_rr(primary, per_file, fs.retired_usage),
         per_file_rr=per_file,
     )
 

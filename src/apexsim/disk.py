@@ -65,9 +65,10 @@ class Disk:
 
     # -- state --------------------------------------------------------------
 
-    def lineage_intact(self, addrs: list, file_id: int) -> np.ndarray:
-        """Per address, whether the block is still file file_id's: unused,
-        and the owner array names file_id, so no later file has claimed it.
+    def lineage_intact(self, addrs: list, file_id: int | list) -> np.ndarray:
+        """Per address, whether the block is still its file's: unused, and the
+        owner array names that file, so no later file has claimed it. file_id
+        is one file id for every address, or a list of one id per address.
         Versions play no part."""
         idx = np.asarray(addrs, dtype=np.intp)
         return ~self.used_mask[idx] & (self.owner[idx] == file_id)

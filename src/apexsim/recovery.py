@@ -6,12 +6,14 @@ array is compared, never the block versions. Linked formats are
 all-or-nothing; partial formats recover byte ranges once their metadata block
 survives. One lineage read over many files (measure_recovery) is the only
 way a file's recovery is measured: the objective, compare rows and the
-recovery table all take it from there.
+recovery table all take it from there. One sum (usage_weighted_rr) turns
+measured ratios into the usage-weighted percentage that the objective, the
+simulate, replay and recover reports and the compare rows all give.
 """
 
 from dataclasses import dataclass
 
-from .vfs import LINKED, OBSOLETE, USED
+from .vfs import LINKED, USED
 
 TIMESTAMP = "timestamp"
 SEEK_COST = "seek-cost"
@@ -72,38 +74,28 @@ def measure_recovery(disk, files) -> list[tuple]:
 
 def retired_rr(disk, fs) -> float:
     """Usage-weighted recovery percentage over every deleted and obsolete file
-    of fs, measured against current disk state, reading only the files that
-    can still be recovered, all in one lineage read (see measure_recovery). An
-    obsolete file adds its usage to the denominator, which fs keeps as a
-    running total, and nothing to the numerator; the numerator sums in delete
-    order, so the result equals the full-list reference weighted_rr in
-    tests/oracles.py to the bit."""
+    of fs, measured against current disk state: usage_weighted_rr over the
+    files that can still be recovered, all from one lineage read (see
+    measure_recovery), against fs's running usage total of all retired
+    files. An obsolete file would measure 0.0 and add nothing to the sum, so
+    skipping it leaves every partial sum, and the result, the same as the
+    full-list reference weighted_rr in tests/oracles.py, to the bit."""
     files = fs.recoverable_files()
-    num = 0.0
-    for f, (_, _, rr) in zip(files, measure_recovery(disk, files)):
-        num += rr * f.uf_counter
-    if fs.retired_usage == 0:
+    rrs = [rr for _, _, rr in measure_recovery(disk, files)]
+    return usage_weighted_rr(files, rrs, fs.retired_usage)
+
+
+def usage_weighted_rr(files, rrs, usage: int) -> float:
+    """100 * sum(rr * uf_counter) over files and their recovery ratios rrs,
+    in order, divided by usage, the usage total of every retired file the
+    percentage stands for; 0.0 when usage is 0. The ratios come from
+    measure_recovery, which rejects a live file."""
+    if usage == 0:
         return 0.0
-    return 100.0 * num / fs.retired_usage
-
-
-def usage_weighted_rr(files, rrs) -> float:
-    """Usage-weighted recovery percentage of files whose recovery ratios are
-    rrs, in the same order. Obsolete files contribute rr = 0 by definition
-    (no lineage survives), whatever rrs holds for them. No files -> 0.0.
-    """
     num = 0.0
-    den = 0
     for f, rr in zip(files, rrs, strict=True):
-        if f.status == USED:
-            raise ValueError(f"live file {f.path} in recovery set")
-        den += f.uf_counter
-        if f.status == OBSOLETE:
-            continue
         num += rr * f.uf_counter
-    if den == 0:
-        return 0.0
-    return 100.0 * num / den
+    return 100.0 * num / usage
 
 
 def access_time_term(disk, fs, mode: str = SEEK_COST) -> float:

@@ -13,8 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ConfigError, DiskFullError, TraceError
 from .model import canonical_json, field_dict
 from .priority import update_spatial_factors
@@ -134,8 +132,8 @@ class WorkloadOp(NamedTuple):
 def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp:
     """Sample the next operation against a live view of the simulation.
 
-    state needs: tick, total_blocks, used_blocks, block_size, free_blocks(),
-    live_files() and next_path().
+    state needs: tick, total_blocks, block_size, free_blocks(), live_files()
+    and next_path().
     Enforcement, in order: an empty namespace forces Create; a sampled Delete
     whose target would drop utilization below the floor becomes a Create (this
     covers the plain utilization < floor case, since any delete drops it
@@ -157,7 +155,7 @@ def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp
     elif kind == OP_DELETE:
         target = files[rng.randrange(len(files))]
         total = state.total_blocks
-        used_after = state.used_blocks - len(target.block_list)
+        used_after = total - state.free_blocks() - len(target.block_list)
         if used_after / total < config.min_utilization:
             kind = OP_CREATE
         else:
@@ -226,10 +224,6 @@ class WorkloadRunner:
     @property
     def total_blocks(self) -> int:
         return self.fs.disk.geometry.total_blocks
-
-    @property
-    def used_blocks(self) -> int:
-        return int(np.count_nonzero(self.fs.disk.used_mask))
 
     @property
     def block_size(self) -> int:

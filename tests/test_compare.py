@@ -10,6 +10,7 @@ from apexsim.compare import (
     CompareRow,
     CompareSettings,
     compare_report,
+    compare_report_json,
     primary_phase,
     run_compare,
     run_flood,
@@ -190,8 +191,9 @@ SHARED_FLOOD_CASES = {
 @pytest.mark.parametrize("case", list(SHARED_FLOOD_CASES))
 def test_shared_flood_equals_one_fresh_disk_per_cell(case):
     """run_compare runs one flood per (policy, seed); its rows equal, in
-    order, the cells each flooded on their own fresh disk. The targets are
-    unsorted, repeated, zero and beyond the disk."""
+    order, the cells each flooded on their own fresh disk, and its report
+    bytes equal theirs, so no -0.0 passes for 0.0. The targets are unsorted,
+    repeated, zero and beyond the disk."""
     neighborhood, side, inverted, fields = SHARED_FLOOD_CASES[case]
     geometry = replace(GEO, rows=side, cols=side, neighborhood=Neighborhood.parse(neighborhood))
     settings = CompareSettings(**fields)
@@ -202,6 +204,10 @@ def test_shared_flood_equals_one_fresh_disk_per_cell(case):
                 row, end = reference_cell(geometry, HP, settings, policy, target, seed, inverted)
                 expected.append(row)
                 ends.add((target > 0, end))
-    assert run_compare(geometry, HP, settings, inverted) == expected
+    rows = run_compare(geometry, HP, settings, inverted)
+    assert rows == expected
+    assert compare_report_json(settings, rows, geometry, HP) == compare_report_json(
+        settings, expected, geometry, HP
+    )
     # the sweep exercised every way a cell can end
     assert {(True, "reached"), (True, "clipped"), (True, "full")} <= ends

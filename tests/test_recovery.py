@@ -3,6 +3,7 @@
 import itertools
 import random
 from itertools import compress
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +16,8 @@ from apexsim.recovery import (
     measure_recovery,
     performance,
     recovery_table,
+    retired_rr,
+    usage_weighted_rr,
 )
 from apexsim.vfs import DELETED, LINKED, OBSOLETE, PARTIAL
 from apexsim.workload import OP_CREATE, WorkloadConfig, WorkloadRunner
@@ -141,6 +144,47 @@ def test_weighted_rr_never_increases_as_blocks_die():
         assert 0.0 <= cur <= 100.0
         prev = cur
     assert prev == 0.0
+
+
+def test_usage_weighted_rr_is_one_sum_over_measured_ratios():
+    """The one usage-weighted sum: 0.0 when usage is 0; a 0.0 ratio (what an
+    obsolete file measures) leaves its bits unchanged wherever it sits; and
+    over a run with obsolete and zero-block files, retired_rr (recoverable
+    files only) and the sum over every retired file both equal the
+    block-by-block reference to the bit."""
+    rng = random.Random(4)
+    files = [SimpleNamespace(uf_counter=rng.randint(1, 9)) for _ in range(7)]
+    rrs = [rng.random() for _ in files]
+    usage = sum(f.uf_counter for f in files) + 5
+    assert usage_weighted_rr(files, rrs, 0) == 0.0
+    assert usage_weighted_rr([], [], 0) == 0.0
+    base = usage_weighted_rr(files, rrs, usage)
+    assert 0.0 < base < 100.0
+    for i in range(len(files) + 1):
+        with_zero = files[:i] + [SimpleNamespace(uf_counter=6)] + files[i:]
+        got = usage_weighted_rr(with_zero, rrs[:i] + [0.0] + rrs[i:], usage)
+        assert got.hex() == base.hex()
+
+    fs = make_fs(rows=8, cols=8)
+    runner = WorkloadRunner(WorkloadConfig(rng_seed=6, total_ops=0, max_file_blocks=6), fs)
+    seen = set()
+    for i in range(400):
+        if i in (0, 200):
+            fs.create_file(f"/empty{i}.txt", 0)
+            fs.delete_file(f"/empty{i}.txt")
+        runner.step()
+        if i % 10:
+            continue
+        retired = fs.deleted_files()
+        want = weighted_rr(fs.disk, retired).hex()
+        assert retired_rr(fs.disk, fs).hex() == want
+        measured = [rr for _, _, rr in measure_recovery(fs.disk, retired)]
+        assert usage_weighted_rr(retired, measured, fs.retired_usage).hex() == want
+        for f, rr in zip(retired, measured):
+            if f.status == OBSOLETE:
+                assert rr.hex() == (0.0).hex()
+                seen.add("zero-block" if not f.block_list else OBSOLETE)
+    assert seen == {"zero-block", OBSOLETE}
 
 
 def test_access_time_timestamp_mode():
