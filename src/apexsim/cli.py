@@ -88,7 +88,7 @@ def cmd_replay(args) -> int:
 
 def cmd_train(args) -> int:
     """Tune the ranking coefficients; write the report and per-interval table."""
-    cfg = load_config(args.config, seed_override=args.seed, policy_override=args.policy)
+    cfg = load_config(args.config, seed_override=args.seed)
     report = train(cfg.train_config())
     seed = cfg.workload.rng_seed
     base = _write_report(args, "train", seed, report.to_dict(), report.csv_rows())
@@ -139,8 +139,8 @@ def cmd_recover(args) -> int:
         replay_trace(ops, fs, cfg.weights)
     else:
         run_simulation(cfg.workload, fs, cfg.weights)
-    table = recovery_table(fs.disk, fs)
-    wrr = retired_rr(fs.disk, fs)
+    table = recovery_table(fs)
+    wrr = retired_rr(fs)
     seed = cfg.workload.rng_seed
     payload = {"seed": seed, "weighted_rr": wrr, "rows": table}
     base = _write_report(args, "recover", seed, payload)
@@ -155,6 +155,9 @@ _COMMANDS = {
     "compare": cmd_compare,
     "recover": cmd_recover,
 }
+# the commands that read --policy and --trace; the others do not take them
+_READ_POLICY = ("simulate", "replay", "compare", "recover")
+_READ_TRACE = ("simulate", "replay", "recover")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,13 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI run configuration")
         p.add_argument("--seed", type=int, default=None, help="override the workload seed")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument(
-            "--policy",
-            choices=KINDS,
-            default=None,
-            help="override the allocation policy",
-        )
-        p.add_argument("--trace", default=None, help="trace file to write (simulate) or read")
+        if name in _READ_POLICY:
+            p.add_argument(
+                "--policy",
+                choices=KINDS,
+                default=None,
+                help="override the allocation policy",
+            )
+        if name in _READ_TRACE:
+            p.add_argument("--trace", default=None, help="trace file to write (simulate) or read")
     return parser
 
 

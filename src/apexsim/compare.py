@@ -69,14 +69,15 @@ class CompareRow:
         return field_dict(self)
 
 
-def _row(fs, policy_kind: str, target_blocks: int, seed: int) -> CompareRow:
-    """The cell fs holds: each primary's recovery ratio, all from one lineage
-    read (see measure_recovery), and their usage-weighted percentage."""
+def _row(fs, target_blocks: int, seed: int) -> CompareRow:
+    """The cell fs holds under its policy: each primary's recovery ratio, all
+    from one lineage read (see measure_recovery), and their usage-weighted
+    percentage."""
     # a flood retires only the primaries, in creation order
     primary = fs.deleted_files()
     per_file = tuple(rr for _, _, rr in measure_recovery(fs.disk, primary))
     return CompareRow(
-        policy=policy_kind,
+        policy=fs.policy.name,
         secondary_blocks=target_blocks,
         seed=seed,
         weighted_rr=usage_weighted_rr(primary, per_file, fs.retired_usage),
@@ -127,7 +128,6 @@ def run_flood(phase: FileSystem, settings: CompareSettings, targets: tuple, seed
     """
     fs = phase.copy()
     disk = fs.disk
-    policy_kind = fs.policy.name
     rng = random.Random(seed)
 
     cells = {}
@@ -137,7 +137,7 @@ def run_flood(phase: FileSystem, settings: CompareSettings, targets: tuple, seed
     while True:
         while pending and pending[0] <= written:
             target = pending.pop(0)
-            cells[target] = _row(fs, policy_kind, target, seed)
+            cells[target] = _row(fs, target, seed)
         if not pending:
             break
         free = fs.free_blocks()
@@ -156,12 +156,12 @@ def run_flood(phase: FileSystem, settings: CompareSettings, targets: tuple, seed
             execute_op(cell, WorkloadOp(
                 cell.disk.clock, OP_CREATE, path, target - written, PARTIAL
             ))
-            cells[target] = _row(cell, policy_kind, target, seed)
+            cells[target] = _row(cell, target, seed)
         disk.tick()
         execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, path, size, PARTIAL))
         written += size
     for target in pending:  # a full disk stopped these
-        cells[target] = _row(fs, policy_kind, target, seed)
+        cells[target] = _row(fs, target, seed)
     return cells
 
 

@@ -72,7 +72,7 @@ def measure_recovery(disk, files) -> list[tuple]:
     return out
 
 
-def retired_rr(disk, fs) -> float:
+def retired_rr(fs) -> float:
     """Usage-weighted recovery percentage over every deleted and obsolete file
     of fs, measured against current disk state: usage_weighted_rr over the
     files that can still be recovered, all from one lineage read (see
@@ -81,7 +81,7 @@ def retired_rr(disk, fs) -> float:
     skipping it leaves every partial sum, and the result, the same as the
     full-list reference weighted_rr in tests/oracles.py, to the bit."""
     files = fs.recoverable_files()
-    rrs = [rr for _, _, rr in measure_recovery(disk, files)]
+    rrs = [rr for _, _, rr in measure_recovery(fs.disk, files)]
     return usage_weighted_rr(files, rrs, fs.retired_usage)
 
 
@@ -98,7 +98,7 @@ def usage_weighted_rr(files, rrs, usage: int) -> float:
     return 100.0 * num / usage
 
 
-def access_time_term(disk, fs, mode: str = SEEK_COST) -> float:
+def access_time_term(fs, mode: str = SEEK_COST) -> float:
     """Access-time proxy over live files; 0.0 when nothing is live.
 
     timestamp: mean last-access tick (creation tick when never accessed).
@@ -111,7 +111,7 @@ def access_time_term(disk, fs, mode: str = SEEK_COST) -> float:
     if mode == TIMESTAMP:
         return sum(f.last_access_tick for f in files) / len(files)
     if mode == SEEK_COST:
-        total = disk.geometry.total_blocks
+        total = fs.disk.geometry.total_blocks
         acc = 0.0
         for f in files:
             bl = f.block_list
@@ -122,18 +122,16 @@ def access_time_term(disk, fs, mode: str = SEEK_COST) -> float:
     raise ValueError(f"unknown access-time mode {mode!r}")
 
 
-def performance(disk, fs, weights: PerfWeights) -> float:
+def performance(fs, weights: PerfWeights) -> float:
     """The tuning objective: recoverability minus the access-time penalty."""
-    return weights.alpha * retired_rr(disk, fs) - weights.beta * access_time_term(
-        disk, fs, weights.aat_mode
-    )
+    return weights.alpha * retired_rr(fs) - weights.beta * access_time_term(fs, weights.aat_mode)
 
 
-def recovery_table(disk, fs) -> list[dict]:
+def recovery_table(fs) -> list[dict]:
     """Per-file recovery rows for deleted and obsolete files, in delete order."""
     files = fs.deleted_files()
     rows = []
-    for f, (intact, recovered, rr) in zip(files, measure_recovery(disk, files)):
+    for f, (intact, recovered, rr) in zip(files, measure_recovery(fs.disk, files)):
         rows.append(
             {
                 "file_id": f.id,

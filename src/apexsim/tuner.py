@@ -196,19 +196,23 @@ class TrainReport:
 def evaluate_policy(config: TrainConfig, hp: Hyperparams, policy_kind: str) -> float:
     """Objective after one interval's worth of ops on a fresh disk under the
     given coefficients and allocation policy, same workload seed."""
-    disk = new_disk(config.geometry, hp)
     policy = make_policy(policy_kind, seed=config.workload.rng_seed)
-    fs = FileSystem(disk, policy=policy, invert_link_rule=config.invert_link_rule)
+    fs = FileSystem(
+        new_disk(config.geometry, hp), policy=policy, invert_link_rule=config.invert_link_rule
+    )
     runner = WorkloadRunner(config.workload, fs)
     runner.run(config.schedule.oin_per_min)
-    return performance(disk, fs, config.weights)
+    return performance(fs, config.weights)
 
 
 def train(config: TrainConfig) -> TrainReport:
     """Full tuning loop. Deterministic for a fixed config."""
     schedule = config.schedule
-    disk = new_disk(config.geometry, config.initial)
-    fs = FileSystem(disk, policy=ApexPolicy(), invert_link_rule=config.invert_link_rule)
+    fs = FileSystem(
+        new_disk(config.geometry, config.initial),
+        policy=ApexPolicy(),
+        invert_link_rule=config.invert_link_rule,
+    )
     runner = WorkloadRunner(config.workload, fs)
     agent_rng = random.Random(config.workload.rng_seed + _AGENT_SEED_OFFSET)
 
@@ -219,7 +223,7 @@ def train(config: TrainConfig) -> TrainReport:
     qtable: dict[tuple, list[float]] = {}
     state = config.initial.as_tuple()
     trajectory: list[MinRecord] = []
-    p_prev = performance(disk, fs, config.weights)
+    p_prev = performance(fs, config.weights)
     p_initial = p_prev
 
     m = 0
@@ -228,7 +232,7 @@ def train(config: TrainConfig) -> TrainReport:
         if eps <= schedule.epsilon_floor:
             break
         runner.run(schedule.oin_per_min)
-        p = performance(disk, fs, config.weights)
+        p = performance(fs, config.weights)
         # The first interval has no predecessor to difference against, so it
         # carries no reward and leaves the table untouched.
         reward = p - p_prev if m > 0 else 0.0
@@ -239,7 +243,7 @@ def train(config: TrainConfig) -> TrainReport:
             q_update(qtable, state, action, reward, next_state, lr, gamma)
         trajectory.append(MinRecord(m, p, eps, state, action, reward))
         state = next_state
-        disk.hyperparams = Hyperparams.from_tuple(state)
+        fs.disk.hyperparams = Hyperparams.from_tuple(state)
         m += 1
 
     # the highest action value wins; ties go to the lowest state

@@ -16,13 +16,7 @@ from typing import NamedTuple
 from .errors import ConfigError, DiskFullError, TraceError
 from .model import canonical_json, field_dict
 from .priority import update_spatial_factors
-from .recovery import (
-    SEEK_COST,
-    TIMESTAMP,
-    PerfWeights,
-    access_time_term,
-    retired_rr,
-)
+from .recovery import SEEK_COST, TIMESTAMP, PerfWeights, access_time_term, performance, retired_rr
 from .vfs import LINKED, LINKED_EXTENSIONS, PARTIAL, PARTIAL_EXTENSIONS, check_path
 
 OP_CREATE = "create"
@@ -297,10 +291,8 @@ class SimReport:
 
 def _build_report(fs, seed, ops, weights, workload_echo) -> SimReport:
     disk = fs.disk
-    wrr = retired_rr(disk, fs)
-    aat_ts = access_time_term(disk, fs, TIMESTAMP)
-    aat_seek = access_time_term(disk, fs, SEEK_COST)
-    aat = aat_ts if weights.aat_mode == TIMESTAMP else aat_seek
+    aat_ts = access_time_term(fs, TIMESTAMP)
+    aat_seek = access_time_term(fs, SEEK_COST)
     deleted = len(fs.recoverable_files())
     return SimReport(
         seed=seed,
@@ -310,13 +302,13 @@ def _build_report(fs, seed, ops, weights, workload_echo) -> SimReport:
         files_used=len(fs.live_files()),
         files_deleted=deleted,
         files_obsolete=len(fs.deleted_files()) - deleted,
-        weighted_rr=wrr,
+        weighted_rr=retired_rr(fs),
         aat_timestamp=aat_ts,
         aat_seek=aat_seek,
         perf_alpha=weights.alpha,
         perf_beta=weights.beta,
         aat_mode=weights.aat_mode,
-        performance=weights.alpha * wrr - weights.beta * aat,
+        performance=performance(fs, weights),
         snapshot_sha256=disk.snapshot_sha256(),
         geometry=disk.geometry.to_dict(),
         hyperparams=list(disk.hyperparams.as_tuple()),

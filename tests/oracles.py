@@ -4,9 +4,11 @@ is replayed literally from the event log, rankings come from a full sort,
 recovery is reconstructed from claim history instead of the owner array or
 read file by file and block by block from the used mask and the owner array
 instead of in one batch, and the recovery aggregate scans every retired file
-instead of only the recoverable ones.
+instead of only the recoverable ones. The compare bound knows nothing of
+placement: it counts blocks.
 """
 
+import random
 from itertools import chain
 
 import numpy as np
@@ -281,7 +283,7 @@ def weighted_rr(disk, files) -> float:
     measured against current disk state, scanning every file of files in
     order. An obsolete file is measured like the rest, where the engine
     takes its ratio to be 0 without reading it.
-    recovery.retired_rr(disk, fs) must equal weighted_rr(disk,
+    recovery.retired_rr(fs) must equal weighted_rr(fs.disk,
     fs.deleted_files()) to the bit."""
     num = 0.0
     den = 0
@@ -289,3 +291,39 @@ def weighted_rr(disk, files) -> float:
         num += recovery_of(disk, f)[3] * f.uf_counter
         den += f.uf_counter
     return 100.0 * num / den if den else 0.0
+
+
+def flood_blocks(total_blocks, target, seed, min_blocks, max_blocks) -> int:
+    """Blocks, data plus metadata, that a compare cell's flood writes on a
+    disk of total_blocks whose primaries are all deleted: the cell's seeded
+    size draws replayed, each clipped to the data blocks left to write and to
+    the free blocks less one for metadata, until target data blocks are
+    written or fewer than two blocks are free. Free space is the disk less
+    what the flood wrote, wherever a policy put it, so no draw depends on
+    placement."""
+    rng = random.Random(seed)
+    written = used = 0
+    while written < target and total_blocks - used >= 2:
+        size = rng.randint(min_blocks, max_blocks)
+        size = max(min(size, target - written, total_blocks - used - 1), 1)
+        written += size
+        used += size + 1
+    return used
+
+
+def clairvoyant_rr_bound(total_blocks, count, data_blocks, type_class, flood) -> float:
+    """The highest usage-weighted recovery percentage any placement of flood
+    secondary blocks can leave to count deleted primaries of equal usage,
+    each a metadata block and data_blocks data blocks, on a disk of
+    total_blocks. What of the flood does not fit in the blocks no primary
+    held lands on primary blocks, so at most survivors primary blocks stay.
+    They recover the most packed into as few primaries as they fill, since
+    each primary needs its metadata block; a linked primary comes back only
+    whole."""
+    per = data_blocks + 1
+    span = count * per
+    survivors = span - max(flood - (total_blocks - span), 0)
+    whole, rest = divmod(survivors, per)
+    if type_class == LINKED:
+        return 100.0 * whole / count
+    return 100.0 * (whole * data_blocks + max(rest - 1, 0)) / (count * data_blocks)

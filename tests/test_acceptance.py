@@ -292,9 +292,9 @@ def test_criterion_8_objective_corner_weights():
                 runner.run(rng.randint(10, 30))
                 wrr = weighted_rr(fs.disk, fs.deleted_files())
                 for mode in (TIMESTAMP, SEEK_COST):
-                    aat = access_time_term(fs.disk, fs, mode)
-                    assert performance(fs.disk, fs, PerfWeights(1.0, 0.0, mode)) == wrr
-                    assert performance(fs.disk, fs, PerfWeights(0.0, 1.0, mode)) == -aat
+                    aat = access_time_term(fs, mode)
+                    assert performance(fs, PerfWeights(1.0, 0.0, mode)) == wrr
+                    assert performance(fs, PerfWeights(0.0, 1.0, mode)) == -aat
                 states += 1
         return f"{states} states, both corner identities exact"
 

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,13 +16,14 @@ from apexsim.compare import (
     run_compare,
     run_flood,
 )
+from apexsim.config import load_config
 from apexsim.disk import new_disk
 from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
 from apexsim.policies import make_policy
 from apexsim.vfs import LINKED, PARTIAL, FileSystem
 from apexsim.workload import OP_CREATE, OP_DELETE, WorkloadOp, execute_op
 
-from oracles import recovery_of, weighted_rr
+from oracles import clairvoyant_rr_bound, flood_blocks, recovery_of, weighted_rr
 
 GEO = DiskGeometry(16, 16, 4096, Neighborhood.grid_row())
 HP = Hyperparams(4, 7, 1, 9)
@@ -211,3 +213,52 @@ def test_shared_flood_equals_one_fresh_disk_per_cell(case):
     )
     # the sweep exercised every way a cell can end
     assert {(True, "reached"), (True, "clipped"), (True, "full")} <= ends
+
+
+def assert_within_clairvoyant_bound(geometry, settings):
+    """No row of run_compare recovers more than the best placement of its
+    cell's flood could leave (see oracles.clairvoyant_rr_bound). The
+    tolerance covers rounding only: one recovered data block moves a row by
+    at least 100 / (primaries x data blocks)."""
+    n = geometry.total_blocks
+    for row in run_compare(geometry, HP, settings):
+        flood = flood_blocks(
+            n, row.secondary_blocks, row.seed,
+            settings.secondary_min_blocks, settings.secondary_max_blocks,
+        )
+        bound = clairvoyant_rr_bound(
+            n, settings.primary_count, settings.primary_data_blocks, settings.primary_type, flood
+        )
+        assert row.weighted_rr <= bound + 1e-9, (row, bound)
+
+
+def test_surveillance_rows_within_clairvoyant_bound():
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "surveillance.ini"))
+    settings = replace(cfg.compare_settings, policies=("apex", "first-fit", "random"))
+    assert_within_clairvoyant_bound(cfg.geometry, settings)
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_seeded_rows_within_clairvoyant_bound(case):
+    """Small random geometries under each neighborhood kind and primary type,
+    with targets from 0 up to filling the disk."""
+    rng = random.Random(case)
+    neighborhood = ("grid-row", "none", f"contiguous:{rng.randint(1, 4)}")[case % 3]
+    geometry = replace(
+        GEO, rows=rng.randint(2, 10), cols=rng.randint(2, 10),
+        neighborhood=Neighborhood.parse(neighborhood),
+    )
+    n = geometry.total_blocks
+    data_blocks = rng.randint(1, n // 2 - 1)
+    low = rng.randint(1, 6)
+    settings = CompareSettings(
+        primary_count=rng.randint(1, n // (data_blocks + 1)),
+        primary_data_blocks=data_blocks,
+        primary_type=(PARTIAL, LINKED)[case // 3 % 2],
+        secondary_targets=tuple(sorted({0, n, *rng.sample(range(1, n), 3)})),
+        secondary_min_blocks=low,
+        secondary_max_blocks=low + rng.randint(0, 6),
+        seeds=tuple(range(8)),
+        policies=("apex", "first-fit", "random"),
+    )
+    assert_within_clairvoyant_bound(geometry, settings)

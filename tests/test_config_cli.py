@@ -274,6 +274,26 @@ def test_cli_every_subcommand_has_help():
         assert text and text.strip(), f"{name} has no help text"
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("train", "--policy", "first-fit"),
+        ("train", "--trace", "t.jsonl"),
+        ("compare", "--trace", "t.jsonl"),
+    ],
+)
+def test_cli_rejects_a_flag_its_command_does_not_read(tmp_path, capsys, command, flag, value):
+    """train always ranks with apex and reads no trace; compare reads no
+    trace. argparse rejects those flags with exit 2 before anything runs."""
+    cfg = write_cfg(tmp_path, "[disk]\nrows = 4\ncols = 4\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as e:
+        run_cli([command, "--config", cfg, flag, value, "--out", str(out)])
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_config_exits_two(tmp_path, capsys):
     missing = str(tmp_path / "gone.ini")
     code = run_cli(["simulate", "--config", missing, "--out", str(tmp_path)])

@@ -177,7 +177,7 @@ def test_usage_weighted_rr_is_one_sum_over_measured_ratios():
             continue
         retired = fs.deleted_files()
         want = weighted_rr(fs.disk, retired).hex()
-        assert retired_rr(fs.disk, fs).hex() == want
+        assert retired_rr(fs).hex() == want
         measured = [rr for _, _, rr in measure_recovery(fs.disk, retired)]
         assert usage_weighted_rr(retired, measured, fs.retired_usage).hex() == want
         for f, rr in zip(retired, measured):
@@ -191,18 +191,18 @@ def test_access_time_timestamp_mode():
     fs = make_fs(rows=4, cols=4)
     fs.disk.clock = 7
     fs.create_file("/a.txt", 4096)
-    assert access_time_term(fs.disk, fs, TIMESTAMP) == 7.0
+    assert access_time_term(fs, TIMESTAMP) == 7.0
     fs.disk.clock = 11
     fs.access("/a.txt")
     fs.create_file("/b.txt", 4096)
-    assert access_time_term(fs.disk, fs, TIMESTAMP) == 11.0
+    assert access_time_term(fs, TIMESTAMP) == 11.0
 
 
 def test_access_time_seek_cost_mode():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1, 2, 3]))
     fs.create_file("/a.txt", 3 * 4096)
     # gaps 1+1+1 over (4-1) blocks * 16 total = 3/48
-    assert access_time_term(fs.disk, fs, SEEK_COST) == pytest.approx(3 / 48)
+    assert access_time_term(fs, SEEK_COST) == pytest.approx(3 / 48)
 
 
 def test_access_time_seek_cost_scattered_and_single():
@@ -210,20 +210,20 @@ def test_access_time_seek_cost_scattered_and_single():
     fs.create_file("/a.txt", 2 * 4096)
     fs.create_file("/b.txt", 0)
     # a: (5+10)/(2*16); b has under two blocks, costs nothing
-    assert access_time_term(fs.disk, fs, SEEK_COST) == pytest.approx((15 / 32) / 2)
+    assert access_time_term(fs, SEEK_COST) == pytest.approx((15 / 32) / 2)
 
 
 def test_access_time_no_live_files_is_zero():
     fs = make_fs(rows=4, cols=4)
-    assert access_time_term(fs.disk, fs, TIMESTAMP) == 0.0
-    assert access_time_term(fs.disk, fs, SEEK_COST) == 0.0
+    assert access_time_term(fs, TIMESTAMP) == 0.0
+    assert access_time_term(fs, SEEK_COST) == 0.0
 
 
 def test_access_time_unknown_mode_rejected():
     fs = make_fs(rows=4, cols=4)
     fs.create_file("/a.txt", 4096)
     with pytest.raises(ValueError):
-        access_time_term(fs.disk, fs, "latency")
+        access_time_term(fs, "latency")
 
 
 def test_perf_weights_validation():
@@ -243,10 +243,10 @@ def test_performance_combines_both_terms():
     fs.create_file("/b.txt", 4096)
     fs.delete_file("/a.txt")
     # wrr = 100, seek cost = 1/16 for the one remaining live file
-    assert performance(fs.disk, fs, PerfWeights(1.0, 0.0)) == pytest.approx(100.0)
-    assert performance(fs.disk, fs, PerfWeights(0.0, 1.0)) == pytest.approx(-1 / 16)
+    assert performance(fs, PerfWeights(1.0, 0.0)) == pytest.approx(100.0)
+    assert performance(fs, PerfWeights(0.0, 1.0)) == pytest.approx(-1 / 16)
     want = 0.7 * 100 - 0.3 * (1 / 16)
-    assert performance(fs.disk, fs, PerfWeights(0.7, 0.3)) == pytest.approx(want)
+    assert performance(fs, PerfWeights(0.7, 0.3)) == pytest.approx(want)
 
 
 def test_recovery_table_shape():
@@ -255,7 +255,7 @@ def test_recovery_table_shape():
     fs.create_file("/b.exe", 4096)
     fs.delete_file("/a.txt")
     fs.delete_file("/b.exe")
-    rows = recovery_table(fs.disk, fs)
+    rows = recovery_table(fs)
     assert len(rows) == 2
     by_path = {r["path"]: r for r in rows}
     assert by_path["/a.txt"]["type_class"] == PARTIAL
@@ -281,9 +281,9 @@ def test_recoverable_index_matches_retired_list_after_every_op(neighborhood):
         assert fs.recoverable_files() == [f for f in retired if f.status == DELETED]
         assert fs.retired_usage == sum(f.uf_counter for f in retired)
         wrr = weighted_rr(fs.disk, retired)
-        assert performance(fs.disk, fs, PerfWeights(1.0, 0.0)) == wrr
-        aat = access_time_term(fs.disk, fs, mixed.aat_mode)
-        assert performance(fs.disk, fs, mixed) == 0.7 * wrr - 0.3 * aat
+        assert performance(fs, PerfWeights(1.0, 0.0)) == wrr
+        aat = access_time_term(fs, mixed.aat_mode)
+        assert performance(fs, mixed) == 0.7 * wrr - 0.3 * aat
         if op.kind == OP_CREATE and len(retired) - len(fs.recoverable_files()) > obsolete:
             flips += 1
     assert flips >= 20, f"only {flips} creates emptied a prior owner"

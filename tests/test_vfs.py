@@ -294,7 +294,7 @@ def _state(fs):
     """Everything a copy must keep apart from its original."""
     return (
         fs.disk.snapshot_json(),
-        recovery_table(fs.disk, fs),
+        recovery_table(fs),
         [(f.id, f.path, f.status, f.uf_counter, f.last_access_tick) for f in fs.live_files()],
         [(f.id, f.status) for f in fs.deleted_files()],
         [f.id for f in fs.recoverable_files()],
