@@ -188,10 +188,7 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         return handler(args)
-    except (ConfigError, TraceError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ConfigError, TraceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001  invariant breakage, not bad input

@@ -126,8 +126,8 @@ def load_config(path, seed_override=None, policy_override=None) -> AppConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path)
-    except configparser.Error as e:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from None
 
     given = {}  # dataclass field -> parsed value, for the keys the file sets

@@ -40,7 +40,6 @@ class Disk:
         self.owner = np.full(n, NO_OWNER, dtype=np.int64)
         self.siblings: dict[int, list] = {}  # owner named by a block -> its block list
         self.clock = 0
-        self.event_log: list | None = None
 
     # -- factor access ------------------------------------------------------
 
@@ -77,26 +76,15 @@ class Disk:
         self.clock += 1
 
     def copy(self) -> "Disk":
-        """An independent device in the same state. The per-block arrays, the
-        sibling map and the event log are copied; sibling lists are shared,
-        since none is ever mutated."""
+        """An independent device in the same state. The per-block arrays and
+        the sibling map are copied; sibling lists are shared, since none is
+        ever mutated."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         for name in _ARRAYS:
             setattr(new, name, getattr(self, name).copy())
         new.siblings = dict(self.siblings)
-        if self.event_log is not None:
-            new.event_log = list(self.event_log)
         return new
-
-    # -- events -------------------------------------------------------------
-
-    def record_events(self, enabled: bool = True) -> None:
-        self.event_log = [] if enabled else None
-
-    def emit(self, *event) -> None:
-        if self.event_log is not None:
-            self.event_log.append(event)
 
     # -- serialization ------------------------------------------------------
 

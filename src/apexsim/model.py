@@ -51,25 +51,11 @@ class Neighborhood:
             )
 
     @classmethod
-    def grid_row(cls) -> "Neighborhood":
-        return cls(GRID_ROW)
-
-    @classmethod
-    def contiguous(cls, span: int) -> "Neighborhood":
-        return cls(CONTIGUOUS, span)
-
-    @classmethod
-    def none(cls) -> "Neighborhood":
-        return cls(NONE)
-
-    @classmethod
     def parse(cls, text: str) -> "Neighborhood":
         """Accepts "grid-row", "none", or "contiguous:<span>"."""
         text = text.strip().lower()
-        if text == GRID_ROW:
-            return cls.grid_row()
-        if text == NONE:
-            return cls.none()
+        if text in (GRID_ROW, NONE):
+            return cls(text)
         kind, _, rest = text.partition(":")
         if kind == CONTIGUOUS:
             try:
@@ -77,7 +63,7 @@ class Neighborhood:
             except ValueError:
                 pass
             else:
-                return cls.contiguous(span)
+                return cls(CONTIGUOUS, span)
         raise ValueError(f"cannot parse neighborhood: {text!r}")
 
     def __str__(self) -> str:
@@ -96,7 +82,7 @@ class DiskGeometry:
     rows: int = 16
     cols: int = 16
     block_size_bytes: int = 4096
-    neighborhood: Neighborhood = Neighborhood.grid_row()
+    neighborhood: Neighborhood = Neighborhood(GRID_ROW)
 
     # Caps that reject a size before anything is allocated for it: every
     # per-block array holds rows * cols entries, and ext4's largest block

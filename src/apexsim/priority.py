@@ -24,7 +24,6 @@ def record_file_access(disk, file) -> None:
     disk.uf[np.asarray(file.block_list, dtype=np.intp)] += 1
     file.uf_counter += 1
     file.last_access_tick = disk.clock
-    disk.emit("access", file.id)
 
 
 def update_spatial_factors(disk) -> None:
@@ -37,7 +36,6 @@ def update_spatial_factors(disk) -> None:
     independent reimplementation of the same formula agrees bitwise. A block
     with no neighbors gets sf = 0. Runs once per workload operation.
     """
-    disk.emit("spatial")
     geo = disk.geometry
     nb = geo.neighborhood
     if nb.kind == NONE:

@@ -19,7 +19,6 @@ that recovery is measured over those files only.
 import numpy as np
 
 from .disk import claim, release
-from .errors import DiskFullError
 from .policies import ApexPolicy
 from .priority import record_file_access
 
@@ -171,7 +170,8 @@ class FileSystem:
         """Allocate and install a new fixed-size file.
 
         Validation happens before any mutation, so a failed create leaves the
-        disk untouched. Blocks are claimed in ranking order; the first becomes
+        disk untouched; a create that does not fit fails in the policy's
+        select (DiskFullError). Blocks are claimed in ranking order; the first becomes
         the metadata block. Claiming blocks with live lineage adds churn to
         their prior owners' still-unused blocks (see disk.claim); a prior
         owner left with none of them becomes obsolete.
@@ -187,10 +187,6 @@ class FileSystem:
             raise ValueError(f"unknown type class {type_class!r}")
         bs = self.disk.geometry.block_size_bytes
         needed = -(-size_bytes // bs) + 1 if size_bytes > 0 else 0
-        free = self.free_blocks()
-        if needed > free:
-            raise DiskFullError(f"{path}: need {needed} blocks, {free} free")
-
         addrs = list(self.policy.select(self.disk, needed))
         fid = self._next_id
         self._next_id += 1
@@ -201,7 +197,6 @@ class FileSystem:
         self._by_path[path] = rec
         rec._live_index = len(self._live)
         self._live.append(rec)
-        self.disk.emit("create", fid, type_class, tuple(addrs), size_bytes)
         return rec
 
     def delete_file(self, path: str) -> FileRecord:
@@ -222,7 +217,6 @@ class FileSystem:
         self._drop_live(rec)
         self._retired.append(rec)
         self.retired_usage += rec.uf_counter
-        self.disk.emit("delete", rec.id, rec.type_class, tuple(rec.block_list))
         return rec
 
     def access(self, path: str) -> FileRecord:

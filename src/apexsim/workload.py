@@ -83,7 +83,7 @@ class WorkloadOp(NamedTuple):
     def from_json_line(cls, line: str) -> "WorkloadOp":
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # nested past json's limit
             raise TraceError(f"bad trace line: {e}") from None
         if not isinstance(doc, dict):
             raise TraceError(f"bad trace line: expected object, got {type(doc).__name__}")
@@ -357,9 +357,12 @@ def write_trace(ops, path) -> None:
 
 def read_trace(path) -> list[WorkloadOp]:
     ops = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                ops.append(WorkloadOp.from_json_line(line))
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    ops.append(WorkloadOp.from_json_line(line))
+        except UnicodeDecodeError as e:
+            raise TraceError(f"{path}: {e}") from None
     return ops

@@ -1,11 +1,11 @@
 """Independent reference implementations the test suite checks the engine
 against. Everything here recomputes from first principles: factor bookkeeping
-is replayed literally from the event log, rankings come from a full sort,
-recovery is reconstructed from claim history instead of the owner array or
-read file by file and block by block from the used mask and the owner array
-instead of in one batch, and the recovery aggregate scans every retired file
-instead of only the recoverable ones. The compare bound knows nothing of
-placement: it counts blocks.
+is replayed literally from the events that OpEvents reads off each executed
+op, rankings come from a full sort, recovery is reconstructed from claim
+history instead of the owner array or read file by file and block by block
+from the used mask and the owner array instead of in one batch, and the
+recovery aggregate scans every retired file instead of only the recoverable
+ones. The compare bound knows nothing of placement: it counts blocks.
 """
 
 import random
@@ -90,8 +90,31 @@ def assert_conservation(fs):
     assert np.array_equal(np.sort(owned), used)
 
 
+class OpEvents:
+    """The events of each op a file system has executed, read off the op and
+    the file records: one create, delete or access event (a read and a write
+    are both one access), then the op's spatial pass. A delete's path has
+    already left the namespace, so the records are also kept here by path."""
+
+    def __init__(self, fs):
+        self.fs = fs
+        self._by_path = {f.path: f for f in fs.live_files()}
+
+    def of(self, op):
+        if op.kind == "create":
+            rec = self._by_path[op.path] = self.fs.lookup(op.path)
+            event = ("create", rec.id, rec.type_class, tuple(rec.block_list), rec.size_bytes)
+        elif op.kind == "delete":
+            rec = self._by_path.pop(op.path)
+            event = ("delete", rec.id, rec.type_class, tuple(rec.block_list))
+        else:
+            event = ("access", self.fs.lookup(op.path).id)
+        return event, ("spatial",)
+
+
 class FactorOracle:
-    """Replays the factor transition rules against the disk's event log.
+    """Replays the factor transition rules against the events of each executed
+    op, as OpEvents reads them.
 
     The oracle keeps its own copies of hf/uf/sf/lf, the used set, and block
     lineage, and applies each rule literally as the events arrive:
@@ -212,9 +235,10 @@ class FactorOracle:
 
 
 class ClaimHistoryRecovery:
-    """Recovery reconstructed purely from the claim/delete order in the event
-    log: a block survives for a file exactly when no later create claimed it
-    after that file's delete. The disk's owner array is never read."""
+    """Recovery reconstructed purely from the claim/delete order of the
+    events read off each executed op (OpEvents): a block survives for a file
+    exactly when no later create claimed it after that file's delete. The
+    disk's owner array is never read."""
 
     def __init__(self, block_size_bytes):
         self.bs = block_size_bytes

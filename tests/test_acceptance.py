@@ -14,7 +14,7 @@ import pytest
 
 from apexsim.compare import CompareSettings, run_compare
 from apexsim.disk import new_disk
-from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
+from apexsim.model import GRID_ROW, DiskGeometry, Hyperparams, Neighborhood
 from apexsim.priority import top_unused
 from apexsim.recovery import (
     SEEK_COST,
@@ -32,6 +32,7 @@ from conftest import make_fs
 from oracles import (
     ClaimHistoryRecovery,
     FactorOracle,
+    OpEvents,
     assert_conservation,
     rank_by_full_sort,
     weighted_rr,
@@ -84,7 +85,7 @@ def test_criterion_1_ranking_matches_full_sort():
     verdict(1, "allocation ranking equals full re-sort", check)
 
 
-# -- criteria 2 and 3 share one long recorded run ----------------------------------
+# -- criteria 2 and 3 share one long run -------------------------------------------
 
 _long_run = {}
 
@@ -94,18 +95,14 @@ def long_conformance_run():
         return _long_run
     started = time.monotonic()
     fs = make_fs(rows=16, cols=16, hp=REFERENCE.as_tuple())
-    fs.disk.record_events(True)
+    events = OpEvents(fs)
     oracle = FactorOracle(fs.disk.geometry, REFERENCE)
     runner = WorkloadRunner(
         WorkloadConfig(rng_seed=2026, total_ops=0, max_file_blocks=20), fs
     )
-    cursor = 0
     ops = 100_000
     for _ in range(ops):
-        runner.step()
-        log = fs.disk.event_log
-        oracle.apply_all(log[cursor:])
-        cursor = len(log)
+        oracle.apply_all(events.of(runner.step()))
         oracle.assert_matches(fs.disk)
         assert_conservation(fs)
     _long_run.update(ops=ops, seconds=time.monotonic() - started)
@@ -147,7 +144,6 @@ def test_criterion_4_recovery_matches_history_oracle():
                 hp=hp.as_tuple(),
                 invert_link_rule=(i % 7 == 0),
             )
-            fs.disk.record_events(True)
             cfg = WorkloadConfig(
                 rng_seed=1000 + i,
                 total_ops=0,
@@ -155,9 +151,10 @@ def test_criterion_4_recovery_matches_history_oracle():
                 min_utilization=rng.choice([0.0, 0.3, 0.6]),
                 linked_file_percent=rng.choice([0.0, 20.0, 60.0]),
             )
-            WorkloadRunner(cfg, fs).run(rng.randint(40, 80))
+            runner, events = WorkloadRunner(cfg, fs), OpEvents(fs)
             oracle = ClaimHistoryRecovery(fs.disk.geometry.block_size_bytes)
-            oracle.apply_all(fs.disk.event_log)
+            for _ in range(rng.randint(40, 80)):
+                oracle.apply_all(events.of(runner.step()))
             retired = fs.deleted_files()
             measured = measure_recovery(fs.disk, retired)
             for rec, (intact, _, rr) in zip(retired, measured, strict=True):
@@ -183,7 +180,7 @@ def test_criterion_4_recovery_matches_history_oracle():
 def test_criterion_5_ranked_beats_first_fit_on_archive_churn():
     def check():
         started = time.monotonic()
-        geometry = DiskGeometry(16, 16, 4096, Neighborhood.grid_row())
+        geometry = DiskGeometry(16, 16, 4096, Neighborhood(GRID_ROW))
         settings = CompareSettings()  # 5x25-block archive, 102/200 churn, 50 seeds
         rows = run_compare(geometry, REFERENCE, settings)
         wrr = {(r.policy, r.secondary_blocks, r.seed): r.weighted_rr for r in rows}
@@ -216,7 +213,7 @@ def test_criterion_6_training_improves_performance():
     def check():
         started = time.monotonic()
         config = TrainConfig(
-            geometry=DiskGeometry(16, 16, 4096, Neighborhood.grid_row()),
+            geometry=DiskGeometry(16, 16, 4096, Neighborhood(GRID_ROW)),
             schedule=TrainSchedule(min_budget=500, oin_per_min=200),
             workload=WorkloadConfig(
                 rng_seed=3, total_ops=200, max_file_blocks=8, min_utilization=0.70
@@ -263,7 +260,7 @@ def test_criterion_7_determinism_and_replay():
                 f"replay diverged on seed {seed}"
             )
         tc = TrainConfig(
-            geometry=DiskGeometry(8, 8, 4096, Neighborhood.grid_row()),
+            geometry=DiskGeometry(8, 8, 4096, Neighborhood(GRID_ROW)),
             schedule=TrainSchedule(min_budget=10, oin_per_min=40),
             workload=WorkloadConfig(rng_seed=6, total_ops=0, max_file_blocks=4),
         )

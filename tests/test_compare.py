@@ -18,14 +18,14 @@ from apexsim.compare import (
 )
 from apexsim.config import load_config
 from apexsim.disk import new_disk
-from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
+from apexsim.model import GRID_ROW, DiskGeometry, Hyperparams, Neighborhood
 from apexsim.policies import make_policy
 from apexsim.vfs import LINKED, PARTIAL, FileSystem
 from apexsim.workload import OP_CREATE, OP_DELETE, WorkloadOp, execute_op
 
 from oracles import clairvoyant_rr_bound, flood_blocks, recovery_of, weighted_rr
 
-GEO = DiskGeometry(16, 16, 4096, Neighborhood.grid_row())
+GEO = DiskGeometry(16, 16, 4096, Neighborhood(GRID_ROW))
 HP = Hyperparams(4, 7, 1, 9)
 
 

@@ -265,6 +265,43 @@ def test_cli_replay_rejects_malformed_trace(tmp_path, capsys, trace):
     assert not out.exists() or not os.listdir(out)
 
 
+LATIN_1 = "# caf\u00e9\n".encode("latin-1")  # not UTF-8
+DEEP = ("[" * 100_000 + "]" * 100_000 + "\n").encode()  # past json's recursion limit
+
+
+@pytest.mark.parametrize(
+    "command, config_tail, trace",
+    [
+        ("simulate", LATIN_1, None),
+        ("train", LATIN_1, None),
+        ("compare", LATIN_1, None),
+        ("recover", LATIN_1, None),
+        ("replay", LATIN_1, CREATE.encode()),
+        ("replay", b"", LATIN_1),
+        ("recover", b"", LATIN_1),
+        ("replay", b"", DEEP),
+        ("recover", b"", DEEP),
+    ],
+    ids=["simulate-config-latin-1", "train-config-latin-1", "compare-config-latin-1",
+         "recover-config-latin-1", "replay-config-latin-1", "replay-trace-latin-1",
+         "recover-trace-latin-1", "replay-trace-too-deep", "recover-trace-too-deep"],
+)
+def test_cli_undecodable_input_exits_two(tmp_path, capsys, command, config_tail, trace):
+    """A config or trace that is not UTF-8, or a trace line nested deeper than
+    json can decode, is bad input (exit 2) that writes no report."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(MINIMAL.encode() + config_tail)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if trace is not None:
+        path = tmp_path / "run.trace.jsonl"
+        path.write_bytes(trace)
+        argv += ["--trace", str(path)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_cli_every_subcommand_has_help():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

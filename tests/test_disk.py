@@ -270,12 +270,3 @@ def test_snapshot_json_matches_reference_encoder(neighborhood):
     want = json.dumps(reference_snapshot(disk), sort_keys=True, separators=(",", ":"))
     assert disk.snapshot_json() == want
     assert disk.snapshot() == reference_snapshot(disk)
-
-
-def test_event_recording_off_by_default():
-    disk = make_disk(rows=2, cols=2)
-    assert disk.event_log is None
-    disk.emit("access", 1)
-    disk.record_events(True)
-    disk.emit("access", 2)
-    assert disk.event_log == [("access", 2)]

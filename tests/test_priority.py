@@ -8,7 +8,7 @@ import pytest
 
 from apexsim.disk import claim, new_disk, release
 from apexsim.errors import DiskFullError
-from apexsim.model import SF_LIMIT, DiskGeometry, Hyperparams, Neighborhood
+from apexsim.model import GRID_ROW, SF_LIMIT, DiskGeometry, Hyperparams, Neighborhood
 from apexsim.priority import record_file_access, top_unused, update_spatial_factors
 
 from conftest import ScriptedPolicy, make_disk, make_fs
@@ -53,12 +53,12 @@ def test_neighborhood_parse():
 
 
 def test_geometry_validation():
-    geo = DiskGeometry(2, 3, 4096, Neighborhood.grid_row())
+    geo = DiskGeometry(2, 3, 4096, Neighborhood(GRID_ROW))
     assert geo.total_blocks == 6
     with pytest.raises(ValueError):
-        DiskGeometry(0, 3, 4096, Neighborhood.grid_row())
+        DiskGeometry(0, 3, 4096, Neighborhood(GRID_ROW))
     with pytest.raises(ValueError):
-        DiskGeometry(2, 3, 0, Neighborhood.grid_row())
+        DiskGeometry(2, 3, 0, Neighborhood(GRID_ROW))
 
 
 # -- score ---------------------------------------------------------------------
@@ -264,15 +264,20 @@ def test_spatial_contiguous_window_wider_than_disk():
     """A span that reaches past both ends makes every block a neighbor of
     every other, and the pass agrees with the oracle's literal window."""
     fs = make_fs(rows=2, cols=4, neighborhood="contiguous:10")
-    fs.disk.record_events(True)
     oracle = FactorOracle(fs.disk.geometry, HP)
     update_spatial_factors(fs.disk)
     assert list(fs.disk.sf) == [9.0] * 8
-    fs.create_file("/a.txt", 2 * 4096)
+    a = fs.create_file("/a.txt", 2 * 4096)
     fs.delete_file("/a.txt")
-    fs.create_file("/b.zip", 4096)
+    b = fs.create_file("/b.zip", 4096)
     update_spatial_factors(fs.disk)
-    oracle.apply_all(fs.disk.event_log)
+    oracle.apply_all([
+        ("spatial",),
+        ("create", a.id, a.type_class, tuple(a.block_list), a.size_bytes),
+        ("delete", a.id, a.type_class, tuple(a.block_list)),
+        ("create", b.id, b.type_class, tuple(b.block_list), b.size_bytes),
+        ("spatial",),
+    ])
     oracle.assert_matches(fs.disk)
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
+from apexsim.model import GRID_ROW, DiskGeometry, Hyperparams, Neighborhood
 from apexsim.recovery import PerfWeights
 from apexsim.tuner import (
     ACTIONS,
@@ -22,7 +22,7 @@ from apexsim.workload import WorkloadConfig
 
 def small_train_config(seed=3, budget=6, ops=40):
     return TrainConfig(
-        geometry=DiskGeometry(8, 8, 4096, Neighborhood.grid_row()),
+        geometry=DiskGeometry(8, 8, 4096, Neighborhood(GRID_ROW)),
         schedule=TrainSchedule(min_budget=budget, oin_per_min=ops),
         workload=WorkloadConfig(rng_seed=seed, total_ops=0, max_file_blocks=4),
         weights=PerfWeights(1.0, 0.0),
@@ -269,7 +269,7 @@ def test_train_moves_follow_selected_actions():
 
 def test_hill_climb_mode_runs():
     cfg = TrainConfig(
-        geometry=DiskGeometry(8, 8, 4096, Neighborhood.grid_row()),
+        geometry=DiskGeometry(8, 8, 4096, Neighborhood(GRID_ROW)),
         schedule=TrainSchedule(min_budget=5, oin_per_min=30),
         workload=WorkloadConfig(rng_seed=1, total_ops=0, max_file_blocks=4),
         mode="hill-climb",
