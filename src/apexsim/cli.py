@@ -187,6 +187,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError(f"output path is not a directory: {args.out}")
         return handler(args)
     except (ConfigError, TraceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -122,8 +122,8 @@ KEYS = {
 
 
 def load_config(path, seed_override=None, policy_override=None) -> AppConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    if not os.path.isfile(path):
+        raise ConfigError(f"no config file at {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read(path, encoding="utf-8")

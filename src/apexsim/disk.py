@@ -169,7 +169,7 @@ def claim(disk: Disk, addrs: list, file_id: int) -> list:
     for owner, count in prior.items():
         # a block whose lineage names owner is on owner's sibling list
         sibs = np.asarray(disk.siblings[owner], dtype=np.intp)
-        left = sibs[~disk.used_mask[sibs] & (disk.owner[sibs] == owner)]
+        left = sibs[disk.lineage_intact(sibs, owner)]
         if left.size:
             disk.hf[left] += count
         else:

@@ -1,29 +1,16 @@
-"""Ranking engine: the usage and spatial factor updates and the ranking itself.
+"""Ranking engine: the spatial pass and the ranking itself.
 
-Factors change when an event fires, not on a timer: a file access bumps
-usage, and each op ends with one spatial pass. Churn moves with claims and
-releases, in the disk module. Scores are never stored: every ranking
-recomputes them from the disk's factor arrays, so there is no cached key that
-could go stale.
+Factors change when an event fires, not on a timer: each op ends with one
+spatial pass. Usage moves with file reads and writes, in the file layer;
+churn moves with claims and releases, in the disk module. Scores are never
+stored: every ranking recomputes them from the disk's factor arrays, so there
+is no cached key that could go stale.
 """
 
 import numpy as np
 
 from .errors import DiskFullError
 from .model import CONTIGUOUS, GRID_ROW, NONE, SF_LIMIT
-
-
-def record_file_access(disk, file) -> None:
-    """One read or write of a file: bump usage on every block it owns.
-
-    Fires once per operation regardless of byte count. A zero-block file is a
-    legal no-op for the block factors.
-    """
-    if file.status != "used":
-        raise ValueError(f"cannot record access on a {file.status} file")
-    disk.uf[np.asarray(file.block_list, dtype=np.intp)] += 1
-    file.uf_counter += 1
-    file.last_access_tick = disk.clock
 
 
 def update_spatial_factors(disk) -> None:

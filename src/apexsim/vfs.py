@@ -14,13 +14,15 @@ when a create's claim takes the last block on its lineage, or at its delete
 if it has no blocks. The deleted files that are not yet obsolete are kept
 apart, and the usage of every retired file is kept as a running total, so
 that recovery is measured over those files only.
+The file layer owns the file records, the usage bookkeeping of reads and
+writes included; of this package it imports the disk module alone.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .disk import claim, release
-from .policies import ApexPolicy
-from .priority import record_file_access
 
 LINKED = "linked"
 PARTIAL = "partial"
@@ -45,29 +47,17 @@ def type_class_for_path(path: str) -> str:
     return PARTIAL
 
 
+@dataclass(eq=False, slots=True)
 class FileRecord:
-    __slots__ = (
-        "id",
-        "path",
-        "type_class",
-        "status",
-        "block_list",
-        "size_bytes",
-        "uf_counter",
-        "last_access_tick",
-        "_live_index",
-    )
-
-    def __init__(self, file_id, path, type_class, block_list, size_bytes, tick):
-        self.id = file_id
-        self.path = path
-        self.type_class = type_class
-        self.status = USED
-        self.block_list = block_list
-        self.size_bytes = size_bytes
-        self.uf_counter = 1  # creation counts as the first use
-        self.last_access_tick = tick
-        self._live_index = -1
+    id: int
+    path: str
+    type_class: str
+    block_list: list
+    size_bytes: int
+    last_access_tick: int
+    status: str = USED
+    uf_counter: int = 1  # creation counts as the first use
+    _live_index: int = -1
 
     @property
     def data_blocks(self) -> int:
@@ -107,9 +97,7 @@ def check_path(path) -> None:
 class FileSystem:
     """Flat file table, bound to one disk and one allocation policy."""
 
-    def __init__(self, disk, policy=None, invert_link_rule: bool = False):
-        if policy is None:
-            policy = ApexPolicy()
+    def __init__(self, disk, policy, invert_link_rule: bool = False):
         self.disk = disk
         self.policy = policy
         self.invert_link_rule = invert_link_rule
@@ -222,7 +210,7 @@ class FileSystem:
     def access(self, path: str) -> FileRecord:
         """One read of a file: record the use."""
         rec = self.lookup(path)
-        record_file_access(self.disk, rec)
+        self._use(rec)
         return rec
 
     def write_file(self, path: str, offset: int, length: int) -> None:
@@ -244,9 +232,16 @@ class FileSystem:
             # indexed add costs several times as much
             for addr in rec.block_list[1 + offset // bs : 2 + (offset + length - 1) // bs]:
                 version[addr] += 1
-        record_file_access(self.disk, rec)
+        self._use(rec)
 
     # -- internals -----------------------------------------------------------
+
+    def _use(self, rec: FileRecord) -> None:
+        """One read or write of a live file, whatever its byte count: usage
+        bumps once on the record and on each of its blocks; the tick is set."""
+        self.disk.uf[np.asarray(rec.block_list, dtype=np.intp)] += 1
+        rec.uf_counter += 1
+        rec.last_access_tick = self.disk.clock
 
     def _drop_live(self, rec: FileRecord) -> None:
         i = rec._live_index

@@ -2,6 +2,7 @@ import pytest
 
 from apexsim.disk import new_disk
 from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
+from apexsim.policies import ApexPolicy
 from apexsim.vfs import FileSystem
 
 
@@ -18,7 +19,7 @@ def make_disk(rows=4, cols=4, hp=(4, 7, 1, 9), neighborhood="grid-row", block_si
 def make_fs(disk=None, policy=None, invert_link_rule=False, **disk_kw):
     if disk is None:
         disk = make_disk(**disk_kw)
-    return FileSystem(disk, policy=policy, invert_link_rule=invert_link_rule)
+    return FileSystem(disk, policy=policy or ApexPolicy(), invert_link_rule=invert_link_rule)
 
 
 class ScriptedPolicy:

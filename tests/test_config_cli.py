@@ -338,6 +338,37 @@ def test_cli_missing_config_exits_two(tmp_path, capsys):
     assert "gone.ini" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, bad",
+    [("simulate", "config"), ("replay", "config"), ("train", "config"),
+     ("compare", "config"), ("recover", "config"), ("simulate", "out")],
+    ids=["simulate-config-dir", "replay-config-dir", "train-config-dir",
+         "compare-config-dir", "recover-config-dir", "simulate-out-file"],
+)
+def test_cli_bad_config_or_out_path_fails_before_the_run(tmp_path, capsys, monkeypatch, command, bad):
+    """A --config that names a directory, or an --out that names an existing
+    file, is rejected with exit 2, naming the path, before the command runs;
+    a bad config makes no output directory."""
+    for name in ("run_simulation", "replay_trace", "train", "run_compare"):
+        monkeypatch.setattr(apexsim.cli, name, lambda *a, **kw: pytest.fail("ran on a bad path"))
+    cfg, out = write_cfg(tmp_path, MINIMAL), tmp_path / "out"
+    if bad == "config":
+        cfg = named = str(tmp_path / "conf.d")
+        os.mkdir(cfg)
+    else:
+        out.write_text("")
+        named = str(out)
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "replay":
+        trace = tmp_path / "run.trace.jsonl"
+        trace.write_text(CREATE)
+        argv += ["--trace", str(trace)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert out.is_file() if bad == "out" else not out.exists()
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     """`python -m apexsim` is the same command line, exit code included."""
     src = str(Path(apexsim.__file__).resolve().parent.parent)

@@ -9,7 +9,7 @@ import pytest
 from apexsim.disk import claim, new_disk, release
 from apexsim.errors import DiskFullError
 from apexsim.model import GRID_ROW, SF_LIMIT, DiskGeometry, Hyperparams, Neighborhood
-from apexsim.priority import record_file_access, top_unused, update_spatial_factors
+from apexsim.priority import top_unused, update_spatial_factors
 
 from conftest import ScriptedPolicy, make_disk, make_fs
 from oracles import FactorOracle, rank_by_full_sort, score_of
@@ -97,33 +97,59 @@ def test_score_is_linear_in_each_factor():
 # -- usage tracking ------------------------------------------------------------
 
 
-def test_access_bumps_every_block_once():
+# one read, and a one-byte write
+USES = {"read": lambda fs, path: fs.access(path), "write": lambda fs, path: fs.write_file(path, 0, 1)}
+
+
+@pytest.mark.parametrize("use", sorted(USES))
+def test_access_bumps_every_block_once(use):
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.txt", 2 * 4096)
     assert rec.uf_counter == 1
-    record_file_access(fs.disk, rec)
+    USES[use](fs, "/a.txt")
     assert rec.uf_counter == 2
-    for addr in rec.block_list:
-        assert fs.disk.uf[addr] == 2.0
-    record_file_access(fs.disk, rec)
+    assert fs.disk.uf[rec.block_list].tolist() == [2, 2, 2]
+    USES[use](fs, "/a.txt")
     assert rec.uf_counter == 3
-    assert all(fs.disk.uf[a] == 3.0 for a in rec.block_list)
+    assert fs.disk.uf[rec.block_list].tolist() == [3, 3, 3]
+    assert np.count_nonzero(fs.disk.uf) == 3
 
 
-def test_access_rejects_non_live_file():
-    fs = make_fs(rows=4, cols=4)
-    rec = fs.create_file("/a.txt", 4096)
-    fs.delete_file("/a.txt")
-    with pytest.raises(ValueError):
-        record_file_access(fs.disk, rec)
-
-
-def test_access_updates_last_access_tick():
+@pytest.mark.parametrize("use", sorted(USES))
+def test_access_updates_last_access_tick(use):
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.txt", 4096)
     fs.disk.clock = 42
-    record_file_access(fs.disk, rec)
+    USES[use](fs, "/a.txt")
     assert rec.last_access_tick == 42
+
+
+@pytest.mark.parametrize("use", [lambda fs, p: fs.access(p), lambda fs, p: fs.write_file(p, 0, 0)],
+                         ids=["read", "write"])
+def test_access_to_zero_block_file_moves_only_its_record(use):
+    fs = make_fs(rows=4, cols=4)
+    fs.create_file("/a.txt", 4096)
+    rec = fs.create_file("/empty.txt", 0)
+    assert rec.block_list == []
+    arrays = ("hf", "uf", "sf", "lf", "used_mask", "version", "owner")
+    before = {name: getattr(fs.disk, name).tobytes() for name in arrays}
+    fs.disk.clock = 7
+    use(fs, "/empty.txt")
+    assert (rec.uf_counter, rec.last_access_tick) == (2, 7)
+    assert {name: getattr(fs.disk, name).tobytes() for name in arrays} == before
+
+
+@pytest.mark.parametrize("use", sorted(USES))
+def test_access_rejects_non_live_file(use):
+    """A read or write of a deleted path finds no file, so the retired
+    record's usage, and the running retired total, never move."""
+    fs = make_fs(rows=4, cols=4)
+    rec = fs.create_file("/a.txt", 4096)
+    fs.access("/a.txt")
+    fs.delete_file("/a.txt")
+    with pytest.raises(FileNotFoundError):
+        USES[use](fs, "/a.txt")
+    assert rec.uf_counter == fs.retired_usage == 2
 
 
 # -- churn propagation ----------------------------------------------------------

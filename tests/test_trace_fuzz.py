@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from apexsim.cli import main
 from apexsim.disk import new_disk
 from apexsim.model import DiskGeometry, Hyperparams
+from apexsim.policies import ApexPolicy
 from apexsim.vfs import FileSystem
 from apexsim.workload import WorkloadConfig, run_simulation
 
@@ -31,7 +32,7 @@ def base_trace() -> list[dict]:
     """24 ops on a 6x6 disk: creates, reads, writes and deletes."""
     workload = WorkloadConfig(rng_seed=4, total_ops=24, max_file_blocks=4,
                               min_utilization=0.0, op_mix=(0.5, 0.3, 0.2))
-    fs = FileSystem(new_disk(DiskGeometry(rows=6, cols=6), Hyperparams(4, 7, 1, 9)))
+    fs = FileSystem(new_disk(DiskGeometry(rows=6, cols=6), Hyperparams(4, 7, 1, 9)), ApexPolicy())
     _, trace = run_simulation(workload, fs)
     return [json.loads(op.to_json_line()) for op in trace]
 

@@ -52,9 +52,6 @@ class FakeState:
     def free_blocks(self):
         return self.total_blocks - self.used_blocks
 
-    def utilization(self):
-        return self.used_blocks / self.total_blocks
-
     def next_path(self, ext):
         self._seq += 1
         return f"/w{self._seq:07d}{ext}"
