@@ -43,23 +43,28 @@ class Disk:
 
     # -- factor access ------------------------------------------------------
 
-    def pf_array(self) -> np.ndarray:
-        """Scores of all blocks as a fresh float64 array: churn and linkage
-        push a block up, usage protects it, and higher means overwritten
-        sooner. Evaluated as ((hist*hf - usage*uf) + spatial*sf) + link*lf,
-        the integer terms exactly in int64. With spatial ranking disabled the
-        spatial term is dropped, not zeroed, and the integer sum reaches
-        float64 in one conversion at the end."""
+    def pf_array(self, addrs: np.ndarray | None = None) -> np.ndarray:
+        """Scores of the blocks at addrs (default: every block), in that
+        order, as a fresh float64 array: churn and linkage push a block up,
+        usage protects it, and higher means overwritten sooner. Evaluated as
+        ((hist*hf - usage*uf) + spatial*sf) + link*lf, the integer terms
+        exactly in int64. With spatial ranking disabled the spatial term is
+        dropped, not zeroed, and the integer sum reaches float64 in one
+        conversion at the end. Every step is elementwise, so pf_array(addrs)
+        is bitwise pf_array()[addrs], and gathers only the factors it reads."""
         hp = self.hyperparams
-        base = np.multiply(self.hf, hp.hist)
-        base -= np.multiply(self.uf, hp.usage)
+        hf, uf, sf, lf = self.hf, self.uf, self.sf, self.lf
+        if addrs is not None:
+            hf, uf, lf = hf[addrs], uf[addrs], lf[addrs]
+        base = np.multiply(hf, hp.hist)
+        base -= np.multiply(uf, hp.usage)
         if self.geometry.neighborhood.kind == NONE:
-            base += np.multiply(self.lf, hp.link)
+            base += np.multiply(lf, hp.link)
             return base.astype(np.float64)
         # spatial*sf + base is base + spatial*sf: float addition commutes
-        pf = np.multiply(self.sf, hp.spatial)
+        pf = np.multiply(sf if addrs is None else sf[addrs], hp.spatial)
         pf += base
-        pf += np.multiply(self.lf, hp.link)
+        pf += np.multiply(lf, hp.link)
         return pf
 
     # -- state --------------------------------------------------------------
@@ -92,30 +97,46 @@ class Disk:
         return json.loads(self.snapshot_json())
 
     def snapshot_json(self) -> str:
-        """Canonical JSON of the whole device (sorted keys, no whitespace),
-        written in one pass over the blocks. Each owner's sorted sibling list
-        is encoded once, however many blocks name that owner."""
-        owners = self.owner.tolist()
+        """Canonical JSON of the whole device (sorted keys, no whitespace)."""
+        return "".join(self._snapshot_pieces())
+
+    def snapshot_sha256(self) -> str:
+        """sha256 of snapshot_json(), fed one row of blocks at a time, so the
+        whole string is never built."""
+        digest = hashlib.sha256()
+        for piece in self._snapshot_pieces():
+            digest.update(piece.encode())
+        return digest.hexdigest()
+
+    def _snapshot_pieces(self):
+        """snapshot_json() in pieces: the opening, one piece per row of
+        blocks, then the top-level keys after "blocks". Each owner's sorted
+        sibling list is encoded once, however many blocks name that owner."""
         lineage = {
             owner: canonical_json(sorted(self.siblings[owner]))
-            for owner in set(owners) if owner != NO_OWNER
+            for owner in np.unique(self.owner).tolist() if owner != NO_OWNER
         }
-        # json's own float spelling, one encoder call for the whole column
-        sf_text = canonical_json(self.sf.tolist())[1:-1].split(",")
-        blocks = []
-        for used, hf, uf, sf, lf, version, owner in zip(
-            self.used_mask.tolist(), self.hf.tolist(), self.uf.tolist(), sf_text,
-            self.lf.tolist(), self.version.tolist(), owners,
-        ):
-            mrpf = (
-                f'{{"content_epoch":{version},"file_id":{owner},"siblings":{lineage[owner]}}}'
-                if owner != NO_OWNER
-                else "null"
-            )
-            blocks.append(
-                f'{{"hf":{hf},"lf":{lf},"mrpf":{mrpf},"sf":{sf},'
-                f'"state":{_STATE[used]},"uf":{uf},"version":{version}}}'
-            )
+        yield '{"blocks":['
+        cols = self.geometry.cols
+        for start in range(0, self.geometry.total_blocks, cols):
+            row = slice(start, start + cols)
+            # json's own float spelling, one encoder call for the row
+            sf_text = canonical_json(self.sf[row].tolist())[1:-1].split(",")
+            blocks = []
+            for used, hf, uf, sf, lf, version, owner in zip(
+                self.used_mask[row].tolist(), self.hf[row].tolist(), self.uf[row].tolist(), sf_text,
+                self.lf[row].tolist(), self.version[row].tolist(), self.owner[row].tolist(),
+            ):
+                mrpf = (
+                    f'{{"content_epoch":{version},"file_id":{owner},"siblings":{lineage[owner]}}}'
+                    if owner != NO_OWNER
+                    else "null"
+                )
+                blocks.append(
+                    f'{{"hf":{hf},"lf":{lf},"mrpf":{mrpf},"sf":{sf},'
+                    f'"state":{_STATE[used]},"uf":{uf},"version":{version}}}'
+                )
+            yield ("," if start else "") + ",".join(blocks)
         # "blocks" sorts before every other top-level key
         rest = canonical_json({
             "format": SNAPSHOT_FORMAT,
@@ -124,10 +145,7 @@ class Disk:
             "hyperparams": list(self.hyperparams.as_tuple()),
             "clock": self.clock,
         })
-        return '{"blocks":[' + ",".join(blocks) + "]," + rest[1:]
-
-    def snapshot_sha256(self) -> str:
-        return hashlib.sha256(self.snapshot_json().encode()).hexdigest()
+        yield "]," + rest[1:]
 
 
 def new_disk(geometry: DiskGeometry, hyperparams: Hyperparams) -> Disk:

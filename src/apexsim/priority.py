@@ -4,7 +4,9 @@ Factors change when an event fires, not on a timer: each op ends with one
 spatial pass. Usage moves with file reads and writes, in the file layer;
 churn moves with claims and releases, in the disk module. Scores are never
 stored: every ranking recomputes them from the disk's factor arrays, so there
-is no cached key that could go stale.
+is no cached key that could go stale. A ranking scores every block and keeps
+the free ones, or, when at most a quarter of the disk is free, scores only
+the free blocks; the spatial pass always scores every block.
 """
 
 import numpy as np
@@ -62,13 +64,16 @@ def top_unused(disk, count: int) -> list:
     """The count highest-scored unused addresses, descending score, lower
     address first on ties. Read-only; raises when the disk cannot supply.
 
-    Most free blocks usually share the best score, so when that class alone
-    can supply count blocks its lowest addresses are the answer, and no sort
-    runs."""
+    With at most a quarter of the disk free, only the free blocks are scored,
+    each factor gathered first; with more free, the gathers cost more than
+    they save, so every block is scored and the free ones kept. The scores
+    are the same bits either way. Most free blocks usually share the best
+    score, so when that class alone can supply count blocks its lowest
+    addresses are the answer, and no sort runs."""
     free = unused_addresses(disk, count)
     if count == 0:
         return []
-    pf = disk.pf_array()[free]
+    pf = disk.pf_array(free) if 4 * len(free) <= len(disk.used_mask) else disk.pf_array()[free]
     # positions of the best score; argmax finds it faster than max on small disks
     best = (pf == pf[pf.argmax()]).nonzero()[0]
     if len(best) >= count:

@@ -1,5 +1,6 @@
 """Block store: claims and releases, the used/unused partition, snapshots."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -219,6 +220,36 @@ def test_pf_array_bitwise_at_extreme_magnitudes():
             assert disk.pf_array().tobytes() == want.tobytes(), (neighborhood, signs)
 
 
+@pytest.mark.parametrize("neighborhood", ["grid-row", "contiguous:2", "none"])
+def test_pf_array_of_addresses_is_the_full_array_gathered(neighborhood):
+    """Scoring only some addresses gives, bit for bit, those entries of the
+    full scores: at the coefficient limit, factors up to 2**32 - 1, sf at the
+    clamp and -0.0, in any address order, and for no address at all. The
+    result is fresh, never a view of a disk array."""
+    top = Hyperparams.LIMIT
+    rng = np.random.default_rng(12)
+    sfs = np.array([SF_LIMIT, -SF_LIMIT, -0.0, 0.0])
+    for signs in itertools.product((1, -1), repeat=4):
+        disk = make_disk(rows=4, cols=8, neighborhood=neighborhood, hp=[s * top for s in signs])
+        # one of hf and uf near 2**32 and the other 0 or 1, so every exact sum fits int64
+        big, small = rng.integers(2**32 - 2**20, 2**32, 32), rng.integers(0, 2, 32)
+        big[:4] = 2**32 - 1
+        odd = np.arange(32) % 2 == 1
+        disk.hf[:], disk.uf[:] = np.where(odd, big, small), np.where(odd, small, big)
+        disk.lf[:] = rng.integers(0, 2, 32)
+        disk.sf[:] = rng.uniform(-SF_LIMIT, SF_LIMIT, 32)
+        disk.sf[::5] = sfs[np.arange(0, 32, 5) % 4]
+        disk.used_mask[:] = rng.random(32) < 0.5
+        full = disk.pf_array()
+        free = (~disk.used_mask).nonzero()[0]
+        for addrs in (free, np.arange(32), rng.permutation(32)[:9], np.array([], dtype=np.intp)):
+            got = disk.pf_array(addrs)
+            assert got.dtype == np.float64 and got.shape == addrs.shape
+            assert np.array_equal(got.view(np.int64), full[addrs].view(np.int64)), (signs, addrs)
+            for name in ("hf", "uf", "sf", "lf", "used_mask", "version", "owner"):
+                assert not np.shares_memory(got, getattr(disk, name)), name
+
+
 def test_snapshot_hash_is_stable_and_state_sensitive():
     a = make_disk(rows=4, cols=4)
     b = make_disk(rows=4, cols=4)
@@ -249,6 +280,22 @@ def test_snapshot_lineage_reads_owner_version_and_sibling_list():
     assert snap[1]["mrpf"] == {"file_id": 7, "siblings": [1, 3], "content_epoch": 2}
     assert snap[3]["mrpf"] == {"file_id": 7, "siblings": [1, 3], "content_epoch": 1}
     assert (snap[1]["state"], snap[1]["version"], snap[1]["lf"]) == ("unused", 2, 0)
+
+
+@pytest.mark.parametrize("case", ["grid-row", "none", "contiguous:2", "all-used"])
+def test_snapshot_sha256_hashes_the_snapshot_json(case):
+    """The hash is fed the snapshot in pieces, one row of blocks at a time;
+    its digest is that of the whole string."""
+    disk = make_disk(rows=3, cols=5, neighborhood="grid-row" if case == "all-used" else case)
+    if case == "all-used":
+        claim(disk, list(range(15)), 1)
+    else:
+        claim(disk, [0, 6, 12], 1)
+        claim(disk, [4, 5], 2)
+        release(disk, [0, 6, 12], 0)
+        disk.sf[[1, 2, 14]] = [-0.0, SF_LIMIT, 0.1 + 0.2]
+    disk.tick()
+    assert disk.snapshot_sha256() == hashlib.sha256(disk.snapshot_json().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("neighborhood", ["grid-row", "none", "contiguous:2"])

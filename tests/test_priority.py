@@ -379,6 +379,23 @@ def test_top_unused_exhaustion_raises():
         top_unused(disk, 5)
 
 
+def set_best_class(disk, rng, best, used):
+    """Tie-heavy factors on an 8x8 disk: few distinct scores below one best
+    class, which holds best free blocks and two used ones; used blocks are
+    used in all."""
+    for addr in range(64):
+        # few distinct scores, all below the best class's 4*20 + 9
+        disk.hf[addr] = rng.randint(0, 2)
+        disk.uf[addr] = rng.randint(0, 2)
+        disk.sf[addr] = rng.choice((-1.0, 0.0, 0.5))
+        disk.lf[addr] = rng.randint(0, 1)
+    top = rng.sample(range(64), best + 2)
+    for addr in top:
+        disk.hf[addr], disk.uf[addr], disk.sf[addr], disk.lf[addr] = 20, 0, 0.0, 1
+    rest = sorted(set(range(64)) - set(top))
+    disk.used_mask[top[:2] + rng.sample(rest, used - 2)] = True  # used blocks never rank
+
+
 @pytest.mark.parametrize("neighborhood", ["grid-row", "contiguous:2", "none"])
 @pytest.mark.parametrize(
     "case", ["random", "best-short", "best-exact", "best-over", "full-disk", "signed-zero"]
@@ -410,17 +427,7 @@ def test_top_unused_matches_full_sort_on_random_state(case, neighborhood, monkey
         best = count + 1
     else:
         best = {"best-short": count - 1, "best-exact": count, "best-over": count + 1}[case]
-        for addr in range(64):
-            # few distinct scores, all below the best class's 4*20 + 9
-            disk.hf[addr] = rng.randint(0, 2)
-            disk.uf[addr] = rng.randint(0, 2)
-            disk.sf[addr] = rng.choice((-1.0, 0.0, 0.5))
-            disk.lf[addr] = rng.randint(0, 1)
-        top = rng.sample(range(64), best + 2)
-        for addr in top:
-            disk.hf[addr], disk.uf[addr], disk.sf[addr], disk.lf[addr] = 20, 0, 0.0, 1
-        rest = sorted(set(range(64)) - set(top))
-        disk.used_mask[top[:2] + rng.sample(rest, 8)] = True  # used blocks never rank
+        set_best_class(disk, rng, best, used=10)
     sorts = []
     argsort = np.argsort
     monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(a) or argsort(*a, **kw))
@@ -431,3 +438,54 @@ def test_top_unused_matches_full_sort_on_random_state(case, neighborhood, monkey
         assert got == rank_by_full_sort(disk, count)
     if best is not None:
         assert bool(sorts) == (best < count)
+
+
+@pytest.mark.parametrize("neighborhood", ["grid-row", "contiguous:2", "none"])
+@pytest.mark.parametrize("case", ["random", "best-covers", "best-short"])
+def test_top_unused_matches_full_sort_with_few_free_blocks(case, neighborhood, monkeypatch):
+    """At most a quarter of the disk free (50 of 64 blocks used): only the
+    free blocks are scored, and the ranking is still the reference sort's.
+    A best class holding exactly count free blocks needs no sort; one block
+    short of count, the stable sort runs."""
+    rng = random.Random(78)
+    disk = make_disk(rows=8, cols=8, neighborhood=neighborhood)
+    count = 5
+    if case == "random":
+        for addr in range(64):
+            disk.hf[addr] = rng.randint(0, 9)
+            disk.uf[addr] = rng.randint(0, 9)
+            disk.lf[addr] = rng.randint(0, 1)
+        disk.used_mask[rng.sample(range(64), 50)] = True
+        update_spatial_factors(disk)
+    else:
+        set_best_class(disk, rng, count if case == "best-covers" else count - 1, used=50)
+    free = (~disk.used_mask).nonzero()[0]
+    assert len(free) == 14
+    scored, sorts = [], []
+    pf_array, argsort = disk.pf_array, np.argsort
+    disk.pf_array = lambda *a: scored.append(a) or pf_array(*a)
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(a) or argsort(*a, **kw))
+    assert top_unused(disk, count) == rank_by_full_sort(disk, count)
+    [(addrs,)] = scored
+    assert addrs.tolist() == free.tolist()
+    if case != "random":
+        assert bool(sorts) == (case == "best-short")
+
+
+@pytest.mark.parametrize("free", [1, 15, 16, 17, 32, 64])
+def test_top_unused_scores_only_free_blocks_when_at_most_a_quarter_are_free(free):
+    """The free blocks alone are scored exactly when 4 * free <= n; with more
+    free, every block is scored and the free ones kept."""
+    rng = random.Random(free)
+    disk = make_disk(rows=8, cols=8)
+    disk.used_mask[rng.sample(range(64), 64 - free)] = True
+    scored = []
+    pf_array = disk.pf_array
+    disk.pf_array = lambda *a: scored.append(a) or pf_array(*a)
+    assert top_unused(disk, 1) == rank_by_full_sort(disk, 1)
+    [args] = scored
+    if 4 * free <= 64:
+        [addrs] = args
+        assert addrs.tolist() == (~disk.used_mask).nonzero()[0].tolist()
+    else:
+        assert args == ()
