@@ -1,10 +1,10 @@
 """In-memory model of the block device.
 
 The disk is a flat array of fixed-size blocks, and every piece of block state
-is one entry of a per-block array: the used mask, the four ranking factors,
-the content version and the lineage owner (the most recent parent file, -1
-for a block never owned). A block's content is named by its lineage and its
-version; no bytes are kept. Scores are computed from the arrays on demand,
+is one entry of a per-block array: the used mask, the four ranking factors
+and the lineage owner (the most recent parent file, -1 for a block never
+owned). A block's content is named by its lineage owner alone; no bytes are
+kept. Scores are computed from the arrays on demand,
 and claiming or releasing a file's blocks is one vectorised call. The sibling
 list of each owner is the owning file's own block list, kept by reference for
 the snapshot while at least one block names that owner.
@@ -20,10 +20,10 @@ from .errors import BlockStateError
 from .model import NONE, DiskGeometry, Hyperparams, canonical_json
 
 SNAPSHOT_FORMAT = "apexsim-snapshot"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 NO_OWNER = -1
 _STATE = {True: '"used"', False: '"unused"'}
-_ARRAYS = ("hf", "uf", "sf", "lf", "used_mask", "version", "owner")  # the per-block state
+_ARRAYS = ("hf", "uf", "sf", "lf", "used_mask", "owner")  # the per-block state
 
 
 class Disk:
@@ -36,7 +36,6 @@ class Disk:
         self.sf = np.zeros(n, dtype=np.float64)  # neighbor mean of scores, 0 while used
         self.lf = np.ones(n, dtype=np.int64)  # last owner's linkage flag; fresh blocks start linked
         self.used_mask = np.zeros(n, dtype=bool)
-        self.version = np.zeros(n, dtype=np.int64)  # bumps on every write; 0 = never written
         self.owner = np.full(n, NO_OWNER, dtype=np.int64)
         self.siblings: dict[int, list] = {}  # owner named by a block -> its block list
         self.clock = 0
@@ -50,7 +49,7 @@ class Disk:
         ((hist*hf - usage*uf) + spatial*sf) + link*lf, the integer terms
         exactly in int64. With spatial ranking disabled the spatial term is
         dropped, not zeroed, and the integer sum reaches float64 in one
-        conversion at the end. Every step is elementwise, so pf_array(addrs)
+        cast at the end. Every step is elementwise, so pf_array(addrs)
         is bitwise pf_array()[addrs], and gathers only the factors it reads."""
         hp = self.hyperparams
         hf, uf, sf, lf = self.hf, self.uf, self.sf, self.lf
@@ -72,8 +71,7 @@ class Disk:
     def lineage_intact(self, addrs: list, file_id: int | list) -> np.ndarray:
         """Per address, whether the block is still its file's: unused, and the
         owner array names that file, so no later file has claimed it. file_id
-        is one file id for every address, or a list of one id per address.
-        Versions play no part."""
+        is one file id for every address, or a list of one id per address."""
         idx = np.asarray(addrs, dtype=np.intp)
         return ~self.used_mask[idx] & (self.owner[idx] == file_id)
 
@@ -123,18 +121,18 @@ class Disk:
             # json's own float spelling, one encoder call for the row
             sf_text = canonical_json(self.sf[row].tolist())[1:-1].split(",")
             blocks = []
-            for used, hf, uf, sf, lf, version, owner in zip(
+            for used, hf, uf, sf, lf, owner in zip(
                 self.used_mask[row].tolist(), self.hf[row].tolist(), self.uf[row].tolist(), sf_text,
-                self.lf[row].tolist(), self.version[row].tolist(), self.owner[row].tolist(),
+                self.lf[row].tolist(), self.owner[row].tolist(),
             ):
                 mrpf = (
-                    f'{{"content_epoch":{version},"file_id":{owner},"siblings":{lineage[owner]}}}'
+                    f'{{"file_id":{owner},"siblings":{lineage[owner]}}}'
                     if owner != NO_OWNER
                     else "null"
                 )
                 blocks.append(
                     f'{{"hf":{hf},"lf":{lf},"mrpf":{mrpf},"sf":{sf},'
-                    f'"state":{_STATE[used]},"uf":{uf},"version":{version}}}'
+                    f'"state":{_STATE[used]},"uf":{uf}}}'
                 )
             yield ("," if start else "") + ",".join(blocks)
         # "blocks" sorts before every other top-level key
@@ -168,10 +166,10 @@ def claim(disk: Disk, addrs: list, file_id: int) -> list:
     Overwrite propagation first: a claimed block whose lineage names a prior
     owner F damages F's copy, so each of F's blocks still unused and still
     owned by F gains one unit of churn per claimed block F owned. Then the
-    claim lands: churn resets to 1, usage starts at 1, spatial zeroes, the
-    content version bumps and lineage names file_id. A non-empty addrs is
-    kept by reference as file_id's sibling list, so it must be the file's
-    block list; an owner's entry goes once no block names it.
+    claim lands: churn resets to 1, usage starts at 1, spatial zeroes and
+    lineage names file_id. A non-empty addrs is kept by reference as
+    file_id's sibling list, so it must be the file's block list; an owner's
+    entry goes once no block names it.
 
     Returns the prior owners this claim left with no block on their lineage,
     in the order the claim first took one of their blocks: nothing of those
@@ -196,7 +194,6 @@ def claim(disk: Disk, addrs: list, file_id: int) -> list:
     disk.hf[idx] = 1
     disk.uf[idx] = 1
     disk.sf[idx] = 0.0
-    disk.version[idx] += 1
     disk.owner[idx] = file_id
     if addrs:
         disk.siblings[file_id] = addrs
@@ -205,8 +202,8 @@ def claim(disk: Disk, addrs: list, file_id: int) -> list:
 
 def release(disk: Disk, addrs: list, lf: int) -> None:
     """Used blocks become unused: churn resets to 0, usage freezes at its
-    current value, the linkage flag becomes lf. Version and lineage stay
-    until a later claim lands on the block."""
+    current value, the linkage flag becomes lf. Lineage stays until a later
+    claim lands on the block."""
     idx = _addresses(disk, addrs)
     if np.count_nonzero(disk.used_mask[idx]) != len(idx):
         raise BlockStateError(f"already unused: {idx[~disk.used_mask[idx]].tolist()}")

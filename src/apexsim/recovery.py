@@ -2,7 +2,8 @@
 
 A block counts as recovered for a file when the owner array still names that
 file: the block is unused and no later file has claimed it. Only the owner
-array is compared, never the block versions. Linked formats are
+array is compared: a deleted file's block can change only when a later claim
+takes it, and that claim names a new owner. Linked formats are
 all-or-nothing; partial formats recover byte ranges once their metadata block
 survives. One lineage read over many files (measure_recovery) is the only
 way a file's recovery is measured: the objective, compare rows and the

@@ -4,11 +4,12 @@ The namespace is flat: a path is "/" plus one name, and one dict from path to
 file record holds it; there are no directories. Files are fixed-size at
 creation: block 0 of every non-empty file is its metadata block, the rest
 carry data in order.
-No bytes are stored: a write is recorded as a version bump on the blocks it
-touches. Deletion is logical - blocks are freed but their version and lineage
-stay put until someone allocates over them. A create is one disk.claim of the
-file's block list and a delete one disk.release; the disk keeps that same list
-as the file's sibling list, so it is never copied or mutated.
+No bytes are stored: a block's content is named by its lineage owner, so a
+write of a live file is one use of it, as a read is. Deletion is logical -
+blocks are freed but their lineage stays put until someone allocates over
+them. A create is one disk.claim of the file's block list and a delete one
+disk.release; the disk keeps that same list as the file's sibling list, so it
+is never copied or mutated.
 A deleted file turns obsolete at the one moment nothing of it can come back:
 when a create's claim takes the last block on its lineage, or at its delete
 if it has no blocks. The deleted files that are not yet obsolete are kept
@@ -217,21 +218,15 @@ class FileSystem:
         """Overwrite length bytes at offset inside the current size; files
         never grow here.
 
-        Each data block the range touches bumps its version once; untouched
-        blocks keep theirs. Usage increments once even for a zero-length write.
+        The range is checked, then the write is one use of the file, as a read
+        is, even at zero length: the blocks' lineage does not move, so no
+        block state but usage does.
         """
         rec = self.lookup(path)
         if offset < 0 or length < 0 or offset + length > rec.size_bytes:
             raise ValueError(
                 f"write [{offset}, {offset + length}) outside size {rec.size_bytes}"
             )
-        if length:
-            bs = self.disk.geometry.block_size_bytes
-            version = self.disk.version
-            # scalar adds: a generated write touches one block, where a fancy-
-            # indexed add costs several times as much
-            for addr in rec.block_list[1 + offset // bs : 2 + (offset + length - 1) // bs]:
-                version[addr] += 1
         self._use(rec)
 
     # -- internals -----------------------------------------------------------

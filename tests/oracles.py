@@ -48,9 +48,9 @@ def reference_snapshot(disk):
     must write."""
     sorted_siblings = {fid: sorted(blocks) for fid, blocks in disk.siblings.items()}
     per_block = []
-    for used, hf, uf, sf, lf, version, owner in zip(
+    for used, hf, uf, sf, lf, owner in zip(
         disk.used_mask.tolist(), disk.hf.tolist(), disk.uf.tolist(), disk.sf.tolist(),
-        disk.lf.tolist(), disk.version.tolist(), disk.owner.tolist(),
+        disk.lf.tolist(), disk.owner.tolist(),
     ):
         per_block.append({
             "state": "used" if used else "unused",
@@ -58,13 +58,8 @@ def reference_snapshot(disk):
             "uf": uf,
             "sf": sf,
             "lf": lf,
-            "version": version,
             "mrpf": (
-                {
-                    "file_id": owner,
-                    "siblings": sorted_siblings[owner],
-                    "content_epoch": version,
-                }
+                {"file_id": owner, "siblings": sorted_siblings[owner]}
                 if owner != NO_OWNER
                 else None
             ),

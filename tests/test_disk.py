@@ -43,7 +43,7 @@ def test_transition_to_used_resets_tracking():
     disk.sf[5] = 2.5
     claim(disk, [5], 1)
     assert (disk.hf[5], disk.uf[5], disk.sf[5], disk.lf[5]) == (1.0, 1.0, 0.0, 1.0)
-    assert (disk.version[5], disk.owner[5]) == (1, 1)
+    assert disk.owner[5] == 1
     assert disk.used_mask[5]
     assert 5 not in top_unused(disk, 15)
 
@@ -54,7 +54,7 @@ def test_transition_to_unused_freezes_usage():
     disk.uf[5] = 7.0
     release(disk, [5], 0)
     assert (disk.hf[5], disk.uf[5], disk.lf[5]) == (0.0, 7.0, 0.0)
-    assert (disk.version[5], disk.owner[5]) == (1, 1)  # lineage stays until a claim lands
+    assert disk.owner[5] == 1  # lineage stays until a claim lands
     assert not disk.used_mask[5]
     assert 5 in top_unused(disk, 16)
 
@@ -246,7 +246,7 @@ def test_pf_array_of_addresses_is_the_full_array_gathered(neighborhood):
             got = disk.pf_array(addrs)
             assert got.dtype == np.float64 and got.shape == addrs.shape
             assert np.array_equal(got.view(np.int64), full[addrs].view(np.int64)), (signs, addrs)
-            for name in ("hf", "uf", "sf", "lf", "used_mask", "version", "owner"):
+            for name in ("hf", "uf", "sf", "lf", "used_mask", "owner"):
                 assert not np.shares_memory(got, getattr(disk, name)), name
 
 
@@ -258,28 +258,38 @@ def test_snapshot_hash_is_stable_and_state_sensitive():
     assert a.snapshot_sha256() != b.snapshot_sha256()
 
 
-def test_snapshot_sees_payload_changes():
-    """No bytes are stored: a write changes a block's content, and the
-    snapshot sees it through that block's version."""
-    fs = make_fs(rows=2, cols=2)
-    rec = fs.create_file("/a.bin", 4096)
-    before = fs.disk.snapshot_sha256()
-    fs.write_file("/a.bin", 0, 16)
-    assert fs.disk.version[rec.block_list[1]] == 2
-    assert fs.disk.snapshot_sha256() != before
-
-
-def test_snapshot_lineage_reads_owner_version_and_sibling_list():
+def test_snapshot_lineage_reads_owner_and_sibling_list():
     disk = make_disk(rows=2, cols=2)
     blocks = [3, 1]
     claim(disk, blocks, 7)
-    disk.version[1] += 1
     release(disk, blocks, 0)
     snap = disk.snapshot()["blocks"]
     assert snap[0]["mrpf"] is None
-    assert snap[1]["mrpf"] == {"file_id": 7, "siblings": [1, 3], "content_epoch": 2}
-    assert snap[3]["mrpf"] == {"file_id": 7, "siblings": [1, 3], "content_epoch": 1}
-    assert (snap[1]["state"], snap[1]["version"], snap[1]["lf"]) == ("unused", 2, 0)
+    assert snap[1]["mrpf"] == snap[3]["mrpf"] == {"file_id": 7, "siblings": [1, 3]}
+    assert (snap[1]["state"], snap[1]["lf"]) == ("unused", 0)
+    for block in snap:
+        assert sorted(block) == ["hf", "lf", "mrpf", "sf", "state", "uf"]
+
+
+def test_copy_gives_every_array_its_own_memory():
+    """The arrays are found on the instance, not in the copy's own list, so
+    one added to Disk but not copied fails here: compare's flood copies would
+    share it."""
+    disk = make_disk(rows=4, cols=4)
+    claim(disk, [0, 5, 6], 1)
+    release(disk, [5], 0)
+    disk.sf[[1, 2]] = [2.5, -1.0]
+    arrays = {name: a for name, a in vars(disk).items() if isinstance(a, np.ndarray)}
+    assert "owner" in arrays and "used_mask" in arrays
+    before = {name: a.copy() for name, a in arrays.items()}
+    twin = disk.copy()
+    for name, a in arrays.items():
+        mine = getattr(twin, name)
+        assert np.array_equal(mine, a), name
+        assert not np.shares_memory(mine, a), name
+        mine[:] = ~mine if mine.dtype == bool else mine + 1
+    for name, a in arrays.items():
+        assert np.array_equal(a, before[name]), f"{name} changed through the copy"
 
 
 @pytest.mark.parametrize("case", ["grid-row", "none", "contiguous:2", "all-used"])
@@ -307,7 +317,6 @@ def test_snapshot_json_matches_reference_encoder(neighborhood):
     release(disk, [0, 5, 2], 0)  # freed blocks keep their lineage
     release(disk, [9], 1)
     claim(disk, [9], 4)  # owner 3 has no block left
-    disk.version[5] += 2
     disk.uf[3] += 5
     rng = random.Random(5)
     disk.sf[:] = [rng.uniform(-1e6, 1e6) for _ in range(16)]

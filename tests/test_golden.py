@@ -4,8 +4,8 @@ Each case hashes what a command writes: the simulate report JSON and its
 trace bytes on every neighborhood kind under every policy, one two-seed
 surveillance compare, one short train, and the report file each of the
 simulate, replay, recover and compare commands writes. The report embeds the
-end state's snapshot sha256, which covers every block's factors, lineage and
-version. Most churn bumps are wiped before the end, when their block is
+end state's snapshot sha256, which covers every block's factors and lineage.
+Most churn bumps are wiped before the end, when their block is
 claimed again, so the simulate cases also hash the used mask and the factor
 arrays after every op: a single bump that moves changes that hash. A change that sets out
 to alter behaviour updates these values and says so.

@@ -10,6 +10,7 @@ from apexsim.disk import claim, new_disk, release
 from apexsim.errors import DiskFullError
 from apexsim.model import GRID_ROW, SF_LIMIT, DiskGeometry, Hyperparams, Neighborhood
 from apexsim.priority import top_unused, update_spatial_factors
+from apexsim.workload import WorkloadConfig, run_simulation
 
 from conftest import ScriptedPolicy, make_disk, make_fs
 from oracles import FactorOracle, rank_by_full_sort, score_of
@@ -131,7 +132,7 @@ def test_access_to_zero_block_file_moves_only_its_record(use):
     fs.create_file("/a.txt", 4096)
     rec = fs.create_file("/empty.txt", 0)
     assert rec.block_list == []
-    arrays = ("hf", "uf", "sf", "lf", "used_mask", "version", "owner")
+    arrays = ("hf", "uf", "sf", "lf", "used_mask", "owner")
     before = {name: getattr(fs.disk, name).tobytes() for name in arrays}
     fs.disk.clock = 7
     use(fs, "/empty.txt")
@@ -233,7 +234,7 @@ def test_spatial_pass_writes_only_sf_and_scores_are_fresh(neighborhood):
     release(disk, [5], 0)
     claim(disk, [9], 2)
     disk.uf[9] += 3
-    names = ("hf", "uf", "sf", "lf", "used_mask", "version", "owner")
+    names = ("hf", "uf", "sf", "lf", "used_mask", "owner")
     arrays = {name: getattr(disk, name) for name in names}
     before = {name: a.tobytes() for name, a in arrays.items()}
     update_spatial_factors(disk)
@@ -356,6 +357,23 @@ def test_spatial_clamped_to_limit():
     disk.sf[0] = 9e12  # runaway score feeding the next pass
     update_spatial_factors(disk)
     assert disk.sf[1] == SF_LIMIT
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("hp", [(4, 7, 1, 9), (3, 2, 2, 2)])
+def test_scaled_coefficients_pick_the_same_blocks_without_a_neighborhood(hp, seed):
+    """Under `none` every score is an integer sum, so scaling all four
+    coefficients by k scales every score by k: the same blocks are picked.
+    Under grid-row and contiguous the spatial coefficient is also the gain of
+    the neighbor feedback, so nothing is asserted there."""
+    cfg = WorkloadConfig(rng_seed=seed, total_ops=2000, max_file_blocks=8)
+    runs = []
+    for k in (1, 3):
+        fs = make_fs(rows=16, cols=16, neighborhood="none", hp=[k * c for c in hp])
+        _, trace = run_simulation(cfg, fs)
+        arrays = tuple(getattr(fs.disk, name).tobytes() for name in ("owner", "used_mask", "hf"))
+        runs.append(("".join(op.to_json_line() for op in trace), arrays))
+    assert runs[0] == runs[1]
 
 
 # -- ranking -------------------------------------------------------------------

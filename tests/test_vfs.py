@@ -165,59 +165,40 @@ def test_path_reusable_after_delete():
 
 
 def test_read_round_trip_and_usage_bump():
-    """A read is one use of the file: usage and last access move on every
-    block, and no block's version does."""
+    """A read is one use of the file: usage moves on every block, and the
+    last access moves to the current tick."""
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.bin", 5120)  # metadata + 2 data blocks
     fs.create_file("/b.bin", 4096)
     fs.disk.tick()
-    versions = fs.disk.version.copy()
     assert fs.access("/a.bin") is fs.lookup("/a.bin") is rec
     assert (rec.uf_counter, rec.last_access_tick) == (2, 1)
     assert fs.disk.uf.tolist() == [2, 2, 2, 1, 1] + [0] * 11
-    assert fs.disk.version.tolist() == versions.tolist()
     fs.delete_file("/a.bin")
     with pytest.raises(FileNotFoundError):
         fs.access("/a.bin")
 
 
-def test_write_bumps_epoch_only_on_touched_blocks():
-    fs = make_fs(rows=4, cols=4)
-    rec = fs.create_file("/a.bin", 3 * 4096)
-    meta, d0, d1, d2 = rec.block_list
-    epochs = fs.disk.version.copy()
-    fs.write_file("/a.bin", 4096, 5)  # lands entirely in d1
-    version = fs.disk.version
-    assert version[d1] == epochs[d1] + 1
-    assert version[d0] == epochs[d0]
-    assert version[d2] == epochs[d2]
-    assert version[meta] == epochs[meta]
-    assert fs.disk.snapshot()["blocks"][d1]["mrpf"]["content_epoch"] == epochs[d1] + 1
-    written = version.tolist()
-    fs.access("/a.bin")
-    assert fs.disk.version.tolist() == written  # a read bumps no version
-    assert rec.uf_counter == 3  # create + write + read
-
-
 def test_write_spanning_two_blocks():
+    """A write inside the file is one use of it, however many blocks it
+    touches: usage moves on every block of the file and nothing else does."""
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.bin", 3 * 4096)
-    meta, d0, d1, d2 = rec.block_list
+    others = ("hf", "sf", "lf", "used_mask", "owner")
+    before = {name: getattr(fs.disk, name).tobytes() for name in others}
     fs.write_file("/a.bin", 4090, 10)  # the last 6 bytes of d0, the first 4 of d1
-    assert fs.disk.version[[meta, d0, d1, d2]].tolist() == [1, 2, 2, 1]
     fs.write_file("/a.bin", 4096, 8192)  # exactly d1 and d2
-    assert fs.disk.version[[meta, d0, d1, d2]].tolist() == [1, 2, 3, 2]
+    assert fs.disk.uf[rec.block_list].tolist() == [3, 3, 3, 3]
     assert rec.uf_counter == 3
+    assert {name: getattr(fs.disk, name).tobytes() for name in others} == before
 
 
 def test_zero_length_write_still_counts_as_usage():
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.bin", 4096)
-    epoch = fs.disk.version[rec.block_list[1]]
     fs.write_file("/a.bin", 0, 0)
     assert rec.uf_counter == 2
     assert all(fs.disk.uf[a] == 2.0 for a in rec.block_list)
-    assert fs.disk.version[rec.block_list[1]] == epoch
 
 
 def test_write_outside_size_rejected():
@@ -274,7 +255,7 @@ def test_obsolete_status_of_every_retired_file_in_delete_order():
     assert set(fs.disk.siblings) == {kept.id, partial.id, b.id, c.id}
 
 
-def test_lineage_broken_by_version_bump_on_rewrite():
+def test_lineage_broken_by_a_later_claim():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1], [0, 1]))
     a = fs.create_file("/a.txt", 4096)
     fs.delete_file("/a.txt")

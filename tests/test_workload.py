@@ -159,6 +159,20 @@ def test_replay_reproduces_end_state():
     assert replayed.seed is None
 
 
+@pytest.mark.parametrize("neighborhood", ["grid-row", "none", "contiguous:3"])
+def test_write_ends_where_a_read_of_the_same_path_ends(neighborhood):
+    """A block's content is named by its lineage owner, which a write does not
+    move: with every write of a trace turned into a read of the same path at
+    the same tick, the replay ends on the same snapshot and recovery."""
+    cfg = WorkloadConfig(rng_seed=5, total_ops=1500)
+    report, trace = run_simulation(cfg, make_fs(rows=16, cols=16, neighborhood=neighborhood))
+    as_reads = [WorkloadOp(op.tick, "read", op.path) if op.kind == "write" else op for op in trace]
+    assert Counter(op.kind for op in trace)["write"] == 546
+    replayed = replay_trace(as_reads, make_fs(rows=16, cols=16, neighborhood=neighborhood))
+    assert replayed.snapshot_sha256 == report.snapshot_sha256
+    assert replayed.weighted_rr == report.weighted_rr
+
+
 def test_trace_file_round_trip(tmp_path):
     cfg = WorkloadConfig(rng_seed=5, total_ops=60, max_file_blocks=4)
     fs = make_fs(rows=8, cols=8)
