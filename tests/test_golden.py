@@ -40,39 +40,39 @@ SIM_TRACE_GOLDEN = "5494025583a4a38cf4219e0718930db1ef4cf685d46de293a6f4d657c1b1
 # (neighborhood, policy) -> (report sha256, factor trajectory sha256)
 SIM_GOLDEN = {
     ("grid-row", "apex"): (
-        "f70a65cadd62a74a95159e673b82e4e894f98f555f246667f34a273bee99f15d",
+        "717a44841d1f16f5bd71a236ffe5bee702d611130dbecff1d32fad559711c490",
         "197f74a98acd3ec88894a73679b1680cd66f1af91c1c93584f4bd26e329b1517",
     ),
     ("grid-row", "first-fit"): (
-        "b274ee62189ce4fc807f8869ecadc62551c6dd3bafbcd86a8bb0b5da5f2b036b",
+        "96d5444fcc1f2a1151babbf199d432e90f23ec7d9f3a1ab1e8dd29f56959ae5d",
         "e2aba3b50a7a1d025877da03f84e1aebd46a869890498c500c9b3c64a6a6eb6b",
     ),
     ("grid-row", "random"): (
-        "47cc40296ef678982e67d5daeac0101182947bf3061c83f32dff24f8b6599a01",
+        "300130d26a98df389673eff0836d8e68f279fc9348ed6b348fa399cf28de038f",
         "87cf27ce857cfcc30c6f5be84da25f4672496132cdbf793c74ee8595aecef657",
     ),
     ("none", "apex"): (
-        "40d6eb39f4f04e1fc4a0fc05e75ed51379d0027587be4f45a847ca3f515c6e69",
+        "b5e540eb5193cd28f71772dd2094106663c60e1bc73519a03419b981a59e6e31",
         "f7d92d38df0c32689c16f518e104cc450f21377e05015495588640ca9afad7bf",
     ),
     ("none", "first-fit"): (
-        "b8b65b2469e01a34524819006d7caaf584b829abf9fda99c818e70dd8f1551c6",
+        "90f454e5365736faa7d81fce121c92e01a7f654095c6a5a317f9ebcbb0bc3954",
         "06fc46627feb236ceeb369c30a5e4ab36d169b0786586dde8e8e0633ea60f5bf",
     ),
     ("none", "random"): (
-        "e3eb68f1388c94f3009a4d9b04a4d0d83e4a8ab1392397363bd7535740082abe",
+        "019d5c0cf763a37e1c860a321a9ee1290ae1691b18aca0d4e81c4dfb82af42da",
         "e7abda7983f6f19fb34e36377f06b903052c0f8c7e40cea828cbae4f5d5fe8c4",
     ),
     ("contiguous:3", "apex"): (
-        "5dbeefe4c79ff10b8106f728931acb7a4b6ec70c8d6dd9700298919cd27f1ade",
+        "9d1837af2bd772bfcbc639255897c94b23a06257e434c43e3be05b7d51c4ad3b",
         "8dab82a35ad322502a3123449d9c6015906aa9b499c725fb0aab8ac5db172af1",
     ),
     ("contiguous:3", "first-fit"): (
-        "4a4298d094d4a699e0e224fd8cbf9050a0982eba18d54d5c59947fc7bcc9835d",
+        "66e4a83448a9ea33064cac13ccd528c05a7c573c5aa2fea25aa2275a02914b5f",
         "51a0476677ca2bd8d18398e779d59c9328a5d79072676dcc1876e29403f6b2b5",
     ),
     ("contiguous:3", "random"): (
-        "76e49f792c2adc08ac4968a6b77c1619e05eb13366458a371427415e0bbc71cb",
+        "a15af79820d55bd908d543ca73d5b2bc47d8870e1a99375268cad95d828edc60",
         "7595e7ee57a695cd6f47acffc6c3557503d94b006adce16bc43d60db11ddee8c",
     ),
 }
@@ -105,8 +105,8 @@ policies = apex,first-fit,random
 CLI_GOLDEN = {
     "compare": "fad10648d4ffc2afe27550f2d3fcd8471aa178416b006b2394e826536f07e57d",
     "recover": "173b682050bf8438afab64d79ed772fc35ca061c635e3c8d0784324a5d37b982",
-    "replay": "0c879af1b3068009e295ef1a2820eabfefbbad05db3d200bfa183547c3afaf6c",
-    "simulate": "d728b1a2b26dbed6337b7cbcc44f6ed33773cfaee1b37ef73de705b5b5ef9232",
+    "replay": "fee45d6fe4318a2519ff294e844a79807a4ef7f18399f7caa8a9e8824596d1e1",
+    "simulate": "4f6b1c9e56aac45578f8e3eb2094b5a9afde5460b338a221adc9d5379327f1bb",
 }
 
 
