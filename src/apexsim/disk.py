@@ -4,10 +4,10 @@ The disk is a flat array of fixed-size blocks, and every piece of block state
 is one entry of a per-block array: the used mask, the four ranking factors
 and the lineage owner (the most recent parent file, -1 for a block never
 owned). A block's content is named by its lineage owner alone; no bytes are
-kept. Scores are computed from the arrays on demand,
-and claiming or releasing a file's blocks is one vectorised call. The sibling
-list of each owner is the owning file's own block list, kept by reference for
-the snapshot while at least one block names that owner.
+kept. Scores are computed from the arrays on demand, and claiming or
+releasing a file's blocks is one vectorised call. The sibling list of each
+owner is the owning file's own block list, kept by reference for the snapshot
+while at least one block names that owner.
 """
 
 import hashlib
@@ -48,9 +48,9 @@ class Disk:
         usage protects it, and higher means overwritten sooner. Evaluated as
         ((hist*hf - usage*uf) + spatial*sf) + link*lf, the integer terms
         exactly in int64. With spatial ranking disabled the spatial term is
-        dropped, not zeroed, and the integer sum reaches float64 in one
-        cast at the end. Every step is elementwise, so pf_array(addrs)
-        is bitwise pf_array()[addrs], and gathers only the factors it reads."""
+        dropped, not zeroed, and the integer sum reaches float64 in one cast
+        at the end. Every step is elementwise, so pf_array(addrs) is bitwise
+        pf_array()[addrs], and gathers only the factors it reads."""
         hp = self.hyperparams
         hf, uf, sf, lf = self.hf, self.uf, self.sf, self.lf
         if addrs is not None:
