@@ -6,12 +6,13 @@ and the lineage owner (the most recent parent file, -1 for a block never
 owned). A block's content is named by its lineage owner alone; no bytes are
 kept. Scores are computed from the arrays on demand, and claiming or
 releasing a file's blocks is one vectorised call. The sibling list of each
-owner is the owning file's own block list, kept by reference for the snapshot
-while at least one block names that owner.
+owner is the owning file's own block list, kept by reference for the digest
+while at least one block names that owner. The digest, snapshot_sha256, is
+the device's one serialization: it hashes the arrays' own bytes, so no block
+is ever rendered as text.
 """
 
 import hashlib
-import json
 from collections import Counter
 
 import numpy as np
@@ -20,9 +21,8 @@ from .errors import BlockStateError
 from .model import NONE, DiskGeometry, Hyperparams, canonical_json
 
 SNAPSHOT_FORMAT = "apexsim-snapshot"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 NO_OWNER = -1
-_STATE = {True: '"used"', False: '"unused"'}
 _ARRAYS = ("hf", "uf", "sf", "lf", "used_mask", "owner")  # the per-block state
 
 
@@ -91,59 +91,25 @@ class Disk:
 
     # -- serialization ------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        return json.loads(self.snapshot_json())
-
-    def snapshot_json(self) -> str:
-        """Canonical JSON of the whole device (sorted keys, no whitespace)."""
-        return "".join(self._snapshot_pieces())
-
     def snapshot_sha256(self) -> str:
-        """sha256 of snapshot_json(), fed one row of blocks at a time, so the
-        whole string is never built."""
-        digest = hashlib.sha256()
-        for piece in self._snapshot_pieces():
-            digest.update(piece.encode())
+        """sha256 of the whole device: the canonical JSON of [format,
+        version, geometry, coefficients, clock], then each array of _ARRAYS
+        as its little-endian bytes (read in place on a little-endian host),
+        then, for every owner a block names in ascending order, the
+        canonical JSON of [owner, sorted sibling list]. The geometry fixes
+        each array's length and every JSON value ends itself, so no two
+        states feed the hash the same bytes; 0.0 and -0.0 differ in sf."""
+        digest = hashlib.sha256(canonical_json([
+            SNAPSHOT_FORMAT, SNAPSHOT_VERSION, self.geometry.to_dict(),
+            list(self.hyperparams.as_tuple()), self.clock,
+        ]).encode())
+        for name in _ARRAYS:
+            arr = getattr(self, name)
+            digest.update(arr.astype(arr.dtype.newbyteorder("<"), copy=False).data)
+        for owner in np.unique(self.owner).tolist():
+            if owner != NO_OWNER:
+                digest.update(canonical_json([owner, sorted(self.siblings[owner])]).encode())
         return digest.hexdigest()
-
-    def _snapshot_pieces(self):
-        """snapshot_json() in pieces: the opening, one piece per row of
-        blocks, then the top-level keys after "blocks". Each owner's sorted
-        sibling list is encoded once, however many blocks name that owner."""
-        lineage = {
-            owner: canonical_json(sorted(self.siblings[owner]))
-            for owner in np.unique(self.owner).tolist() if owner != NO_OWNER
-        }
-        yield '{"blocks":['
-        cols = self.geometry.cols
-        for start in range(0, self.geometry.total_blocks, cols):
-            row = slice(start, start + cols)
-            # json's own float spelling, one encoder call for the row
-            sf_text = canonical_json(self.sf[row].tolist())[1:-1].split(",")
-            blocks = []
-            for used, hf, uf, sf, lf, owner in zip(
-                self.used_mask[row].tolist(), self.hf[row].tolist(), self.uf[row].tolist(), sf_text,
-                self.lf[row].tolist(), self.owner[row].tolist(),
-            ):
-                mrpf = (
-                    f'{{"file_id":{owner},"siblings":{lineage[owner]}}}'
-                    if owner != NO_OWNER
-                    else "null"
-                )
-                blocks.append(
-                    f'{{"hf":{hf},"lf":{lf},"mrpf":{mrpf},"sf":{sf},'
-                    f'"state":{_STATE[used]},"uf":{uf}}}'
-                )
-            yield ("," if start else "") + ",".join(blocks)
-        # "blocks" sorts before every other top-level key
-        rest = canonical_json({
-            "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION,
-            "geometry": self.geometry.to_dict(),
-            "hyperparams": list(self.hyperparams.as_tuple()),
-            "clock": self.clock,
-        })
-        yield "]," + rest[1:]
 
 
 def new_disk(geometry: DiskGeometry, hyperparams: Hyperparams) -> Disk:

@@ -5,10 +5,15 @@ op, rankings come from a full sort, recovery is reconstructed from claim
 history instead of the owner array or read file by file and block by block
 from the used mask and the owner array instead of in one batch, and the
 recovery aggregate scans every retired file instead of only the recoverable
-ones. The compare bound knows nothing of placement: it counts blocks.
+ones. The compare bound knows nothing of placement: it counts blocks. The
+device digest is rebuilt one value at a time with struct and json, never
+from an array's bytes.
 """
 
+import hashlib
+import json
 import random
+import struct
 from itertools import chain
 
 import numpy as np
@@ -42,36 +47,29 @@ def rank_by_full_sort(disk, count=None):
     return addrs if count is None else addrs[:count]
 
 
-def reference_snapshot(disk):
-    """The device snapshot as a plain dict, built block by block; its
-    canonical JSON (sorted keys, no whitespace) is what Disk.snapshot_json
-    must write."""
-    sorted_siblings = {fid: sorted(blocks) for fid, blocks in disk.siblings.items()}
-    per_block = []
-    for used, hf, uf, sf, lf, owner in zip(
-        disk.used_mask.tolist(), disk.hf.tolist(), disk.uf.tolist(), disk.sf.tolist(),
-        disk.lf.tolist(), disk.owner.tolist(),
+def reference_digest(disk):
+    """The fingerprint Disk.snapshot_sha256 must give, rebuilt value by
+    value: the canonical JSON (sorted keys, no whitespace) of [format,
+    version, geometry, coefficients, clock]; then hf, uf, sf, lf, the used
+    mask and the owner array, each block's value packed little-endian (int64,
+    float64 or one byte of 0 or 1); then, for every owner a block names in
+    ascending order, the canonical JSON of [owner, sorted sibling list]."""
+    def encode(value):
+        return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+    h = hashlib.sha256(encode([
+        SNAPSHOT_FORMAT, SNAPSHOT_VERSION, disk.geometry.to_dict(),
+        list(disk.hyperparams.as_tuple()), disk.clock,
+    ]))
+    for values, fmt in (
+        (disk.hf, "<q"), (disk.uf, "<q"), (disk.sf, "<d"), (disk.lf, "<q"),
+        (disk.used_mask, "<?"), (disk.owner, "<q"),
     ):
-        per_block.append({
-            "state": "used" if used else "unused",
-            "hf": hf,
-            "uf": uf,
-            "sf": sf,
-            "lf": lf,
-            "mrpf": (
-                {"file_id": owner, "siblings": sorted_siblings[owner]}
-                if owner != NO_OWNER
-                else None
-            ),
-        })
-    return {
-        "format": SNAPSHOT_FORMAT,
-        "version": SNAPSHOT_VERSION,
-        "geometry": disk.geometry.to_dict(),
-        "hyperparams": list(disk.hyperparams.as_tuple()),
-        "clock": disk.clock,
-        "blocks": per_block,
-    }
+        for value in values.tolist():
+            h.update(struct.pack(fmt, value))
+    for owner in sorted(set(disk.owner.tolist()) - {NO_OWNER}):
+        h.update(encode([owner, sorted(disk.siblings[owner])]))
+    return h.hexdigest()
 
 
 def assert_conservation(fs):

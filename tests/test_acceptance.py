@@ -256,7 +256,7 @@ def test_criterion_7_determinism_and_replay():
             report, trace = run_simulation(cfg, fs)
             fs2 = make_fs(rows=8, cols=8)
             replay_trace(trace, fs2)
-            assert fs.disk.snapshot_json() == fs2.disk.snapshot_json(), (
+            assert fs.disk.snapshot_sha256() == fs2.disk.snapshot_sha256(), (
                 f"replay diverged on seed {seed}"
             )
         tc = TrainConfig(

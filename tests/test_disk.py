@@ -1,9 +1,8 @@
-"""Block store: claims and releases, the used/unused partition, snapshots."""
+"""Block store: claims and releases, the used/unused partition, the state digest."""
 
-import hashlib
 import itertools
-import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from apexsim.model import NONE, SF_LIMIT, DiskGeometry, Hyperparams, Neighborhoo
 from apexsim.priority import top_unused
 
 from conftest import make_disk, make_fs
-from oracles import rank_by_full_sort, reference_snapshot, score_of
+from oracles import rank_by_full_sort, reference_digest, score_of
 
 
 def test_new_disk_starts_fully_unused_at_baseline_score():
@@ -258,19 +257,6 @@ def test_snapshot_hash_is_stable_and_state_sensitive():
     assert a.snapshot_sha256() != b.snapshot_sha256()
 
 
-def test_snapshot_lineage_reads_owner_and_sibling_list():
-    disk = make_disk(rows=2, cols=2)
-    blocks = [3, 1]
-    claim(disk, blocks, 7)
-    release(disk, blocks, 0)
-    snap = disk.snapshot()["blocks"]
-    assert snap[0]["mrpf"] is None
-    assert snap[1]["mrpf"] == snap[3]["mrpf"] == {"file_id": 7, "siblings": [1, 3]}
-    assert (snap[1]["state"], snap[1]["lf"]) == ("unused", 0)
-    for block in snap:
-        assert sorted(block) == ["hf", "lf", "mrpf", "sf", "state", "uf"]
-
-
 def test_copy_gives_every_array_its_own_memory():
     """The arrays are found on the instance, not in the copy's own list, so
     one added to Disk but not copied fails here: compare's flood copies would
@@ -292,25 +278,16 @@ def test_copy_gives_every_array_its_own_memory():
         assert np.array_equal(a, before[name]), f"{name} changed through the copy"
 
 
-@pytest.mark.parametrize("case", ["grid-row", "none", "contiguous:2", "all-used"])
-def test_snapshot_sha256_hashes_the_snapshot_json(case):
-    """The hash is fed the snapshot in pieces, one row of blocks at a time;
-    its digest is that of the whole string."""
-    disk = make_disk(rows=3, cols=5, neighborhood="grid-row" if case == "all-used" else case)
+def _digest_state(case):
+    """A 4x4 disk whose state has every case the digest must encode: freed
+    blocks that keep their lineage, an owner with no block left, blocks
+    never owned, and sf at both clamps, -0.0 and 0.1 + 0.2. "all-used"
+    claims every block for one file."""
+    disk = make_disk(rows=4, cols=4, neighborhood="grid-row" if case == "all-used" else case)
     if case == "all-used":
-        claim(disk, list(range(15)), 1)
-    else:
-        claim(disk, [0, 6, 12], 1)
-        claim(disk, [4, 5], 2)
-        release(disk, [0, 6, 12], 0)
-        disk.sf[[1, 2, 14]] = [-0.0, SF_LIMIT, 0.1 + 0.2]
-    disk.tick()
-    assert disk.snapshot_sha256() == hashlib.sha256(disk.snapshot_json().encode()).hexdigest()
-
-
-@pytest.mark.parametrize("neighborhood", ["grid-row", "none", "contiguous:2"])
-def test_snapshot_json_matches_reference_encoder(neighborhood):
-    disk = make_disk(rows=4, cols=4, neighborhood=neighborhood)
+        claim(disk, list(range(16)), 1)
+        disk.tick()
+        return disk
     claim(disk, [0, 5, 2], 1)
     claim(disk, [7, 3], 2)
     claim(disk, [9], 3)
@@ -321,8 +298,64 @@ def test_snapshot_json_matches_reference_encoder(neighborhood):
     rng = random.Random(5)
     disk.sf[:] = [rng.uniform(-1e6, 1e6) for _ in range(16)]
     disk.sf[[1, 4, 6, 8, 10]] = [-2.5, SF_LIMIT, -SF_LIMIT, -0.0, 0.1 + 0.2]
+    disk.sf[12] = 0.0
     disk.tick()
     assert (disk.owner[10:] == NO_OWNER).all()  # never owned
-    want = json.dumps(reference_snapshot(disk), sort_keys=True, separators=(",", ":"))
-    assert disk.snapshot_json() == want
-    assert disk.snapshot() == reference_snapshot(disk)
+    return disk
+
+
+@pytest.mark.parametrize("case", ["grid-row", "none", "contiguous:2", "all-used"])
+def test_snapshot_sha256_matches_reference_digest(case):
+    disk = _digest_state(case)
+    assert disk.snapshot_sha256() == reference_digest(disk)
+
+
+def _change(disk, what):
+    """One change to one piece of the state a digest covers."""
+    if what in ("hf", "uf"):
+        getattr(disk, what)[0] += 1
+    elif what == "sf":
+        disk.sf[12] = -0.0  # was 0.0: equal as floats, not as bytes
+    elif what == "lf":
+        disk.lf[0] = 1 - disk.lf[0]
+    elif what == "used_mask":
+        disk.used_mask[0] = True
+    elif what == "owner":
+        disk.owner[0] = 2
+    elif what == "siblings":
+        disk.siblings[2] = disk.siblings[2] + [11]  # lists are shared with the original
+    elif what == "clock":
+        disk.tick()
+    elif what == "coefficients":
+        disk.hyperparams = Hyperparams(4, 7, 1, 8)
+    elif what == "rows and cols":
+        disk.geometry = replace(disk.geometry, rows=2, cols=8)
+    elif what == "block size":
+        disk.geometry = replace(disk.geometry, block_size_bytes=512)
+    elif what == "neighborhood":
+        disk.geometry = replace(disk.geometry, neighborhood=Neighborhood(NONE))
+    else:
+        raise AssertionError(what)
+
+
+def test_snapshot_sha256_sees_every_piece_of_state():
+    """One change to any array element, sibling list, the clock, the
+    coefficients or the geometry gives another digest; a copy gives the same
+    one."""
+    base = _digest_state("grid-row")
+    want = base.snapshot_sha256()
+    assert base.copy().snapshot_sha256() == want
+    assert base.sf[12] == 0.0 and not np.signbit(base.sf[12])
+    changes = (
+        "hf", "uf", "sf", "lf", "used_mask", "owner", "siblings", "clock",
+        "coefficients", "rows and cols", "block size", "neighborhood",
+    )
+    digests = set()
+    for what in changes:
+        disk = base.copy()
+        _change(disk, what)
+        got = disk.snapshot_sha256()
+        assert got == reference_digest(disk), what
+        assert got != want and got not in digests, what
+        digests.add(got)
+    assert base.snapshot_sha256() == want, "a change to a copy reached the original"

@@ -281,7 +281,7 @@ def test_record_copy_equals_original_on_every_slot():
 def _state(fs):
     """Everything a copy must keep apart from its original."""
     return (
-        fs.disk.snapshot_json(),
+        fs.disk.snapshot_sha256(),
         recovery_table(fs),
         [(f.id, f.path, f.status, f.uf_counter, f.last_access_tick) for f in fs.live_files()],
         [(f.id, f.status) for f in fs.deleted_files()],
