@@ -40,39 +40,39 @@ SIM_TRACE_GOLDEN = "5494025583a4a38cf4219e0718930db1ef4cf685d46de293a6f4d657c1b1
 # (neighborhood, policy) -> (report sha256, factor trajectory sha256)
 SIM_GOLDEN = {
     ("grid-row", "apex"): (
-        "717a44841d1f16f5bd71a236ffe5bee702d611130dbecff1d32fad559711c490",
+        "974cd7ca40c94d841f329efeea79dda4afca7b65fcc6e3c3bc912c13d354ae43",
         "197f74a98acd3ec88894a73679b1680cd66f1af91c1c93584f4bd26e329b1517",
     ),
     ("grid-row", "first-fit"): (
-        "96d5444fcc1f2a1151babbf199d432e90f23ec7d9f3a1ab1e8dd29f56959ae5d",
+        "7df72f00167a93d66e0514b57a7265bc97a1e3e6c9c696de3d681534a4829c67",
         "e2aba3b50a7a1d025877da03f84e1aebd46a869890498c500c9b3c64a6a6eb6b",
     ),
     ("grid-row", "random"): (
-        "300130d26a98df389673eff0836d8e68f279fc9348ed6b348fa399cf28de038f",
+        "f37171efeebc874d2fb1cec9a4561b920b8e4e8943dc4073e1ec54a35ce5c01a",
         "87cf27ce857cfcc30c6f5be84da25f4672496132cdbf793c74ee8595aecef657",
     ),
     ("none", "apex"): (
-        "b5e540eb5193cd28f71772dd2094106663c60e1bc73519a03419b981a59e6e31",
+        "b0ce8741d5600032d5e8c81e0ebeb2f11f2628ee8236b38cbca9bb60ca924145",
         "f7d92d38df0c32689c16f518e104cc450f21377e05015495588640ca9afad7bf",
     ),
     ("none", "first-fit"): (
-        "90f454e5365736faa7d81fce121c92e01a7f654095c6a5a317f9ebcbb0bc3954",
+        "caa643b8f78b3669cf87e982b5ed49481b3729dc742dc8e5b3c8f57e8d0e51f8",
         "06fc46627feb236ceeb369c30a5e4ab36d169b0786586dde8e8e0633ea60f5bf",
     ),
     ("none", "random"): (
-        "019d5c0cf763a37e1c860a321a9ee1290ae1691b18aca0d4e81c4dfb82af42da",
+        "c281dba34f8a5d9223f983df926b7bfee01036d6e00682d145b3be0f1ed5979b",
         "e7abda7983f6f19fb34e36377f06b903052c0f8c7e40cea828cbae4f5d5fe8c4",
     ),
     ("contiguous:3", "apex"): (
-        "9d1837af2bd772bfcbc639255897c94b23a06257e434c43e3be05b7d51c4ad3b",
+        "bd0f1abf98fc18b6bcc2e724bcb00c48afa69867b2e140eef5986289481b9320",
         "8dab82a35ad322502a3123449d9c6015906aa9b499c725fb0aab8ac5db172af1",
     ),
     ("contiguous:3", "first-fit"): (
-        "66e4a83448a9ea33064cac13ccd528c05a7c573c5aa2fea25aa2275a02914b5f",
+        "616301bfd8bf0b647af04ab064b0dd7b11d4df2e1b475be5aafaa7cb08d90128",
         "51a0476677ca2bd8d18398e779d59c9328a5d79072676dcc1876e29403f6b2b5",
     ),
     ("contiguous:3", "random"): (
-        "a15af79820d55bd908d543ca73d5b2bc47d8870e1a99375268cad95d828edc60",
+        "a1cbe2d85eb780d56295048acaf0f07227d551a7e40bce391733155c8d38a280",
         "7595e7ee57a695cd6f47acffc6c3557503d94b006adce16bc43d60db11ddee8c",
     ),
 }
@@ -105,8 +105,8 @@ policies = apex,first-fit,random
 CLI_GOLDEN = {
     "compare": "fad10648d4ffc2afe27550f2d3fcd8471aa178416b006b2394e826536f07e57d",
     "recover": "173b682050bf8438afab64d79ed772fc35ca061c635e3c8d0784324a5d37b982",
-    "replay": "fee45d6fe4318a2519ff294e844a79807a4ef7f18399f7caa8a9e8824596d1e1",
-    "simulate": "4f6b1c9e56aac45578f8e3eb2094b5a9afde5460b338a221adc9d5379327f1bb",
+    "replay": "4a55cae65fc8f96d458b4fa761b59458255b03c910b6d1862a2551c31523b4f8",
+    "simulate": "e478744c8ff84d0f651122c42e1d462163ee1e8181ab6cbb9967ba93ac0f48fc",
 }
 
 
