@@ -164,11 +164,11 @@ def test_cli_simulate_writes_report_and_trace(tmp_path):
     assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
     report_path = only_file(out, ".json")
     trace_path = only_file(out, ".trace.jsonl")
-    doc = json.loads(open(report_path).read())
+    doc = json.loads(Path(report_path).read_text())
     assert doc["seed"] == 7
     assert doc["executed_ops"] == 120
     assert doc["config_sha256"]
-    assert len(open(trace_path).read().splitlines()) == 120
+    assert len(Path(trace_path).read_text().splitlines()) == 120
 
 
 def test_cli_simulate_same_seed_same_report(tmp_path):
@@ -177,7 +177,7 @@ def test_cli_simulate_same_seed_same_report(tmp_path):
     for sub in ("a", "b"):
         out = str(tmp_path / sub)
         assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
-        doc = json.loads(open(only_file(out, ".json")).read())
+        doc = json.loads(Path(only_file(out, ".json")).read_text())
         doc.pop("config_sha256")
         docs.append(doc)
     assert docs[0] == docs[1]
@@ -197,7 +197,7 @@ max_file_blocks = 2
     cfg = write_cfg(tmp_path, body)
     out = str(tmp_path / "out")
     assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
-    doc = json.loads(open(only_file(out, ".json")).read())
+    doc = json.loads(Path(only_file(out, ".json")).read_text())
     assert doc["executed_ops"] == 60
 
 
@@ -205,7 +205,7 @@ def test_cli_seed_flag_overrides_config(tmp_path):
     cfg = write_cfg(tmp_path, MINIMAL)
     out = str(tmp_path / "out")
     assert run_cli(["simulate", "--config", cfg, "--seed", "21", "--out", out]) == 0
-    doc = json.loads(open(only_file(out, ".json")).read())
+    doc = json.loads(Path(only_file(out, ".json")).read_text())
     assert doc["seed"] == 21
 
 
@@ -214,11 +214,11 @@ def test_cli_replay_matches_simulation(tmp_path):
     out = str(tmp_path / "sim")
     trace = str(tmp_path / "run.trace.jsonl")
     assert run_cli(["simulate", "--config", cfg, "--trace", trace, "--out", out]) == 0
-    sim_doc = json.loads(open(only_file(out, ".json")).read())
+    sim_doc = json.loads(Path(only_file(out, ".json")).read_text())
 
     out2 = str(tmp_path / "rep")
     assert run_cli(["replay", "--config", cfg, "--trace", trace, "--out", out2]) == 0
-    rep_doc = json.loads(open(only_file(out2, ".json")).read())
+    rep_doc = json.loads(Path(only_file(out2, ".json")).read_text())
     assert rep_doc["snapshot_sha256"] == sim_doc["snapshot_sha256"]
     assert rep_doc["trace_path"] == "run.trace.jsonl"
 
@@ -394,10 +394,10 @@ def test_cli_train_writes_json_and_csv(tmp_path, capsys):
     cfg = write_cfg(tmp_path, body)
     out = str(tmp_path / "out")
     assert run_cli(["train", "--config", cfg, "--out", out]) == 0
-    doc = json.loads(open(only_file(out, ".json")).read())
+    doc = json.loads(Path(only_file(out, ".json")).read_text())
     csv_path = only_file(out, ".csv")
     assert doc["best_state"]
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0] == "min,p,epsilon,hist,usage,spatial,link"
     assert len(lines) == 5
     assert "final=" in capsys.readouterr().out
@@ -419,12 +419,12 @@ secondary_max_blocks = 3
         "--out", out,
     ])
     assert code == 0
-    doc = json.loads(open(only_file(out, ".json")).read())
+    doc = json.loads(Path(only_file(out, ".json")).read_text())
     rows = doc["rows"]
     assert len(rows) == 1
     assert rows[0]["policy"] == "first-fit"
     assert rows[0]["seed"] == 4
-    csv_lines = open(only_file(out, ".csv")).read().splitlines()
+    csv_lines = Path(only_file(out, ".csv")).read_text().splitlines()
     assert csv_lines[0].startswith("policy,secondary_blocks,seed,weighted_rr,rr_file_0")
     assert len(csv_lines) == 2
 
@@ -434,7 +434,7 @@ def test_cli_recover_without_deletions_is_empty(tmp_path):
     cfg = write_cfg(tmp_path, body)
     out = str(tmp_path / "out")
     assert run_cli(["recover", "--config", cfg, "--out", out]) == 0
-    doc = json.loads(open(only_file(out, ".json")).read())
+    doc = json.loads(Path(only_file(out, ".json")).read_text())
     assert doc["rows"] == []
     assert doc["weighted_rr"] == 0.0
 
@@ -443,7 +443,7 @@ def test_cli_recover_reports_deleted_files(tmp_path):
     cfg = write_cfg(tmp_path, MINIMAL)
     out = str(tmp_path / "out")
     assert run_cli(["recover", "--config", cfg, "--out", out]) == 0
-    doc = json.loads(open(only_file(out, ".json")).read())
+    doc = json.loads(Path(only_file(out, ".json")).read_text())
     rows = doc["rows"]
     assert rows, "a 120-op churn run should retire at least one file"
     for row in rows:
@@ -461,7 +461,7 @@ def test_cli_recover_from_trace_matches_simulation(tmp_path):
     for name, extra in (("direct", []), ("replayed", ["--trace", trace])):
         out = str(tmp_path / name)
         assert run_cli(["recover", "--config", cfg, "--out", out, *extra]) == 0
-        docs.append(open(only_file(out, ".json")).read())
+        docs.append(Path(only_file(out, ".json")).read_text())
     assert docs[0] == docs[1]
     assert json.loads(docs[0])["rows"]
 
