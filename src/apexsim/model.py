@@ -1,5 +1,5 @@
 """Plain data types shared by the disk model and the ranking engine, and the
-one encoding of every report, trace line and snapshot."""
+one encoding of every report and trace line."""
 
 import json
 from dataclasses import dataclass, fields
@@ -20,8 +20,10 @@ SF_LIMIT = 1e12
 
 
 def canonical_json(value) -> str:
-    """JSON with sorted keys and no whitespace: the byte form that reports,
-    traces and snapshots are compared and hashed in."""
+    """JSON with sorted keys and no whitespace: the byte form that reports
+    and trace lines are compared and hashed in. The disk digest feeds its
+    header and sibling lists to the hash in it too; block state never
+    passes through it."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 

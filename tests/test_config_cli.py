@@ -1,6 +1,7 @@
 """Config file parsing and the command line surface."""
 
 import argparse
+import configparser
 import json
 import os
 import subprocess
@@ -12,12 +13,14 @@ import pytest
 import apexsim
 from apexsim.cli import build_parser, main
 from apexsim.compare import CompareSettings
-from apexsim.config import AppConfig, load_config
+from apexsim.config import KEYS, AppConfig, load_config
 from apexsim.errors import ConfigError
 from apexsim.model import DiskGeometry
 from apexsim.recovery import PerfWeights
 from apexsim.tuner import TrainConfig, TrainSchedule
 from apexsim.workload import WorkloadConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_cfg(tmp_path, body, name="run.ini"):
@@ -63,6 +66,18 @@ def test_defaults_are_the_dataclass_defaults(tmp_path):
     assert cfg.train_config() == TrainConfig(DiskGeometry(), TrainSchedule(), WorkloadConfig())
     assert cfg == AppConfig(DiskGeometry(), WorkloadConfig(), PerfWeights(),
                             cfg.train_config(), CompareSettings())
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.ini")))
+def test_every_committed_config_loads(name):
+    """Each config in configs/ loads, and sets only keys that load_config
+    reads: a misspelt key would leave its value at the default unseen."""
+    path = CONFIGS / name
+    load_config(str(path))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read(path, encoding="utf-8")
+    for section in parser.sections():
+        assert set(parser[section]) <= set(KEYS[section]), (name, section)
 
 
 def test_load_config_reads_every_section(tmp_path):
