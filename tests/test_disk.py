@@ -1,6 +1,8 @@
 """Block store: claims and releases, the used/unused partition, the state digest."""
 
+import hashlib
 import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -308,6 +310,38 @@ def _digest_state(case):
 def test_snapshot_sha256_matches_reference_digest(case):
     disk = _digest_state(case)
     assert disk.snapshot_sha256() == reference_digest(disk)
+
+
+@pytest.mark.parametrize("case", ["grid-row", "none", "contiguous:2", "all-used"])
+def test_snapshot_sha256_hashes_the_whole_byte_string(case):
+    """The hash is fed the state in pieces, each array in place; its digest
+    is that of the whole byte string, built here in one buffer."""
+    disk = make_disk(rows=3, cols=5, neighborhood="grid-row" if case == "all-used" else case)
+    if case == "all-used":
+        claim(disk, list(range(15)), 1)
+    else:
+        claim(disk, [0, 6, 12], 1)
+        claim(disk, [4, 5], 2)
+        release(disk, [0, 6, 12], 0)
+        disk.sf[[1, 2, 14]] = [-0.0, SF_LIMIT, 0.1 + 0.2]
+    disk.tick()
+    header = json.dumps(
+        ["apexsim-snapshot", 4, disk.geometry.to_dict(), list(disk.hyperparams.as_tuple()), disk.clock],
+        sort_keys=True, separators=(",", ":"),
+    )
+    arrays = b"".join(
+        np.asarray(values, dtype=dtype).tobytes()
+        for values, dtype in (
+            (disk.hf, "<i8"), (disk.uf, "<i8"), (disk.sf, "<f8"), (disk.lf, "<i8"),
+            (disk.used_mask, "?"), (disk.owner, "<i8"),
+        )
+    )
+    owners = sorted(set(disk.owner.tolist()) - {NO_OWNER})
+    lineage = "".join(
+        json.dumps([owner, sorted(disk.siblings[owner])], separators=(",", ":")) for owner in owners
+    )
+    whole = header.encode() + arrays + lineage.encode()
+    assert disk.snapshot_sha256() == hashlib.sha256(whole).hexdigest()
 
 
 def _change(disk, what):
