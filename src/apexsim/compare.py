@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .disk import new_disk
 from .model import DiskGeometry, Hyperparams, canonical_json, field_dict
 from .errors import ConfigError
-from .policies import APEX, FIRST_FIT, KINDS, make_policy
+from .policies import KINDS, SEED_FREE, make_policy
 from .recovery import measure_recovery, usage_weighted_rr
 from .vfs import LINKED, PARTIAL, FileSystem
 from .workload import OP_CREATE, OP_DELETE, WorkloadOp, execute_op
@@ -189,11 +189,10 @@ def run_compare(
         def phase(seed):
             return primary_phase(geometry, hp, settings, policy_kind, seed, invert_link_rule)
 
-        # apex and first-fit never read the seed, so their primary phase is
-        # the same for every seed and one serves all floods; random draws
-        # its primary blocks from the seed's own stream, so each seed writes
-        # its own primaries.
-        shared = phase(settings.seeds[0]) if policy_kind in (APEX, FIRST_FIT) else None
+        # a seed-free policy writes the same primary phase for every seed, so
+        # one serves all floods; any other draws its primary blocks from the
+        # seed's own stream, so each seed writes its own primaries.
+        shared = phase(settings.seeds[0]) if policy_kind in SEED_FREE else None
         floods = [
             run_flood(
                 shared if shared is not None else phase(seed),

@@ -1,13 +1,13 @@
 """Plain-text run configuration.
 
 Files are INI-style key = value pairs under [section] headers; '#' and ';'
-start comments. Every section and key is optional. KEYS maps each key to the
-dataclass field it sets and the parser for its text. A key the file leaves
-out is left out of the constructor call, so every default is the dataclass's
-own (DiskGeometry, WorkloadConfig, PerfWeights, TrainSchedule, TrainConfig,
-CompareSettings, AppConfig), and so is every range check. Sections are
-checked in KEYS order; an invalid value in any section fails every command,
-whichever sections it reads. See the README for the full grammar.
+start comments. KEYS maps each key to the dataclass field it sets and its
+parser. Every key is optional; a section or key KEYS does not name, [DEFAULT]
+included, is an error. A key left out is left out of the constructor call,
+so every default is the dataclass's own (DiskGeometry, WorkloadConfig,
+PerfWeights, TrainSchedule, TrainConfig, CompareSettings, AppConfig), and
+so is every range check. Sections are checked in KEYS order; an invalid
+value in any section fails every command, whichever sections it reads.
 """
 
 import configparser
@@ -98,7 +98,6 @@ KEYS = {
         "aat_mode": ("aat_mode", str.strip),
     },
     "train": {
-        "mode": ("mode", str.strip),
         "initial": ("initial", Hyperparams.parse),
         "min_budget": ("min_budget", int),
         "oin_per_min": ("oin_per_min", int),
@@ -129,6 +128,11 @@ def load_config(path, seed_override=None, policy_override=None) -> AppConfig:
         parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from None
+    for section in parser:  # [DEFAULT] first: a key there would reach every section
+        if section not in KEYS and parser.has_section(section):
+            raise ConfigError(f"{path}: [{section}]: unknown section, not one of {', '.join(KEYS)}")
+        if key := next((k for k in parser[section] if k not in KEYS.get(section, ())), None):
+            raise ConfigError(f"{path}: [{section}] {key}: unknown key")
 
     given = {}  # dataclass field -> parsed value, for the keys the file sets
 

@@ -13,6 +13,7 @@ APEX = "apex"
 FIRST_FIT = "first-fit"
 RANDOM = "random"
 KINDS = (APEX, FIRST_FIT, RANDOM)
+SEED_FREE = (APEX, FIRST_FIT)  # the kinds whose choices never read the seed
 
 
 class ApexPolicy:

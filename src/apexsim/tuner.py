@@ -5,12 +5,11 @@ in the scalar objective between consecutive intervals.
 The disk persists across intervals; the workload stream continues from the
 same generator. Each interval's objective reads the file system as its ops
 left it: a file's obsolete status is set by the claim that ends its lineage,
-so a measurement needs no sweep first. A hill-climb mode reuses the identical
-machinery with learning rate 1 and discount 0, which makes the table hold the
-latest observed objective delta per (state, action).
+so a measurement needs no sweep first. Hill climbing is this same update at
+learning rate 1 and discount 0: the table then holds the latest observed
+objective delta per (state, action).
 """
 
-import hashlib
 import math
 import random
 from collections import Counter
@@ -22,9 +21,6 @@ from .policies import FIRST_FIT, ApexPolicy, make_policy
 from .recovery import PerfWeights, performance
 from .vfs import FileSystem
 from .workload import WorkloadConfig, WorkloadRunner
-
-Q_LEARNING = "q-learning"
-HILL_CLIMB = "hill-climb"
 
 # Eight actions: bump one of the four coefficients up or down by one.
 # Index order is fixed; ties in greedy selection go to the lowest index.
@@ -107,7 +103,6 @@ class TrainConfig:
     initial: Hyperparams = Hyperparams(1, 1, 1, 1)
     learning_rate: float = 0.1
     discount: float = 0.9
-    mode: str = Q_LEARNING
     invert_link_rule: bool = False
 
     def __post_init__(self):
@@ -120,8 +115,6 @@ class TrainConfig:
             raise ValueError("learning_rate must lie in (0, 1]")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must lie in [0, 1)")
-        if self.mode not in (Q_LEARNING, HILL_CLIMB):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     def to_dict(self) -> dict:
         return field_dict(self) | {
@@ -156,7 +149,6 @@ class MinRecord:
 @dataclass
 class TrainReport:
     config: dict
-    config_sha256: str
     seed: int
     p_initial: float
     trajectory: list[MinRecord]
@@ -216,10 +208,6 @@ def train(config: TrainConfig) -> TrainReport:
     runner = WorkloadRunner(config.workload, fs)
     agent_rng = random.Random(config.workload.rng_seed + _AGENT_SEED_OFFSET)
 
-    lr, gamma = config.learning_rate, config.discount
-    if config.mode == HILL_CLIMB:
-        lr, gamma = 1.0, 0.0
-
     qtable: dict[tuple, list[float]] = {}
     state = config.initial.as_tuple()
     trajectory: list[MinRecord] = []
@@ -240,7 +228,7 @@ def train(config: TrainConfig) -> TrainReport:
         action = select_action(qtable, state, eps, agent_rng)
         next_state = apply_action(state, action)
         if m > 0:
-            q_update(qtable, state, action, reward, next_state, lr, gamma)
+            q_update(qtable, state, action, reward, next_state, config.learning_rate, config.discount)
         trajectory.append(MinRecord(m, p, eps, state, action, reward))
         state = next_state
         fs.disk.hyperparams = Hyperparams.from_tuple(state)
@@ -249,10 +237,8 @@ def train(config: TrainConfig) -> TrainReport:
     # the highest action value wins; ties go to the lowest state
     best_state = max(sorted(qtable), key=lambda s: max(qtable[s]), default=state)
 
-    cfg_dict = config.to_dict()
     return TrainReport(
-        config=cfg_dict,
-        config_sha256=hashlib.sha256(canonical_json(cfg_dict).encode()).hexdigest(),
+        config=config.to_dict(),
         seed=config.workload.rng_seed,
         p_initial=p_initial,
         trajectory=trajectory,

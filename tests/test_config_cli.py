@@ -1,9 +1,9 @@
 """Config file parsing and the command line surface."""
 
 import argparse
-import configparser
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +19,8 @@ from apexsim.model import DiskGeometry
 from apexsim.recovery import PerfWeights
 from apexsim.tuner import TrainConfig, TrainSchedule
 from apexsim.workload import WorkloadConfig
+
+from test_config_fuzz import KEYS as FUZZ_KEYS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -70,14 +72,23 @@ def test_defaults_are_the_dataclass_defaults(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.ini")))
 def test_every_committed_config_loads(name):
-    """Each config in configs/ loads, and sets only keys that load_config
-    reads: a misspelt key would leave its value at the default unseen."""
-    path = CONFIGS / name
-    load_config(str(path))
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read(path, encoding="utf-8")
-    for section in parser.sections():
-        assert set(parser[section]) <= set(KEYS[section]), (name, section)
+    """Each config in configs/ loads: every section and key it sets is one of
+    config.KEYS, and every value is in range."""
+    load_config(str(CONFIGS / name))
+
+
+def test_readme_and_fuzz_table_name_exactly_the_grammar():
+    """config.KEYS is the one statement of the grammar. The README's
+    [section] rows list its keys, each as a backticked name outside any
+    parentheses, and the fuzz table draws values for exactly its pairs."""
+    grammar = {(section, key) for section, keys in KEYS.items() for key in keys}
+    readme = (CONFIGS.parent / "README.md").read_text()
+    documented = set()
+    for section, cell in re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", readme, re.MULTILINE):
+        top_level = re.sub(r"\([^()]*\)", "", cell)
+        documented |= {(section, key) for key in re.findall(r"`([^`]+)`", top_level)}
+    assert documented == grammar
+    assert set(FUZZ_KEYS) == grammar
 
 
 def test_load_config_reads_every_section(tmp_path):
@@ -107,12 +118,11 @@ beta = 0.2
 aat_mode = timestamp
 
 [train]
-mode = hill-climb
 initial = 2,2,2,2
 min_budget = 12
 oin_per_min = 40
-learning_rate = 0.5
-discount = 0.5
+learning_rate = 1
+discount = 0
 
 [compare]
 seed_count = 3
@@ -128,7 +138,7 @@ seed_count = 3
     assert cfg.weights.aat_mode == "timestamp"
     assert cfg.compare_settings.seeds == (0, 1, 2)
     tc = cfg.train_config()
-    assert tc.mode == "hill-climb"
+    assert (tc.learning_rate, tc.discount) == (1.0, 0.0)
     assert tc.initial.as_tuple() == (2, 2, 2, 2)
     assert tc.schedule.min_budget == 12
     assert tc.invert_link_rule is True
@@ -503,17 +513,44 @@ def test_cli_recover_from_trace_matches_simulation(tmp_path):
         ("simulate", "[disk]\nneighborhood = contiguousness:4\n", "contiguousness:4"),
         ("simulate", "[disk]\ninvert_link_rule = maybe\n", "not a boolean: 'maybe'"),
         ("simulate", "rows = 8\n" + MINIMAL, "no section headers"),
+        ("compare", MINIMAL + "[compare]\nprimary_count = 2\nprimery_blocks = 4\n",
+         "[compare] primery_blocks: unknown key"),
+        ("recover", MINIMAL + "[trian]\nmin_budget = 2\n", "[trian]: unknown section"),
+        ("train", MINIMAL + "[train]\nmode = hill-climb\nmin_budget = 2\n",
+         "[train] mode: unknown key"),
+        ("simulate", "[DEFAULT]\nrows = 4\n" + MINIMAL, "[DEFAULT] rows: unknown key"),
     ],
     ids=["unknown-compare-policy", "unknown-primary-type", "disk-smaller-than-corpus",
          "negative-secondary-target",
          "nan-op-mix", "nan-tau", "coefficient-beyond-bound", "bad-train-value-in-simulate",
          "span-beyond-cap", "block-size-beyond-cap", "disk-beyond-cap", "seed-count-beyond-cap",
          "contiguous-prefixed-kind", "contiguous-longer-kind", "non-boolean-flag",
-         "key-before-any-section"],
+         "key-before-any-section", "misspelt-key", "unknown-section", "train-mode-key",
+         "default-section-key"],
 )
 def test_cli_rejects_accepted_but_unusable_values(tmp_path, capsys, command, body, named):
-    """Values the grammar parses but no run can use are bad input (exit 2),
-    named in the message, not an internal error or a NaN in the report."""
+    """Values the grammar parses but no run can use, and sections or keys it
+    does not name, are bad input (exit 2), named in the message, not an
+    internal error or a NaN in the report; no report is written."""
     cfg = write_cfg(tmp_path, body)
-    assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("command", ["compare", "recover", "replay", "simulate", "train"])
+def test_cli_key_outside_the_grammar_fails_before_the_run(tmp_path, capsys, monkeypatch, command):
+    """Every command loads its config through the grammar: a misspelt key
+    exits 2, naming the file, the section and the key, before the run."""
+    for name in ("run_simulation", "replay_trace", "train", "run_compare"):
+        monkeypatch.setattr(apexsim.cli, name, lambda *a, **kw: pytest.fail("ran on a bad key"))
+    cfg, out = write_cfg(tmp_path, MINIMAL + "totl_ops = 50\n"), tmp_path / "out"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "replay":
+        trace = tmp_path / "run.trace.jsonl"
+        trace.write_text(CREATE)
+        argv += ["--trace", str(trace)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: [workload] totl_ops: unknown key\n"
+    assert not out.exists()

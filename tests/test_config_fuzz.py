@@ -66,7 +66,6 @@ KEYS = {
     ("perf", "alpha"): (words("1.0", "0.8", "0.5", "0"), ["-0.5", "1.5"]),
     ("perf", "beta"): (words("0.0"), ["-0.5", "1.5", "0.3"]),  # valid: 1 - alpha, set below
     ("perf", "aat_mode"): (words("seek-cost", "timestamp"), ["fastest"]),
-    ("train", "mode"): (words("q-learning", "hill-climb"), ["sarsa"]),
     ("train", "initial"): (tuples(4, 1, 10), ["0,5,5,5", "11,1,1,1"]),
     ("train", "min_budget"): (ints(0, 3), ["-1"]),
     ("train", "oin_per_min"): (ints(1, 50), ["0", "-5"]),
@@ -142,6 +141,7 @@ def ini_text(entries) -> str:
 @example(command="simulate", entries={
     **SMALL, ("policy", "coefficients"): "100000000000000000000000,1,1,1"})
 @example(command="simulate", entries={**SMALL, ("compare", "seed_count"): "100000000000"})
+@example(command="train", entries={**SMALL, ("train", "mode"): "hill-climb"})
 def test_cli_exits_zero_or_two_on_generated_configs(command, entries):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.ini"

@@ -196,13 +196,6 @@ def test_train_config_validation():
             workload=good.workload,
             discount=1.0,
         )
-    with pytest.raises(ValueError):
-        TrainConfig(
-            geometry=good.geometry,
-            schedule=good.schedule,
-            workload=good.workload,
-            mode="annealing",
-        )
 
 
 def test_zero_budget_returns_initial_state():
@@ -268,11 +261,13 @@ def test_train_moves_follow_selected_actions():
 
 
 def test_hill_climb_mode_runs():
+    """Hill climbing is the Q-learning update at learning rate 1, discount 0."""
     cfg = TrainConfig(
         geometry=DiskGeometry(8, 8, 4096, Neighborhood(GRID_ROW)),
         schedule=TrainSchedule(min_budget=5, oin_per_min=30),
         workload=WorkloadConfig(rng_seed=1, total_ops=0, max_file_blocks=4),
-        mode="hill-climb",
+        learning_rate=1.0,
+        discount=0.0,
     )
     report = train(cfg)
     assert len(report.trajectory) == 5
