@@ -77,7 +77,7 @@ SIM_GOLDEN = {
     ),
 }
 COMPARE_GOLDEN = "0fe614a548be6fbb526da0bf2a450d9c885c74812b69f32714838d08d5c79126"
-TRAIN_GOLDEN = "e614cdb091e517ce8095e0fc86b550a7d1139332c25e48ae5b33887b05b33ee8"
+TRAIN_GOLDEN = "de2704b73040fd338e4dab040931cd41ff212f865362f8e8a57d9ad20de98f4f"
 
 # The report file embeds the config file's sha256, so the config text is part
 # of the pin.
