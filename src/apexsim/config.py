@@ -70,7 +70,7 @@ def _parse_seed_count(raw: str) -> tuple:
 
 
 # [section] key -> (dataclass field, parser), sections in the order they are
-# checked. Field names are unique across sections; a field goes to every
+# checked. Each field has one key, unique across sections; it goes to every
 # dataclass that has it ([disk] invert_link_rule to AppConfig and TrainConfig).
 KEYS = {
     "disk": {
@@ -93,7 +93,6 @@ KEYS = {
         "mix": ("op_mix", _parse_floats),
     },
     "perf": {
-        "alpha": ("alpha", float),
         "beta": ("beta", float),
         "aat_mode": ("aat_mode", str.strip),
     },
@@ -102,7 +101,6 @@ KEYS = {
         "min_budget": ("min_budget", int),
         "oin_per_min": ("oin_per_min", int),
         "epsilon_floor": ("epsilon_floor", float),
-        "tau": ("tau", float),
         "learning_rate": ("learning_rate", float),
         "discount": ("discount", float),
     },
@@ -113,8 +111,7 @@ KEYS = {
         "secondary_blocks": ("secondary_targets", _parse_ints),
         "secondary_min_blocks": ("secondary_min_blocks", int),
         "secondary_max_blocks": ("secondary_max_blocks", int),
-        "seeds": ("seeds", _parse_ints),
-        "seed_count": ("seeds", _parse_seed_count),  # after seeds, so it wins
+        "seed_count": ("seeds", _parse_seed_count),
         "policies": ("policies", _parse_names),
     },
 }

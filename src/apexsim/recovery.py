@@ -22,20 +22,21 @@ SEEK_COST = "seek-cost"
 
 @dataclass(frozen=True)
 class PerfWeights:
-    """Objective weights. alpha scales recoverability, beta scales the access
-    time proxy; they must sum to one."""
+    """Objective weights. beta scales the access time proxy and alpha, the
+    rest of one, scales recoverability."""
 
-    alpha: float = 1.0
     beta: float = 0.0
     aat_mode: str = SEEK_COST
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise ValueError("weights must lie in [0, 1]")
-        if abs(self.alpha + self.beta - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {self.alpha + self.beta}")
+        if not 0.0 <= self.beta <= 1.0:
+            raise ValueError("beta must lie in [0, 1]")
         if self.aat_mode not in (TIMESTAMP, SEEK_COST):
             raise ValueError(f"unknown access-time mode {self.aat_mode!r}")
+
+    @property
+    def alpha(self) -> float:
+        return 1.0 - self.beta
 
 
 def measure_recovery(disk, files) -> list[tuple]:
@@ -124,7 +125,7 @@ def access_time_term(fs, mode: str = SEEK_COST) -> float:
 
 
 def performance(fs, weights: PerfWeights) -> float:
-    """The tuning objective: recoverability minus the access-time penalty."""
+    """The tuning objective: (1 - beta) * recoverability - beta * access time."""
     return weights.alpha * retired_rr(fs) - weights.beta * access_time_term(fs, weights.aat_mode)
 
 

@@ -32,13 +32,13 @@ _AGENT_SEED_OFFSET = 7919  # keeps the agent stream off the workload stream
 
 @dataclass(frozen=True)
 class TrainSchedule:
-    """Exploration schedule: epsilon decays exponentially per interval and
-    reaches the floor exactly when the interval budget runs out."""
+    """Exploration schedule: epsilon is exp(-interval / tau), with tau derived
+    as min_budget / ln(1 / epsilon_floor), so it reaches the floor exactly
+    when the interval budget runs out."""
 
     min_budget: int = 500
     oin_per_min: int = 1000
     epsilon_floor: float = 3e-5
-    tau: float | None = None
 
     def __post_init__(self):
         if self.min_budget < 0:
@@ -47,19 +47,15 @@ class TrainSchedule:
             raise ValueError("oin_per_min must be >= 1")
         if not 0.0 < self.epsilon_floor < 1.0:
             raise ValueError("epsilon_floor must lie in (0, 1)")
-        if self.tau is not None and not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("tau must be positive and finite")
 
     @property
-    def effective_tau(self) -> float:
-        if self.tau is not None:
-            return self.tau
+    def tau(self) -> float:
         if self.min_budget == 0:
             return 1.0
         return self.min_budget / math.log(1.0 / self.epsilon_floor)
 
     def epsilon(self, min_count: int) -> float:
-        return math.exp(-min_count / self.effective_tau)
+        return math.exp(-min_count / self.tau)
 
 
 def apply_action(state: tuple, action: int) -> tuple:
@@ -119,9 +115,9 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return field_dict(self) | {
             "geometry": self.geometry.to_dict(),
-            "schedule": field_dict(self.schedule) | {"tau": self.schedule.effective_tau},
+            "schedule": field_dict(self.schedule) | {"tau": self.schedule.tau},
             "workload": self.workload.to_dict(),
-            "weights": field_dict(self.weights),
+            "weights": field_dict(self.weights) | {"alpha": self.weights.alpha},
             "initial": list(self.initial.as_tuple()),
         }
 
@@ -214,11 +210,8 @@ def train(config: TrainConfig) -> TrainReport:
     p_prev = performance(fs, config.weights)
     p_initial = p_prev
 
-    m = 0
-    while m < schedule.min_budget:
+    for m in range(schedule.min_budget):
         eps = schedule.epsilon(m)
-        if eps <= schedule.epsilon_floor:
-            break
         runner.run(schedule.oin_per_min)
         p = performance(fs, config.weights)
         # The first interval has no predecessor to difference against, so it
@@ -232,7 +225,6 @@ def train(config: TrainConfig) -> TrainReport:
         trajectory.append(MinRecord(m, p, eps, state, action, reward))
         state = next_state
         fs.disk.hyperparams = Hyperparams.from_tuple(state)
-        m += 1
 
     # the highest action value wins; ties go to the lowest state
     best_state = max(sorted(qtable), key=lambda s: max(qtable[s]), default=state)
@@ -242,7 +234,7 @@ def train(config: TrainConfig) -> TrainReport:
         seed=config.workload.rng_seed,
         p_initial=p_initial,
         trajectory=trajectory,
-        final_epsilon=schedule.epsilon(m),
+        final_epsilon=schedule.epsilon(schedule.min_budget),
         best_state=best_state,
         final_state=state,
         final_greedy_p=evaluate_policy(config, Hyperparams.from_tuple(best_state), "apex"),

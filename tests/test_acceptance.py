@@ -218,7 +218,7 @@ def test_criterion_6_training_improves_performance():
             workload=WorkloadConfig(
                 rng_seed=3, total_ops=200, max_file_blocks=8, min_utilization=0.70
             ),
-            weights=PerfWeights(1.0, 0.0),
+            weights=PerfWeights(0.0),
         )
         report = train(config)
         first = report.first_min_p
@@ -290,8 +290,8 @@ def test_criterion_8_objective_corner_weights():
                 wrr = weighted_rr(fs.disk, fs.deleted_files())
                 for mode in (TIMESTAMP, SEEK_COST):
                     aat = access_time_term(fs, mode)
-                    assert performance(fs, PerfWeights(1.0, 0.0, mode)) == wrr
-                    assert performance(fs, PerfWeights(0.0, 1.0, mode)) == -aat
+                    assert performance(fs, PerfWeights(0.0, mode)) == wrr
+                    assert performance(fs, PerfWeights(1.0, mode)) == -aat
                 states += 1
         return f"{states} states, both corner identities exact"
 

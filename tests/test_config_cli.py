@@ -23,6 +23,7 @@ from apexsim.workload import WorkloadConfig
 from test_config_fuzz import KEYS as FUZZ_KEYS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+COMMANDS = ["compare", "recover", "replay", "simulate", "train"]
 
 
 def write_cfg(tmp_path, body, name="run.ini"):
@@ -113,7 +114,6 @@ min_utilization = 0.4
 mix = 0.6,0.2,0.2
 
 [perf]
-alpha = 0.8
 beta = 0.2
 aat_mode = timestamp
 
@@ -135,7 +135,8 @@ seed_count = 3
     assert cfg.coefficients.as_tuple() == (2, 3, 4, 5)
     assert cfg.workload.rng_seed == 9
     assert cfg.workload.op_mix == (0.6, 0.2, 0.2)
-    assert cfg.weights.aat_mode == "timestamp"
+    assert cfg.weights == PerfWeights(0.2, "timestamp")
+    assert cfg.weights.alpha == 0.8
     assert cfg.compare_settings.seeds == (0, 1, 2)
     tc = cfg.train_config()
     assert (tc.learning_rate, tc.discount) == (1.0, 0.0)
@@ -500,7 +501,6 @@ def test_cli_recover_from_trace_matches_simulation(tmp_path):
         ("compare", MINIMAL + "[compare]\nprimary_count = 2\nsecondary_blocks = -5,102\n",
          "secondary_blocks"),
         ("simulate", MINIMAL + "mix = nan,0.5,0.5\n", "op_mix"),
-        ("train", MINIMAL + "[train]\nmin_budget = 2\noin_per_min = 20\ntau = nan\n", "tau"),
         ("simulate", MINIMAL + "[policy]\ncoefficients = 100000000000000000000000,1,1,1\n",
          "2147483647"),
         ("simulate", MINIMAL + "[train]\nmin_budget = -1\n", "min_budget"),
@@ -519,14 +519,19 @@ def test_cli_recover_from_trace_matches_simulation(tmp_path):
         ("train", MINIMAL + "[train]\nmode = hill-climb\nmin_budget = 2\n",
          "[train] mode: unknown key"),
         ("simulate", "[DEFAULT]\nrows = 4\n" + MINIMAL, "[DEFAULT] rows: unknown key"),
+        ("simulate", MINIMAL + "[perf]\nalpha = 1.0\n", "[perf] alpha: unknown key"),
+        ("train", MINIMAL + "[train]\nmin_budget = 2\noin_per_min = 20\ntau = 50\n",
+         "[train] tau: unknown key"),
+        ("compare", MINIMAL + "[compare]\nprimary_count = 2\nseeds = 0,3\n",
+         "[compare] seeds: unknown key"),
     ],
     ids=["unknown-compare-policy", "unknown-primary-type", "disk-smaller-than-corpus",
          "negative-secondary-target",
-         "nan-op-mix", "nan-tau", "coefficient-beyond-bound", "bad-train-value-in-simulate",
+         "nan-op-mix", "coefficient-beyond-bound", "bad-train-value-in-simulate",
          "span-beyond-cap", "block-size-beyond-cap", "disk-beyond-cap", "seed-count-beyond-cap",
          "contiguous-prefixed-kind", "contiguous-longer-kind", "non-boolean-flag",
          "key-before-any-section", "misspelt-key", "unknown-section", "train-mode-key",
-         "default-section-key"],
+         "default-section-key", "perf-alpha-key", "train-tau-key", "compare-seeds-key"],
 )
 def test_cli_rejects_accepted_but_unusable_values(tmp_path, capsys, command, body, named):
     """Values the grammar parses but no run can use, and sections or keys it
@@ -539,18 +544,35 @@ def test_cli_rejects_accepted_but_unusable_values(tmp_path, capsys, command, bod
     assert not out.exists() or not os.listdir(out)
 
 
-@pytest.mark.parametrize("command", ["compare", "recover", "replay", "simulate", "train"])
-def test_cli_key_outside_the_grammar_fails_before_the_run(tmp_path, capsys, monkeypatch, command):
-    """Every command loads its config through the grammar: a misspelt key
-    exits 2, naming the file, the section and the key, before the run."""
+# (id, text after MINIMAL, the key it names): a misspelt key, and the keys
+# of values that are derived (alpha is 1 - beta, tau comes from min_budget
+# and epsilon_floor) or set one way only (seed_count for the compare seeds)
+OUTSIDE_THE_GRAMMAR = [
+    ("", "totl_ops = 50\n", "[workload] totl_ops"),
+    ("perf-alpha-", "[perf]\nalpha = 1.0\n", "[perf] alpha"),
+    ("train-tau-", "[train]\ntau = 50\n", "[train] tau"),
+    ("compare-seeds-", "[compare]\nseeds = 0,3\n", "[compare] seeds"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,extra,named",
+    [(c, extra, named) for _, extra, named in OUTSIDE_THE_GRAMMAR for c in COMMANDS],
+    ids=[prefix + c for prefix, _, _ in OUTSIDE_THE_GRAMMAR for c in COMMANDS],
+)
+def test_cli_key_outside_the_grammar_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                                          command, extra, named):
+    """Every command loads its config through the grammar: a misspelt or
+    retired key exits 2, naming the file, the section and the key, before
+    the run."""
     for name in ("run_simulation", "replay_trace", "train", "run_compare"):
         monkeypatch.setattr(apexsim.cli, name, lambda *a, **kw: pytest.fail("ran on a bad key"))
-    cfg, out = write_cfg(tmp_path, MINIMAL + "totl_ops = 50\n"), tmp_path / "out"
+    cfg, out = write_cfg(tmp_path, MINIMAL + extra), tmp_path / "out"
     argv = [command, "--config", cfg, "--out", str(out)]
     if command == "replay":
         trace = tmp_path / "run.trace.jsonl"
         trace.write_text(CREATE)
         argv += ["--trace", str(trace)]
     assert run_cli(argv) == 2
-    assert capsys.readouterr().err == f"error: {cfg}: [workload] totl_ops: unknown key\n"
+    assert capsys.readouterr().err == f"error: {cfg}: {named}: unknown key\n"
     assert not out.exists()

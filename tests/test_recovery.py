@@ -227,14 +227,16 @@ def test_access_time_unknown_mode_rejected():
 
 
 def test_perf_weights_validation():
-    PerfWeights(0.5, 0.5)
-    PerfWeights(1.0, 0.0)
+    """beta is the one weight set; recovery's alpha is the rest of one."""
+    assert PerfWeights(0.5).alpha == 0.5
+    assert PerfWeights(0.0).alpha == 1.0
+    assert PerfWeights(0.3).alpha == 0.7
     with pytest.raises(ValueError):
-        PerfWeights(0.6, 0.6)
+        PerfWeights(-0.1)
     with pytest.raises(ValueError):
-        PerfWeights(-0.1, 1.1)
+        PerfWeights(1.1)
     with pytest.raises(ValueError):
-        PerfWeights(1.0, 0.0, aat_mode="latency")
+        PerfWeights(0.0, aat_mode="latency")
 
 
 def test_performance_combines_both_terms():
@@ -243,10 +245,10 @@ def test_performance_combines_both_terms():
     fs.create_file("/b.txt", 4096)
     fs.delete_file("/a.txt")
     # wrr = 100, seek cost = 1/16 for the one remaining live file
-    assert performance(fs, PerfWeights(1.0, 0.0)) == pytest.approx(100.0)
-    assert performance(fs, PerfWeights(0.0, 1.0)) == pytest.approx(-1 / 16)
+    assert performance(fs, PerfWeights(0.0)) == pytest.approx(100.0)
+    assert performance(fs, PerfWeights(1.0)) == pytest.approx(-1 / 16)
     want = 0.7 * 100 - 0.3 * (1 / 16)
-    assert performance(fs, PerfWeights(0.7, 0.3)) == pytest.approx(want)
+    assert performance(fs, PerfWeights(0.3)) == pytest.approx(want)
 
 
 def test_recovery_table_shape():
@@ -272,7 +274,7 @@ def test_recoverable_index_matches_retired_list_after_every_op(neighborhood):
     full-list weighted_rr form bit for bit."""
     fs = make_fs(rows=8, cols=8, neighborhood=neighborhood)
     runner = WorkloadRunner(WorkloadConfig(rng_seed=9, total_ops=0, max_file_blocks=6), fs)
-    mixed = PerfWeights(0.7, 0.3)
+    mixed = PerfWeights(0.3)
     flips = 0
     for _ in range(600):
         obsolete = len(fs.deleted_files()) - len(fs.recoverable_files())
@@ -281,7 +283,7 @@ def test_recoverable_index_matches_retired_list_after_every_op(neighborhood):
         assert fs.recoverable_files() == [f for f in retired if f.status == DELETED]
         assert fs.retired_usage == sum(f.uf_counter for f in retired)
         wrr = weighted_rr(fs.disk, retired)
-        assert performance(fs, PerfWeights(1.0, 0.0)) == wrr
+        assert performance(fs, PerfWeights(0.0)) == wrr
         aat = access_time_term(fs, mixed.aat_mode)
         assert performance(fs, mixed) == 0.7 * wrr - 0.3 * aat
         if op.kind == OP_CREATE and len(retired) - len(fs.recoverable_files()) > obsolete:

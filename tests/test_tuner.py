@@ -25,7 +25,7 @@ def small_train_config(seed=3, budget=6, ops=40):
         geometry=DiskGeometry(8, 8, 4096, Neighborhood(GRID_ROW)),
         schedule=TrainSchedule(min_budget=budget, oin_per_min=ops),
         workload=WorkloadConfig(rng_seed=seed, total_ops=0, max_file_blocks=4),
-        weights=PerfWeights(1.0, 0.0),
+        weights=PerfWeights(0.0),
     )
 
 
@@ -35,7 +35,7 @@ def small_train_config(seed=3, budget=6, ops=40):
 def test_epsilon_anchors():
     sched = TrainSchedule(min_budget=500, oin_per_min=200, epsilon_floor=3e-5)
     assert sched.epsilon(0) == 1.0
-    tau = sched.effective_tau
+    tau = sched.tau
     assert sched.epsilon(round(tau)) == pytest.approx(math.exp(-1), rel=1e-3)
     assert sched.epsilon(500) <= 3e-5
     assert sched.epsilon(500) == pytest.approx(3e-5, rel=1e-6)
@@ -45,12 +45,6 @@ def test_epsilon_strictly_decreasing():
     sched = TrainSchedule(min_budget=100, oin_per_min=10)
     values = [sched.epsilon(m) for m in range(101)]
     assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_explicit_tau_overrides_derived():
-    sched = TrainSchedule(min_budget=100, oin_per_min=10, tau=50.0)
-    assert sched.effective_tau == 50.0
-    assert sched.epsilon(50) == pytest.approx(math.exp(-1))
 
 
 def test_schedule_validation():
@@ -208,20 +202,20 @@ def test_zero_budget_returns_initial_state():
     assert report.states_seen == 0
 
 
-def test_train_stops_once_epsilon_reaches_the_floor():
-    """An explicit tau can bring epsilon down to the floor before the budget
-    runs out; training stops at that interval."""
-    good = small_train_config()
-    cfg = TrainConfig(
-        geometry=good.geometry,
-        schedule=TrainSchedule(min_budget=10, oin_per_min=20, epsilon_floor=0.1, tau=1.0),
-        workload=good.workload,
-        weights=good.weights,
-    )
+@pytest.mark.parametrize("budget", [0, 1, 2, 7])
+@pytest.mark.parametrize("floor", [1e-9, 3e-5, 0.5, 0.99])
+def test_train_runs_the_whole_budget(floor, budget):
+    """tau is derived so that epsilon meets the floor as the budget runs out:
+    every interval of the budget runs above the floor, and the report's
+    final epsilon is the schedule's at the budget."""
+    good = small_train_config(ops=20)
+    schedule = TrainSchedule(min_budget=budget, oin_per_min=20, epsilon_floor=floor)
+    cfg = TrainConfig(geometry=good.geometry, schedule=schedule,
+                      workload=good.workload, weights=good.weights)
     report = train(cfg)
-    # exp(-2) > 0.1 >= exp(-3): intervals 0, 1 and 2 run, interval 3 does not
-    assert [r.min_index for r in report.trajectory] == [0, 1, 2]
-    assert report.final_epsilon == cfg.schedule.epsilon(3) <= 0.1
+    assert [r.min_index for r in report.trajectory] == list(range(budget))
+    assert all(r.epsilon == schedule.epsilon(r.min_index) > floor for r in report.trajectory)
+    assert report.final_epsilon == schedule.epsilon(budget)
 
 
 def test_train_repeat_is_identical():
