@@ -5,11 +5,12 @@ is one entry of a per-block array: the used mask, the four ranking factors
 and the lineage owner (the most recent parent file, -1 for a block never
 owned). A block's content is named by its lineage owner alone; no bytes are
 kept. Scores are computed from the arrays on demand, and claiming or
-releasing a file's blocks is one vectorised call. The sibling list of each
-owner is the owning file's own block list, kept by reference for the digest
-while at least one block names that owner. The digest, snapshot_sha256, is
-the device's one serialization: it hashes the arrays' own bytes, so no block
-is ever rendered as text.
+releasing a file's blocks is one vectorised call. The sibling map is claim's
+index: each owner a block names maps to the owning file's own block list, held
+by reference, so a claim finds a prior owner's blocks without a scan. It is
+not state: the arrays decide which listed blocks still count. The digest,
+snapshot_sha256, is the device's one serialization: it hashes the header and
+the arrays' own bytes, never the index, and renders no block as text.
 """
 
 import hashlib
@@ -21,7 +22,7 @@ from .errors import BlockStateError
 from .model import NONE, DiskGeometry, Hyperparams, canonical_json
 
 SNAPSHOT_FORMAT = "apexsim-snapshot"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 NO_OWNER = -1
 _ARRAYS = ("hf", "uf", "sf", "lf", "used_mask", "owner")  # the per-block state
 
@@ -94,10 +95,10 @@ class Disk:
     def snapshot_sha256(self) -> str:
         """sha256 of the whole device: the canonical JSON of [format,
         version, geometry, coefficients, clock], then each array of _ARRAYS
-        as its little-endian bytes (read in place on a little-endian host),
-        then, for every owner a block names in ascending order, the
-        canonical JSON of [owner, sorted sibling list]. The geometry fixes
-        each array's length and every JSON value ends itself, so no two
+        as its little-endian bytes (read in place on a little-endian host).
+        The sibling map is not hashed: it is claim's index, and the owner and
+        used_mask arrays fix which of its blocks a claim reads. The geometry
+        fixes each array's length and the header ends itself, so no two
         states feed the hash the same bytes; 0.0 and -0.0 differ in sf."""
         digest = hashlib.sha256(canonical_json([
             SNAPSHOT_FORMAT, SNAPSHOT_VERSION, self.geometry.to_dict(),
@@ -106,9 +107,6 @@ class Disk:
         for name in _ARRAYS:
             arr = getattr(self, name)
             digest.update(arr.astype(arr.dtype.newbyteorder("<"), copy=False).data)
-        for owner in np.unique(self.owner).tolist():
-            if owner != NO_OWNER:
-                digest.update(canonical_json([owner, sorted(self.siblings[owner])]).encode())
         return digest.hexdigest()
 
 

@@ -52,8 +52,8 @@ def reference_digest(disk):
     value: the canonical JSON (sorted keys, no whitespace) of [format,
     version, geometry, coefficients, clock]; then hf, uf, sf, lf, the used
     mask and the owner array, each block's value packed little-endian (int64,
-    float64 or one byte of 0 or 1); then, for every owner a block names in
-    ascending order, the canonical JSON of [owner, sorted sibling list]."""
+    float64 or one byte of 0 or 1). The sibling map is claim's index, not
+    state, and is not hashed."""
     def encode(value):
         return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
 
@@ -67,20 +67,37 @@ def reference_digest(disk):
     ):
         for value in values.tolist():
             h.update(struct.pack(fmt, value))
-    for owner in sorted(set(disk.owner.tolist()) - {NO_OWNER}):
-        h.update(encode([owner, sorted(disk.siblings[owner])]))
     return h.hexdigest()
 
 
 def assert_conservation(fs):
     """Used plus free blocks cover the disk, and the live files' block lists
-    partition the used addresses exactly: no block owned twice, none lost."""
+    partition the used addresses exactly: no block owned twice, none lost.
+    The disk's sibling index holds too."""
     disk = fs.disk
     total = disk.geometry.total_blocks
     used = np.flatnonzero(disk.used_mask)
     assert len(used) + fs.free_blocks() == total
     owned = np.fromiter(chain.from_iterable(f.block_list for f in fs.live_files()), dtype=np.intp)
     assert np.array_equal(np.sort(owned), used)
+    assert_sibling_index(disk)
+
+
+def assert_sibling_index(disk):
+    """The sibling map indexes exactly the owners the owner array names, and
+    each such owner's list holds every block that names it. The digest does
+    not hash the map, so this is what keeps claim's index honest."""
+    owner = disk.owner
+    assert set(disk.siblings) == set(owner.tolist()) - {NO_OWNER}
+    # every (owner X, block on X's list) pair, checked in one pass: a block
+    # is covered when it sits on the list of the owner it names
+    lists = list(disk.siblings.values())
+    listed = np.fromiter(chain.from_iterable(lists), dtype=np.intp)
+    names = np.repeat(np.fromiter(disk.siblings, dtype=np.int64), [len(b) for b in lists])
+    covered = np.zeros(owner.size, dtype=bool)
+    covered[listed[owner[listed] == names]] = True
+    missing = np.flatnonzero(covered != (owner != NO_OWNER))
+    assert missing.size == 0, f"blocks off their owner's sibling list: {missing.tolist()}"
 
 
 class OpEvents:

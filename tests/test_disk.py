@@ -15,7 +15,7 @@ from apexsim.model import NONE, SF_LIMIT, DiskGeometry, Hyperparams, Neighborhoo
 from apexsim.priority import top_unused
 
 from conftest import make_disk, make_fs
-from oracles import rank_by_full_sort, reference_digest, score_of
+from oracles import assert_sibling_index, rank_by_full_sort, reference_digest, score_of
 
 
 def test_new_disk_starts_fully_unused_at_baseline_score():
@@ -315,7 +315,8 @@ def test_snapshot_sha256_matches_reference_digest(case):
 @pytest.mark.parametrize("case", ["grid-row", "none", "contiguous:2", "all-used"])
 def test_snapshot_sha256_hashes_the_whole_byte_string(case):
     """The hash is fed the state in pieces, each array in place; its digest
-    is that of the whole byte string, built here in one buffer."""
+    is that of the whole byte string, built here in one buffer: the header,
+    then the six arrays, and nothing of the sibling map."""
     disk = make_disk(rows=3, cols=5, neighborhood="grid-row" if case == "all-used" else case)
     if case == "all-used":
         claim(disk, list(range(15)), 1)
@@ -326,7 +327,7 @@ def test_snapshot_sha256_hashes_the_whole_byte_string(case):
         disk.sf[[1, 2, 14]] = [-0.0, SF_LIMIT, 0.1 + 0.2]
     disk.tick()
     header = json.dumps(
-        ["apexsim-snapshot", 4, disk.geometry.to_dict(), list(disk.hyperparams.as_tuple()), disk.clock],
+        ["apexsim-snapshot", 5, disk.geometry.to_dict(), list(disk.hyperparams.as_tuple()), disk.clock],
         sort_keys=True, separators=(",", ":"),
     )
     arrays = b"".join(
@@ -336,11 +337,7 @@ def test_snapshot_sha256_hashes_the_whole_byte_string(case):
             (disk.used_mask, "?"), (disk.owner, "<i8"),
         )
     )
-    owners = sorted(set(disk.owner.tolist()) - {NO_OWNER})
-    lineage = "".join(
-        json.dumps([owner, sorted(disk.siblings[owner])], separators=(",", ":")) for owner in owners
-    )
-    whole = header.encode() + arrays + lineage.encode()
+    whole = header.encode() + arrays
     assert disk.snapshot_sha256() == hashlib.sha256(whole).hexdigest()
 
 
@@ -356,8 +353,6 @@ def _change(disk, what):
         disk.used_mask[0] = True
     elif what == "owner":
         disk.owner[0] = 2
-    elif what == "siblings":
-        disk.siblings[2] = disk.siblings[2] + [11]  # lists are shared with the original
     elif what == "clock":
         disk.tick()
     elif what == "coefficients":
@@ -373,15 +368,14 @@ def _change(disk, what):
 
 
 def test_snapshot_sha256_sees_every_piece_of_state():
-    """One change to any array element, sibling list, the clock, the
-    coefficients or the geometry gives another digest; a copy gives the same
-    one."""
+    """One change to any array element, the clock, the coefficients or the
+    geometry gives another digest; a copy gives the same one."""
     base = _digest_state("grid-row")
     want = base.snapshot_sha256()
     assert base.copy().snapshot_sha256() == want
     assert base.sf[12] == 0.0 and not np.signbit(base.sf[12])
     changes = (
-        "hf", "uf", "sf", "lf", "used_mask", "owner", "siblings", "clock",
+        "hf", "uf", "sf", "lf", "used_mask", "owner", "clock",
         "coefficients", "rows and cols", "block size", "neighborhood",
     )
     digests = set()
@@ -393,3 +387,27 @@ def test_snapshot_sha256_sees_every_piece_of_state():
         assert got != want and got not in digests, what
         digests.add(got)
     assert base.snapshot_sha256() == want, "a change to a copy reached the original"
+
+
+def test_sibling_map_is_an_index_the_digest_does_not_hash():
+    """The sibling map is claim's index, not state: a stale extra entry on a
+    list changes no digest and keeps the index invariant, since the owner
+    array decides which listed blocks still count; a list that misses a
+    block its owner names breaks the invariant."""
+    base = _digest_state("grid-row")
+    want = base.snapshot_sha256()
+    assert_sibling_index(base)
+    stale = base.copy()
+    stale.siblings[2] = stale.siblings[2] + [11]  # block 11 was never owner 2's
+    assert stale.snapshot_sha256() == want == reference_digest(stale)
+    assert_sibling_index(stale)
+    for disk in (base, stale):  # a claim over owner 2's blocks reads no stale entry
+        release(disk, [7, 3], 0)
+        claim(disk, [7], 6)
+    assert stale.snapshot_sha256() == base.snapshot_sha256() != want
+    assert_sibling_index(stale)
+    short = base.copy()
+    short.siblings[2] = [a for a in short.siblings[2] if a != 3]  # 3 still names owner 2
+    assert short.owner[3] == 2
+    with pytest.raises(AssertionError, match=r"\[3\]"):
+        assert_sibling_index(short)

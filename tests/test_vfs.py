@@ -21,6 +21,12 @@ from apexsim.workload import WorkloadConfig, replay_trace, run_simulation
 from conftest import ScriptedPolicy, make_disk, make_fs
 
 
+def sibling_lists(fs):
+    """The disk's sibling map by value. The digest does not hash the map, so
+    a test that proves the disk untouched compares it as well."""
+    return {owner: list(blocks) for owner, blocks in fs.disk.siblings.items()}
+
+
 def test_extension_table():
     assert type_class_for_path("/bin/tool.exe") == LINKED
     assert type_class_for_path("/a/b.o") == LINKED
@@ -67,11 +73,12 @@ def test_failed_create_leaves_disk_untouched(policy):
     for random that means the stream did not move."""
     fs = make_fs(rows=4, cols=4, policy=make_policy(policy, seed=7))
     fs.create_file("/a.txt", 10 * 4096)
-    before = fs.disk.snapshot_sha256()
+    before, sibs = fs.disk.snapshot_sha256(), sibling_lists(fs)
     twin = fs.copy()
     with pytest.raises(DiskFullError):
         fs.create_file("/b.txt", 10 * 4096)
     assert fs.disk.snapshot_sha256() == before
+    assert fs.disk.siblings == sibs
     assert fs.free_blocks() == 5
     rec, want = fs.create_file("/c.txt", 2 * 4096), twin.create_file("/c.txt", 2 * 4096)
     assert (rec.id, rec.block_list) == (want.id, want.block_list)
@@ -94,10 +101,11 @@ def test_flat_namespace():
     """A path is "/" plus one name: a nested path names a directory that
     cannot exist, and there is no directory API."""
     fs = make_fs(rows=4, cols=4)
-    before = fs.disk.snapshot_sha256()
+    before, sibs = fs.disk.snapshot_sha256(), sibling_lists(fs)
     with pytest.raises(FileNotFoundError):
         fs.create_file("/a/b.txt", 4096)
     assert fs.disk.snapshot_sha256() == before
+    assert fs.disk.siblings == sibs
     rec = fs.create_file("/a.txt", 4096)
     assert fs.lookup("/a.txt") is rec
     assert rec.path == "/a.txt"
@@ -204,11 +212,12 @@ def test_zero_length_write_still_counts_as_usage():
 def test_write_outside_size_rejected():
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.bin", 4096)
-    before = fs.disk.snapshot_sha256()
+    before, sibs = fs.disk.snapshot_sha256(), sibling_lists(fs)
     for offset, length in ((4090, 10), (-1, 1), (0, -1), (4097, 0)):
         with pytest.raises(ValueError):
             fs.write_file("/a.bin", offset, length)
     assert fs.disk.snapshot_sha256() == before
+    assert fs.disk.siblings == sibs
     assert rec.uf_counter == 1
 
 
