@@ -40,39 +40,39 @@ SIM_TRACE_GOLDEN = "5494025583a4a38cf4219e0718930db1ef4cf685d46de293a6f4d657c1b1
 # (neighborhood, policy) -> (report sha256, factor trajectory sha256)
 SIM_GOLDEN = {
     ("grid-row", "apex"): (
-        "974cd7ca40c94d841f329efeea79dda4afca7b65fcc6e3c3bc912c13d354ae43",
+        "93d7e4d1be36b57638f9c74b066c3bd9c916f8053bf304031b5d290ec944eb6c",
         "197f74a98acd3ec88894a73679b1680cd66f1af91c1c93584f4bd26e329b1517",
     ),
     ("grid-row", "first-fit"): (
-        "7df72f00167a93d66e0514b57a7265bc97a1e3e6c9c696de3d681534a4829c67",
+        "7572c7ac0dd5f085d0d8eeff825636635db0f174cfdc07f81b3a970d8b82c578",
         "e2aba3b50a7a1d025877da03f84e1aebd46a869890498c500c9b3c64a6a6eb6b",
     ),
     ("grid-row", "random"): (
-        "f37171efeebc874d2fb1cec9a4561b920b8e4e8943dc4073e1ec54a35ce5c01a",
+        "c6c639430e21f0d14e48758b51954531bde9d7d3b7cc6f9f2f6814cb938c5cbc",
         "87cf27ce857cfcc30c6f5be84da25f4672496132cdbf793c74ee8595aecef657",
     ),
     ("none", "apex"): (
-        "b0ce8741d5600032d5e8c81e0ebeb2f11f2628ee8236b38cbca9bb60ca924145",
+        "b0943288800dec57eb94434b26535262f7894785e858c38a3c3776405944bd3e",
         "f7d92d38df0c32689c16f518e104cc450f21377e05015495588640ca9afad7bf",
     ),
     ("none", "first-fit"): (
-        "caa643b8f78b3669cf87e982b5ed49481b3729dc742dc8e5b3c8f57e8d0e51f8",
+        "90a9f666f1e7a8a4bbd9383b2612d10746dc7a3e1794555c327eb33f0d1b86de",
         "06fc46627feb236ceeb369c30a5e4ab36d169b0786586dde8e8e0633ea60f5bf",
     ),
     ("none", "random"): (
-        "c281dba34f8a5d9223f983df926b7bfee01036d6e00682d145b3be0f1ed5979b",
+        "59aa590188ff3862331a95b7cf6d0a203440ead877eb7f00fc79ad20fe996c02",
         "e7abda7983f6f19fb34e36377f06b903052c0f8c7e40cea828cbae4f5d5fe8c4",
     ),
     ("contiguous:3", "apex"): (
-        "bd0f1abf98fc18b6bcc2e724bcb00c48afa69867b2e140eef5986289481b9320",
+        "fe1136a2a4de175d94dda7acfd3d3b293342df2b5784f5122b49126c3414c2ae",
         "8dab82a35ad322502a3123449d9c6015906aa9b499c725fb0aab8ac5db172af1",
     ),
     ("contiguous:3", "first-fit"): (
-        "616301bfd8bf0b647af04ab064b0dd7b11d4df2e1b475be5aafaa7cb08d90128",
+        "0605096ef02ffb802e46e079a170ee400268f3493fb328118bb928dd8f413171",
         "51a0476677ca2bd8d18398e779d59c9328a5d79072676dcc1876e29403f6b2b5",
     ),
     ("contiguous:3", "random"): (
-        "a1cbe2d85eb780d56295048acaf0f07227d551a7e40bce391733155c8d38a280",
+        "85ce0bd0c4e89764ee033abc8da64a1fcd4c5e2b98edbd9cebed593bcc4e1dbf",
         "7595e7ee57a695cd6f47acffc6c3557503d94b006adce16bc43d60db11ddee8c",
     ),
 }
@@ -105,8 +105,8 @@ policies = apex,first-fit,random
 CLI_GOLDEN = {
     "compare": "fad10648d4ffc2afe27550f2d3fcd8471aa178416b006b2394e826536f07e57d",
     "recover": "173b682050bf8438afab64d79ed772fc35ca061c635e3c8d0784324a5d37b982",
-    "replay": "4a55cae65fc8f96d458b4fa761b59458255b03c910b6d1862a2551c31523b4f8",
-    "simulate": "e478744c8ff84d0f651122c42e1d462163ee1e8181ab6cbb9967ba93ac0f48fc",
+    "replay": "f41741a73f43398c290919b3a66e87186855adc2b9b8b26b969a3db5866a0130",
+    "simulate": "1d505c48519d02fda3b7816dbd8a02fad970b53d7db176d813a3df5c334b0d4d",
 }
 
 
