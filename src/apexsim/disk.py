@@ -5,12 +5,11 @@ is one entry of a per-block array: the used mask, the four ranking factors
 and the lineage owner (the most recent parent file, -1 for a block never
 owned). A block's content is named by its lineage owner alone; no bytes are
 kept. Scores are computed from the arrays on demand, and claiming or
-releasing a file's blocks is one vectorised call. The sibling map is claim's
-index: each owner a block names maps to the owning file's own block list, held
-by reference, so a claim finds a prior owner's blocks without a scan. It is
-not state: the arrays decide which listed blocks still count. The digest,
+releasing a file's blocks is one vectorised call. The device holds nothing
+else: a claim finds a prior owner's blocks through the caller's own index of
+files, and the arrays decide which of them still count. The digest,
 snapshot_sha256, is the device's one serialization: it hashes the header and
-the arrays' own bytes, never the index, and renders no block as text.
+the arrays' own bytes, and renders no block as text.
 """
 
 import hashlib
@@ -38,7 +37,6 @@ class Disk:
         self.lf = np.ones(n, dtype=np.int64)  # last owner's linkage flag; fresh blocks start linked
         self.used_mask = np.zeros(n, dtype=bool)
         self.owner = np.full(n, NO_OWNER, dtype=np.int64)
-        self.siblings: dict[int, list] = {}  # owner named by a block -> its block list
         self.clock = 0
 
     # -- factor access ------------------------------------------------------
@@ -80,14 +78,12 @@ class Disk:
         self.clock += 1
 
     def copy(self) -> "Disk":
-        """An independent device in the same state. The per-block arrays and
-        the sibling map are copied; sibling lists are shared, since none is
-        ever mutated."""
+        """An independent device in the same state: the header fields are
+        shared, being immutable, and each per-block array is copied."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         for name in _ARRAYS:
             setattr(new, name, getattr(self, name).copy())
-        new.siblings = dict(self.siblings)
         return new
 
     # -- serialization ------------------------------------------------------
@@ -95,11 +91,10 @@ class Disk:
     def snapshot_sha256(self) -> str:
         """sha256 of the whole device: the canonical JSON of [format,
         version, geometry, coefficients, clock], then each array of _ARRAYS
-        as its little-endian bytes (read in place on a little-endian host).
-        The sibling map is not hashed: it is claim's index, and the owner and
-        used_mask arrays fix which of its blocks a claim reads. The geometry
-        fixes each array's length and the header ends itself, so no two
-        states feed the hash the same bytes; 0.0 and -0.0 differ in sf."""
+        as its little-endian bytes (read in place on a little-endian host):
+        all the device holds. The geometry fixes each array's length and the
+        header ends itself, so no two states feed the hash the same bytes;
+        0.0 and -0.0 differ in sf."""
         digest = hashlib.sha256(canonical_json([
             SNAPSHOT_FORMAT, SNAPSHOT_VERSION, self.geometry.to_dict(),
             list(self.hyperparams.as_tuple()), self.clock,
@@ -124,16 +119,17 @@ def _addresses(disk: Disk, addrs: list) -> np.ndarray:
     return np.asarray(addrs, dtype=np.intp)
 
 
-def claim(disk: Disk, addrs: list, file_id: int) -> list:
+def claim(disk: Disk, addrs: list, file_id: int, block_list_of) -> list:
     """New data lands on unused blocks: they become used by file_id.
 
     Overwrite propagation first: a claimed block whose lineage names a prior
     owner F damages F's copy, so each of F's blocks still unused and still
-    owned by F gains one unit of churn per claimed block F owned. Then the
+    owned by F gains one unit of churn per claimed block F owned. F's blocks
+    are block_list_of(F), a function from a prior owner's id to that file's
+    block list; only the blocks the owner array still names count. Then the
     claim lands: churn resets to 1, usage starts at 1, spatial zeroes and
-    lineage names file_id. A non-empty addrs is kept by reference as
-    file_id's sibling list, so it must be the file's block list; an owner's
-    entry goes once no block names it.
+    lineage names file_id. Nothing of addrs or of the lists read is kept or
+    changed.
 
     Returns the prior owners this claim left with no block on their lineage,
     in the order the claim first took one of their blocks: nothing of those
@@ -147,20 +143,16 @@ def claim(disk: Disk, addrs: list, file_id: int) -> list:
     disk.used_mask[idx] = True
     emptied = []
     for owner, count in prior.items():
-        # a block whose lineage names owner is on owner's sibling list
-        sibs = np.asarray(disk.siblings[owner], dtype=np.intp)
-        left = sibs[disk.lineage_intact(sibs, owner)]
+        blocks = np.asarray(block_list_of(owner), dtype=np.intp)
+        left = blocks[disk.lineage_intact(blocks, owner)]
         if left.size:
             disk.hf[left] += count
         else:
             emptied.append(owner)
-            del disk.siblings[owner]  # no block names owner once this claim lands
     disk.hf[idx] = 1
     disk.uf[idx] = 1
     disk.sf[idx] = 0.0
     disk.owner[idx] = file_id
-    if addrs:
-        disk.siblings[file_id] = addrs
     return emptied
 
 

@@ -22,8 +22,7 @@ SF_LIMIT = 1e12
 def canonical_json(value) -> str:
     """JSON with sorted keys and no whitespace: the byte form that reports
     and trace lines are compared and hashed in. The disk digest feeds its
-    header and sibling lists to the hash in it too; block state never
-    passes through it."""
+    header to the hash in it too; block state never passes through it."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 

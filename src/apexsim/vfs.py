@@ -8,13 +8,14 @@ No bytes are stored: a block's content is named by its lineage owner, so a
 write of a live file is one use of it, as a read is. Deletion is logical -
 blocks are freed but their lineage stays put until someone allocates over
 them. A create is one disk.claim of the file's block list and a delete one
-disk.release; the disk keeps that same list as the file's sibling list, so it
-is never copied or mutated.
+disk.release.
 A deleted file turns obsolete at the one moment nothing of it can come back:
 when a create's claim takes the last block on its lineage, or at its delete
 if it has no blocks. The deleted files that are not yet obsolete are kept
-apart, and the usage of every retired file is kept as a running total, so
-that recovery is measured over those files only.
+apart, so that recovery is measured over those files only; every owner an
+unused block names is one of them, and this table is where a claim reads a
+prior owner's blocks. The usage of every retired file is kept as a running
+total.
 The file layer owns the file records, the usage bookkeeping of reads and
 writes included; of this package it imports the disk module alone.
 """
@@ -113,8 +114,8 @@ class FileSystem:
         """An independent file system on a copy of the disk. Every file record
         is copied and the indexes name the copies, in their own order. The
         policy copies itself (see policies), so a seeded policy goes on with
-        the same stream. Block lists stay shared with the records and the
-        disk's sibling map: none is ever mutated."""
+        the same stream. Block lists stay shared between the twin records:
+        none is ever mutated."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         new.disk = self.disk.copy()
@@ -179,7 +180,8 @@ class FileSystem:
         addrs = list(self.policy.select(self.disk, needed))
         fid = self._next_id
         self._next_id += 1
-        for owner in claim(self.disk, addrs, fid):
+        emptied = claim(self.disk, addrs, fid, lambda prior: self._recoverable[prior].block_list)
+        for owner in emptied:
             self._recoverable.pop(owner).status = OBSOLETE
 
         rec = FileRecord(fid, path, type_class, addrs, size_bytes, self.disk.clock)

@@ -52,8 +52,7 @@ def reference_digest(disk):
     value: the canonical JSON (sorted keys, no whitespace) of [format,
     version, geometry, coefficients, clock]; then hf, uf, sf, lf, the used
     mask and the owner array, each block's value packed little-endian (int64,
-    float64 or one byte of 0 or 1). The sibling map is claim's index, not
-    state, and is not hashed."""
+    float64 or one byte of 0 or 1)."""
     def encode(value):
         return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
 
@@ -73,31 +72,44 @@ def reference_digest(disk):
 def assert_conservation(fs):
     """Used plus free blocks cover the disk, and the live files' block lists
     partition the used addresses exactly: no block owned twice, none lost.
-    The disk's sibling index holds too."""
+    The recoverable index holds too."""
     disk = fs.disk
     total = disk.geometry.total_blocks
     used = np.flatnonzero(disk.used_mask)
     assert len(used) + fs.free_blocks() == total
     owned = np.fromiter(chain.from_iterable(f.block_list for f in fs.live_files()), dtype=np.intp)
     assert np.array_equal(np.sort(owned), used)
-    assert_sibling_index(disk)
+    assert_recoverable_index(fs)
 
 
-def assert_sibling_index(disk):
-    """The sibling map indexes exactly the owners the owner array names, and
-    each such owner's list holds every block that names it. The digest does
-    not hash the map, so this is what keeps claim's index honest."""
+def assert_recoverable_index(fs):
+    """Claim reads a prior owner's blocks from the file layer's recoverable
+    table, so every owner an unused block names is a key of it whose
+    record's list holds the block; a used block sits on the list of the live
+    file it names. Every recoverable file still has a block on its lineage,
+    or it would be obsolete. The table is no block state, so no digest
+    shows it wrong: this is what keeps claim's index honest."""
+    disk = fs.disk
     owner = disk.owner
-    assert set(disk.siblings) == set(owner.tolist()) - {NO_OWNER}
-    # every (owner X, block on X's list) pair, checked in one pass: a block
-    # is covered when it sits on the list of the owner it names
-    lists = list(disk.siblings.values())
+    live = fs.live_files()
+    ids = [f.id for f in live] + list(fs._recoverable)
+    lists = [f.block_list for f in live] + [rec.block_list for rec in fs._recoverable.values()]
+    # every (file X, block on X's list) pair, checked in one pass: a block
+    # is covered when it sits on the list of the file it names, a used block
+    # only by a live file and an unused one only by a recoverable file
+    sizes = [len(b) for b in lists]
     listed = np.fromiter(chain.from_iterable(lists), dtype=np.intp)
-    names = np.repeat(np.fromiter(disk.siblings, dtype=np.int64), [len(b) for b in lists])
+    names = np.repeat(np.array(ids, dtype=np.int64), sizes)
+    is_live = np.repeat(np.arange(len(ids)) < len(live), sizes)
+    hit = (owner[listed] == names) & (disk.used_mask[listed] == is_live)
     covered = np.zeros(owner.size, dtype=bool)
-    covered[listed[owner[listed] == names]] = True
+    covered[listed[hit]] = True
     missing = np.flatnonzero(covered != (owner != NO_OWNER))
-    assert missing.size == 0, f"blocks off their owner's sibling list: {missing.tolist()}"
+    assert missing.size == 0, f"blocks off their owner's list: {missing.tolist()}"
+    intact = set(names[hit & ~is_live].tolist())
+    assert intact == set(fs._recoverable), (
+        f"recoverable files with no block left: {sorted(set(fs._recoverable) - intact)}"
+    )
 
 
 class OpEvents:

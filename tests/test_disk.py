@@ -9,13 +9,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from apexsim.disk import NO_OWNER, claim, new_disk, release
+from apexsim.disk import _ARRAYS, NO_OWNER, claim, new_disk, release
 from apexsim.errors import BlockStateError
 from apexsim.model import NONE, SF_LIMIT, DiskGeometry, Hyperparams, Neighborhood
 from apexsim.priority import top_unused
 
-from conftest import make_disk, make_fs
-from oracles import assert_sibling_index, rank_by_full_sort, reference_digest, score_of
+from apexsim.workload import WorkloadConfig, run_simulation
+
+from conftest import BlockLists, ScriptedPolicy, make_disk, make_fs
+from oracles import assert_recoverable_index, rank_by_full_sort, reference_digest, score_of
 
 
 def test_new_disk_starts_fully_unused_at_baseline_score():
@@ -42,7 +44,7 @@ def test_transition_to_used_resets_tracking():
     disk = make_disk(rows=4, cols=4)
     disk.hf[5] = 5.0
     disk.sf[5] = 2.5
-    claim(disk, [5], 1)
+    BlockLists().claim(disk, [5], 1)
     assert (disk.hf[5], disk.uf[5], disk.sf[5], disk.lf[5]) == (1.0, 1.0, 0.0, 1.0)
     assert disk.owner[5] == 1
     assert disk.used_mask[5]
@@ -51,7 +53,7 @@ def test_transition_to_used_resets_tracking():
 
 def test_transition_to_unused_freezes_usage():
     disk = make_disk(rows=4, cols=4)
-    claim(disk, [5], 1)
+    BlockLists().claim(disk, [5], 1)
     disk.uf[5] = 7.0
     release(disk, [5], 0)
     assert (disk.hf[5], disk.uf[5], disk.lf[5]) == (0.0, 7.0, 0.0)
@@ -61,15 +63,15 @@ def test_transition_to_unused_freezes_usage():
 
 
 def test_transition_same_state_rejected():
-    disk = make_disk(rows=4, cols=4)
+    disk, files = make_disk(rows=4, cols=4), BlockLists()
     with pytest.raises(BlockStateError):
         release(disk, [5], 0)
-    claim(disk, [5], 1)
+    files.claim(disk, [5], 1)
     with pytest.raises(BlockStateError):
-        claim(disk, [5], 2)
+        files.claim(disk, [5], 2)
     # a mixed batch is rejected before anything changes
     with pytest.raises(BlockStateError):
-        claim(disk, [6, 5], 2)
+        files.claim(disk, [6, 5], 2)
     with pytest.raises(BlockStateError):
         release(disk, [5, 6], 0)
     assert np.flatnonzero(disk.used_mask).tolist() == [5]
@@ -77,15 +79,15 @@ def test_transition_same_state_rejected():
 
 
 def test_repeated_or_out_of_range_address_rejected():
-    disk = make_disk(rows=4, cols=4)
+    disk, files = make_disk(rows=4, cols=4), BlockLists()
     with pytest.raises(BlockStateError):
-        claim(disk, [3, 3], 1)
-    claim(disk, [3, 4], 1)
+        files.claim(disk, [3, 3], 1)
+    files.claim(disk, [3, 4], 1)
     with pytest.raises(BlockStateError):
         release(disk, [4, 4], 0)
     for bad in (16, -1):
         with pytest.raises(IndexError):
-            claim(disk, [bad], 2)
+            files.claim(disk, [bad], 2)
         with pytest.raises(IndexError):
             release(disk, [bad], 0)
     assert np.flatnonzero(disk.used_mask).tolist() == [3, 4]
@@ -94,31 +96,30 @@ def test_repeated_or_out_of_range_address_rejected():
 def test_claim_adds_churn_per_block_taken_from_each_prior_owner():
     """Two deleted files lose blocks to one claim: each of a file's blocks
     still on its lineage gains one unit per block the claim took from it."""
-    disk = make_disk(rows=4, cols=4)
+    disk, files = make_disk(rows=4, cols=4), BlockLists()
     a, b = [0, 1, 2, 3, 4], [5, 6, 7]
-    claim(disk, a, 1)
-    claim(disk, b, 2)
-    claim(disk, [8], 3)
+    files.claim(disk, a, 1)
+    files.claim(disk, b, 2)
+    files.claim(disk, [8], 3)
     release(disk, a, 0)
     release(disk, b, 0)
     release(disk, [8], 0)
-    claim(disk, [9], 4)
+    files.claim(disk, [9], 4)
     release(disk, [9], 0)  # never-owned block claimed, then freed: no churn
     assert not disk.hf.any()
-    assert claim(disk, [3, 9, 1, 6, 4, 10], 5) == [4]  # 4 lost its only block
+    assert files.claim(disk, [3, 9, 1, 6, 4, 10], 5) == [4]  # 4 lost its only block
     assert disk.hf.tolist() == [3, 1, 3, 1, 1, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0]
     assert disk.owner.tolist() == [1, 5, 1, 5, 5, 2, 5, 2, 3, 5, 5] + [NO_OWNER] * 5
-    assert disk.siblings == {1: a, 2: b, 3: [8], 5: [3, 9, 1, 6, 4, 10]}  # 4 goes
 
 
 def test_lineage_intact_per_address_with_one_or_many_file_ids():
     """A block is still a file's while it is unused and the owner array names
     the file: never-owned, used and re-claimed blocks are not."""
-    disk = make_disk(rows=4, cols=4)
-    claim(disk, [0, 1, 2], 1)
-    claim(disk, [3, 4], 2)
+    disk, files = make_disk(rows=4, cols=4), BlockLists()
+    files.claim(disk, [0, 1, 2], 1)
+    files.claim(disk, [3, 4], 2)
     release(disk, [0, 1, 2], 0)
-    claim(disk, [1], 3)  # re-claims one of file 1's freed blocks
+    files.claim(disk, [1], 3)  # re-claims one of file 1's freed blocks
     # 0 and 2 freed and intact, 1 re-claimed, 3 used, 5 never owned
     assert disk.lineage_intact([0, 1, 2, 3, 5], 1).tolist() == [True, False, True, False, False]
     assert disk.lineage_intact([3, 4], 2).tolist() == [False, False]
@@ -135,7 +136,7 @@ def test_lineage_intact_per_address_with_one_or_many_file_ids():
 
 def test_partition_invariant_under_random_transitions():
     rng = random.Random(40)
-    disk = make_disk(rows=8, cols=8)
+    disk, files = make_disk(rows=8, cols=8), BlockLists()
     fs = make_fs(disk=disk)
     used = set()
     for fid in range(500):
@@ -143,14 +144,14 @@ def test_partition_invariant_under_random_transitions():
         if disk.used_mask[addr]:
             release(disk, [addr], rng.randint(0, 1))
         else:
-            claim(disk, [addr], fid)
+            files.claim(disk, [addr], fid)
         used ^= {addr}
         assert np.flatnonzero(disk.used_mask).tolist() == sorted(used)
         assert fs.free_blocks() == 64 - len(used)
     assert top_unused(disk, fs.free_blocks()) == rank_by_full_sort(disk)
 
 
-def test_set_hyperparams_rebuilds_keys():
+def test_new_coefficients_take_effect_on_the_next_ranking():
     """New coefficients take effect on the next ranking: nothing is cached."""
     rng = random.Random(12)
     disk = make_disk(rows=4, cols=4, hp=(4, 7, 1, 9))
@@ -173,7 +174,7 @@ def test_tick_advances_clock():
     assert disk.clock == 2
 
 
-def test_pf_array_matches_scalar_keys():
+def test_pf_array_matches_scalar_scores():
     rng = random.Random(8)
     for neighborhood in ("grid-row", "none"):
         disk = make_disk(rows=4, cols=4, neighborhood=neighborhood)
@@ -255,7 +256,7 @@ def test_snapshot_hash_is_stable_and_state_sensitive():
     a = make_disk(rows=4, cols=4)
     b = make_disk(rows=4, cols=4)
     assert a.snapshot_sha256() == b.snapshot_sha256()
-    claim(b, [0], 1)
+    BlockLists().claim(b, [0], 1)
     assert a.snapshot_sha256() != b.snapshot_sha256()
 
 
@@ -264,7 +265,7 @@ def test_copy_gives_every_array_its_own_memory():
     one added to Disk but not copied fails here: compare's flood copies would
     share it."""
     disk = make_disk(rows=4, cols=4)
-    claim(disk, [0, 5, 6], 1)
+    BlockLists().claim(disk, [0, 5, 6], 1)
     release(disk, [5], 0)
     disk.sf[[1, 2]] = [2.5, -1.0]
     arrays = {name: a for name, a in vars(disk).items() if isinstance(a, np.ndarray)}
@@ -286,16 +287,17 @@ def _digest_state(case):
     never owned, and sf at both clamps, -0.0 and 0.1 + 0.2. "all-used"
     claims every block for one file."""
     disk = make_disk(rows=4, cols=4, neighborhood="grid-row" if case == "all-used" else case)
+    files = BlockLists()
     if case == "all-used":
-        claim(disk, list(range(16)), 1)
+        files.claim(disk, list(range(16)), 1)
         disk.tick()
         return disk
-    claim(disk, [0, 5, 2], 1)
-    claim(disk, [7, 3], 2)
-    claim(disk, [9], 3)
+    files.claim(disk, [0, 5, 2], 1)
+    files.claim(disk, [7, 3], 2)
+    files.claim(disk, [9], 3)
     release(disk, [0, 5, 2], 0)  # freed blocks keep their lineage
     release(disk, [9], 1)
-    claim(disk, [9], 4)  # owner 3 has no block left
+    files.claim(disk, [9], 4)  # owner 3 has no block left
     disk.uf[3] += 5
     rng = random.Random(5)
     disk.sf[:] = [rng.uniform(-1e6, 1e6) for _ in range(16)]
@@ -316,13 +318,14 @@ def test_snapshot_sha256_matches_reference_digest(case):
 def test_snapshot_sha256_hashes_the_whole_byte_string(case):
     """The hash is fed the state in pieces, each array in place; its digest
     is that of the whole byte string, built here in one buffer: the header,
-    then the six arrays, and nothing of the sibling map."""
+    then the six arrays."""
     disk = make_disk(rows=3, cols=5, neighborhood="grid-row" if case == "all-used" else case)
+    files = BlockLists()
     if case == "all-used":
-        claim(disk, list(range(15)), 1)
+        files.claim(disk, list(range(15)), 1)
     else:
-        claim(disk, [0, 6, 12], 1)
-        claim(disk, [4, 5], 2)
+        files.claim(disk, [0, 6, 12], 1)
+        files.claim(disk, [4, 5], 2)
         release(disk, [0, 6, 12], 0)
         disk.sf[[1, 2, 14]] = [-0.0, SF_LIMIT, 0.1 + 0.2]
     disk.tick()
@@ -389,25 +392,57 @@ def test_snapshot_sha256_sees_every_piece_of_state():
     assert base.snapshot_sha256() == want, "a change to a copy reached the original"
 
 
-def test_sibling_map_is_an_index_the_digest_does_not_hash():
-    """The sibling map is claim's index, not state: a stale extra entry on a
-    list changes no digest and keeps the index invariant, since the owner
-    array decides which listed blocks still count; a list that misses a
-    block its owner names breaks the invariant."""
-    base = _digest_state("grid-row")
-    want = base.snapshot_sha256()
-    assert_sibling_index(base)
-    stale = base.copy()
-    stale.siblings[2] = stale.siblings[2] + [11]  # block 11 was never owner 2's
-    assert stale.snapshot_sha256() == want == reference_digest(stale)
-    assert_sibling_index(stale)
-    for disk in (base, stale):  # a claim over owner 2's blocks reads no stale entry
-        release(disk, [7, 3], 0)
-        claim(disk, [7], 6)
-    assert stale.snapshot_sha256() == base.snapshot_sha256() != want
-    assert_sibling_index(stale)
-    short = base.copy()
-    short.siblings[2] = [a for a in short.siblings[2] if a != 3]  # 3 still names owner 2
-    assert short.owner[3] == 2
+def test_the_device_is_its_arrays():
+    """A disk holds the header fields and the six arrays its digest hashes,
+    and nothing else: after a seeded run of ops and in a copy. A claim keeps
+    no reference to the list it was given: changing that list afterwards
+    changes no block state, now or at the next claim over the file."""
+    fs = make_fs(rows=8, cols=8)
+    run_simulation(WorkloadConfig(rng_seed=3, total_ops=300, max_file_blocks=6), fs)
+    assert fs.recoverable_files(), "the run should leave a recoverable file"
+    for disk in (fs.disk, fs.disk.copy()):
+        assert set(vars(disk)) == {"geometry", "hyperparams", "clock", *_ARRAYS}
+    disk = make_disk(rows=4, cols=4)
+    addrs = [0, 5, 6]
+    claim(disk, addrs, 1, {}.__getitem__)
+    before = disk.snapshot_sha256()
+    addrs[:] = [1, 2]  # no longer file 1's blocks
+    assert disk.snapshot_sha256() == before
+    release(disk, [0, 5, 6], 0)
+    assert claim(disk, [0], 2, {1: [0, 5, 6]}.__getitem__) == []
+    assert disk.hf.tolist() == [1, 0, 0, 0, 0, 1, 1] + [0] * 9
+    assert set(vars(disk)) == {"geometry", "hyperparams", "clock", *_ARRAYS}
+
+
+def _two_deleted_files():
+    """A file system whose recoverable table holds two deleted files, 1 on
+    blocks [0, 5, 2] and 2 on [7, 3]; its next create lands on [7, 12]."""
+    fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 5, 2], [7, 3], [7, 12]))
+    fs.create_file("/a.txt", 2 * 4096)
+    fs.create_file("/b.txt", 4096)
+    fs.delete_file("/a.txt")
+    fs.delete_file("/b.txt")
+    return fs
+
+
+def test_recoverable_table_is_the_index_claim_reads():
+    """Claim finds a prior owner's blocks in the file layer's recoverable
+    table, and the owner array decides which of them still count: a stale
+    extra block on a record's list keeps the index check and changes no
+    claim or digest; a list that misses a block its owner names fails it."""
+    base, stale = _two_deleted_files(), _two_deleted_files()
+    want = base.disk.snapshot_sha256()
+    assert_recoverable_index(base)
+    stale._recoverable[2].block_list = [7, 3, 11]  # block 11 was never file 2's
+    assert stale.disk.snapshot_sha256() == want
+    assert_recoverable_index(stale)
+    for fs in (base, stale):  # takes file 2's block 7: only block 3 gains churn
+        fs.create_file("/c.txt", 4096)
+        assert_recoverable_index(fs)
+    assert stale.disk.snapshot_sha256() == base.disk.snapshot_sha256() != want
+    assert base.disk.hf[[3, 11]].tolist() == [1, 0]
+    short = _two_deleted_files()
+    short._recoverable[2].block_list = [7]  # 3 still names file 2
+    assert short.disk.owner[3] == 2
     with pytest.raises(AssertionError, match=r"\[3\]"):
-        assert_sibling_index(short)
+        assert_recoverable_index(short)

@@ -6,13 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from apexsim.disk import claim, new_disk, release
+from apexsim.disk import new_disk, release
 from apexsim.errors import DiskFullError
 from apexsim.model import GRID_ROW, SF_LIMIT, DiskGeometry, Hyperparams, Neighborhood
 from apexsim.priority import top_unused, update_spatial_factors
 from apexsim.workload import WorkloadConfig, run_simulation
 
-from conftest import ScriptedPolicy, make_disk, make_fs
+from conftest import BlockLists, ScriptedPolicy, claim_over, make_disk, make_fs
 from oracles import FactorOracle, rank_by_full_sort, score_of
 
 HP = Hyperparams(4, 7, 1, 9)
@@ -161,10 +161,10 @@ def test_overwrite_event_bumps_unused_siblings():
     fs.create_file("/a.txt", 2 * 4096)
     fs.delete_file("/a.txt")
     assert list(fs.disk.hf[:3]) == [0.0, 0.0, 0.0]
-    claim(fs.disk, [0], 90)
+    claim_over(fs, [0], 90)
     # the claimed block resets to 1; its still-unused siblings gain one each
     assert list(fs.disk.hf[:4]) == [1.0, 1.0, 1.0, 0.0]
-    claim(fs.disk, [1], 91)
+    claim_over(fs, [1], 91)
     # block 0 now carries another file's data, so only block 2 is bumped
     assert list(fs.disk.hf[:4]) == [1.0, 1.0, 2.0, 0.0]
 
@@ -177,7 +177,7 @@ def test_overwrite_event_skips_blocks_claimed_by_newer_file():
     fs.create_file("/b.txt", 4096)
     assert list(fs.disk.hf[:4]) == [1.0, 1.0, 1.0, 1.0]
     fs.delete_file("/b.txt")
-    claim(fs.disk, [0], 99)
+    claim_over(fs, [0], 99)
     assert fs.disk.hf[1] == 0.0  # /b.txt's block now, left alone
     assert fs.disk.hf[2] == 2.0  # the only sibling still on the old lineage
     d = fs.disk
@@ -187,17 +187,17 @@ def test_overwrite_event_skips_blocks_claimed_by_newer_file():
 def test_overwrite_event_without_lineage_is_noop():
     disk = make_disk(rows=4, cols=4)
     before = disk.hf.copy()
-    claim(disk, [5], 1)
+    BlockLists().claim(disk, [5], 1)
     before[5] = 1
     assert np.array_equal(disk.hf, before)
 
 
 def test_overwrite_event_single_member_lineage():
-    disk = make_disk(rows=4, cols=4)
-    claim(disk, [3], 99)
+    disk, files = make_disk(rows=4, cols=4), BlockLists()
+    files.claim(disk, [3], 99)
     release(disk, [3], 0)
     before = disk.hf.copy()
-    claim(disk, [3], 100)
+    files.claim(disk, [3], 100)
     before[3] = 1
     assert np.array_equal(disk.hf, before)
 
@@ -229,10 +229,10 @@ def test_spatial_middle_block_worked_example():
 
 @pytest.mark.parametrize("neighborhood", ["grid-row", "contiguous:2", "none"])
 def test_spatial_pass_writes_only_sf_and_scores_are_fresh(neighborhood):
-    disk = make_disk(rows=4, cols=4, neighborhood=neighborhood)
-    claim(disk, [0, 5, 6], 1)
+    disk, files = make_disk(rows=4, cols=4, neighborhood=neighborhood), BlockLists()
+    files.claim(disk, [0, 5, 6], 1)
     release(disk, [5], 0)
-    claim(disk, [9], 2)
+    files.claim(disk, [9], 2)
     disk.uf[9] += 3
     names = ("hf", "uf", "sf", "lf", "used_mask", "owner")
     arrays = {name: getattr(disk, name) for name in names}
@@ -252,7 +252,7 @@ def test_spatial_pass_writes_only_sf_and_scores_are_fresh(neighborhood):
 
 def test_spatial_used_blocks_pinned_to_zero():
     disk = make_disk(rows=1, cols=3)
-    claim(disk, [1], 1)
+    BlockLists().claim(disk, [1], 1)
     update_spatial_factors(disk)
     assert disk.sf[1] == 0.0
     assert disk.sf[0] != 0.0

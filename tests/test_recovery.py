@@ -7,7 +7,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from apexsim.disk import claim
 from apexsim.recovery import (
     SEEK_COST,
     TIMESTAMP,
@@ -22,14 +21,14 @@ from apexsim.recovery import (
 from apexsim.vfs import DELETED, LINKED, OBSOLETE, PARTIAL
 from apexsim.workload import OP_CREATE, WorkloadConfig, WorkloadRunner
 
-from conftest import ScriptedPolicy, make_fs
+from conftest import ScriptedPolicy, claim_over, make_fs
 from oracles import recovery_of, weighted_rr
 
 
 def overwrite(fs, addrs):
     """Stamp new content onto freed blocks, breaking their old lineage: a
     claim by a file id the file system never hands out."""
-    claim(fs.disk, list(addrs), 999)
+    claim_over(fs, addrs, 999)
 
 
 def test_untouched_delete_recovers_fully():

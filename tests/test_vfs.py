@@ -2,6 +2,7 @@
 
 import pytest
 
+from apexsim.disk import NO_OWNER
 from apexsim.errors import DiskFullError
 from apexsim.policies import make_policy
 from apexsim.recovery import measure_recovery, recovery_table
@@ -19,12 +20,7 @@ from apexsim.vfs import (
 from apexsim.workload import WorkloadConfig, replay_trace, run_simulation
 
 from conftest import ScriptedPolicy, make_disk, make_fs
-
-
-def sibling_lists(fs):
-    """The disk's sibling map by value. The digest does not hash the map, so
-    a test that proves the disk untouched compares it as well."""
-    return {owner: list(blocks) for owner, blocks in fs.disk.siblings.items()}
+from oracles import assert_conservation, assert_recoverable_index
 
 
 def test_extension_table():
@@ -48,7 +44,8 @@ def test_create_claims_metadata_plus_data_blocks():
         assert fs.disk.used_mask[addr]
         assert (fs.disk.hf[addr], fs.disk.uf[addr]) == (1.0, 1.0)
         assert fs.disk.owner[addr] == rec.id
-    assert fs.disk.siblings[rec.id] is rec.block_list
+    assert fs.live_files() == [rec] and not fs.recoverable_files()
+    assert_conservation(fs)
 
 
 def test_create_zero_byte_file_claims_nothing():
@@ -73,12 +70,12 @@ def test_failed_create_leaves_disk_untouched(policy):
     for random that means the stream did not move."""
     fs = make_fs(rows=4, cols=4, policy=make_policy(policy, seed=7))
     fs.create_file("/a.txt", 10 * 4096)
-    before, sibs = fs.disk.snapshot_sha256(), sibling_lists(fs)
+    before, kept = fs.disk.snapshot_sha256(), [f.id for f in fs.recoverable_files()]
     twin = fs.copy()
     with pytest.raises(DiskFullError):
         fs.create_file("/b.txt", 10 * 4096)
     assert fs.disk.snapshot_sha256() == before
-    assert fs.disk.siblings == sibs
+    assert [f.id for f in fs.recoverable_files()] == kept
     assert fs.free_blocks() == 5
     rec, want = fs.create_file("/c.txt", 2 * 4096), twin.create_file("/c.txt", 2 * 4096)
     assert (rec.id, rec.block_list) == (want.id, want.block_list)
@@ -101,11 +98,11 @@ def test_flat_namespace():
     """A path is "/" plus one name: a nested path names a directory that
     cannot exist, and there is no directory API."""
     fs = make_fs(rows=4, cols=4)
-    before, sibs = fs.disk.snapshot_sha256(), sibling_lists(fs)
+    before, kept = fs.disk.snapshot_sha256(), [f.id for f in fs.recoverable_files()]
     with pytest.raises(FileNotFoundError):
         fs.create_file("/a/b.txt", 4096)
     assert fs.disk.snapshot_sha256() == before
-    assert fs.disk.siblings == sibs
+    assert [f.id for f in fs.recoverable_files()] == kept
     rec = fs.create_file("/a.txt", 4096)
     assert fs.lookup("/a.txt") is rec
     assert rec.path == "/a.txt"
@@ -212,12 +209,12 @@ def test_zero_length_write_still_counts_as_usage():
 def test_write_outside_size_rejected():
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.bin", 4096)
-    before, sibs = fs.disk.snapshot_sha256(), sibling_lists(fs)
+    before, kept = fs.disk.snapshot_sha256(), [f.id for f in fs.recoverable_files()]
     for offset, length in ((4090, 10), (-1, 1), (0, -1), (4097, 0)):
         with pytest.raises(ValueError):
             fs.write_file("/a.bin", offset, length)
     assert fs.disk.snapshot_sha256() == before
-    assert fs.disk.siblings == sibs
+    assert [f.id for f in fs.recoverable_files()] == kept
     assert rec.uf_counter == 1
 
 
@@ -260,8 +257,9 @@ def test_obsolete_status_of_every_retired_file_in_delete_order():
     assert fs.deleted_files() == [kept, empty, partial, gone]  # delete order
     assert fs.recoverable_files() == [kept, partial]
     assert fs.retired_usage == 4
-    # no block names empty or gone, so the disk keeps no sibling list for them
-    assert set(fs.disk.siblings) == {kept.id, partial.id, b.id, c.id}
+    # no block names empty or gone, so the recoverable table keeps neither
+    assert set(fs.disk.owner.tolist()) - {NO_OWNER} == {kept.id, partial.id, b.id, c.id}
+    assert_recoverable_index(fs)
 
 
 def test_lineage_broken_by_a_later_claim():
