@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Commands: train, simulate, replay, compare, recover. Machine-readable output
-goes to files named <command>-<seed>-<timestamp>.json/.csv in the output
-directory; stdout gets a one-line summary. Exit codes: 0 success, 2 input or
-config validation failure, 1 internal invariant violation.
+Commands: train, simulate, replay, compare. Machine-readable output goes to
+files named <command>-<seed>-<timestamp>.json/.csv in the output directory,
+and a simulate or replay report carries a recovery row per deleted or
+obsolete file; stdout gets a one-line summary. Exit codes: 0 success, 2
+input or config validation failure, 1 internal invariant violation.
 """
 
 import argparse
@@ -20,7 +21,6 @@ from .disk import new_disk
 from .errors import ConfigError, TraceError
 from .model import canonical_json
 from .policies import KINDS, make_policy
-from .recovery import recovery_table, retired_rr
 from .tuner import train
 from .vfs import FileSystem
 from .workload import read_trace, replay_trace, run_simulation, write_trace
@@ -130,34 +130,15 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_recover(args) -> int:
-    """Simulate or replay, then report what each deleted file could recover."""
-    cfg = load_config(args.config, seed_override=args.seed, policy_override=args.policy)
-    fs = _fresh_fs(cfg)
-    if args.trace:
-        ops = read_trace(args.trace)
-        replay_trace(ops, fs, cfg.weights)
-    else:
-        run_simulation(cfg.workload, fs, cfg.weights)
-    table = recovery_table(fs)
-    wrr = retired_rr(fs)
-    seed = cfg.workload.rng_seed
-    payload = {"seed": seed, "weighted_rr": wrr, "rows": table}
-    base = _write_report(args, "recover", seed, payload)
-    print(f"recover files={len(table)} wrr={wrr:.4f} report={base}.json")
-    return 0
-
-
 _COMMANDS = {
     "train": cmd_train,
     "simulate": cmd_simulate,
     "replay": cmd_replay,
     "compare": cmd_compare,
-    "recover": cmd_recover,
 }
 # the commands that read --policy and --trace; the others do not take them
-_READ_POLICY = ("simulate", "replay", "compare", "recover")
-_READ_TRACE = ("simulate", "replay", "recover")
+_READ_POLICY = ("simulate", "replay", "compare")
+_READ_TRACE = ("simulate", "replay")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,9 +7,10 @@ takes it, and that claim names a new owner. Linked formats are
 all-or-nothing; partial formats recover byte ranges once their metadata block
 survives. One lineage read over many files (measure_recovery) is the only
 way a file's recovery is measured: the objective, compare rows and the
-recovery table all take it from there. One sum (usage_weighted_rr) turns
-measured ratios into the usage-weighted percentage that the objective, the
-simulate, replay and recover reports and the compare rows all give.
+recovery table (the per-file rows of the simulate and replay reports) all
+take it from there. One sum (usage_weighted_rr) turns measured ratios into
+the usage-weighted percentage that the objective, the simulate and replay
+reports and the compare rows all give.
 """
 
 from dataclasses import dataclass
@@ -130,10 +131,15 @@ def performance(fs, weights: PerfWeights) -> float:
 
 
 def recovery_table(fs) -> list[dict]:
-    """Per-file recovery rows for deleted and obsolete files, in delete order."""
-    files = fs.deleted_files()
+    """Per-file recovery rows for deleted and obsolete files, in delete order,
+    from one lineage read over the files that can still be recovered. An
+    obsolete file has no block left on its lineage, so its row is fixed:
+    nothing survives and nothing comes back."""
+    files = fs.recoverable_files()
+    measured = {f.id: m for f, m in zip(files, measure_recovery(fs.disk, files))}
     rows = []
-    for f, (intact, recovered, rr) in zip(files, measure_recovery(fs.disk, files)):
+    for f in fs.deleted_files():
+        intact, recovered, rr = measured.get(f.id, ((), 0, 0.0))
         rows.append(
             {
                 "file_id": f.id,

@@ -16,7 +16,9 @@ from typing import NamedTuple
 from .errors import ConfigError, DiskFullError, TraceError
 from .model import canonical_json, field_dict
 from .priority import update_spatial_factors
-from .recovery import SEEK_COST, TIMESTAMP, PerfWeights, access_time_term, performance, retired_rr
+from .recovery import (
+    SEEK_COST, TIMESTAMP, PerfWeights, access_time_term, performance, recovery_table, retired_rr,
+)
 from .vfs import LINKED, LINKED_EXTENSIONS, PARTIAL, PARTIAL_EXTENSIONS, check_path
 
 OP_CREATE = "create"
@@ -270,6 +272,7 @@ class SimReport:
     files_used: int
     files_deleted: int
     files_obsolete: int
+    files: list
     weighted_rr: float
     aat_timestamp: float
     aat_seek: float
@@ -302,6 +305,7 @@ def _build_report(fs, seed, ops, weights, workload_echo) -> SimReport:
         files_used=len(fs.live_files()),
         files_deleted=deleted,
         files_obsolete=len(fs.deleted_files()) - deleted,
+        files=recovery_table(fs),
         weighted_rr=retired_rr(fs),
         aat_timestamp=aat_ts,
         aat_seek=aat_seek,

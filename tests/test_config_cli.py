@@ -23,7 +23,7 @@ from apexsim.workload import WorkloadConfig
 from test_config_fuzz import KEYS as FUZZ_KEYS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-COMMANDS = ["compare", "recover", "replay", "simulate", "train"]
+COMMANDS = ["compare", "replay", "simulate", "train"]
 
 
 def write_cfg(tmp_path, body, name="run.ini"):
@@ -195,6 +195,20 @@ def test_cli_simulate_writes_report_and_trace(tmp_path):
     assert doc["executed_ops"] == 120
     assert doc["config_sha256"]
     assert len(Path(trace_path).read_text().splitlines()) == 120
+    assert doc["files"], "a 120-op churn run should retire at least one file"
+    for row in doc["files"]:
+        assert 0.0 <= row["rr"] <= 1.0
+        assert row["status"] in ("deleted", "obsolete")
+
+
+def test_cli_simulate_without_deletions_reports_no_files(tmp_path):
+    body = "[disk]\nrows = 8\ncols = 8\n\n[workload]\nseed = 1\ntotal_ops = 0\n"
+    cfg = write_cfg(tmp_path, body)
+    out = str(tmp_path / "out")
+    assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
+    doc = json.loads(Path(only_file(out, ".json")).read_text())
+    assert doc["files"] == []
+    assert doc["weighted_rr"] == 0.0
 
 
 def test_cli_simulate_same_seed_same_report(tmp_path):
@@ -246,6 +260,8 @@ def test_cli_replay_matches_simulation(tmp_path):
     assert run_cli(["replay", "--config", cfg, "--trace", trace, "--out", out2]) == 0
     rep_doc = json.loads(Path(only_file(out2, ".json")).read_text())
     assert rep_doc["snapshot_sha256"] == sim_doc["snapshot_sha256"]
+    assert rep_doc["files"] == sim_doc["files"]
+    assert sim_doc["files"]
     assert rep_doc["trace_path"] == "run.trace.jsonl"
 
 
@@ -301,16 +317,12 @@ DEEP = ("[" * 100_000 + "]" * 100_000 + "\n").encode()  # past json's recursion 
         ("simulate", LATIN_1, None),
         ("train", LATIN_1, None),
         ("compare", LATIN_1, None),
-        ("recover", LATIN_1, None),
         ("replay", LATIN_1, CREATE.encode()),
         ("replay", b"", LATIN_1),
-        ("recover", b"", LATIN_1),
         ("replay", b"", DEEP),
-        ("recover", b"", DEEP),
     ],
     ids=["simulate-config-latin-1", "train-config-latin-1", "compare-config-latin-1",
-         "recover-config-latin-1", "replay-config-latin-1", "replay-trace-latin-1",
-         "recover-trace-latin-1", "replay-trace-too-deep", "recover-trace-too-deep"],
+         "replay-config-latin-1", "replay-trace-latin-1", "replay-trace-too-deep"],
 )
 def test_cli_undecodable_input_exits_two(tmp_path, capsys, command, config_tail, trace):
     """A config or trace that is not UTF-8, or a trace line nested deeper than
@@ -367,9 +379,9 @@ def test_cli_missing_config_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, bad",
     [("simulate", "config"), ("replay", "config"), ("train", "config"),
-     ("compare", "config"), ("recover", "config"), ("simulate", "out")],
+     ("compare", "config"), ("simulate", "out")],
     ids=["simulate-config-dir", "replay-config-dir", "train-config-dir",
-         "compare-config-dir", "recover-config-dir", "simulate-out-file"],
+         "compare-config-dir", "simulate-out-file"],
 )
 def test_cli_bad_config_or_out_path_fails_before_the_run(tmp_path, capsys, monkeypatch, command, bad):
     """A --config that names a directory, or an --out that names an existing
@@ -455,41 +467,18 @@ secondary_max_blocks = 3
     assert len(csv_lines) == 2
 
 
-def test_cli_recover_without_deletions_is_empty(tmp_path):
-    body = "[disk]\nrows = 8\ncols = 8\n\n[workload]\nseed = 1\ntotal_ops = 0\n"
-    cfg = write_cfg(tmp_path, body)
-    out = str(tmp_path / "out")
-    assert run_cli(["recover", "--config", cfg, "--out", out]) == 0
-    doc = json.loads(Path(only_file(out, ".json")).read_text())
-    assert doc["rows"] == []
-    assert doc["weighted_rr"] == 0.0
-
-
-def test_cli_recover_reports_deleted_files(tmp_path):
+def test_cli_recover_is_not_a_command(tmp_path, capsys):
+    """simulate and replay reports carry the per-file recovery rows, so there
+    is no recover command: argparse rejects it with exit 2 before anything
+    runs, and no report is written."""
     cfg = write_cfg(tmp_path, MINIMAL)
-    out = str(tmp_path / "out")
-    assert run_cli(["recover", "--config", cfg, "--out", out]) == 0
-    doc = json.loads(Path(only_file(out, ".json")).read_text())
-    rows = doc["rows"]
-    assert rows, "a 120-op churn run should retire at least one file"
-    for row in rows:
-        assert 0.0 <= row["rr"] <= 1.0
-        assert row["status"] in ("deleted", "obsolete")
-
-
-def test_cli_recover_from_trace_matches_simulation(tmp_path):
-    """recover --trace replays a trace that simulate wrote; its report is the
-    one recover writes from running the same simulation itself."""
-    cfg = write_cfg(tmp_path, MINIMAL)
-    trace = str(tmp_path / "run.trace.jsonl")
-    assert run_cli(["simulate", "--config", cfg, "--trace", trace, "--out", str(tmp_path / "sim")]) == 0
-    docs = []
-    for name, extra in (("direct", []), ("replayed", ["--trace", trace])):
-        out = str(tmp_path / name)
-        assert run_cli(["recover", "--config", cfg, "--out", out, *extra]) == 0
-        docs.append(Path(only_file(out, ".json")).read_text())
-    assert docs[0] == docs[1]
-    assert json.loads(docs[0])["rows"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as e:
+        run_cli(["recover", "--config", cfg, "--out", str(out)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "recover" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -515,7 +504,7 @@ def test_cli_recover_from_trace_matches_simulation(tmp_path):
         ("simulate", "rows = 8\n" + MINIMAL, "no section headers"),
         ("compare", MINIMAL + "[compare]\nprimary_count = 2\nprimery_blocks = 4\n",
          "[compare] primery_blocks: unknown key"),
-        ("recover", MINIMAL + "[trian]\nmin_budget = 2\n", "[trian]: unknown section"),
+        ("simulate", MINIMAL + "[trian]\nmin_budget = 2\n", "[trian]: unknown section"),
         ("train", MINIMAL + "[train]\nmode = hill-climb\nmin_budget = 2\n",
          "[train] mode: unknown key"),
         ("simulate", "[DEFAULT]\nrows = 4\n" + MINIMAL, "[DEFAULT] rows: unknown key"),

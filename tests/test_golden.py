@@ -3,8 +3,9 @@
 Each case hashes what a command writes: the simulate report JSON and its
 trace bytes on every neighborhood kind under every policy, one two-seed
 surveillance compare, one short train, and the report file each of the
-simulate, replay, recover and compare commands writes. The report embeds the
-end state's snapshot sha256, which covers every block's factors and lineage.
+simulate, replay and compare commands writes. The simulate and replay reports
+hold a recovery row per deleted or obsolete file and embed the end state's
+snapshot sha256, which covers every block's factors and lineage.
 Most churn bumps are wiped before the end, when their block is
 claimed again, so the simulate cases also hash the used mask and the factor
 arrays after every op: a single bump that moves changes that hash. A change that sets out
@@ -104,7 +105,6 @@ policies = apex,first-fit,random
 # command -> sha256 of the .json report file it writes
 CLI_GOLDEN = {
     "compare": "fad10648d4ffc2afe27550f2d3fcd8471aa178416b006b2394e826536f07e57d",
-    "recover": "173b682050bf8438afab64d79ed772fc35ca061c635e3c8d0784324a5d37b982",
     "replay": "f41741a73f43398c290919b3a66e87186855adc2b9b8b26b969a3db5866a0130",
     "simulate": "1d505c48519d02fda3b7816dbd8a02fad970b53d7db176d813a3df5c334b0d4d",
 }

@@ -19,10 +19,11 @@ from apexsim.recovery import (
     usage_weighted_rr,
 )
 from apexsim.vfs import DELETED, LINKED, OBSOLETE, PARTIAL
-from apexsim.workload import OP_CREATE, WorkloadConfig, WorkloadRunner
+from apexsim.workload import OP_CREATE, WorkloadConfig, WorkloadRunner, run_simulation
 
 from conftest import ScriptedPolicy, claim_over, make_fs
 from oracles import recovery_of, weighted_rr
+from test_golden import SIM_GOLDEN, SIM_WORKLOAD, fresh_fs
 
 
 def overwrite(fs, addrs):
@@ -263,6 +264,35 @@ def test_recovery_table_shape():
     assert by_path["/b.exe"]["type_class"] == LINKED
     assert all(r["rr"] == 1.0 for r in rows)
     assert all(r["status"] == "deleted" for r in rows)
+
+
+@pytest.mark.parametrize("neighborhood,policy", sorted(SIM_GOLDEN))
+def test_report_files_equal_the_oracle_per_file(neighborhood, policy):
+    """A simulate report's per-file rows, one per deleted or obsolete file in
+    delete order, each equal the block-by-block reference for its file, the
+    obsolete ones too, which the table fills in without reading; the
+    report's weighted recovery equals the full-list reference to the bit."""
+    fs = fresh_fs(neighborhood, policy)
+    report, _ = run_simulation(SIM_WORKLOAD, fs)
+    retired = fs.deleted_files()
+    assert [row["file_id"] for row in report.files] == [f.id for f in retired]
+    assert any(f.status == OBSOLETE for f in retired)
+    for row, f in zip(report.files, retired):
+        alive, meta, recovered, rr = recovery_of(fs.disk, f)
+        assert row == {
+            "file_id": f.id,
+            "path": f.path,
+            "type_class": f.type_class,
+            "status": f.status,
+            "uf": f.uf_counter,
+            "total_blocks": len(f.block_list),
+            "surviving_blocks": len(alive),
+            "metadata_intact": meta,
+            "recovered_bytes": recovered,
+            "rr": rr,
+        }
+        assert row["rr"].hex() == rr.hex()
+    assert report.weighted_rr.hex() == weighted_rr(fs.disk, retired).hex()
 
 
 @pytest.mark.parametrize("neighborhood", ["grid-row", "none"])
