@@ -41,39 +41,39 @@ SIM_TRACE_GOLDEN = "5494025583a4a38cf4219e0718930db1ef4cf685d46de293a6f4d657c1b1
 # (neighborhood, policy) -> (report sha256, factor trajectory sha256)
 SIM_GOLDEN = {
     ("grid-row", "apex"): (
-        "93d7e4d1be36b57638f9c74b066c3bd9c916f8053bf304031b5d290ec944eb6c",
+        "fcf6737b2a9b795eb9d1eb60c8420e2af5b8532e927014d3a0021a41ab0ab535",
         "197f74a98acd3ec88894a73679b1680cd66f1af91c1c93584f4bd26e329b1517",
     ),
     ("grid-row", "first-fit"): (
-        "7572c7ac0dd5f085d0d8eeff825636635db0f174cfdc07f81b3a970d8b82c578",
+        "89c355e8da0f1701fea3213b42c2ba4cd8b6bc6ed4c54edbfdf02de7736171ca",
         "e2aba3b50a7a1d025877da03f84e1aebd46a869890498c500c9b3c64a6a6eb6b",
     ),
     ("grid-row", "random"): (
-        "c6c639430e21f0d14e48758b51954531bde9d7d3b7cc6f9f2f6814cb938c5cbc",
+        "edc525d9f28903dbd5db2e88d451538f11ce93464ba6f721ad01d7d32bdfb78b",
         "87cf27ce857cfcc30c6f5be84da25f4672496132cdbf793c74ee8595aecef657",
     ),
     ("none", "apex"): (
-        "b0943288800dec57eb94434b26535262f7894785e858c38a3c3776405944bd3e",
+        "034007f9e898fc66d664ddb6f207f3b23ad8a4e1d1e0b458689ab76ce8d9257b",
         "f7d92d38df0c32689c16f518e104cc450f21377e05015495588640ca9afad7bf",
     ),
     ("none", "first-fit"): (
-        "90a9f666f1e7a8a4bbd9383b2612d10746dc7a3e1794555c327eb33f0d1b86de",
+        "0537f6ab0217d729fe8925dfbc70d044683e04939f2ea92b73f0743141eb6ddb",
         "06fc46627feb236ceeb369c30a5e4ab36d169b0786586dde8e8e0633ea60f5bf",
     ),
     ("none", "random"): (
-        "59aa590188ff3862331a95b7cf6d0a203440ead877eb7f00fc79ad20fe996c02",
+        "ab3a5e168b15697b526a2c8e9d99134af5997563e24283b69cf04d79f0110f95",
         "e7abda7983f6f19fb34e36377f06b903052c0f8c7e40cea828cbae4f5d5fe8c4",
     ),
     ("contiguous:3", "apex"): (
-        "fe1136a2a4de175d94dda7acfd3d3b293342df2b5784f5122b49126c3414c2ae",
+        "2ad7f88d5d0e1f8f65611f4e6d5eab24d1699462e867f5300406204fa0aeb1c8",
         "8dab82a35ad322502a3123449d9c6015906aa9b499c725fb0aab8ac5db172af1",
     ),
     ("contiguous:3", "first-fit"): (
-        "0605096ef02ffb802e46e079a170ee400268f3493fb328118bb928dd8f413171",
+        "aa6ed0d081fce70f543e37bf054c1dc99a50f69c4c073901c076e811ce1a4deb",
         "51a0476677ca2bd8d18398e779d59c9328a5d79072676dcc1876e29403f6b2b5",
     ),
     ("contiguous:3", "random"): (
-        "85ce0bd0c4e89764ee033abc8da64a1fcd4c5e2b98edbd9cebed593bcc4e1dbf",
+        "5ef6a5086ee5cf0fd44b6a924f92725cc7d9eeb9b9d62e2ad0ea5c4671eab9ab",
         "7595e7ee57a695cd6f47acffc6c3557503d94b006adce16bc43d60db11ddee8c",
     ),
 }
@@ -105,8 +105,8 @@ policies = apex,first-fit,random
 # command -> sha256 of the .json report file it writes
 CLI_GOLDEN = {
     "compare": "fad10648d4ffc2afe27550f2d3fcd8471aa178416b006b2394e826536f07e57d",
-    "replay": "f41741a73f43398c290919b3a66e87186855adc2b9b8b26b969a3db5866a0130",
-    "simulate": "1d505c48519d02fda3b7816dbd8a02fad970b53d7db176d813a3df5c334b0d4d",
+    "replay": "4ea4e291bf9354d6fdbe4e8b0d914768a06d344939151be32f0e8a624d842624",
+    "simulate": "6d3072dab21b8932c841ebebbf88f318a8fad96744940e4271f163ef22717645",
 }
 
 
