@@ -195,8 +195,17 @@ def test_cli_simulate_writes_report_and_trace(tmp_path):
     assert doc["executed_ops"] == 120
     assert doc["config_sha256"]
     assert len(Path(trace_path).read_text().splitlines()) == 120
-    assert doc["files"], "a 120-op churn run should retire at least one file"
-    for row in doc["files"]:
+
+
+def test_cli_recover_reports_deleted_files(tmp_path):
+    """The simulate report carries one recovery row per retired file."""
+    cfg = write_cfg(tmp_path, MINIMAL)
+    out = str(tmp_path / "out")
+    assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
+    doc = json.loads(Path(only_file(out, ".json")).read_text())
+    rows = doc["files"]
+    assert rows, "a 120-op churn run should retire at least one file"
+    for row in rows:
         assert 0.0 <= row["rr"] <= 1.0
         assert row["status"] in ("deleted", "obsolete")
 
@@ -260,9 +269,23 @@ def test_cli_replay_matches_simulation(tmp_path):
     assert run_cli(["replay", "--config", cfg, "--trace", trace, "--out", out2]) == 0
     rep_doc = json.loads(Path(only_file(out2, ".json")).read_text())
     assert rep_doc["snapshot_sha256"] == sim_doc["snapshot_sha256"]
-    assert rep_doc["files"] == sim_doc["files"]
-    assert sim_doc["files"]
     assert rep_doc["trace_path"] == "run.trace.jsonl"
+
+
+def test_cli_recover_from_trace_matches_simulation(tmp_path):
+    """replay of a trace that simulate wrote reports the same per-file
+    recovery rows and weighted RR as simulate did."""
+    cfg = write_cfg(tmp_path, MINIMAL)
+    trace = str(tmp_path / "run.trace.jsonl")
+    docs = []
+    for name, argv in (("direct", ["simulate", "--config", cfg, "--trace", trace]),
+                       ("replayed", ["replay", "--config", cfg, "--trace", trace])):
+        out = str(tmp_path / name)
+        assert run_cli([*argv, "--out", out]) == 0
+        docs.append(json.loads(Path(only_file(out, ".json")).read_text()))
+    assert docs[1]["files"] == docs[0]["files"]
+    assert docs[1]["weighted_rr"] == docs[0]["weighted_rr"]
+    assert docs[0]["files"]
 
 
 def test_cli_replay_without_trace_is_usage_error(tmp_path, capsys):
