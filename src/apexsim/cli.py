@@ -53,6 +53,11 @@ def _fresh_fs(cfg):
 
 def cmd_simulate(args) -> int:
     """Run a seeded workload; write the report and its trace."""
+    # the report is written before the trace, so a trace path that names a
+    # directory, or whose directory does not exist, is rejected before the run
+    if args.trace and (os.path.isdir(args.trace)
+                       or not os.path.isdir(os.path.dirname(args.trace) or ".")):
+        raise ConfigError(f"trace path is a directory or its directory is missing: {args.trace}")
     cfg = load_config(args.config, seed_override=args.seed, policy_override=args.policy)
     fs = _fresh_fs(cfg)
     report, trace = run_simulation(cfg.workload, fs, cfg.weights)

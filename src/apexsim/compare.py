@@ -102,9 +102,7 @@ def primary_phase(
     primary_paths = [f"/primary{i}{primary_ext}" for i in range(settings.primary_count)]
     for path in primary_paths:
         disk.tick()
-        execute_op(fs, WorkloadOp(
-            disk.clock, OP_CREATE, path, settings.primary_data_blocks, settings.primary_type
-        ))
+        execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, path, settings.primary_data_blocks))
     for path in primary_paths:
         disk.tick()
         execute_op(fs, WorkloadOp(disk.clock, OP_DELETE, path))
@@ -153,12 +151,10 @@ def run_flood(phase: FileSystem, settings: CompareSettings, targets: tuple, seed
             target = pending.pop(0)
             cell = fs.copy()
             cell.disk.tick()
-            execute_op(cell, WorkloadOp(
-                cell.disk.clock, OP_CREATE, path, target - written, PARTIAL
-            ))
+            execute_op(cell, WorkloadOp(cell.disk.clock, OP_CREATE, path, target - written))
             cells[target] = _row(cell, target, seed)
         disk.tick()
-        execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, path, size, PARTIAL))
+        execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, path, size))
         written += size
     for target in pending:  # a full disk stopped these
         cells[target] = _row(fs, target, seed)

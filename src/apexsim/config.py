@@ -155,13 +155,14 @@ def load_config(path, seed_override=None, policy_override=None) -> AppConfig:
     read("disk")
     geometry = build("disk", DiskGeometry)
     read("policy")
+    # the file's kind is checked even when the override replaces it
+    for kind in (given.get("policy_kind"), policy_override):
+        if kind is not None and kind not in KINDS:
+            raise ConfigError(
+                f"{path}: [policy] kind = {kind!r} (expected one of {', '.join(KINDS)})"
+            )
     if policy_override is not None:
         given["policy_kind"] = policy_override
-    if "policy_kind" in given and given["policy_kind"] not in KINDS:
-        raise ConfigError(
-            f"{path}: [policy] kind = {given['policy_kind']!r} "
-            f"(expected one of {', '.join(KINDS)})"
-        )
     read("workload")
     if seed_override is not None:
         given["rng_seed"] = seed_override

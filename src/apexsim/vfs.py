@@ -156,7 +156,7 @@ class FileSystem:
 
     # -- operations ----------------------------------------------------------
 
-    def create_file(self, path, size_bytes, type_class=None) -> FileRecord:
+    def create_file(self, path, size_bytes) -> FileRecord:
         """Allocate and install a new fixed-size file.
 
         Validation happens before any mutation, so a failed create leaves the
@@ -171,10 +171,6 @@ class FileSystem:
             raise FileExistsError(path)
         if size_bytes < 0:
             raise ValueError("negative size")
-        if type_class is None:
-            type_class = type_class_for_path(path)
-        if type_class not in (LINKED, PARTIAL):
-            raise ValueError(f"unknown type class {type_class!r}")
         bs = self.disk.geometry.block_size_bytes
         needed = -(-size_bytes // bs) + 1 if size_bytes > 0 else 0
         addrs = list(self.policy.select(self.disk, needed))
@@ -184,7 +180,7 @@ class FileSystem:
         for owner in emptied:
             self._recoverable.pop(owner).status = OBSOLETE
 
-        rec = FileRecord(fid, path, type_class, addrs, size_bytes, self.disk.clock)
+        rec = FileRecord(fid, path, type_class_for_path(path), addrs, size_bytes, self.disk.clock)
         self._by_path[path] = rec
         rec._live_index = len(self._live)
         self._live.append(rec)

@@ -19,7 +19,7 @@ from .priority import update_spatial_factors
 from .recovery import (
     SEEK_COST, TIMESTAMP, PerfWeights, access_time_term, performance, recovery_table, retired_rr,
 )
-from .vfs import LINKED, LINKED_EXTENSIONS, PARTIAL, PARTIAL_EXTENSIONS, check_path
+from .vfs import LINKED_EXTENSIONS, PARTIAL_EXTENSIONS, check_path
 
 OP_CREATE = "create"
 OP_DELETE = "delete"
@@ -65,7 +65,6 @@ class WorkloadOp(NamedTuple):
     kind: str
     path: str
     size_blocks: int | None = None
-    type_class: str | None = None
     offset: int | None = None
     length: int | None = None
 
@@ -73,8 +72,6 @@ class WorkloadOp(NamedTuple):
         doc = {"tick": self.tick, "op": self.kind, "path": self.path}
         if self.size_blocks is not None:
             doc["size_blocks"] = self.size_blocks
-        if self.type_class is not None:
-            doc["type"] = self.type_class
         if self.offset is not None:
             doc["offset"] = self.offset
         if self.length is not None:
@@ -101,8 +98,8 @@ class WorkloadOp(NamedTuple):
             raise TraceError(f"bad trace line: tick {tick} outside the int64 range")
         if kind not in (OP_CREATE, OP_DELETE, OP_READ, OP_WRITE):
             raise TraceError(f"bad trace line: unknown op {kind!r}")
-        if kind == OP_CREATE and ("size_blocks" not in doc or "type" not in doc):
-            raise TraceError("bad trace line: create needs size_blocks and type")
+        if kind == OP_CREATE and "size_blocks" not in doc:
+            raise TraceError("bad trace line: create needs size_blocks")
         if kind == OP_WRITE and ("offset" not in doc or "len" not in doc):
             raise TraceError("bad trace line: write needs offset and len")
         try:
@@ -112,14 +109,11 @@ class WorkloadOp(NamedTuple):
         for key in ("size_blocks", "offset", "len"):
             if key in doc and (type(doc[key]) is not int or doc[key] < 0):
                 raise TraceError(f"bad trace line: {key} must be an integer >= 0, got {doc[key]!r}")
-        if "type" in doc and doc["type"] not in (LINKED, PARTIAL):
-            raise TraceError(f"bad trace line: unknown type {doc['type']!r}")
         return cls(
             tick=tick,
             kind=kind,
             path=path,
             size_blocks=doc.get("size_blocks"),
-            type_class=doc.get("type"),
             offset=doc.get("offset"),
             length=doc.get("len"),
         )
@@ -173,13 +167,7 @@ def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp
             target = files[rng.randrange(len(files))]
             return WorkloadOp(state.tick, OP_READ, target.path)
         ext = rng.choice(_LINKED_EXT_CHOICES if linked else _PARTIAL_EXT_CHOICES)
-        return WorkloadOp(
-            state.tick,
-            OP_CREATE,
-            state.next_path(ext),
-            size_blocks=size,
-            type_class=LINKED if linked else PARTIAL,
-        )
+        return WorkloadOp(state.tick, OP_CREATE, state.next_path(ext), size_blocks=size)
 
     # read/write bucket
     target = files[rng.randrange(len(files))]
@@ -251,7 +239,7 @@ def execute_op(fs, op: WorkloadOp) -> None:
     caller advances the clock first."""
     bs = fs.disk.geometry.block_size_bytes
     if op.kind == OP_CREATE:
-        fs.create_file(op.path, op.size_blocks * bs, op.type_class)
+        fs.create_file(op.path, op.size_blocks * bs)
     elif op.kind == OP_DELETE:
         fs.delete_file(op.path)
     elif op.kind == OP_READ:

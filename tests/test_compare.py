@@ -135,9 +135,7 @@ def reference_cell(geometry, hp, settings, policy_kind, target, seed, invert_lin
     paths = [f"/primary{i}{ext}" for i in range(settings.primary_count)]
     for path in paths:
         disk.tick()
-        execute_op(fs, WorkloadOp(
-            disk.clock, OP_CREATE, path, settings.primary_data_blocks, settings.primary_type
-        ))
+        execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, path, settings.primary_data_blocks))
     for path in paths:
         disk.tick()
         execute_op(fs, WorkloadOp(disk.clock, OP_DELETE, path))
@@ -152,7 +150,7 @@ def reference_cell(geometry, hp, settings, policy_kind, target, seed, invert_lin
         end = "clipped" if size == target - written < drawn else "reached"
         seq += 1
         disk.tick()
-        execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, f"/secondary{seq:04d}.dat", size, PARTIAL))
+        execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, f"/secondary{seq:04d}.dat", size))
         written += size
     primary = fs.deleted_files()
     per_file = tuple(recovery_of(disk, f)[3] for f in primary)

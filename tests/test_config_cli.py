@@ -294,28 +294,27 @@ def test_cli_replay_without_trace_is_usage_error(tmp_path, capsys):
     assert "trace" in capsys.readouterr().err
 
 
-CREATE = '{"tick":1,"op":"create","path":"/a.txt","size_blocks":1,"type":"partial"}\n'
+CREATE = '{"tick":1,"op":"create","path":"/a.txt","size_blocks":1}\n'
 
 
 @pytest.mark.parametrize(
     "trace",
     [
-        '{"tick":1,"op":"create","path":"a.txt","size_blocks":1,"type":"partial"}\n',
-        '{"tick":1,"op":"create","path":5,"size_blocks":1,"type":"partial"}\n',
-        '{"tick":1,"op":"create","path":"/","size_blocks":1,"type":"partial"}\n',
-        '{"tick":1,"op":"create","path":"/a/b.txt","size_blocks":1,"type":"partial"}\n',
-        '{"tick":1,"op":"create","path":"/a.txt","size_blocks":-3,"type":"partial"}\n',
-        '{"tick":1,"op":"create","path":"/a.txt","size_blocks":"x","type":"partial"}\n',
-        '{"tick":1,"op":"create","path":"/a.txt","size_blocks":1,"type":"bogus"}\n',
-        '{"tick":1,"op":"create","path":"/a.txt","size_blocks":64,"type":"partial"}\n',
+        '{"tick":1,"op":"create","path":"a.txt","size_blocks":1}\n',
+        '{"tick":1,"op":"create","path":5,"size_blocks":1}\n',
+        '{"tick":1,"op":"create","path":"/","size_blocks":1}\n',
+        '{"tick":1,"op":"create","path":"/a/b.txt","size_blocks":1}\n',
+        '{"tick":1,"op":"create","path":"/a.txt","size_blocks":-3}\n',
+        '{"tick":1,"op":"create","path":"/a.txt","size_blocks":"x"}\n',
+        '{"tick":1,"op":"create","path":"/a.txt","size_blocks":64}\n',
         CREATE + '{"tick":2,"op":"write","path":"/a.txt","offset":4000,"len":200}\n',
         CREATE + '{"tick":2,"op":"write","path":"/a.txt","offset":"0","len":10}\n',
-        '{"tick":1.7,"op":"create","path":"/a.txt","size_blocks":1,"type":"partial"}\n',
-        '{"tick":"7","op":"create","path":"/a.txt","size_blocks":1,"type":"partial"}\n',
-        '{"tick":true,"op":"create","path":"/a.txt","size_blocks":1,"type":"partial"}\n',
+        '{"tick":1.7,"op":"create","path":"/a.txt","size_blocks":1}\n',
+        '{"tick":"7","op":"create","path":"/a.txt","size_blocks":1}\n',
+        '{"tick":true,"op":"create","path":"/a.txt","size_blocks":1}\n',
     ],
     ids=["relative-path", "int-path", "root-path", "nested-path", "negative-size",
-         "text-size", "unknown-type", "create-beyond-disk", "write-past-size", "text-offset",
+         "text-size", "create-beyond-disk", "write-past-size", "text-offset",
          "float-tick", "text-tick", "bool-tick"],
 )
 def test_cli_replay_rejects_malformed_trace(tmp_path, capsys, trace):
@@ -402,24 +401,31 @@ def test_cli_missing_config_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, bad",
     [("simulate", "config"), ("replay", "config"), ("train", "config"),
-     ("compare", "config"), ("simulate", "out")],
+     ("compare", "config"), ("simulate", "out"), ("simulate", "trace-dir-missing"),
+     ("simulate", "trace-is-dir")],
     ids=["simulate-config-dir", "replay-config-dir", "train-config-dir",
-         "compare-config-dir", "simulate-out-file"],
+         "compare-config-dir", "simulate-out-file", "simulate-trace-dir-missing",
+         "simulate-trace-is-dir"],
 )
 def test_cli_bad_config_or_out_path_fails_before_the_run(tmp_path, capsys, monkeypatch, command, bad):
-    """A --config that names a directory, or an --out that names an existing
-    file, is rejected with exit 2, naming the path, before the command runs;
-    a bad config makes no output directory."""
+    """A --config that names a directory, an --out that names an existing
+    file, or a simulate --trace that names a directory or lies in one that
+    does not exist, is rejected with exit 2, naming the path, before the
+    command runs; a bad config or trace path makes no output directory."""
     for name in ("run_simulation", "replay_trace", "train", "run_compare"):
         monkeypatch.setattr(apexsim.cli, name, lambda *a, **kw: pytest.fail("ran on a bad path"))
     cfg, out = write_cfg(tmp_path, MINIMAL), tmp_path / "out"
+    argv = []
     if bad == "config":
         cfg = named = str(tmp_path / "conf.d")
         os.mkdir(cfg)
-    else:
+    elif bad == "out":
         out.write_text("")
         named = str(out)
-    argv = [command, "--config", cfg, "--out", str(out)]
+    else:
+        named = str(tmp_path / "missing" / "x.jsonl" if bad == "trace-dir-missing" else tmp_path)
+        argv += ["--trace", named]
+    argv = [command, "--config", cfg, "--out", str(out), *argv]
     if command == "replay":
         trace = tmp_path / "run.trace.jsonl"
         trace.write_text(CREATE)
@@ -428,6 +434,21 @@ def test_cli_bad_config_or_out_path_fails_before_the_run(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert out.is_file() if bad == "out" else not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "replay"])
+def test_cli_policy_override_does_not_hide_a_bad_policy_kind(tmp_path, capsys, command):
+    """--policy replaces the file's [policy] kind, but an invalid kind in the
+    file still fails the command with exit 2, naming it, and writes no report."""
+    cfg, out = write_cfg(tmp_path, MINIMAL + "[policy]\nkind = bogus\n"), tmp_path / "out"
+    argv = [command, "--config", cfg, "--policy", "apex", "--out", str(out)]
+    if command == "replay":
+        trace = tmp_path / "run.trace.jsonl"
+        trace.write_text(CREATE)
+        argv += ["--trace", str(trace)]
+    assert run_cli(argv) == 2
+    assert "[policy] kind = 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -13,6 +13,7 @@ to alter behaviour updates these values and says so.
 """
 
 import hashlib
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,8 +26,10 @@ from apexsim.disk import new_disk
 from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
 from apexsim.policies import make_policy
 from apexsim.tuner import train
-from apexsim.vfs import FileSystem
-from apexsim.workload import WorkloadConfig, WorkloadRunner, run_simulation
+from apexsim.vfs import LINKED, PARTIAL, FileSystem, type_class_for_path
+from apexsim.workload import (
+    WorkloadConfig, WorkloadRunner, read_trace, replay_trace, run_simulation, write_trace,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -139,6 +142,29 @@ def test_simulate_report_trace_and_factor_trajectory(neighborhood, policy):
     assert sha256(trace_bytes) == SIM_TRACE_GOLDEN
     got = (sha256(report.to_json()), factor_trajectory(fresh_fs(neighborhood, policy)))
     assert got == SIM_GOLDEN[neighborhood, policy]
+
+
+@pytest.mark.parametrize("contradict", [False, True], ids=["type-of-path", "type-contradicting-path"])
+def test_trace_with_type_keys_replays_to_the_same_report(tmp_path, contradict):
+    """Traces once carried each create's format class as "type". Such a trace
+    replays to the same report bytes as the trace written today: a file's
+    class comes from its path's extension, and a "type" that contradicts it
+    is ignored."""
+    _, trace = run_simulation(SIM_WORKLOAD, fresh_fs("grid-row", "apex"))
+    write_trace(trace, tmp_path / "new.trace.jsonl")
+    expected = replay_trace(read_trace(tmp_path / "new.trace.jsonl"), fresh_fs("grid-row", "apex"))
+    docs = [json.loads(op.to_json_line()) for op in trace]
+    creates = [doc for doc in docs if doc["op"] == "create"]
+    for doc in creates:
+        cls = type_class_for_path(doc["path"])
+        doc["type"] = {LINKED: PARTIAL, PARTIAL: LINKED}[cls] if contradict else cls
+    assert {doc["type"] for doc in creates} == {LINKED, PARTIAL}
+    old = tmp_path / "old.trace.jsonl"
+    old.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    fs = fresh_fs("grid-row", "apex")
+    assert replay_trace(read_trace(old), fs).to_json() == expected.to_json()
+    assert all(f.type_class == type_class_for_path(f.path)
+               for f in fs.live_files() + fs.deleted_files())
 
 
 def test_surveillance_compare_two_seeds():

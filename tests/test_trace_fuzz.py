@@ -24,7 +24,7 @@ from apexsim.vfs import FileSystem
 from apexsim.workload import WorkloadConfig, run_simulation
 
 CONFIG = "[disk]\nrows = 6\ncols = 6\n"
-FIELDS = ["tick", "op", "path", "size_blocks", "type", "offset", "len"]
+FIELDS = ["tick", "op", "path", "size_blocks", "offset", "len"]
 REMOVE = object()
 
 

@@ -185,7 +185,7 @@ def test_trace_file_round_trip(tmp_path):
 
 def test_op_json_round_trip_all_kinds():
     ops = [
-        WorkloadOp(1, "create", "/a.txt", size_blocks=3, type_class="partial"),
+        WorkloadOp(1, "create", "/a.txt", size_blocks=3),
         WorkloadOp(2, "write", "/a.txt", offset=100, length=50),
         WorkloadOp(3, "read", "/a.txt"),
         WorkloadOp(4, "delete", "/a.txt"),
@@ -227,7 +227,7 @@ def test_malformed_trace_lines_rejected():
         "[1,2,3]",
         '{"op":"read","path":"/a"}',  # no tick
         '{"tick":1,"op":"defrag","path":"/a"}',
-        '{"tick":1,"op":"create","path":"/a"}',  # create without shape
+        '{"tick":1,"op":"create","path":"/a"}',  # create without size_blocks
         '{"tick":1,"op":"write","path":"/a","offset":0}',  # write without len
     ]
     for line in bad:
@@ -237,7 +237,7 @@ def test_malformed_trace_lines_rejected():
 
 def test_replay_requires_strictly_increasing_ticks():
     ops = [
-        WorkloadOp(1, "create", "/a.txt", size_blocks=1, type_class="partial"),
+        WorkloadOp(1, "create", "/a.txt", size_blocks=1),
         WorkloadOp(1, "read", "/a.txt"),
     ]
     with pytest.raises(TraceError):
@@ -255,7 +255,7 @@ def test_replay_missing_path_surfaces_as_lookup_error():
 
 def test_hand_written_trace_on_tiny_disk():
     ops = [
-        WorkloadOp(1, "create", "/a.txt", size_blocks=1, type_class="partial"),
+        WorkloadOp(1, "create", "/a.txt", size_blocks=1),
         WorkloadOp(2, "write", "/a.txt", offset=0, length=16),
         WorkloadOp(3, "delete", "/a.txt"),
     ]
