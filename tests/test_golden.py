@@ -40,7 +40,7 @@ SIM_WORKLOAD = WorkloadConfig(
 
 # The trace records op outcomes, not block addresses, so every policy and
 # neighborhood replays the same op stream.
-SIM_TRACE_GOLDEN = "5494025583a4a38cf4219e0718930db1ef4cf685d46de293a6f4d657c1b178d5"
+SIM_TRACE_GOLDEN = "8875caaa729bae80e3c4faff82ca8ef4fd09fcba0664afbedf113a8e02a07f60"
 # (neighborhood, policy) -> (report sha256, factor trajectory sha256)
 SIM_GOLDEN = {
     ("grid-row", "apex"): (
