@@ -157,7 +157,8 @@ class FileSystem:
     # -- operations ----------------------------------------------------------
 
     def create_file(self, path, size_bytes) -> FileRecord:
-        """Allocate and install a new fixed-size file.
+        """Allocate and install a new fixed-size file, of the format class
+        its path's extension names (type_class_for_path).
 
         Validation happens before any mutation, so a failed create leaves the
         disk untouched; a create that does not fit fails in the policy's

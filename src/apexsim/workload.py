@@ -80,6 +80,9 @@ class WorkloadOp(NamedTuple):
 
     @classmethod
     def from_json_line(cls, line: str) -> "WorkloadOp":
+        """Parse one trace line; a line of the wrong shape is a TraceError. A
+        key it does not read is ignored, such as the "type" create lines once
+        carried: a file's class comes from its path (vfs.type_class_for_path)."""
         try:
             doc = json.loads(line)
         except (json.JSONDecodeError, RecursionError) as e:  # nested past json's limit
@@ -128,7 +131,8 @@ def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp
     whose target would drop utilization below the floor becomes a Create (this
     covers the plain utilization < floor case, since any delete drops it
     further); a Create that cannot fit is clamped to the free space, and when
-    not even one data block fits it degrades to a Read.
+    not even one data block fits it degrades to a Read. A Create draws linked
+    or partial only to pick its path's extension, which alone sets the class.
     """
     files = state.live_files()
     r = rng.random()
