@@ -40,13 +40,10 @@ PARTIAL_EXTENSIONS = {".txt", ".jpg", ".mp3", ".avi", ".pdf"}
 
 
 def type_class_for_path(path: str) -> str:
-    name = path.rsplit("/", 1)[-1]
-    dot = name.rfind(".")
-    ext = name[dot:].lower() if dot >= 0 else ""
-    if ext in LINKED_EXTENSIONS:
-        return LINKED
-    # anything without a known linkage table recovers per block
-    return PARTIAL
+    # The text from the last dot on is the extension when the name has one;
+    # otherwise it holds a "/" or is one character, and matches no extension.
+    # Anything without a known linkage table recovers per block.
+    return LINKED if path[path.rfind("."):].lower() in LINKED_EXTENSIONS else PARTIAL
 
 
 @dataclass(eq=False, slots=True)

@@ -31,6 +31,10 @@ def test_extension_table():
         assert type_class_for_path(f"/x{ext}") == PARTIAL
     assert type_class_for_path("/README") == PARTIAL
     assert type_class_for_path("/weird.xyz") == PARTIAL
+    assert type_class_for_path("/TOOL.EXE") == LINKED
+    # only the name's own extension counts
+    for path in ("/a.zip/b", "/x", "/o", "/a.", "/tool.exe.txt"):
+        assert type_class_for_path(path) == PARTIAL
 
 
 def test_create_claims_metadata_plus_data_blocks():
