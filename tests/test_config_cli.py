@@ -415,7 +415,7 @@ def test_cli_bad_config_or_out_path_fails_before_the_run(tmp_path, capsys, monke
     for name in ("run_simulation", "replay_trace", "train", "run_compare"):
         monkeypatch.setattr(apexsim.cli, name, lambda *a, **kw: pytest.fail("ran on a bad path"))
     cfg, out = write_cfg(tmp_path, MINIMAL), tmp_path / "out"
-    argv = []
+    trace_args = []
     if bad == "config":
         cfg = named = str(tmp_path / "conf.d")
         os.mkdir(cfg)
@@ -424,8 +424,8 @@ def test_cli_bad_config_or_out_path_fails_before_the_run(tmp_path, capsys, monke
         named = str(out)
     else:
         named = str(tmp_path / "missing" / "x.jsonl" if bad == "trace-dir-missing" else tmp_path)
-        argv += ["--trace", named]
-    argv = [command, "--config", cfg, "--out", str(out), *argv]
+        trace_args = ["--trace", named]
+    argv = [command, "--config", cfg, "--out", str(out), *trace_args]
     if command == "replay":
         trace = tmp_path / "run.trace.jsonl"
         trace.write_text(CREATE)
