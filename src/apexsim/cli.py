@@ -98,11 +98,12 @@ def cmd_train(args) -> int:
     seed = cfg.workload.rng_seed
     base = _write_report(args, "train", seed, report.to_dict(), report.csv_rows())
     first = report.first_min_p
-    ratio = report.final_greedy_p / first if first > 0 else float("inf")
+    # a ratio to a first objective of 0 says nothing, whatever the final one
+    gain = f"{report.final_greedy_p / first:.2f}x" if first > 0 else "n/a"
     print(
         f"train seed={seed} final={report.best_state} "
         f"p_first={first:.4f} p_final={report.final_greedy_p:.4f} "
-        f"gain={ratio:.2f}x report={base}.json table={base}.csv"
+        f"gain={gain} report={base}.json table={base}.csv"
     )
     return 0
 

@@ -50,19 +50,19 @@ class Disk:
         dropped, not zeroed, and the integer sum reaches float64 in one cast
         at the end. Every step is elementwise, so pf_array(addrs) is bitwise
         pf_array()[addrs], and gathers only the factors it reads."""
-        hp = self.hyperparams
+        hist, usage, spatial, link = self.hyperparams.operands
         hf, uf, sf, lf = self.hf, self.uf, self.sf, self.lf
         if addrs is not None:
             hf, uf, lf = hf[addrs], uf[addrs], lf[addrs]
-        base = np.multiply(hf, hp.hist)
-        base -= np.multiply(uf, hp.usage)
+        base = np.multiply(hf, hist)
+        base -= np.multiply(uf, usage)
         if self.geometry.neighborhood.kind == NONE:
-            base += np.multiply(lf, hp.link)
+            base += np.multiply(lf, link)
             return base.astype(np.float64)
         # spatial*sf + base is base + spatial*sf: float addition commutes
-        pf = np.multiply(sf if addrs is None else sf[addrs], hp.spatial)
+        pf = np.multiply(sf if addrs is None else sf[addrs], spatial)
         pf += base
-        pf += np.multiply(lf, hp.link)
+        pf += np.multiply(lf, link)
         return pf
 
     # -- state --------------------------------------------------------------

@@ -3,6 +3,9 @@ one encoding of every report and trace line."""
 
 import json
 from dataclasses import dataclass, fields
+from functools import cached_property
+
+import numpy as np
 
 # Neighborhood kinds. "grid-row" treats every other block in the same row of the
 # rows x cols grid as adjacent (track/sector analog). "contiguous" uses a window
@@ -17,6 +20,15 @@ NONE = "none"
 # at op 43 for s=2 and op 24 for s=3, and after 1000 ops 50% (s=2) and 66% (s=3)
 # of unused blocks sit pinned at -SF_LIMIT. The clamp only keeps scores finite.
 SF_LIMIT = 1e12
+
+
+def ready_operand(value, dtype) -> np.ndarray:
+    """value as a read-only 0-d array of dtype: a ufunc operand for the per-op
+    path. NumPy converts a Python int or float operand on every call (NEP 50)
+    and takes an array as it is; the result has the same bits either way."""
+    out = np.array(value, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 def canonical_json(value) -> str:
@@ -137,6 +149,13 @@ class Hyperparams:
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.hist, self.usage, self.spatial, self.link)
+
+    @cached_property
+    def operands(self) -> tuple[np.ndarray, ...]:
+        """The coefficients in as_tuple order as ready_operand int64 arrays,
+        built once per object, for Disk.pf_array. They are not fields, so
+        equality, hash and repr read the coefficients alone."""
+        return tuple(ready_operand(c, np.int64) for c in self.as_tuple())
 
     @classmethod
     def from_tuple(cls, t) -> "Hyperparams":

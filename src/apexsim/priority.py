@@ -12,7 +12,12 @@ the free blocks; the spatial pass always scores every block.
 import numpy as np
 
 from .errors import DiskFullError
-from .model import CONTIGUOUS, GRID_ROW, NONE, SF_LIMIT
+from .model import CONTIGUOUS, GRID_ROW, NONE, SF_LIMIT, ready_operand
+
+# the clamp bounds as ready operands; putmask keeps a Python 0.0, because it
+# copies a read-only values array on every call
+_SF_LO = ready_operand(-SF_LIMIT, np.float64)
+_SF_HI = ready_operand(SF_LIMIT, np.float64)
 
 
 def update_spatial_factors(disk) -> None:
@@ -55,8 +60,8 @@ def update_spatial_factors(disk) -> None:
         np.divide(sf, counts, out=sf)
     else:  # pragma: no cover - kinds validated at construction
         raise ValueError(f"unknown neighborhood kind {nb.kind!r}")
-    np.maximum(sf, -SF_LIMIT, out=sf)
-    np.minimum(sf, SF_LIMIT, out=sf)
+    np.maximum(sf, _SF_LO, out=sf)
+    np.minimum(sf, _SF_HI, out=sf)
     np.putmask(sf, disk.used_mask, 0.0)
 
 

@@ -26,6 +26,11 @@ import numpy as np
 
 from .disk import claim, release
 
+# one use, as a read-only 0-d ufunc operand: NumPy converts a Python 1 on
+# every call (see model.ready_operand)
+_ONE_USE = np.ones((), dtype=np.int64)
+_ONE_USE.flags.writeable = False
+
 LINKED = "linked"
 PARTIAL = "partial"
 
@@ -230,7 +235,7 @@ class FileSystem:
     def _use(self, rec: FileRecord) -> None:
         """One read or write of a live file, whatever its byte count: usage
         bumps once on the record and on each of its blocks; the tick is set."""
-        self.disk.uf[np.asarray(rec.block_list, dtype=np.intp)] += 1
+        self.disk.uf[np.asarray(rec.block_list, dtype=np.intp)] += _ONE_USE
         rec.uf_counter += 1
         rec.last_access_tick = self.disk.clock
 

@@ -485,6 +485,16 @@ def test_cli_train_writes_json_and_csv(tmp_path, capsys):
     assert "final=" in capsys.readouterr().out
 
 
+def test_cli_train_gain_is_na_when_the_first_objective_is_zero(tmp_path, capsys):
+    # a 3-interval train on the default disk: its first interval recovers
+    # nothing, and a ratio to 0 is no gain, whatever the final objective
+    cfg = write_cfg(tmp_path, "[train]\nmin_budget = 3\noin_per_min = 50\n")
+    assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert " p_first=0.0000 " in out
+    assert " gain=n/a " in out
+
+
 def test_cli_compare_single_seed_and_policy(tmp_path):
     body = MINIMAL + """
 [compare]

@@ -2,12 +2,14 @@
 
 import random
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from apexsim.disk import new_disk, release
 from apexsim.errors import DiskFullError
+from apexsim import priority, vfs
 from apexsim.model import GRID_ROW, SF_LIMIT, DiskGeometry, Hyperparams, Neighborhood
 from apexsim.priority import top_unused, update_spatial_factors
 from apexsim.workload import WorkloadConfig, run_simulation
@@ -40,6 +42,53 @@ def test_hyperparams_parse_and_lattice():
         Hyperparams.parse("4,7,1")
     with pytest.raises(ValueError):
         Hyperparams.parse("4,7,one,9")
+
+
+def test_hyperparams_operands_are_read_only_int64_scalars():
+    hp = Hyperparams(4, -7, 1, Hyperparams.LIMIT)
+    assert hp.operands is hp.operands  # built once per object
+    for op, c in zip(hp.operands, hp.as_tuple(), strict=True):
+        assert (op.shape, op.dtype) == ((), np.int64)
+        assert op == c
+        with pytest.raises(ValueError):
+            op[()] = 0
+    assert hp.as_tuple() == (4, -7, 1, Hyperparams.LIMIT)
+
+
+def test_hyperparams_operands_leave_equality_hash_and_repr_alone():
+    a, b = Hyperparams(4, 7, 1, 9), Hyperparams(4, 7, 1, 9)
+    before = repr(a), hash(a)
+    a.operands
+    assert (repr(a), hash(a)) == before
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert repr(a) == "Hyperparams(hist=4, usage=7, spatial=1, link=9)"
+    assert [f.name for f in fields(a)] == ["hist", "usage", "spatial", "link"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda hp: Hyperparams.from_tuple((2, 3, 5, 8)),
+    lambda hp: Hyperparams.parse("2,3,5,8"),
+    lambda hp: replace(hp, hist=2, usage=3, spatial=5, link=8),
+], ids=["from_tuple", "parse", "replace"])
+def test_hyperparams_operands_follow_the_coefficients(make):
+    hp = Hyperparams(4, 7, 1, 9)
+    hp.operands  # cached on hp before the new object is made from it
+    new = make(hp)
+    assert new.as_tuple() == (2, 3, 5, 8)
+    assert [int(op) for op in new.operands] == [2, 3, 5, 8]
+    assert [int(op) for op in hp.operands] == [4, 7, 1, 9]
+
+
+@pytest.mark.parametrize("const, dtype, value", [
+    (priority._SF_LO, np.float64, -SF_LIMIT),
+    (priority._SF_HI, np.float64, SF_LIMIT),
+    (vfs._ONE_USE, np.int64, 1),
+], ids=["sf-low", "sf-high", "one-use"])
+def test_per_op_constants_are_read_only_scalars(const, dtype, value):
+    assert (const.shape, const.dtype) == ((), dtype)
+    assert const == value
+    with pytest.raises(ValueError):
+        const[()] = 0
 
 
 def test_neighborhood_parse():
