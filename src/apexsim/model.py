@@ -1,5 +1,6 @@
-"""Plain data types shared by the disk model and the ranking engine, and the
-one encoding of every report and trace line."""
+"""Plain data types shared by the disk model and the ranking engine, the
+one encoding of every report and trace line, and the ready ufunc operands of
+the per-op path."""
 
 import json
 from dataclasses import dataclass, fields

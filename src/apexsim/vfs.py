@@ -17,7 +17,8 @@ unused block names is one of them, and this table is where a claim reads a
 prior owner's blocks. The usage of every retired file is kept as a running
 total.
 The file layer owns the file records, the usage bookkeeping of reads and
-writes included; of this package it imports the disk module alone.
+writes included; of this package it imports the disk module, and the model
+module's ready_operand for the usage bump.
 """
 
 from dataclasses import dataclass
@@ -25,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk import claim, release
+from .model import ready_operand
 
-# one use, as a read-only 0-d ufunc operand: NumPy converts a Python 1 on
-# every call (see model.ready_operand)
-_ONE_USE = np.ones((), dtype=np.int64)
-_ONE_USE.flags.writeable = False
+_ONE_USE = ready_operand(1, np.int64)  # usage's bump on each block of a file
 
 LINKED = "linked"
 PARTIAL = "partial"
