@@ -27,16 +27,18 @@ from .workload import read_trace, replay_trace, run_simulation, write_trace
 
 
 def _write_report(args, command, seed, payload, table=None) -> str:
-    """Write a run's report, with the config file's sha256, to
-    <command>-<seed>-<stamp>.json in the output directory, and its table, if
-    any, to the .csv of the same name. Returns that name without extension,
-    for any further file of the run."""
+    """Write a run's report, with the report format's name and version and
+    the config file's sha256, to <command>-<seed>-<stamp>.json in the output
+    directory, and its table, if any, to the .csv of the same name. Returns
+    that name without extension, for any further file of the run."""
     # microsecond resolution so back-to-back runs never collide on a name
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
     os.makedirs(args.out, exist_ok=True)
     base = os.path.join(args.out, f"{command}-{seed}-{stamp}")
     with open(args.config, "rb") as fh:
         payload["config_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    # version 2 dropped every field a reader can recompute from the rest
+    payload.update(format="apexsim-report", version=2)
     with open(f"{base}.json", "w") as fh:
         fh.write(canonical_json(payload) + "\n")
     if table is not None:

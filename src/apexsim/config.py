@@ -94,7 +94,6 @@ KEYS = {
     },
     "perf": {
         "beta": ("beta", float),
-        "aat_mode": ("aat_mode", str.strip),
     },
     "train": {
         "initial": ("initial", Hyperparams.parse),

@@ -17,9 +17,6 @@ from dataclasses import dataclass
 
 from .vfs import LINKED, USED
 
-TIMESTAMP = "timestamp"
-SEEK_COST = "seek-cost"
-
 
 @dataclass(frozen=True)
 class PerfWeights:
@@ -27,13 +24,10 @@ class PerfWeights:
     rest of one, scales recoverability."""
 
     beta: float = 0.0
-    aat_mode: str = SEEK_COST
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        if self.aat_mode not in (TIMESTAMP, SEEK_COST):
-            raise ValueError(f"unknown access-time mode {self.aat_mode!r}")
 
     @property
     def alpha(self) -> float:
@@ -67,8 +61,6 @@ def measure_recovery(disk, files) -> list[tuple]:
             out.append((own, 0, 0.0))
         elif f.type_class == LINKED:
             out.append((own, f.size_bytes, 1.0) if all(own) else (own, 0, 0.0))
-        elif f.size_bytes <= 0:
-            out.append((own, 0, 0.0))
         else:
             recovered = min(sum(own[1:]) * bs, f.size_bytes)
             out.append((own, recovered, recovered / f.size_bytes))
@@ -101,33 +93,27 @@ def usage_weighted_rr(files, rrs, usage: int) -> float:
     return 100.0 * num / usage
 
 
-def access_time_term(fs, mode: str = SEEK_COST) -> float:
-    """Access-time proxy over live files; 0.0 when nothing is live.
-
-    timestamp: mean last-access tick (creation tick when never accessed).
-    seek-cost: mean per-file normalized address-gap sum, where a file scores
-    sum(|gap|) / ((blocks - 1) * total_blocks); single-block files score 0.
-    """
+def access_time_term(fs) -> float:
+    """Access-time proxy over live files, the seek cost; 0.0 when nothing is
+    live. It is the mean per-file normalized address-gap sum, where a file
+    scores sum(|gap|) / ((blocks - 1) * total_blocks); single-block files
+    score 0."""
     files = fs.live_files()
     if not files:
         return 0.0
-    if mode == TIMESTAMP:
-        return sum(f.last_access_tick for f in files) / len(files)
-    if mode == SEEK_COST:
-        total = fs.disk.geometry.total_blocks
-        acc = 0.0
-        for f in files:
-            bl = f.block_list
-            if len(bl) >= 2:
-                gaps = sum(abs(b - a) for a, b in zip(bl, bl[1:]))
-                acc += gaps / ((len(bl) - 1) * total)
-        return acc / len(files)
-    raise ValueError(f"unknown access-time mode {mode!r}")
+    total = fs.disk.geometry.total_blocks
+    acc = 0.0
+    for f in files:
+        bl = f.block_list
+        if len(bl) >= 2:
+            gaps = sum(abs(b - a) for a, b in zip(bl, bl[1:]))
+            acc += gaps / ((len(bl) - 1) * total)
+    return acc / len(files)
 
 
 def performance(fs, weights: PerfWeights) -> float:
     """The tuning objective: (1 - beta) * recoverability - beta * access time."""
-    return weights.alpha * retired_rr(fs) - weights.beta * access_time_term(fs, weights.aat_mode)
+    return weights.alpha * retired_rr(fs) - weights.beta * access_time_term(fs)
 
 
 def recovery_table(fs) -> list[dict]:

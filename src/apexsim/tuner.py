@@ -12,7 +12,6 @@ objective delta per (state, action).
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 from .disk import new_disk
@@ -115,9 +114,9 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return field_dict(self) | {
             "geometry": self.geometry.to_dict(),
-            "schedule": field_dict(self.schedule) | {"tau": self.schedule.tau},
+            "schedule": field_dict(self.schedule),
             "workload": self.workload.to_dict(),
-            "weights": field_dict(self.weights) | {"alpha": self.weights.alpha},
+            "weights": field_dict(self.weights),
             "initial": list(self.initial.as_tuple()),
         }
 
@@ -159,16 +158,9 @@ class TrainReport:
     def first_min_p(self) -> float:
         return self.trajectory[0].p if self.trajectory else self.p_initial
 
-    @property
-    def visited(self) -> Counter:
-        """Intervals spent in each state, in order of first visit."""
-        return Counter(r.state for r in self.trajectory)
-
     def to_dict(self) -> dict:
         return field_dict(self) | {
             "trajectory": [r.to_dict() for r in self.trajectory],
-            "visited": {",".join(map(str, k)): v for k, v in self.visited.items()},
-            "first_min_p": self.first_min_p,
         }
 
     def to_json(self) -> str:

@@ -57,7 +57,6 @@ class FileRecord:
     type_class: str
     block_list: list
     size_bytes: int
-    last_access_tick: int
     status: str = USED
     uf_counter: int = 1  # creation counts as the first use
     _live_index: int = -1
@@ -76,7 +75,6 @@ class FileRecord:
         new.block_list = self.block_list
         new.size_bytes = self.size_bytes
         new.uf_counter = self.uf_counter
-        new.last_access_tick = self.last_access_tick
         new._live_index = self._live_index
         return new
 
@@ -182,7 +180,7 @@ class FileSystem:
         for owner in emptied:
             self._recoverable.pop(owner).status = OBSOLETE
 
-        rec = FileRecord(fid, path, type_class_for_path(path), addrs, size_bytes, self.disk.clock)
+        rec = FileRecord(fid, path, type_class_for_path(path), addrs, size_bytes)
         self._by_path[path] = rec
         rec._live_index = len(self._live)
         self._live.append(rec)
@@ -233,10 +231,9 @@ class FileSystem:
 
     def _use(self, rec: FileRecord) -> None:
         """One read or write of a live file, whatever its byte count: usage
-        bumps once on the record and on each of its blocks; the tick is set."""
+        bumps once on the record and on each of its blocks."""
         self.disk.uf[np.asarray(rec.block_list, dtype=np.intp)] += _ONE_USE
         rec.uf_counter += 1
-        rec.last_access_tick = self.disk.clock
 
     def _drop_live(self, rec: FileRecord) -> None:
         i = rec._live_index

@@ -17,7 +17,7 @@ from .errors import ConfigError, DiskFullError, TraceError
 from .model import canonical_json, field_dict
 from .priority import update_spatial_factors
 from .recovery import (
-    SEEK_COST, TIMESTAMP, PerfWeights, access_time_term, performance, recovery_table, retired_rr,
+    PerfWeights, access_time_term, performance, recovery_table, retired_rr,
 )
 from .vfs import LINKED_EXTENSIONS, PARTIAL_EXTENSIONS, check_path
 
@@ -258,24 +258,22 @@ def execute_op(fs, op: WorkloadOp) -> None:
 @dataclass(frozen=True)
 class SimReport:
     seed: int | None
-    executed_ops: int
     op_counts: dict
     final_utilization: float
     files_used: int
-    files_deleted: int
-    files_obsolete: int
     files: list
     weighted_rr: float
-    aat_timestamp: float
     aat_seek: float
-    perf_alpha: float
     perf_beta: float
-    aat_mode: str
     performance: float
     snapshot_sha256: str
     geometry: dict
     hyperparams: list
     workload: dict
+
+    @property
+    def executed_ops(self) -> int:
+        return sum(self.op_counts.values())
 
     def to_dict(self) -> dict:
         return field_dict(self)
@@ -286,24 +284,15 @@ class SimReport:
 
 def _build_report(fs, seed, ops, weights, workload_echo) -> SimReport:
     disk = fs.disk
-    aat_ts = access_time_term(fs, TIMESTAMP)
-    aat_seek = access_time_term(fs, SEEK_COST)
-    deleted = len(fs.recoverable_files())
     return SimReport(
         seed=seed,
-        executed_ops=len(ops),
         op_counts=dict(Counter(op.kind for op in ops)),
         final_utilization=fs.utilization(),
         files_used=len(fs.live_files()),
-        files_deleted=deleted,
-        files_obsolete=len(fs.deleted_files()) - deleted,
         files=recovery_table(fs),
         weighted_rr=retired_rr(fs),
-        aat_timestamp=aat_ts,
-        aat_seek=aat_seek,
-        perf_alpha=weights.alpha,
+        aat_seek=access_time_term(fs),
         perf_beta=weights.beta,
-        aat_mode=weights.aat_mode,
         performance=performance(fs, weights),
         snapshot_sha256=disk.snapshot_sha256(),
         geometry=disk.geometry.to_dict(),

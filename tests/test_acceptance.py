@@ -17,8 +17,6 @@ from apexsim.disk import new_disk
 from apexsim.model import GRID_ROW, DiskGeometry, Hyperparams, Neighborhood
 from apexsim.priority import top_unused
 from apexsim.recovery import (
-    SEEK_COST,
-    TIMESTAMP,
     PerfWeights,
     access_time_term,
     measure_recovery,
@@ -288,10 +286,8 @@ def test_criterion_8_objective_corner_weights():
             for _ in range(5):
                 runner.run(rng.randint(10, 30))
                 wrr = weighted_rr(fs.disk, fs.deleted_files())
-                for mode in (TIMESTAMP, SEEK_COST):
-                    aat = access_time_term(fs, mode)
-                    assert performance(fs, PerfWeights(0.0, mode)) == wrr
-                    assert performance(fs, PerfWeights(1.0, mode)) == -aat
+                assert performance(fs, PerfWeights(0.0)) == wrr
+                assert performance(fs, PerfWeights(1.0)) == -access_time_term(fs)
                 states += 1
         return f"{states} states, both corner identities exact"
 

@@ -115,7 +115,6 @@ mix = 0.6,0.2,0.2
 
 [perf]
 beta = 0.2
-aat_mode = timestamp
 
 [train]
 initial = 2,2,2,2
@@ -135,7 +134,7 @@ seed_count = 3
     assert cfg.coefficients.as_tuple() == (2, 3, 4, 5)
     assert cfg.workload.rng_seed == 9
     assert cfg.workload.op_mix == (0.6, 0.2, 0.2)
-    assert cfg.weights == PerfWeights(0.2, "timestamp")
+    assert cfg.weights == PerfWeights(0.2)
     assert cfg.weights.alpha == 0.8
     assert cfg.compare_settings.seeds == (0, 1, 2)
     tc = cfg.train_config()
@@ -192,7 +191,7 @@ def test_cli_simulate_writes_report_and_trace(tmp_path):
     trace_path = only_file(out, ".trace.jsonl")
     doc = json.loads(Path(report_path).read_text())
     assert doc["seed"] == 7
-    assert doc["executed_ops"] == 120
+    assert sum(doc["op_counts"].values()) == 120
     assert doc["config_sha256"]
     assert len(Path(trace_path).read_text().splitlines()) == 120
 
@@ -232,6 +231,51 @@ def test_cli_simulate_same_seed_same_report(tmp_path):
     assert docs[0] == docs[1]
 
 
+# report keys, at any depth, that a reader can recompute from the rest of the
+# report, and the access-time mode, which has one value left
+DERIVABLE_KEYS = {"executed_ops", "files_deleted", "files_obsolete", "perf_alpha", "alpha",
+                  "first_min_p", "visited", "tau", "aat_timestamp", "aat_mode"}
+
+
+def keys_of(doc):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield key
+            yield from keys_of(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from keys_of(value)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_report_is_format_version_2_without_derivable_keys(tmp_path, command):
+    """Every command's report file names its format and version 2, and none
+    of its keys restates the rest of it."""
+    body = MINIMAL + """
+[train]
+min_budget = 2
+oin_per_min = 20
+
+[compare]
+primary_count = 2
+primary_blocks = 4
+secondary_blocks = 10
+secondary_min_blocks = 2
+secondary_max_blocks = 3
+seed_count = 1
+"""
+    out = tmp_path / "out"
+    argv = [command, "--config", write_cfg(tmp_path, body), "--out", str(out)]
+    if command == "replay":
+        trace = tmp_path / "run.trace.jsonl"
+        trace.write_text(CREATE)
+        argv += ["--trace", str(trace)]
+    assert run_cli(argv) == 0
+    doc = json.loads(Path(only_file(out, ".json")).read_text())
+    assert (doc["format"], doc["version"]) == ("apexsim-report", 2)
+    assert not DERIVABLE_KEYS & set(keys_of(doc))
+
+
 def test_cli_simulate_contiguous_span_wider_than_disk(tmp_path):
     body = """
 [disk]
@@ -247,7 +291,7 @@ max_file_blocks = 2
     out = str(tmp_path / "out")
     assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
     doc = json.loads(Path(only_file(out, ".json")).read_text())
-    assert doc["executed_ops"] == 60
+    assert sum(doc["op_counts"].values()) == 60
 
 
 def test_cli_seed_flag_overrides_config(tmp_path):
@@ -587,12 +631,14 @@ def test_cli_rejects_accepted_but_unusable_values(tmp_path, capsys, command, bod
     assert not out.exists() or not os.listdir(out)
 
 
-# (id, text after MINIMAL, the key it names): a misspelt key, and the keys
-# of values that are derived (alpha is 1 - beta, tau comes from min_budget
-# and epsilon_floor) or set one way only (seed_count for the compare seeds)
+# (id, text after MINIMAL, the key it names): a misspelt key, the keys of
+# values that are derived (alpha is 1 - beta, tau comes from min_budget and
+# epsilon_floor) or set one way only (seed_count for the compare seeds), and
+# the key of a retired mode (the access-time term is the seek cost alone)
 OUTSIDE_THE_GRAMMAR = [
     ("", "totl_ops = 50\n", "[workload] totl_ops"),
     ("perf-alpha-", "[perf]\nalpha = 1.0\n", "[perf] alpha"),
+    ("perf-aat-mode-", "[perf]\naat_mode = seek-cost\n", "[perf] aat_mode"),
     ("train-tau-", "[train]\ntau = 50\n", "[train] tau"),
     ("compare-seeds-", "[compare]\nseeds = 0,3\n", "[compare] seeds"),
 ]

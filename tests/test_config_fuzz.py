@@ -67,7 +67,6 @@ KEYS = {
         ["0.5,0.5,0.5", "-0.1,0.6,0.5", "0.5,0.5", "nan,0.5,0.5", "0.5,0.5,inf"],
     ),
     ("perf", "beta"): (floats(0.0, 1.0), ["-0.5", "1.5"]),
-    ("perf", "aat_mode"): (words("seek-cost", "timestamp"), ["fastest"]),
     ("train", "initial"): (tuples(4, 1, 10), ["0,5,5,5", "11,1,1,1"]),
     ("train", "min_budget"): (ints(0, 3), ["-1"]),
     ("train", "oin_per_min"): (ints(1, 50), ["0", "-5"]),
@@ -160,9 +159,11 @@ def exit_code(command, entries) -> int:
     ("policy", "coefficients")))
 @example(command="simulate", config=({**SMALL, ("compare", "seed_count"): "100000000000"},
                                      ("compare", "seed_count")))
-# keys outside the grammar: a retired mode, and the retired spellings of
+# keys outside the grammar: retired modes, and the retired spellings of
 # values that are now derived or set once
 @example(command="train", config=({**SMALL, ("train", "mode"): "hill-climb"}, ("train", "mode")))
+@example(command="simulate", config=({**SMALL, ("perf", "aat_mode"): "seek-cost"},
+                                     ("perf", "aat_mode")))
 @example(command="train", config=({**SMALL, ("train", "tau"): "1.0"}, ("train", "tau")))
 @example(command="simulate", config=({**SMALL, ("perf", "alpha"): "1.0"}, ("perf", "alpha")))
 @example(command="compare", config=({**SMALL, ("compare", "seeds"): "0"}, ("compare", "seeds")))

@@ -164,15 +164,6 @@ def test_access_bumps_every_block_once(use):
     assert np.count_nonzero(fs.disk.uf) == 3
 
 
-@pytest.mark.parametrize("use", sorted(USES))
-def test_access_updates_last_access_tick(use):
-    fs = make_fs(rows=4, cols=4)
-    rec = fs.create_file("/a.txt", 4096)
-    fs.disk.clock = 42
-    USES[use](fs, "/a.txt")
-    assert rec.last_access_tick == 42
-
-
 @pytest.mark.parametrize("use", [lambda fs, p: fs.access(p), lambda fs, p: fs.write_file(p, 0, 0)],
                          ids=["read", "write"])
 def test_access_to_zero_block_file_moves_only_its_record(use):
@@ -182,9 +173,8 @@ def test_access_to_zero_block_file_moves_only_its_record(use):
     assert rec.block_list == []
     arrays = ("hf", "uf", "sf", "lf", "used_mask", "owner")
     before = {name: getattr(fs.disk, name).tobytes() for name in arrays}
-    fs.disk.clock = 7
     use(fs, "/empty.txt")
-    assert (rec.uf_counter, rec.last_access_tick) == (2, 7)
+    assert rec.uf_counter == 2
     assert {name: getattr(fs.disk, name).tobytes() for name in arrays} == before
 
 

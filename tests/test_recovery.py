@@ -1,4 +1,4 @@
-"""Recovery ratios, the weighted aggregate, access-time terms, performance."""
+"""Recovery ratios, the weighted aggregate, the access-time term, performance."""
 
 import itertools
 import random
@@ -8,8 +8,6 @@ from types import SimpleNamespace
 import pytest
 
 from apexsim.recovery import (
-    SEEK_COST,
-    TIMESTAMP,
     PerfWeights,
     access_time_term,
     measure_recovery,
@@ -187,22 +185,11 @@ def test_usage_weighted_rr_is_one_sum_over_measured_ratios():
     assert seen == {"zero-block", OBSOLETE}
 
 
-def test_access_time_timestamp_mode():
-    fs = make_fs(rows=4, cols=4)
-    fs.disk.clock = 7
-    fs.create_file("/a.txt", 4096)
-    assert access_time_term(fs, TIMESTAMP) == 7.0
-    fs.disk.clock = 11
-    fs.access("/a.txt")
-    fs.create_file("/b.txt", 4096)
-    assert access_time_term(fs, TIMESTAMP) == 11.0
-
-
 def test_access_time_seek_cost_mode():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1, 2, 3]))
     fs.create_file("/a.txt", 3 * 4096)
     # gaps 1+1+1 over (4-1) blocks * 16 total = 3/48
-    assert access_time_term(fs, SEEK_COST) == pytest.approx(3 / 48)
+    assert access_time_term(fs) == pytest.approx(3 / 48)
 
 
 def test_access_time_seek_cost_scattered_and_single():
@@ -210,20 +197,12 @@ def test_access_time_seek_cost_scattered_and_single():
     fs.create_file("/a.txt", 2 * 4096)
     fs.create_file("/b.txt", 0)
     # a: (5+10)/(2*16); b has under two blocks, costs nothing
-    assert access_time_term(fs, SEEK_COST) == pytest.approx((15 / 32) / 2)
+    assert access_time_term(fs) == pytest.approx((15 / 32) / 2)
 
 
 def test_access_time_no_live_files_is_zero():
     fs = make_fs(rows=4, cols=4)
-    assert access_time_term(fs, TIMESTAMP) == 0.0
-    assert access_time_term(fs, SEEK_COST) == 0.0
-
-
-def test_access_time_unknown_mode_rejected():
-    fs = make_fs(rows=4, cols=4)
-    fs.create_file("/a.txt", 4096)
-    with pytest.raises(ValueError):
-        access_time_term(fs, "latency")
+    assert access_time_term(fs) == 0.0
 
 
 def test_perf_weights_validation():
@@ -235,8 +214,6 @@ def test_perf_weights_validation():
         PerfWeights(-0.1)
     with pytest.raises(ValueError):
         PerfWeights(1.1)
-    with pytest.raises(ValueError):
-        PerfWeights(0.0, aat_mode="latency")
 
 
 def test_performance_combines_both_terms():
@@ -313,7 +290,7 @@ def test_recoverable_index_matches_retired_list_after_every_op(neighborhood):
         assert fs.retired_usage == sum(f.uf_counter for f in retired)
         wrr = weighted_rr(fs.disk, retired)
         assert performance(fs, PerfWeights(0.0)) == wrr
-        aat = access_time_term(fs, mixed.aat_mode)
+        aat = access_time_term(fs)
         assert performance(fs, mixed) == 0.7 * wrr - 0.3 * aat
         if op.kind == OP_CREATE and len(retired) - len(fs.recoverable_files()) > obsolete:
             flips += 1

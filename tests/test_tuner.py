@@ -234,7 +234,6 @@ def test_train_trajectory_bookkeeping():
     assert report.trajectory[0].reward == 0.0
     for rec in report.trajectory:
         assert Hyperparams.from_tuple(rec.state).in_lattice()
-    assert sum(report.visited.values()) == 8
     # the first interval carries no reward, so its state gets no row unless revisited
     assert report.states_seen == len({r.state for r in report.trajectory[1:]})
     assert report.final_epsilon == cfg.schedule.epsilon(8)

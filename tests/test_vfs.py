@@ -174,14 +174,13 @@ def test_path_reusable_after_delete():
 
 
 def test_read_round_trip_and_usage_bump():
-    """A read is one use of the file: usage moves on every block, and the
-    last access moves to the current tick."""
+    """A read is one use of the file: usage moves on every block and on the
+    record."""
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.bin", 5120)  # metadata + 2 data blocks
     fs.create_file("/b.bin", 4096)
-    fs.disk.tick()
     assert fs.access("/a.bin") is fs.lookup("/a.bin") is rec
-    assert (rec.uf_counter, rec.last_access_tick) == (2, 1)
+    assert rec.uf_counter == 2
     assert fs.disk.uf.tolist() == [2, 2, 2, 1, 1] + [0] * 11
     fs.delete_file("/a.bin")
     with pytest.raises(FileNotFoundError):
@@ -294,7 +293,7 @@ def _state(fs):
     return (
         fs.disk.snapshot_sha256(),
         recovery_table(fs),
-        [(f.id, f.path, f.status, f.uf_counter, f.last_access_tick) for f in fs.live_files()],
+        [(f.id, f.path, f.status, f.uf_counter) for f in fs.live_files()],
         [(f.id, f.status) for f in fs.deleted_files()],
         [f.id for f in fs.recoverable_files()],
         fs.retired_usage,

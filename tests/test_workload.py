@@ -263,7 +263,7 @@ def test_hand_written_trace_on_tiny_disk():
     report = replay_trace(ops, fs)
     assert report.executed_ops == 3
     assert report.final_utilization == 0.0
-    assert report.files_deleted == 1
+    assert [row["status"] for row in report.files] == ["deleted"]
     assert report.files_used == 0
     assert report.weighted_rr == pytest.approx(100.0)
     assert fs.disk.clock == 3
