@@ -44,44 +44,44 @@ SIM_TRACE_GOLDEN = "8875caaa729bae80e3c4faff82ca8ef4fd09fcba0664afbedf113a8e02a0
 # (neighborhood, policy) -> (report sha256, factor trajectory sha256)
 SIM_GOLDEN = {
     ("grid-row", "apex"): (
-        "fcf6737b2a9b795eb9d1eb60c8420e2af5b8532e927014d3a0021a41ab0ab535",
+        "013c3fe90b53dc7935c00909b6e42d2e5fdbd39ebf43cb127ba9f549e03c5d6b",
         "197f74a98acd3ec88894a73679b1680cd66f1af91c1c93584f4bd26e329b1517",
     ),
     ("grid-row", "first-fit"): (
-        "89c355e8da0f1701fea3213b42c2ba4cd8b6bc6ed4c54edbfdf02de7736171ca",
+        "b817e9878d2ad0b6ea5860d29217234ba7a1c4edc9893f042cf7708622676abb",
         "e2aba3b50a7a1d025877da03f84e1aebd46a869890498c500c9b3c64a6a6eb6b",
     ),
     ("grid-row", "random"): (
-        "edc525d9f28903dbd5db2e88d451538f11ce93464ba6f721ad01d7d32bdfb78b",
+        "cd37c4d6f1fdcc63e59e883cd38431eeac564823126f5625cf6d402de2d4eabc",
         "87cf27ce857cfcc30c6f5be84da25f4672496132cdbf793c74ee8595aecef657",
     ),
     ("none", "apex"): (
-        "034007f9e898fc66d664ddb6f207f3b23ad8a4e1d1e0b458689ab76ce8d9257b",
+        "5041d1c8a665a08048060e5ae599fd351eecff20c7b1d9ca483351f12266c198",
         "f7d92d38df0c32689c16f518e104cc450f21377e05015495588640ca9afad7bf",
     ),
     ("none", "first-fit"): (
-        "0537f6ab0217d729fe8925dfbc70d044683e04939f2ea92b73f0743141eb6ddb",
+        "e7076f318b9b196faa8d13db53118278a327fcd914060144abd231b4f2b1001b",
         "06fc46627feb236ceeb369c30a5e4ab36d169b0786586dde8e8e0633ea60f5bf",
     ),
     ("none", "random"): (
-        "ab3a5e168b15697b526a2c8e9d99134af5997563e24283b69cf04d79f0110f95",
+        "946d601f1a486fe52d7652f78fcd2bf09ed7e06d5d77d484097c66c6ac0b89a3",
         "e7abda7983f6f19fb34e36377f06b903052c0f8c7e40cea828cbae4f5d5fe8c4",
     ),
     ("contiguous:3", "apex"): (
-        "2ad7f88d5d0e1f8f65611f4e6d5eab24d1699462e867f5300406204fa0aeb1c8",
+        "7252d249fba445230e2a6dde1e4f56baf85552f84e7f8bd4a3d8633083be061c",
         "8dab82a35ad322502a3123449d9c6015906aa9b499c725fb0aab8ac5db172af1",
     ),
     ("contiguous:3", "first-fit"): (
-        "aa6ed0d081fce70f543e37bf054c1dc99a50f69c4c073901c076e811ce1a4deb",
+        "f282921cbd3a5e5b9f2df9adf738e5a79f769f856c65a4acdf9d468af8762107",
         "51a0476677ca2bd8d18398e779d59c9328a5d79072676dcc1876e29403f6b2b5",
     ),
     ("contiguous:3", "random"): (
-        "5ef6a5086ee5cf0fd44b6a924f92725cc7d9eeb9b9d62e2ad0ea5c4671eab9ab",
+        "d3c7ef6471339f541fd1b36ac6875ccc2da0d818bdfe6c9fff1210ff3d88dd93",
         "7595e7ee57a695cd6f47acffc6c3557503d94b006adce16bc43d60db11ddee8c",
     ),
 }
 COMPARE_GOLDEN = "0fe614a548be6fbb526da0bf2a450d9c885c74812b69f32714838d08d5c79126"
-TRAIN_GOLDEN = "de2704b73040fd338e4dab040931cd41ff212f865362f8e8a57d9ad20de98f4f"
+TRAIN_GOLDEN = "e5f006ae075cea182741f52839747c8f445763be5663cfb5063bead8b19b5591"
 
 # The report file embeds the config file's sha256, so the config text is part
 # of the pin.
@@ -107,9 +107,9 @@ policies = apex,first-fit,random
 """
 # command -> sha256 of the .json report file it writes
 CLI_GOLDEN = {
-    "compare": "fad10648d4ffc2afe27550f2d3fcd8471aa178416b006b2394e826536f07e57d",
-    "replay": "4ea4e291bf9354d6fdbe4e8b0d914768a06d344939151be32f0e8a624d842624",
-    "simulate": "6d3072dab21b8932c841ebebbf88f318a8fad96744940e4271f163ef22717645",
+    "compare": "bb001781daafc54cc33e4ec6b9ac11e1c03ecc8300edfe223d47712c897e3166",
+    "replay": "5acc46a9931ceb76550d6489049a5b17c7708090d69973acc503bb42cbc49139",
+    "simulate": "cf31d3a7b10daaa25a663ee72844645fa73b224e2dd8d49560da37a0d9f46fe7",
 }
 
 
