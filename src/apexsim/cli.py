@@ -37,7 +37,7 @@ def _write_report(args, command, seed, payload, table=None) -> str:
     base = os.path.join(args.out, f"{command}-{seed}-{stamp}")
     with open(args.config, "rb") as fh:
         payload["config_sha256"] = hashlib.sha256(fh.read()).hexdigest()
-    # version 2 dropped every field a reader can recompute from the rest
+    # a change to any report's keys bumps the version
     payload.update(format="apexsim-report", version=2)
     with open(f"{base}.json", "w") as fh:
         fh.write(canonical_json(payload) + "\n")
