@@ -12,7 +12,7 @@ the free blocks; the spatial pass always scores every block.
 import numpy as np
 
 from .errors import DiskFullError
-from .model import CONTIGUOUS, GRID_ROW, NONE, SF_LIMIT, ready_operand
+from .model import GRID_ROW, NONE, SF_LIMIT, ready_operand
 
 # the clamp bounds as ready operands; putmask keeps a Python 0.0, because it
 # copies a read-only values array on every call
@@ -44,7 +44,7 @@ def update_spatial_factors(disk) -> None:
         pf = disk.pf_array().reshape(geo.rows, geo.cols)
         np.subtract(np.add.reduce(pf, axis=1, keepdims=True), pf, out=sf.reshape(geo.rows, geo.cols))
         np.divide(sf, deg, out=sf)
-    elif nb.kind == CONTIGUOUS:
+    else:  # CONTIGUOUS: Neighborhood admits no other kind
         if n == 1:
             sf.fill(0.0)
             return
@@ -58,8 +58,6 @@ def update_spatial_factors(disk) -> None:
         counts = np.minimum(i, span) + np.minimum(n - 1 - i, span)  # neighbors left + right
         np.subtract(window, pf, out=sf)
         np.divide(sf, counts, out=sf)
-    else:  # pragma: no cover - kinds validated at construction
-        raise ValueError(f"unknown neighborhood kind {nb.kind!r}")
     np.maximum(sf, _SF_LO, out=sf)
     np.minimum(sf, _SF_HI, out=sf)
     np.putmask(sf, disk.used_mask, 0.0)

@@ -10,7 +10,8 @@ way a file's recovery is measured: the objective, compare rows and the
 recovery table (the per-file rows of the simulate and replay reports) all
 take it from there. One sum (usage_weighted_rr) turns measured ratios into
 the usage-weighted percentage that the objective, the simulate and replay
-reports and the compare rows all give.
+reports and the compare rows all give, and PerfWeights.objective the one
+objective of it and the seek cost.
 """
 
 from dataclasses import dataclass
@@ -32,6 +33,10 @@ class PerfWeights:
     @property
     def alpha(self) -> float:
         return 1.0 - self.beta
+
+    def objective(self, rr: float, seek: float) -> float:
+        """(1 - beta) * rr - beta * seek: the objective from its two terms."""
+        return self.alpha * rr - self.beta * seek
 
 
 def measure_recovery(disk, files) -> list[tuple]:
@@ -112,8 +117,8 @@ def access_time_term(fs) -> float:
 
 
 def performance(fs, weights: PerfWeights) -> float:
-    """The tuning objective: (1 - beta) * recoverability - beta * access time."""
-    return weights.alpha * retired_rr(fs) - weights.beta * access_time_term(fs)
+    """The tuning objective of fs's recovery and seek cost (PerfWeights.objective)."""
+    return weights.objective(retired_rr(fs), access_time_term(fs))
 
 
 def recovery_table(fs) -> list[dict]:

@@ -54,12 +54,15 @@ def type_class_for_path(path: str) -> str:
 class FileRecord:
     id: int
     path: str
-    type_class: str
     block_list: list
     size_bytes: int
     status: str = USED
     uf_counter: int = 1  # creation counts as the first use
     _live_index: int = -1
+
+    @property
+    def type_class(self) -> str:
+        return type_class_for_path(self.path)
 
     @property
     def data_blocks(self) -> int:
@@ -70,7 +73,6 @@ class FileRecord:
         new = object.__new__(FileRecord)
         new.id = self.id
         new.path = self.path
-        new.type_class = self.type_class
         new.status = self.status
         new.block_list = self.block_list
         new.size_bytes = self.size_bytes
@@ -180,7 +182,7 @@ class FileSystem:
         for owner in emptied:
             self._recoverable.pop(owner).status = OBSOLETE
 
-        rec = FileRecord(fid, path, type_class_for_path(path), addrs, size_bytes)
+        rec = FileRecord(fid, path, addrs, size_bytes)
         self._by_path[path] = rec
         rec._live_index = len(self._live)
         self._live.append(rec)

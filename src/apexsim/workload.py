@@ -16,9 +16,7 @@ from typing import NamedTuple
 from .errors import ConfigError, DiskFullError, TraceError
 from .model import canonical_json, field_dict
 from .priority import update_spatial_factors
-from .recovery import (
-    PerfWeights, access_time_term, performance, recovery_table, retired_rr,
-)
+from .recovery import PerfWeights, access_time_term, recovery_table, retired_rr
 from .vfs import LINKED_EXTENSIONS, PARTIAL_EXTENSIONS, check_path
 
 OP_CREATE = "create"
@@ -248,10 +246,8 @@ def execute_op(fs, op: WorkloadOp) -> None:
         fs.delete_file(op.path)
     elif op.kind == OP_READ:
         fs.access(op.path)
-    elif op.kind == OP_WRITE:
+    else:  # OP_WRITE: parsing and generation make no other kind
         fs.write_file(op.path, op.offset, op.length)
-    else:
-        raise TraceError(f"unknown op kind {op.kind!r}")
     update_spatial_factors(fs.disk)
 
 
@@ -265,7 +261,6 @@ class SimReport:
     weighted_rr: float
     aat_seek: float
     perf_beta: float
-    performance: float
     snapshot_sha256: str
     geometry: dict
     hyperparams: list
@@ -275,8 +270,13 @@ class SimReport:
     def executed_ops(self) -> int:
         return sum(self.op_counts.values())
 
+    @property
+    def performance(self) -> float:
+        """The objective of this report's own two terms."""
+        return PerfWeights(self.perf_beta).objective(self.weighted_rr, self.aat_seek)
+
     def to_dict(self) -> dict:
-        return field_dict(self)
+        return field_dict(self) | {"performance": self.performance}
 
     def to_json(self) -> str:
         return canonical_json(self.to_dict())
@@ -293,7 +293,6 @@ def _build_report(fs, seed, ops, weights, workload_echo) -> SimReport:
         weighted_rr=retired_rr(fs),
         aat_seek=access_time_term(fs),
         perf_beta=weights.beta,
-        performance=performance(fs, weights),
         snapshot_sha256=disk.snapshot_sha256(),
         geometry=disk.geometry.to_dict(),
         hyperparams=list(disk.hyperparams.as_tuple()),

@@ -1,5 +1,6 @@
 """Op generation rules, seeded determinism, trace record and replay."""
 
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -12,6 +13,7 @@ from apexsim.config import load_config
 from apexsim.disk import new_disk
 from apexsim.errors import ConfigError, TraceError
 from apexsim.policies import make_policy
+from apexsim.recovery import PerfWeights, performance
 from apexsim.vfs import FileSystem
 from apexsim.workload import (
     WorkloadConfig,
@@ -171,6 +173,26 @@ def test_write_ends_where_a_read_of_the_same_path_ends(neighborhood):
     replayed = replay_trace(as_reads, make_fs(rows=16, cols=16, neighborhood=neighborhood))
     assert replayed.snapshot_sha256 == report.snapshot_sha256
     assert replayed.weighted_rr == report.weighted_rr
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("neighborhood", ["grid-row", "none"])
+def test_report_performance_is_the_objective_of_its_end_state(neighborhood, beta):
+    """A simulate or replay report's performance is recovery.performance of
+    the end state it reports on, to the bit, and its JSON carries that value,
+    at every weight of the seek term."""
+    weights = PerfWeights(beta)
+    cfg = WorkloadConfig(rng_seed=5, total_ops=300, max_file_blocks=12,
+                         min_utilization=0.5, op_mix=(0.2, 0.4, 0.4))
+    fs = make_fs(rows=16, cols=16, neighborhood=neighborhood)
+    report, trace = run_simulation(cfg, fs, weights)
+    fs2 = make_fs(rows=16, cols=16, neighborhood=neighborhood)
+    replayed = replay_trace(trace, fs2, weights)
+    assert report.weighted_rr > 0 and report.aat_seek > 0  # both terms count
+    for rep, end in ((report, fs), (replayed, fs2)):
+        want = performance(end, weights).hex()
+        assert rep.performance.hex() == want
+        assert json.loads(rep.to_json())["performance"].hex() == want
 
 
 def test_trace_file_round_trip(tmp_path):
