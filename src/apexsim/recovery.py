@@ -10,8 +10,8 @@ way a file's recovery is measured: the objective, compare rows and the
 recovery table (the per-file rows of the simulate and replay reports) all
 take it from there. One sum (usage_weighted_rr) turns measured ratios into
 the usage-weighted percentage that the objective, the simulate and replay
-reports and the compare rows all give, and PerfWeights.objective the one
-objective of it and the seek cost.
+reports and the compare rows all give; one formula (PerfWeights.objective)
+weighs it against the seek cost, for train and the reports alike.
 """
 
 from dataclasses import dataclass
