@@ -38,7 +38,7 @@ def _write_report(args, command, seed, payload, table=None) -> str:
     with open(args.config, "rb") as fh:
         payload["config_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     # a change to any report's keys bumps the version
-    payload.update(format="apexsim-report", version=2)
+    payload.update(format="apexsim-report", version=3)
     with open(f"{base}.json", "w") as fh:
         fh.write(canonical_json(payload) + "\n")
     if table is not None:

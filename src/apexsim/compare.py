@@ -75,7 +75,7 @@ def _row(fs, target_blocks: int, seed: int) -> CompareRow:
     percentage."""
     # a flood retires only the primaries, in creation order
     primary = fs.deleted_files()
-    per_file = tuple(rr for _, _, rr in measure_recovery(fs.disk, primary))
+    per_file = tuple(rr for _, rr in measure_recovery(fs.disk, primary))
     return CompareRow(
         policy=fs.policy.name,
         secondary_blocks=target_blocks,

@@ -76,7 +76,6 @@ KEYS = {
     "disk": {
         "rows": ("rows", int),
         "cols": ("cols", int),
-        "block_size": ("block_size_bytes", int),
         "neighborhood": ("neighborhood", Neighborhood.parse),
         "invert_link_rule": ("invert_link_rule", _parse_bool),
     },
@@ -120,8 +119,11 @@ def load_config(path, seed_override=None, policy_override=None) -> AppConfig:
     if not os.path.isfile(path):
         raise ConfigError(f"no config file at {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # read_file, not read: read skips a file it cannot open, and an
+    # unreadable config must fail here (OSError, exit 2), not run on defaults
     try:
-        parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh, source=path)
     except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from None
     for section in parser:  # [DEFAULT] first: a key there would reach every section

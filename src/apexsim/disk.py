@@ -21,7 +21,7 @@ from .errors import BlockStateError
 from .model import NONE, DiskGeometry, Hyperparams, canonical_json
 
 SNAPSHOT_FORMAT = "apexsim-snapshot"
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 NO_OWNER = -1
 _ARRAYS = ("hf", "uf", "sf", "lf", "used_mask", "owner")  # the per-block state
 

@@ -95,14 +95,11 @@ class DiskGeometry:
 
     rows: int = 16
     cols: int = 16
-    block_size_bytes: int = 4096
     neighborhood: Neighborhood = Neighborhood(GRID_ROW)
 
-    # Caps that reject a size before anything is allocated for it: every
-    # per-block array holds rows * cols entries, and ext4's largest block
-    # size is 64 KiB.
+    # Rejects a disk size before anything is allocated for it: every
+    # per-block array holds rows * cols entries.
     MAX_BLOCKS = 2**20
-    MAX_BLOCK_SIZE = 65536
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -111,8 +108,6 @@ class DiskGeometry:
             raise ValueError(
                 f"{self.rows}x{self.cols} disk has more than {self.MAX_BLOCKS} blocks"
             )
-        if not 1 <= self.block_size_bytes <= self.MAX_BLOCK_SIZE:
-            raise ValueError(f"block size must lie in 1..{self.MAX_BLOCK_SIZE}")
 
     @property
     def total_blocks(self) -> int:
@@ -122,7 +117,6 @@ class DiskGeometry:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "block_size_bytes": self.block_size_bytes,
             "neighborhood": str(self.neighborhood),
         }
 

@@ -4,8 +4,8 @@ A block counts as recovered for a file when the owner array still names that
 file: the block is unused and no later file has claimed it. Only the owner
 array is compared: a deleted file's block can change only when a later claim
 takes it, and that claim names a new owner. Linked formats are
-all-or-nothing; partial formats recover byte ranges once their metadata block
-survives. One lineage read over many files (measure_recovery) is the only
+all-or-nothing; partial formats recover block by block once their metadata
+block survives. One lineage read over many files (measure_recovery) is the only
 way a file's recovery is measured: the objective, compare rows and the
 recovery table (the per-file rows of the simulate and replay reports) all
 take it from there. One sum (usage_weighted_rr) turns measured ratios into
@@ -40,13 +40,12 @@ class PerfWeights:
 
 
 def measure_recovery(disk, files) -> list[tuple]:
-    """Per deleted or obsolete file of files, in order, (intact,
-    recovered_bytes, rr), all from one lineage read over the block lists of
-    all of them. intact holds per block of the file's block list whether the
-    block is still the file's; intact[0] is its metadata block. Nothing comes
-    back without the metadata block; then a linked file comes back whole or
-    not at all, and a partial file by the data blocks that survive, at most
-    its size."""
+    """Per deleted or obsolete file of files, in order, (intact, rr), all
+    from one lineage read over the block lists of all of them. intact holds
+    per block of the file's block list whether the block is still the
+    file's; intact[0] is its metadata block. Nothing comes back without the
+    metadata block; then a linked file comes back whole or not at all, and a
+    partial file by the share of its data blocks that survive."""
     addrs = []
     ids = []
     for f in files:
@@ -55,7 +54,6 @@ def measure_recovery(disk, files) -> list[tuple]:
         addrs += f.block_list
         ids += [f.id] * len(f.block_list)
     intact = disk.lineage_intact(addrs, ids).tolist()
-    bs = disk.geometry.block_size_bytes
     out = []
     start = 0
     for f in files:
@@ -63,12 +61,11 @@ def measure_recovery(disk, files) -> list[tuple]:
         own = intact[start:end]
         start = end
         if not own or not own[0]:
-            out.append((own, 0, 0.0))
+            out.append((own, 0.0))
         elif f.type_class == LINKED:
-            out.append((own, f.size_bytes, 1.0) if all(own) else (own, 0, 0.0))
+            out.append((own, 1.0 if all(own) else 0.0))
         else:
-            recovered = min(sum(own[1:]) * bs, f.size_bytes)
-            out.append((own, recovered, recovered / f.size_bytes))
+            out.append((own, sum(own[1:]) / f.data_blocks))
     return out
 
 
@@ -81,7 +78,7 @@ def retired_rr(fs) -> float:
     skipping it leaves every partial sum, and the result, the same as the
     full-list reference weighted_rr in tests/oracles.py, to the bit."""
     files = fs.recoverable_files()
-    rrs = [rr for _, _, rr in measure_recovery(fs.disk, files)]
+    rrs = [rr for _, rr in measure_recovery(fs.disk, files)]
     return usage_weighted_rr(files, rrs, fs.retired_usage)
 
 
@@ -130,7 +127,7 @@ def recovery_table(fs) -> list[dict]:
     measured = {f.id: m for f, m in zip(files, measure_recovery(fs.disk, files))}
     rows = []
     for f in fs.deleted_files():
-        intact, recovered, rr = measured.get(f.id, ((), 0, 0.0))
+        intact, rr = measured.get(f.id, ((), 0.0))
         rows.append(
             {
                 "file_id": f.id,
@@ -141,7 +138,6 @@ def recovery_table(fs) -> list[dict]:
                 "total_blocks": len(f.block_list),
                 "surviving_blocks": sum(intact),
                 "metadata_intact": bool(intact) and intact[0],
-                "recovered_bytes": recovered,
                 "rr": rr,
             }
         )

@@ -147,16 +147,22 @@ class TrainReport:
     seed: int
     p_initial: float
     trajectory: list[MinRecord]
-    final_epsilon: float
     best_state: tuple
-    final_state: tuple
     final_greedy_p: float
     first_fit_p: float
-    states_seen: int = 0
 
     @property
     def first_min_p(self) -> float:
         return self.trajectory[0].p if self.trajectory else self.p_initial
+
+    @property
+    def final_state(self) -> tuple:
+        """The coefficients train ended on: the last interval's state moved
+        by its action, or the initial ones when no interval ran."""
+        if not self.trajectory:
+            return tuple(self.config["initial"])
+        last = self.trajectory[-1]
+        return apply_action(last.state, last.action)
 
     def to_dict(self) -> dict:
         return field_dict(self) | {
@@ -226,10 +232,7 @@ def train(config: TrainConfig) -> TrainReport:
         seed=config.workload.rng_seed,
         p_initial=p_initial,
         trajectory=trajectory,
-        final_epsilon=schedule.epsilon(schedule.min_budget),
         best_state=best_state,
-        final_state=state,
         final_greedy_p=evaluate_policy(config, Hyperparams.from_tuple(best_state), "apex"),
         first_fit_p=evaluate_policy(config, Hyperparams.from_tuple(best_state), FIRST_FIT),
-        states_seen=len(qtable),
     )

@@ -2,8 +2,8 @@
 
 The namespace is flat: a path is "/" plus one name, and one dict from path to
 file record holds it; there are no directories. Files are fixed-size at
-creation: block 0 of every non-empty file is its metadata block, the rest
-carry data in order.
+creation and sized in whole blocks: block 0 of every non-empty file is its
+metadata block, the rest carry data in order.
 No bytes are stored: a block's content is named by its lineage owner, so a
 write of a live file is one use of it, as a read is. Deletion is logical -
 blocks are freed but their lineage stays put until someone allocates over
@@ -55,7 +55,6 @@ class FileRecord:
     id: int
     path: str
     block_list: list
-    size_bytes: int
     status: str = USED
     uf_counter: int = 1  # creation counts as the first use
     _live_index: int = -1
@@ -75,7 +74,6 @@ class FileRecord:
         new.path = self.path
         new.status = self.status
         new.block_list = self.block_list
-        new.size_bytes = self.size_bytes
         new.uf_counter = self.uf_counter
         new._live_index = self._live_index
         return new
@@ -157,9 +155,11 @@ class FileSystem:
 
     # -- operations ----------------------------------------------------------
 
-    def create_file(self, path, size_bytes) -> FileRecord:
-        """Allocate and install a new fixed-size file, of the format class
-        its path's extension names (type_class_for_path).
+    def create_file(self, path, data_blocks) -> FileRecord:
+        """Allocate and install a new file of data_blocks data blocks, of the
+        format class its path's extension names (type_class_for_path). It
+        claims its metadata block too, or no block at all when data_blocks
+        is 0.
 
         Validation happens before any mutation, so a failed create leaves the
         disk untouched; a create that does not fit fails in the policy's
@@ -171,18 +171,16 @@ class FileSystem:
         check_path(path)
         if path in self._by_path:
             raise FileExistsError(path)
-        if size_bytes < 0:
+        if data_blocks < 0:
             raise ValueError("negative size")
-        bs = self.disk.geometry.block_size_bytes
-        needed = -(-size_bytes // bs) + 1 if size_bytes > 0 else 0
-        addrs = list(self.policy.select(self.disk, needed))
+        addrs = list(self.policy.select(self.disk, data_blocks + 1 if data_blocks else 0))
         fid = self._next_id
         self._next_id += 1
         emptied = claim(self.disk, addrs, fid, lambda prior: self._recoverable[prior].block_list)
         for owner in emptied:
             self._recoverable.pop(owner).status = OBSOLETE
 
-        rec = FileRecord(fid, path, addrs, size_bytes)
+        rec = FileRecord(fid, path, addrs)
         self._by_path[path] = rec
         rec._live_index = len(self._live)
         self._live.append(rec)
@@ -214,26 +212,24 @@ class FileSystem:
         self._use(rec)
         return rec
 
-    def write_file(self, path: str, offset: int, length: int) -> None:
-        """Overwrite length bytes at offset inside the current size; files
-        never grow here.
+    def write_file(self, path: str, block: int) -> None:
+        """Overwrite data block block (0-based) of the file; files never grow
+        here.
 
-        The range is checked, then the write is one use of the file, as a read
-        is, even at zero length: the blocks' lineage does not move, so no
-        block state but usage does.
+        The block is checked, then the write is one use of the file, as a read
+        is: the blocks' lineage does not move, so no block state but usage
+        does.
         """
         rec = self.lookup(path)
-        if offset < 0 or length < 0 or offset + length > rec.size_bytes:
-            raise ValueError(
-                f"write [{offset}, {offset + length}) outside size {rec.size_bytes}"
-            )
+        if not 0 <= block < rec.data_blocks:
+            raise ValueError(f"write of data block {block} outside {rec.data_blocks} data blocks")
         self._use(rec)
 
     # -- internals -----------------------------------------------------------
 
     def _use(self, rec: FileRecord) -> None:
-        """One read or write of a live file, whatever its byte count: usage
-        bumps once on the record and on each of its blocks."""
+        """One read or write of a live file: usage bumps once on the record
+        and on each of its blocks."""
         self.disk.uf[np.asarray(rec.block_list, dtype=np.intp)] += _ONE_USE
         rec.uf_counter += 1
 

@@ -62,25 +62,24 @@ class WorkloadOp(NamedTuple):
     tick: int
     kind: str
     path: str
-    size_blocks: int | None = None
-    offset: int | None = None
-    length: int | None = None
+    size_blocks: int | None = None  # a create's data blocks
+    block: int | None = None  # the data block a write covers, 0-based
 
     def to_json_line(self) -> str:
         doc = {"tick": self.tick, "op": self.kind, "path": self.path}
         if self.size_blocks is not None:
             doc["size_blocks"] = self.size_blocks
-        if self.offset is not None:
-            doc["offset"] = self.offset
-        if self.length is not None:
-            doc["len"] = self.length
+        if self.block is not None:
+            doc["block"] = self.block
         return canonical_json(doc)
 
     @classmethod
     def from_json_line(cls, line: str) -> "WorkloadOp":
         """Parse one trace line; a line of the wrong shape is a TraceError. A
         key it does not read is ignored, such as the "type" create lines once
-        carried: a file's class comes from its path (vfs.type_class_for_path)."""
+        carried: a file's class comes from its path (vfs.type_class_for_path).
+        A write line needs its "block"; the "offset" and "len" write lines
+        once carried are not read."""
         try:
             doc = json.loads(line)
         except (json.JSONDecodeError, RecursionError) as e:  # nested past json's limit
@@ -101,13 +100,13 @@ class WorkloadOp(NamedTuple):
             raise TraceError(f"bad trace line: unknown op {kind!r}")
         if kind == OP_CREATE and "size_blocks" not in doc:
             raise TraceError("bad trace line: create needs size_blocks")
-        if kind == OP_WRITE and ("offset" not in doc or "len" not in doc):
-            raise TraceError("bad trace line: write needs offset and len")
+        if kind == OP_WRITE and "block" not in doc:
+            raise TraceError("bad trace line: write needs block")
         try:
             check_path(path)  # a nested path stays a FileNotFoundError, as in the fs
         except ValueError as e:
             raise TraceError(f"bad trace line: {e}") from None
-        for key in ("size_blocks", "offset", "len"):
+        for key in ("size_blocks", "block"):
             if key in doc and (type(doc[key]) is not int or doc[key] < 0):
                 raise TraceError(f"bad trace line: {key} must be an integer >= 0, got {doc[key]!r}")
         return cls(
@@ -115,16 +114,15 @@ class WorkloadOp(NamedTuple):
             kind=kind,
             path=path,
             size_blocks=doc.get("size_blocks"),
-            offset=doc.get("offset"),
-            length=doc.get("len"),
+            block=doc.get("block"),
         )
 
 
 def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp:
     """Sample the next operation against a live view of the simulation.
 
-    state needs: tick, total_blocks, block_size, free_blocks(), live_files()
-    and next_path().
+    state needs: tick, total_blocks, free_blocks(), live_files() and
+    next_path().
     Enforcement, in order: an empty namespace forces Create; a sampled Delete
     whose target would drop utilization below the floor becomes a Create (this
     covers the plain utilization < floor case, since any delete drops it
@@ -174,16 +172,8 @@ def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp
     # read/write bucket
     target = files[rng.randrange(len(files))]
     if rng.random() < 0.5 and target.data_blocks > 0:
-        ordinal = rng.randrange(target.data_blocks)
-        bs = state.block_size
-        offset = ordinal * bs
-        return WorkloadOp(
-            state.tick,
-            OP_WRITE,
-            target.path,
-            offset=offset,
-            length=min(bs, target.size_bytes - offset),
-        )
+        block = rng.randrange(target.data_blocks)
+        return WorkloadOp(state.tick, OP_WRITE, target.path, block=block)
     return WorkloadOp(state.tick, OP_READ, target.path)
 
 
@@ -211,10 +201,6 @@ class WorkloadRunner:
     def total_blocks(self) -> int:
         return self.fs.disk.geometry.total_blocks
 
-    @property
-    def block_size(self) -> int:
-        return self.fs.disk.geometry.block_size_bytes
-
     def free_blocks(self) -> int:
         return self.fs.free_blocks()
 
@@ -239,15 +225,14 @@ class WorkloadRunner:
 def execute_op(fs, op: WorkloadOp) -> None:
     """Apply one op to the file system, then run the op's spatial pass. The
     caller advances the clock first."""
-    bs = fs.disk.geometry.block_size_bytes
     if op.kind == OP_CREATE:
-        fs.create_file(op.path, op.size_blocks * bs)
+        fs.create_file(op.path, op.size_blocks)
     elif op.kind == OP_DELETE:
         fs.delete_file(op.path)
     elif op.kind == OP_READ:
         fs.access(op.path)
     else:  # OP_WRITE: parsing and generation make no other kind
-        fs.write_file(op.path, op.offset, op.length)
+        fs.write_file(op.path, op.block)
     update_spatial_factors(fs.disk)
 
 
@@ -322,8 +307,8 @@ def replay_trace(ops, fs, weights: PerfWeights = PerfWeights()) -> SimReport:
         last_tick = op.tick
         # trace input: a write outside its file is a TraceError (exit 2), not
         # the ValueError write_file raises for a caller's bad range (exit 1)
-        if op.kind == OP_WRITE and op.offset + op.length > fs.lookup(op.path).size_bytes:
-            raise TraceError(f"tick {op.tick}: write of {op.length} at {op.offset} outside {op.path}")
+        if op.kind == OP_WRITE and op.block >= fs.lookup(op.path).data_blocks:
+            raise TraceError(f"tick {op.tick}: write of data block {op.block} outside {op.path}")
         fs.disk.clock = op.tick
         try:
             execute_op(fs, op)

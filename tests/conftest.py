@@ -6,13 +6,8 @@ from apexsim.policies import ApexPolicy
 from apexsim.vfs import FileSystem
 
 
-def make_disk(rows=4, cols=4, hp=(4, 7, 1, 9), neighborhood="grid-row", block_size=4096):
-    geo = DiskGeometry(
-        rows=rows,
-        cols=cols,
-        block_size_bytes=block_size,
-        neighborhood=Neighborhood.parse(neighborhood),
-    )
+def make_disk(rows=4, cols=4, hp=(4, 7, 1, 9), neighborhood="grid-row"):
+    geo = DiskGeometry(rows=rows, cols=cols, neighborhood=Neighborhood.parse(neighborhood))
     return new_disk(geo, Hyperparams(*hp))
 
 

@@ -125,7 +125,7 @@ class OpEvents:
     def of(self, op):
         if op.kind == "create":
             rec = self._by_path[op.path] = self.fs.lookup(op.path)
-            event = ("create", rec.id, rec.type_class, tuple(rec.block_list), rec.size_bytes)
+            event = ("create", rec.id, rec.type_class, tuple(rec.block_list))
         elif op.kind == "delete":
             rec = self._by_path.pop(op.path)
             event = ("delete", rec.id, rec.type_class, tuple(rec.block_list))
@@ -182,7 +182,7 @@ class FactorOracle:
         for ev in events:
             self.apply(ev)
 
-    def _create(self, fid, type_class, addrs, size_bytes):
+    def _create(self, fid, type_class, addrs):
         for addr in addrs:
             prior = self.lineage[addr]
             if prior is not None:
@@ -262,18 +262,17 @@ class ClaimHistoryRecovery:
     exactly when no later create claimed it after that file's delete. The
     disk's owner array is never read."""
 
-    def __init__(self, block_size_bytes):
-        self.bs = block_size_bytes
+    def __init__(self):
         self.claimed_at = {}  # addr -> event position of last claim
-        self.created = {}  # fid -> (type_class, addrs, size_bytes)
+        self.created = {}  # fid -> (type_class, addrs)
         self.deleted_at = {}  # fid -> event position
         self.position = 0
 
     def apply(self, event):
         kind = event[0]
         if kind == "create":
-            fid, type_class, addrs, size_bytes = event[1:]
-            self.created[fid] = (type_class, tuple(addrs), size_bytes)
+            fid, type_class, addrs = event[1:]
+            self.created[fid] = (type_class, tuple(addrs))
             for addr in addrs:
                 self.claimed_at[addr] = self.position
         elif kind == "delete":
@@ -285,27 +284,27 @@ class ClaimHistoryRecovery:
             self.apply(ev)
 
     def surviving(self, fid):
-        type_class, addrs, size_bytes = self.created[fid]
+        type_class, addrs = self.created[fid]
         gone = self.deleted_at[fid]
         return frozenset(a for a in addrs if self.claimed_at[a] < gone)
 
     def rr(self, fid):
-        type_class, addrs, size_bytes = self.created[fid]
+        type_class, addrs = self.created[fid]
         alive = self.surviving(fid)
         if type_class == "linked":
             return 1.0 if addrs and len(alive) == len(addrs) else 0.0
-        if not addrs or addrs[0] not in alive or size_bytes <= 0:
+        if not addrs or addrs[0] not in alive:
             return 0.0
         data_alive = sum(1 for a in addrs[1:] if a in alive)
-        return min(data_alive * self.bs, size_bytes) / size_bytes
+        return data_alive / (len(addrs) - 1)
 
 
 def recovery_of(disk, f):
-    """(surviving blocks, metadata intact, recovered bytes, rr) of one deleted
-    or obsolete file, block by block: a block survives while it is unused and
-    the owner array still names the file. Nothing comes back without the
-    metadata block; a linked file comes back whole or not at all, a partial
-    one by its surviving data blocks, at most its size."""
+    """(surviving blocks, metadata intact, rr) of one deleted or obsolete
+    file, block by block: a block survives while it is unused and the owner
+    array still names the file. Nothing comes back without the metadata
+    block; a linked file comes back whole or not at all, a partial one by the
+    share of its data blocks (every block past the first) that survive."""
     if f.status == USED:
         raise ValueError(f"live file {f.path} has nothing to recover")
     alive = frozenset(
@@ -313,15 +312,11 @@ def recovery_of(disk, f):
     )
     meta = bool(f.block_list) and f.block_list[0] in alive
     if not meta:
-        return alive, False, 0, 0.0
+        return alive, False, 0.0
     if f.type_class == LINKED:
-        whole = len(alive) == len(f.block_list)
-        return alive, True, f.size_bytes if whole else 0, 1.0 if whole else 0.0
-    if f.size_bytes <= 0:
-        return alive, True, 0, 0.0
+        return alive, True, 1.0 if len(alive) == len(f.block_list) else 0.0
     data = sum(1 for a in f.block_list[1:] if a in alive)
-    recovered = min(data * disk.geometry.block_size_bytes, f.size_bytes)
-    return alive, True, recovered, recovered / f.size_bytes
+    return alive, True, data / (len(f.block_list) - 1)
 
 
 def weighted_rr(disk, files) -> float:
@@ -334,7 +329,7 @@ def weighted_rr(disk, files) -> float:
     num = 0.0
     den = 0
     for f in files:
-        num += recovery_of(disk, f)[3] * f.uf_counter
+        num += recovery_of(disk, f)[2] * f.uf_counter
         den += f.uf_counter
     return 100.0 * num / den if den else 0.0
 

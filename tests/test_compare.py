@@ -25,7 +25,7 @@ from apexsim.workload import OP_CREATE, OP_DELETE, WorkloadOp, execute_op
 
 from oracles import clairvoyant_rr_bound, flood_blocks, recovery_of, weighted_rr
 
-GEO = DiskGeometry(16, 16, 4096, Neighborhood(GRID_ROW))
+GEO = DiskGeometry(16, 16, Neighborhood(GRID_ROW))
 HP = Hyperparams(4, 7, 1, 9)
 
 
@@ -153,7 +153,7 @@ def reference_cell(geometry, hp, settings, policy_kind, target, seed, invert_lin
         execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, f"/secondary{seq:04d}.dat", size))
         written += size
     primary = fs.deleted_files()
-    per_file = tuple(recovery_of(disk, f)[3] for f in primary)
+    per_file = tuple(recovery_of(disk, f)[2] for f in primary)
     row = CompareRow(policy_kind, target, seed, weighted_rr(disk, primary), per_file)
     return row, end
 

@@ -1,6 +1,8 @@
 """Config file parsing and the command line surface."""
 
 import argparse
+import builtins
+import errno
 import json
 import os
 import re
@@ -47,7 +49,6 @@ max_file_blocks = 4
 def test_load_config_defaults(tmp_path):
     cfg = load_config(write_cfg(tmp_path, "[disk]\nrows = 4\ncols = 4\n"))
     assert cfg.geometry.total_blocks == 16
-    assert cfg.geometry.block_size_bytes == 4096
     assert str(cfg.geometry.neighborhood) == "grid-row"
     assert cfg.policy_kind == "apex"
     assert cfg.coefficients.as_tuple() == (4, 7, 1, 9)
@@ -97,7 +98,6 @@ def test_load_config_reads_every_section(tmp_path):
 [disk]
 rows = 4
 cols = 8
-block_size = 512
 neighborhood = contiguous:2
 invert_link_rule = true
 
@@ -232,9 +232,11 @@ def test_cli_simulate_same_seed_same_report(tmp_path):
 
 
 # report keys, at any depth, that a reader can recompute from the rest of the
-# report, and the access-time mode, which has one value left
+# report, and the access-time mode and the block size, which have one value left
 DERIVABLE_KEYS = {"executed_ops", "files_deleted", "files_obsolete", "perf_alpha", "alpha",
-                  "first_min_p", "visited", "tau", "aat_timestamp", "aat_mode"}
+                  "first_min_p", "visited", "tau", "aat_timestamp", "aat_mode",
+                  "block_size_bytes", "recovered_bytes", "states_seen", "final_epsilon",
+                  "final_state"}
 
 
 def keys_of(doc):
@@ -248,8 +250,8 @@ def keys_of(doc):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_cli_report_is_format_version_2_without_derivable_keys(tmp_path, command):
-    """Every command's report file names its format and version 2, and none
+def test_cli_report_is_format_version_3_without_derivable_keys(tmp_path, command):
+    """Every command's report file names its format and version 3, and none
     of its keys restates the rest of it."""
     body = MINIMAL + """
 [train]
@@ -272,7 +274,7 @@ seed_count = 1
         argv += ["--trace", str(trace)]
     assert run_cli(argv) == 0
     doc = json.loads(Path(only_file(out, ".json")).read_text())
-    assert (doc["format"], doc["version"]) == ("apexsim-report", 2)
+    assert (doc["format"], doc["version"]) == ("apexsim-report", 3)
     assert not DERIVABLE_KEYS & set(keys_of(doc))
 
 
@@ -351,15 +353,17 @@ CREATE = '{"tick":1,"op":"create","path":"/a.txt","size_blocks":1}\n'
         '{"tick":1,"op":"create","path":"/a.txt","size_blocks":-3}\n',
         '{"tick":1,"op":"create","path":"/a.txt","size_blocks":"x"}\n',
         '{"tick":1,"op":"create","path":"/a.txt","size_blocks":64}\n',
-        CREATE + '{"tick":2,"op":"write","path":"/a.txt","offset":4000,"len":200}\n',
+        CREATE + '{"tick":2,"op":"write","path":"/a.txt","block":1}\n',
         CREATE + '{"tick":2,"op":"write","path":"/a.txt","offset":"0","len":10}\n',
+        CREATE + '{"tick":2,"op":"write","path":"/a.txt","block":"0"}\n',
+        CREATE + '{"tick":2,"op":"write","path":"/a.txt","offset":0,"len":4096}\n',
         '{"tick":1.7,"op":"create","path":"/a.txt","size_blocks":1}\n',
         '{"tick":"7","op":"create","path":"/a.txt","size_blocks":1}\n',
         '{"tick":true,"op":"create","path":"/a.txt","size_blocks":1}\n',
     ],
     ids=["relative-path", "int-path", "root-path", "nested-path", "negative-size",
          "text-size", "create-beyond-disk", "write-past-size", "text-offset",
-         "float-tick", "text-tick", "bool-tick"],
+         "text-block", "offset-and-len-without-block", "float-tick", "text-tick", "bool-tick"],
 )
 def test_cli_replay_rejects_malformed_trace(tmp_path, capsys, trace):
     """A trace line of the wrong shape, or an op the disk cannot carry out, is
@@ -446,16 +450,19 @@ def test_cli_missing_config_exits_two(tmp_path, capsys):
     "command, bad",
     [("simulate", "config"), ("replay", "config"), ("train", "config"),
      ("compare", "config"), ("simulate", "out"), ("simulate", "trace-dir-missing"),
-     ("simulate", "trace-is-dir")],
+     ("simulate", "trace-is-dir"), ("simulate", "unreadable"), ("replay", "unreadable"),
+     ("train", "unreadable"), ("compare", "unreadable")],
     ids=["simulate-config-dir", "replay-config-dir", "train-config-dir",
          "compare-config-dir", "simulate-out-file", "simulate-trace-dir-missing",
-         "simulate-trace-is-dir"],
+         "simulate-trace-is-dir", "simulate-config-unreadable", "replay-config-unreadable",
+         "train-config-unreadable", "compare-config-unreadable"],
 )
 def test_cli_bad_config_or_out_path_fails_before_the_run(tmp_path, capsys, monkeypatch, command, bad):
-    """A --config that names a directory, an --out that names an existing
-    file, or a simulate --trace that names a directory or lies in one that
-    does not exist, is rejected with exit 2, naming the path, before the
-    command runs; a bad config or trace path makes no output directory."""
+    """A --config that names a directory or a file that cannot be opened, an
+    --out that names an existing file, or a simulate --trace that names a
+    directory or lies in one that does not exist, is rejected with exit 2,
+    naming the path, before the command runs; a bad config or trace path
+    makes no output directory."""
     for name in ("run_simulation", "replay_trace", "train", "run_compare"):
         monkeypatch.setattr(apexsim.cli, name, lambda *a, **kw: pytest.fail("ran on a bad path"))
     cfg, out = write_cfg(tmp_path, MINIMAL), tmp_path / "out"
@@ -463,6 +470,17 @@ def test_cli_bad_config_or_out_path_fails_before_the_run(tmp_path, capsys, monke
     if bad == "config":
         cfg = named = str(tmp_path / "conf.d")
         os.mkdir(cfg)
+    elif bad == "unreadable":
+        named = cfg
+        real_open = builtins.open
+
+        def refusing_open(file, *args, **kwargs):
+            # as a file without read permission does, even for root
+            if file == named:
+                raise PermissionError(errno.EACCES, "Permission denied", file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", refusing_open)
     elif bad == "out":
         out.write_text("")
         named = str(out)
@@ -593,7 +611,6 @@ def test_cli_recover_is_not_a_command(tmp_path, capsys):
         ("simulate", MINIMAL + "[train]\nmin_budget = -1\n", "min_budget"),
         ("simulate", "[disk]\nrows = 2\ncols = 2\nneighborhood = contiguous:100000000000\n",
          "1048576"),
-        ("simulate", "[disk]\nblock_size = 100000000000000\n", "65536"),
         ("simulate", "[disk]\nrows = 1025\ncols = 1024\n", "1048576"),
         ("simulate", MINIMAL + "[compare]\nseed_count = 100000000000\n", "10000"),
         ("simulate", "[disk]\nneighborhood = contiguous_x:2\n", "contiguous_x:2"),
@@ -607,6 +624,7 @@ def test_cli_recover_is_not_a_command(tmp_path, capsys):
          "[train] mode: unknown key"),
         ("simulate", "[DEFAULT]\nrows = 4\n" + MINIMAL, "[DEFAULT] rows: unknown key"),
         ("simulate", MINIMAL + "[perf]\nalpha = 1.0\n", "[perf] alpha: unknown key"),
+        ("simulate", "[disk]\nblock_size = 4096\n", "[disk] block_size: unknown key"),
         ("train", MINIMAL + "[train]\nmin_budget = 2\noin_per_min = 20\ntau = 50\n",
          "[train] tau: unknown key"),
         ("compare", MINIMAL + "[compare]\nprimary_count = 2\nseeds = 0,3\n",
@@ -615,10 +633,11 @@ def test_cli_recover_is_not_a_command(tmp_path, capsys):
     ids=["unknown-compare-policy", "unknown-primary-type", "disk-smaller-than-corpus",
          "negative-secondary-target",
          "nan-op-mix", "coefficient-beyond-bound", "bad-train-value-in-simulate",
-         "span-beyond-cap", "block-size-beyond-cap", "disk-beyond-cap", "seed-count-beyond-cap",
+         "span-beyond-cap", "disk-beyond-cap", "seed-count-beyond-cap",
          "contiguous-prefixed-kind", "contiguous-longer-kind", "non-boolean-flag",
          "key-before-any-section", "misspelt-key", "unknown-section", "train-mode-key",
-         "default-section-key", "perf-alpha-key", "train-tau-key", "compare-seeds-key"],
+         "default-section-key", "perf-alpha-key", "disk-block-size-key", "train-tau-key",
+         "compare-seeds-key"],
 )
 def test_cli_rejects_accepted_but_unusable_values(tmp_path, capsys, command, body, named):
     """Values the grammar parses but no run can use, and sections or keys it

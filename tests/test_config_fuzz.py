@@ -48,7 +48,6 @@ def tuples(n, lo, hi):
 KEYS = {
     ("disk", "rows"): (ints(1, 8), ["0", "-2", "2000000"]),
     ("disk", "cols"): (ints(1, 8), ["0", "-2", "2000000"]),
-    ("disk", "block_size"): (ints(1, 4096), ["0", "-4096", "65537", "100000000000000"]),
     ("disk", "neighborhood"): (
         words("grid-row", "none", "contiguous:1", "contiguous:3", "contiguous:40"),
         ["contiguous:0", "contiguous:-2", "contiguous:", "contiguous:x", "hexagonal",
@@ -159,13 +158,15 @@ def exit_code(command, entries) -> int:
     ("policy", "coefficients")))
 @example(command="simulate", config=({**SMALL, ("compare", "seed_count"): "100000000000"},
                                      ("compare", "seed_count")))
-# keys outside the grammar: retired modes, and the retired spellings of
-# values that are now derived or set once
+# keys outside the grammar: retired modes, the block size (a block is the
+# unit), and the retired spellings of values that are now derived or set once
 @example(command="train", config=({**SMALL, ("train", "mode"): "hill-climb"}, ("train", "mode")))
 @example(command="simulate", config=({**SMALL, ("perf", "aat_mode"): "seek-cost"},
                                      ("perf", "aat_mode")))
 @example(command="train", config=({**SMALL, ("train", "tau"): "1.0"}, ("train", "tau")))
 @example(command="simulate", config=({**SMALL, ("perf", "alpha"): "1.0"}, ("perf", "alpha")))
+@example(command="simulate", config=({**SMALL, ("disk", "block_size"): "4096"},
+                                     ("disk", "block_size")))
 @example(command="compare", config=({**SMALL, ("compare", "seeds"): "0"}, ("compare", "seeds")))
 def test_cli_exits_zero_or_two_on_generated_configs(command, config):
     entries, bad = config

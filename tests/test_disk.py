@@ -330,7 +330,7 @@ def test_snapshot_sha256_hashes_the_whole_byte_string(case):
         disk.sf[[1, 2, 14]] = [-0.0, SF_LIMIT, 0.1 + 0.2]
     disk.tick()
     header = json.dumps(
-        ["apexsim-snapshot", 5, disk.geometry.to_dict(), list(disk.hyperparams.as_tuple()), disk.clock],
+        ["apexsim-snapshot", 6, disk.geometry.to_dict(), list(disk.hyperparams.as_tuple()), disk.clock],
         sort_keys=True, separators=(",", ":"),
     )
     arrays = b"".join(
@@ -362,8 +362,6 @@ def _change(disk, what):
         disk.hyperparams = Hyperparams(4, 7, 1, 8)
     elif what == "rows and cols":
         disk.geometry = replace(disk.geometry, rows=2, cols=8)
-    elif what == "block size":
-        disk.geometry = replace(disk.geometry, block_size_bytes=512)
     elif what == "neighborhood":
         disk.geometry = replace(disk.geometry, neighborhood=Neighborhood(NONE))
     else:
@@ -379,7 +377,7 @@ def test_snapshot_sha256_sees_every_piece_of_state():
     assert base.sf[12] == 0.0 and not np.signbit(base.sf[12])
     changes = (
         "hf", "uf", "sf", "lf", "used_mask", "owner", "clock",
-        "coefficients", "rows and cols", "block size", "neighborhood",
+        "coefficients", "rows and cols", "neighborhood",
     )
     digests = set()
     for what in changes:
@@ -418,8 +416,8 @@ def _two_deleted_files():
     """A file system whose recoverable table holds two deleted files, 1 on
     blocks [0, 5, 2] and 2 on [7, 3]; its next create lands on [7, 12]."""
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 5, 2], [7, 3], [7, 12]))
-    fs.create_file("/a.txt", 2 * 4096)
-    fs.create_file("/b.txt", 4096)
+    fs.create_file("/a.txt", 2)
+    fs.create_file("/b.txt", 1)
     fs.delete_file("/a.txt")
     fs.delete_file("/b.txt")
     return fs
@@ -437,7 +435,7 @@ def test_recoverable_table_is_the_index_claim_reads():
     assert stale.disk.snapshot_sha256() == want
     assert_recoverable_index(stale)
     for fs in (base, stale):  # takes file 2's block 7: only block 3 gains churn
-        fs.create_file("/c.txt", 4096)
+        fs.create_file("/c.txt", 1)
         assert_recoverable_index(fs)
     assert stale.disk.snapshot_sha256() == base.disk.snapshot_sha256() != want
     assert base.disk.hf[[3, 11]].tolist() == [1, 0]

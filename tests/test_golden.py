@@ -118,7 +118,7 @@ def sha256(text: str) -> str:
 
 
 def fresh_fs(neighborhood, policy):
-    geo = DiskGeometry(16, 16, 4096, Neighborhood.parse(neighborhood))
+    geo = DiskGeometry(16, 16, Neighborhood.parse(neighborhood))
     disk = new_disk(geo, Hyperparams(4, 7, 1, 9))
     return FileSystem(disk, policy=make_policy(policy, seed=SIM_WORKLOAD.rng_seed))
 

@@ -102,12 +102,12 @@ def test_neighborhood_parse():
 
 
 def test_geometry_validation():
-    geo = DiskGeometry(2, 3, 4096, Neighborhood(GRID_ROW))
+    geo = DiskGeometry(2, 3, Neighborhood(GRID_ROW))
     assert geo.total_blocks == 6
     with pytest.raises(ValueError):
-        DiskGeometry(0, 3, 4096, Neighborhood(GRID_ROW))
+        DiskGeometry(0, 3, Neighborhood(GRID_ROW))
     with pytest.raises(ValueError):
-        DiskGeometry(2, 3, 0, Neighborhood(GRID_ROW))
+        DiskGeometry(2, 0, Neighborhood(GRID_ROW))
 
 
 # -- score ---------------------------------------------------------------------
@@ -146,14 +146,14 @@ def test_score_is_linear_in_each_factor():
 # -- usage tracking ------------------------------------------------------------
 
 
-# one read, and a one-byte write
-USES = {"read": lambda fs, path: fs.access(path), "write": lambda fs, path: fs.write_file(path, 0, 1)}
+# one read, and a write of the first data block
+USES = {"read": lambda fs, path: fs.access(path), "write": lambda fs, path: fs.write_file(path, 0)}
 
 
 @pytest.mark.parametrize("use", sorted(USES))
 def test_access_bumps_every_block_once(use):
     fs = make_fs(rows=4, cols=4)
-    rec = fs.create_file("/a.txt", 2 * 4096)
+    rec = fs.create_file("/a.txt", 2)
     assert rec.uf_counter == 1
     USES[use](fs, "/a.txt")
     assert rec.uf_counter == 2
@@ -164,11 +164,12 @@ def test_access_bumps_every_block_once(use):
     assert np.count_nonzero(fs.disk.uf) == 3
 
 
-@pytest.mark.parametrize("use", [lambda fs, p: fs.access(p), lambda fs, p: fs.write_file(p, 0, 0)],
-                         ids=["read", "write"])
+@pytest.mark.parametrize("use", [lambda fs, p: fs.access(p)], ids=["read"])
 def test_access_to_zero_block_file_moves_only_its_record(use):
+    """A zero-block file has no data block to write (see
+    test_vfs::test_write_outside_size_rejected), but a read is one use of it."""
     fs = make_fs(rows=4, cols=4)
-    fs.create_file("/a.txt", 4096)
+    fs.create_file("/a.txt", 1)
     rec = fs.create_file("/empty.txt", 0)
     assert rec.block_list == []
     arrays = ("hf", "uf", "sf", "lf", "used_mask", "owner")
@@ -183,7 +184,7 @@ def test_access_rejects_non_live_file(use):
     """A read or write of a deleted path finds no file, so the retired
     record's usage, and the running retired total, never move."""
     fs = make_fs(rows=4, cols=4)
-    rec = fs.create_file("/a.txt", 4096)
+    rec = fs.create_file("/a.txt", 1)
     fs.access("/a.txt")
     fs.delete_file("/a.txt")
     with pytest.raises(FileNotFoundError):
@@ -196,7 +197,7 @@ def test_access_rejects_non_live_file(use):
 
 def test_overwrite_event_bumps_unused_siblings():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1, 2]))
-    fs.create_file("/a.txt", 2 * 4096)
+    fs.create_file("/a.txt", 2)
     fs.delete_file("/a.txt")
     assert list(fs.disk.hf[:3]) == [0.0, 0.0, 0.0]
     claim_over(fs, [0], 90)
@@ -209,10 +210,10 @@ def test_overwrite_event_bumps_unused_siblings():
 
 def test_overwrite_event_skips_blocks_claimed_by_newer_file():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1, 2], [1, 3]))
-    fs.create_file("/a.txt", 2 * 4096)
+    fs.create_file("/a.txt", 2)
     fs.delete_file("/a.txt")
     # reclaiming block 1 fires one event against the old lineage first
-    fs.create_file("/b.txt", 4096)
+    fs.create_file("/b.txt", 1)
     assert list(fs.disk.hf[:4]) == [1.0, 1.0, 1.0, 1.0]
     fs.delete_file("/b.txt")
     claim_over(fs, [0], 99)
@@ -332,15 +333,15 @@ def test_spatial_contiguous_window_wider_than_disk():
     oracle = FactorOracle(fs.disk.geometry, HP)
     update_spatial_factors(fs.disk)
     assert list(fs.disk.sf) == [9.0] * 8
-    a = fs.create_file("/a.txt", 2 * 4096)
+    a = fs.create_file("/a.txt", 2)
     fs.delete_file("/a.txt")
-    b = fs.create_file("/b.zip", 4096)
+    b = fs.create_file("/b.zip", 1)
     update_spatial_factors(fs.disk)
     oracle.apply_all([
         ("spatial",),
-        ("create", a.id, a.type_class, tuple(a.block_list), a.size_bytes),
+        ("create", a.id, a.type_class, tuple(a.block_list)),
         ("delete", a.id, a.type_class, tuple(a.block_list)),
-        ("create", b.id, b.type_class, tuple(b.block_list), b.size_bytes),
+        ("create", b.id, b.type_class, tuple(b.block_list)),
         ("spatial",),
     ])
     oracle.assert_matches(fs.disk)

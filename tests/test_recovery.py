@@ -32,55 +32,43 @@ def overwrite(fs, addrs):
 
 def test_untouched_delete_recovers_fully():
     fs = make_fs(rows=4, cols=4)
-    rec = fs.create_file("/a.txt", 2 * 4096)
+    rec = fs.create_file("/a.txt", 2)
     fs.delete_file("/a.txt")
-    [(intact, recovered, rr)] = measure_recovery(fs.disk, [rec])
+    [(intact, rr)] = measure_recovery(fs.disk, [rec])
     assert rr == 1.0
-    assert recovered == 2 * 4096
     assert intact == [True, True, True]  # metadata block and both data blocks
 
 
 def test_linked_file_is_all_or_nothing():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1, 2, 3]))
-    rec = fs.create_file("/tool.exe", 3 * 4096)
+    rec = fs.create_file("/tool.exe", 3)
     fs.delete_file("/tool.exe")
-    assert measure_recovery(fs.disk, [rec]) == [([True] * 4, 3 * 4096, 1.0)]
+    assert measure_recovery(fs.disk, [rec]) == [([True] * 4, 1.0)]
     overwrite(fs, [3])
-    [(intact, recovered, rr)] = measure_recovery(fs.disk, [rec])
+    [(intact, rr)] = measure_recovery(fs.disk, [rec])
     assert intact == [True, True, True, False]
     assert rr == 0.0
-    assert recovered == 0
 
 
 def test_partial_file_recovers_per_surviving_data_block():
     """All 6 ways to overwrite two of the four blocks of a metadata+3 file."""
     for lost in itertools.combinations(range(4), 2):
         fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1, 2, 3]))
-        rec = fs.create_file("/a.txt", 3 * 4096)
+        rec = fs.create_file("/a.txt", 3)
         fs.delete_file("/a.txt")
         overwrite(fs, list(lost))
-        [(intact, recovered, rr)] = measure_recovery(fs.disk, [rec])
+        [(intact, rr)] = measure_recovery(fs.disk, [rec])
         assert intact == [a not in lost for a in range(4)]
         if 0 in lost:  # metadata gone, nothing comes back
             assert rr == 0.0
         else:
-            assert rr == pytest.approx(1 / 3)
-            assert recovered == 4096
-
-
-def test_partial_recovered_bytes_capped_by_size():
-    fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1, 2]))
-    rec = fs.create_file("/a.txt", 4097)  # second data block holds one byte
-    fs.delete_file("/a.txt")
-    [(_, recovered, rr)] = measure_recovery(fs.disk, [rec])
-    assert recovered == 4097
-    assert rr == 1.0
+            assert rr == 1 / 3
 
 
 def test_recover_live_file_rejected():
     fs = make_fs(rows=4, cols=4)
-    gone = fs.create_file("/gone.txt", 4096)
-    rec = fs.create_file("/a.txt", 4096)
+    gone = fs.create_file("/gone.txt", 1)
+    rec = fs.create_file("/a.txt", 1)
     fs.delete_file("/gone.txt")
     with pytest.raises(ValueError):
         measure_recovery(fs.disk, [rec])
@@ -90,8 +78,8 @@ def test_recover_live_file_rejected():
 
 def test_weighted_rr_usage_weighted_mean():
     fs = make_fs(rows=8, cols=8, policy=ScriptedPolicy([0, 1], [2, 3]))
-    a = fs.create_file("/a.txt", 4096)
-    b = fs.create_file("/b.txt", 4096)
+    a = fs.create_file("/a.txt", 1)
+    b = fs.create_file("/b.txt", 1)
     fs.access("/a.txt")
     fs.access("/a.txt")  # a.uf_counter 3, b.uf_counter 1
     fs.delete_file("/a.txt")
@@ -103,11 +91,11 @@ def test_weighted_rr_usage_weighted_mean():
 
 def test_weighted_rr_obsolete_keeps_denominator_weight():
     fs = make_fs(rows=8, cols=8, policy=ScriptedPolicy([0, 1], [2, 3], [2, 3]))
-    a = fs.create_file("/a.txt", 4096)
-    b = fs.create_file("/b.txt", 4096)
+    a = fs.create_file("/a.txt", 1)
+    b = fs.create_file("/b.txt", 1)
     fs.delete_file("/a.txt")
     fs.delete_file("/b.txt")
-    fs.create_file("/c.txt", 4096)  # lands on all of b
+    fs.create_file("/c.txt", 1)  # lands on all of b
     assert b.status == "obsolete"
     assert weighted_rr(fs.disk, [a, b]) == pytest.approx(50.0)
 
@@ -115,7 +103,7 @@ def test_weighted_rr_obsolete_keeps_denominator_weight():
 def test_weighted_rr_edge_cases():
     fs = make_fs(rows=4, cols=4)
     assert weighted_rr(fs.disk, []) == 0.0
-    live = fs.create_file("/a.txt", 4096)
+    live = fs.create_file("/a.txt", 1)
     with pytest.raises(ValueError):
         weighted_rr(fs.disk, [live])
 
@@ -127,7 +115,7 @@ def test_weighted_rr_never_increases_as_blocks_die():
     for i in range(5):
         start = i * 4
         fs.policy._picks.append([start, start + 1, start + 2])
-        files.append(fs.create_file(f"/f{i}.txt", 2 * 4096))
+        files.append(fs.create_file(f"/f{i}.txt", 2))
         for _ in range(rng.randrange(3)):
             fs.access(f"/f{i}.txt")
     for i in range(5):
@@ -176,7 +164,7 @@ def test_usage_weighted_rr_is_one_sum_over_measured_ratios():
         retired = fs.deleted_files()
         want = weighted_rr(fs.disk, retired).hex()
         assert retired_rr(fs).hex() == want
-        measured = [rr for _, _, rr in measure_recovery(fs.disk, retired)]
+        measured = [rr for _, rr in measure_recovery(fs.disk, retired)]
         assert usage_weighted_rr(retired, measured, fs.retired_usage).hex() == want
         for f, rr in zip(retired, measured):
             if f.status == OBSOLETE:
@@ -187,14 +175,14 @@ def test_usage_weighted_rr_is_one_sum_over_measured_ratios():
 
 def test_access_time_seek_cost_mode():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1, 2, 3]))
-    fs.create_file("/a.txt", 3 * 4096)
+    fs.create_file("/a.txt", 3)
     # gaps 1+1+1 over (4-1) blocks * 16 total = 3/48
     assert access_time_term(fs) == pytest.approx(3 / 48)
 
 
 def test_access_time_seek_cost_scattered_and_single():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 5, 15], []))
-    fs.create_file("/a.txt", 2 * 4096)
+    fs.create_file("/a.txt", 2)
     fs.create_file("/b.txt", 0)
     # a: (5+10)/(2*16); b has under two blocks, costs nothing
     assert access_time_term(fs) == pytest.approx((15 / 32) / 2)
@@ -218,8 +206,8 @@ def test_perf_weights_validation():
 
 def test_performance_combines_both_terms():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1], [4, 5]))
-    fs.create_file("/a.txt", 4096)
-    fs.create_file("/b.txt", 4096)
+    fs.create_file("/a.txt", 1)
+    fs.create_file("/b.txt", 1)
     fs.delete_file("/a.txt")
     # wrr = 100, seek cost = 1/16 for the one remaining live file
     assert performance(fs, PerfWeights(0.0)) == pytest.approx(100.0)
@@ -230,8 +218,8 @@ def test_performance_combines_both_terms():
 
 def test_recovery_table_shape():
     fs = make_fs(rows=8, cols=8)
-    fs.create_file("/a.txt", 4096)
-    fs.create_file("/b.exe", 4096)
+    fs.create_file("/a.txt", 1)
+    fs.create_file("/b.exe", 1)
     fs.delete_file("/a.txt")
     fs.delete_file("/b.exe")
     rows = recovery_table(fs)
@@ -255,7 +243,7 @@ def test_report_files_equal_the_oracle_per_file(neighborhood, policy):
     assert [row["file_id"] for row in report.files] == [f.id for f in retired]
     assert any(f.status == OBSOLETE for f in retired)
     for row, f in zip(report.files, retired):
-        alive, meta, recovered, rr = recovery_of(fs.disk, f)
+        alive, meta, rr = recovery_of(fs.disk, f)
         assert row == {
             "file_id": f.id,
             "path": f.path,
@@ -265,7 +253,6 @@ def test_report_files_equal_the_oracle_per_file(neighborhood, policy):
             "total_blocks": len(f.block_list),
             "surviving_blocks": len(alive),
             "metadata_intact": meta,
-            "recovered_bytes": recovered,
             "rr": rr,
         }
         assert row["rr"].hex() == rr.hex()
@@ -301,7 +288,7 @@ def test_recoverable_index_matches_retired_list_after_every_op(neighborhood):
 def test_measure_recovery_equals_oracle_per_file(neighborhood):
     """One lineage read over many files gives each file, in order, what the
     block-by-block reference gives it alone: the surviving blocks, the
-    metadata flag, the recovered bytes and the ratio. The files are linked
+    metadata flag and the ratio. The files are linked
     and partial, whole, partly re-claimed and lost, zero-block and obsolete."""
     fs = make_fs(rows=8, cols=8, neighborhood=neighborhood)
     runner = WorkloadRunner(WorkloadConfig(rng_seed=6, total_ops=0, max_file_blocks=6), fs)
@@ -315,12 +302,12 @@ def test_measure_recovery_equals_oracle_per_file(neighborhood):
             continue
         for files in (fs.deleted_files(), fs.recoverable_files()):
             got = [
-                (frozenset(compress(f.block_list, intact)), bool(intact) and intact[0], rb, rr)
-                for f, (intact, rb, rr) in zip(files, measure_recovery(fs.disk, files), strict=True)
+                (frozenset(compress(f.block_list, intact)), bool(intact) and intact[0], rr)
+                for f, (intact, rr) in zip(files, measure_recovery(fs.disk, files), strict=True)
             ]
             assert got == [recovery_of(fs.disk, f) for f in files]
         for f in fs.deleted_files():
-            alive, _, _, rr = recovery_of(fs.disk, f)
+            alive, _, rr = recovery_of(fs.disk, f)
             if f.status == OBSOLETE:
                 seen.add("zero-block" if not f.block_list else OBSOLETE)
             elif len(alive) == len(f.block_list):

@@ -24,7 +24,8 @@ from apexsim.vfs import FileSystem
 from apexsim.workload import WorkloadConfig, run_simulation
 
 CONFIG = "[disk]\nrows = 6\ncols = 6\n"
-FIELDS = ["tick", "op", "path", "size_blocks", "offset", "len"]
+# "offset" and "len" are the keys write lines carried before "block"
+FIELDS = ["tick", "op", "path", "size_blocks", "block", "offset", "len"]
 REMOVE = object()
 
 
@@ -75,7 +76,8 @@ def mutated(line: int, field: str, value) -> str:
 @example(line=0, field="tick", value="7")
 @example(line=0, field="tick", value=True)
 @example(line=len(BASE) - 1, field="tick", value=10**400)
-@example(line=next(i for i, d in enumerate(BASE) if d["op"] == "write"), field="len", value=2**63)
+@example(line=next(i for i, d in enumerate(BASE) if d["op"] == "write"), field="block", value=2**63)
+@example(line=next(i for i, d in enumerate(BASE) if d["op"] == "write"), field="block", value=REMOVE)
 def test_replay_exits_zero_or_two_on_mutated_traces(line, field, value):
     text = mutated(line, field, value)
     with tempfile.TemporaryDirectory() as tmp:

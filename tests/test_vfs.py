@@ -39,7 +39,7 @@ def test_extension_table():
 
 def test_create_claims_metadata_plus_data_blocks():
     fs = make_fs(rows=4, cols=4)
-    rec = fs.create_file("/a.txt", 3 * 4096)
+    rec = fs.create_file("/a.txt", 3)
     assert rec.block_list == [0, 1, 2, 3]
     assert rec.status == USED
     assert rec.type_class == PARTIAL
@@ -61,41 +61,35 @@ def test_create_zero_byte_file_claims_nothing():
     assert rec.uf_counter == 2
 
 
-def test_create_rounds_partial_block_up():
-    fs = make_fs(rows=4, cols=4)
-    rec = fs.create_file("/a.txt", 4097)
-    assert len(rec.block_list) == 3  # metadata + two data blocks
-
-
 @pytest.mark.parametrize("policy", ["apex", "first-fit", "random"])
 def test_failed_create_leaves_disk_untouched(policy):
     """The policy's select raises before it draws or claims anything, so the
     next create picks what it would have picked had the failed one not run;
     for random that means the stream did not move."""
     fs = make_fs(rows=4, cols=4, policy=make_policy(policy, seed=7))
-    fs.create_file("/a.txt", 10 * 4096)
+    fs.create_file("/a.txt", 10)
     before, kept = fs.disk.snapshot_sha256(), [f.id for f in fs.recoverable_files()]
     twin = fs.copy()
     with pytest.raises(DiskFullError):
-        fs.create_file("/b.txt", 10 * 4096)
+        fs.create_file("/b.txt", 10)
     assert fs.disk.snapshot_sha256() == before
     assert [f.id for f in fs.recoverable_files()] == kept
     assert fs.free_blocks() == 5
-    rec, want = fs.create_file("/c.txt", 2 * 4096), twin.create_file("/c.txt", 2 * 4096)
+    rec, want = fs.create_file("/c.txt", 2), twin.create_file("/c.txt", 2)
     assert (rec.id, rec.block_list) == (want.id, want.block_list)
 
 
 def test_create_validation_errors():
     fs = make_fs(rows=4, cols=4)
-    fs.create_file("/a.txt", 4096)
+    fs.create_file("/a.txt", 1)
     with pytest.raises(FileExistsError):
-        fs.create_file("/a.txt", 4096)
+        fs.create_file("/a.txt", 1)
     with pytest.raises(ValueError):
-        fs.create_file("/", 4096)
+        fs.create_file("/", 1)
     with pytest.raises(ValueError):
         fs.create_file("/neg.txt", -1)
     with pytest.raises(FileNotFoundError):
-        fs.create_file("/nodir/x.txt", 4096)
+        fs.create_file("/nodir/x.txt", 1)
 
 
 def test_flat_namespace():
@@ -104,10 +98,10 @@ def test_flat_namespace():
     fs = make_fs(rows=4, cols=4)
     before, kept = fs.disk.snapshot_sha256(), [f.id for f in fs.recoverable_files()]
     with pytest.raises(FileNotFoundError):
-        fs.create_file("/a/b.txt", 4096)
+        fs.create_file("/a/b.txt", 1)
     assert fs.disk.snapshot_sha256() == before
     assert [f.id for f in fs.recoverable_files()] == kept
-    rec = fs.create_file("/a.txt", 4096)
+    rec = fs.create_file("/a.txt", 1)
     assert fs.lookup("/a.txt") is rec
     assert rec.path == "/a.txt"
     with pytest.raises(FileNotFoundError):
@@ -121,7 +115,7 @@ def test_flat_namespace():
 
 def test_delete_frees_blocks_and_keeps_lineage():
     fs = make_fs(rows=4, cols=4)
-    rec = fs.create_file("/a.txt", 2 * 4096)
+    rec = fs.create_file("/a.txt", 2)
     fs.access("/a.txt")
     fs.delete_file("/a.txt")
     assert rec.status == DELETED
@@ -131,13 +125,13 @@ def test_delete_frees_blocks_and_keeps_lineage():
         assert fs.disk.uf[addr] == 2.0  # frozen at its live value
         assert fs.disk.owner[addr] == rec.id
     # fully intact right after the delete
-    assert measure_recovery(fs.disk, [rec]) == [([True, True, True], 2 * 4096, 1.0)]
+    assert measure_recovery(fs.disk, [rec]) == [([True, True, True], 1.0)]
 
 
 def test_delete_linkage_flag_per_type_class():
     fs = make_fs(rows=8, cols=8)
-    partial = fs.create_file("/a.txt", 4096)
-    linked = fs.create_file("/b.exe", 4096)
+    partial = fs.create_file("/a.txt", 1)
+    linked = fs.create_file("/b.exe", 1)
     fs.delete_file("/a.txt")
     fs.delete_file("/b.exe")
     assert all(fs.disk.lf[a] == 0.0 for a in partial.block_list)
@@ -146,8 +140,8 @@ def test_delete_linkage_flag_per_type_class():
 
 def test_delete_linkage_flag_inverted_rule():
     fs = make_fs(rows=8, cols=8, invert_link_rule=True)
-    partial = fs.create_file("/a.txt", 4096)
-    linked = fs.create_file("/b.exe", 4096)
+    partial = fs.create_file("/a.txt", 1)
+    linked = fs.create_file("/b.exe", 1)
     fs.delete_file("/a.txt")
     fs.delete_file("/b.exe")
     assert all(fs.disk.lf[a] == 1.0 for a in partial.block_list)
@@ -156,7 +150,7 @@ def test_delete_linkage_flag_inverted_rule():
 
 def test_delete_twice_and_missing_path():
     fs = make_fs(rows=4, cols=4)
-    fs.create_file("/a.txt", 4096)
+    fs.create_file("/a.txt", 1)
     fs.delete_file("/a.txt")
     with pytest.raises(FileNotFoundError):
         fs.delete_file("/a.txt")
@@ -166,9 +160,9 @@ def test_delete_twice_and_missing_path():
 
 def test_path_reusable_after_delete():
     fs = make_fs(rows=4, cols=4)
-    first = fs.create_file("/a.txt", 4096)
+    first = fs.create_file("/a.txt", 1)
     fs.delete_file("/a.txt")
-    second = fs.create_file("/a.txt", 4096)
+    second = fs.create_file("/a.txt", 1)
     assert second.id != first.id
     assert fs.lookup("/a.txt").id == second.id
 
@@ -177,8 +171,8 @@ def test_read_round_trip_and_usage_bump():
     """A read is one use of the file: usage moves on every block and on the
     record."""
     fs = make_fs(rows=4, cols=4)
-    rec = fs.create_file("/a.bin", 5120)  # metadata + 2 data blocks
-    fs.create_file("/b.bin", 4096)
+    rec = fs.create_file("/a.bin", 2)  # metadata + 2 data blocks
+    fs.create_file("/b.bin", 1)
     assert fs.access("/a.bin") is fs.lookup("/a.bin") is rec
     assert rec.uf_counter == 2
     assert fs.disk.uf.tolist() == [2, 2, 2, 1, 1] + [0] * 11
@@ -187,35 +181,17 @@ def test_read_round_trip_and_usage_bump():
         fs.access("/a.bin")
 
 
-def test_write_spanning_two_blocks():
-    """A write inside the file is one use of it, however many blocks it
-    touches: usage moves on every block of the file and nothing else does."""
-    fs = make_fs(rows=4, cols=4)
-    rec = fs.create_file("/a.bin", 3 * 4096)
-    others = ("hf", "sf", "lf", "used_mask", "owner")
-    before = {name: getattr(fs.disk, name).tobytes() for name in others}
-    fs.write_file("/a.bin", 4090, 10)  # the last 6 bytes of d0, the first 4 of d1
-    fs.write_file("/a.bin", 4096, 8192)  # exactly d1 and d2
-    assert fs.disk.uf[rec.block_list].tolist() == [3, 3, 3, 3]
-    assert rec.uf_counter == 3
-    assert {name: getattr(fs.disk, name).tobytes() for name in others} == before
-
-
-def test_zero_length_write_still_counts_as_usage():
-    fs = make_fs(rows=4, cols=4)
-    rec = fs.create_file("/a.bin", 4096)
-    fs.write_file("/a.bin", 0, 0)
-    assert rec.uf_counter == 2
-    assert all(fs.disk.uf[a] == 2.0 for a in rec.block_list)
-
-
 def test_write_outside_size_rejected():
+    """A write names a data block of the file: not the metadata block's
+    place below 0, not a block past the last, and not any block of a file
+    with no blocks."""
     fs = make_fs(rows=4, cols=4)
-    rec = fs.create_file("/a.bin", 4096)
+    rec = fs.create_file("/a.bin", 2)
+    fs.create_file("/empty.bin", 0)
     before, kept = fs.disk.snapshot_sha256(), [f.id for f in fs.recoverable_files()]
-    for offset, length in ((4090, 10), (-1, 1), (0, -1), (4097, 0)):
+    for path, block in (("/a.bin", -1), ("/a.bin", 2), ("/a.bin", 4097), ("/empty.bin", 0)):
         with pytest.raises(ValueError):
-            fs.write_file("/a.bin", offset, length)
+            fs.write_file(path, block)
     assert fs.disk.snapshot_sha256() == before
     assert [f.id for f in fs.recoverable_files()] == kept
     assert rec.uf_counter == 1
@@ -223,12 +199,12 @@ def test_write_outside_size_rejected():
 
 def test_obsolete_when_a_create_takes_the_last_lineage_block():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1], [0, 1], [2, 3]))
-    a = fs.create_file("/a.txt", 4096)
+    a = fs.create_file("/a.txt", 1)
     fs.delete_file("/a.txt")
     assert a.status == DELETED
-    fs.create_file("/b.txt", 4096)  # lands exactly on a's old blocks
+    fs.create_file("/b.txt", 1)  # lands exactly on a's old blocks
     assert a.status == OBSOLETE
-    c = fs.create_file("/c.txt", 4096)
+    c = fs.create_file("/c.txt", 1)
     fs.delete_file("/c.txt")
     assert c.status == DELETED  # c still fully recoverable
     assert a.status == OBSOLETE
@@ -236,9 +212,9 @@ def test_obsolete_when_a_create_takes_the_last_lineage_block():
 
 def test_obsolete_partial_survivor_stays_deleted():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1, 2], [1, 3]))
-    a = fs.create_file("/a.txt", 2 * 4096)
+    a = fs.create_file("/a.txt", 2)
     fs.delete_file("/a.txt")
-    fs.create_file("/b.txt", 4096)  # takes block 1, leaves 0 and 2
+    fs.create_file("/b.txt", 1)  # takes block 1, leaves 0 and 2
     assert a.status == DELETED
 
 
@@ -246,15 +222,15 @@ def test_obsolete_status_of_every_retired_file_in_delete_order():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy(
         [], [0, 1], [2, 3, 4], [5, 6], [0, 1], [3, 7]))
     empty = fs.create_file("/empty.txt", 0)
-    gone = fs.create_file("/gone.txt", 4096)
-    partial = fs.create_file("/partial.txt", 2 * 4096)
-    kept = fs.create_file("/kept.txt", 4096)
+    gone = fs.create_file("/gone.txt", 1)
+    partial = fs.create_file("/partial.txt", 2)
+    kept = fs.create_file("/kept.txt", 1)
     for rec in (kept, empty, partial, gone):
         fs.delete_file(rec.path)
     assert empty.status == OBSOLETE  # no blocks: nothing to recover from the start
     assert (gone.status, partial.status, kept.status) == (DELETED, DELETED, DELETED)
-    b = fs.create_file("/b.txt", 4096)  # overwrites all of gone
-    c = fs.create_file("/c.txt", 4096)  # takes block 3 of partial, leaves 2 and 4
+    b = fs.create_file("/b.txt", 1)  # overwrites all of gone
+    c = fs.create_file("/c.txt", 1)  # takes block 3 of partial, leaves 2 and 4
     assert (empty.status, gone.status) == (OBSOLETE, OBSOLETE)
     assert (partial.status, kept.status) == (DELETED, DELETED)
     assert fs.deleted_files() == [kept, empty, partial, gone]  # delete order
@@ -267,17 +243,17 @@ def test_obsolete_status_of_every_retired_file_in_delete_order():
 
 def test_lineage_broken_by_a_later_claim():
     fs = make_fs(rows=4, cols=4, policy=ScriptedPolicy([0, 1], [0, 1]))
-    a = fs.create_file("/a.txt", 4096)
+    a = fs.create_file("/a.txt", 1)
     fs.delete_file("/a.txt")
-    b = fs.create_file("/b.txt", 4096)
+    b = fs.create_file("/b.txt", 1)
     fs.delete_file("/b.txt")
     # both files once owned blocks 0 and 1; the owner array now names only b
-    assert [rr for _, _, rr in measure_recovery(fs.disk, [a, b])] == [0.0, 1.0]
+    assert [rr for _, rr in measure_recovery(fs.disk, [a, b])] == [0.0, 1.0]
 
 
 def test_record_copy_equals_original_on_every_slot():
     fs = make_fs(rows=4, cols=4)
-    fs.create_file("/a.txt", 2 * 4096)
+    fs.create_file("/a.txt", 2)
     rec = fs.access("/a.txt")
     twin = rec.copy()
     assert type(twin) is FileRecord

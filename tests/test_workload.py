@@ -4,7 +4,6 @@ import json
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,21 +29,19 @@ from conftest import make_fs
 
 
 class FakeFile:
-    def __init__(self, path, block_list, size_bytes):
+    def __init__(self, path, block_list):
         self.path = path
         self.block_list = block_list
-        self.size_bytes = size_bytes
         self.data_blocks = max(len(block_list) - 1, 0)
 
 
 class FakeState:
     """Hand-built view for driving generate_op without a real disk."""
 
-    def __init__(self, files, total=1000, used=0, tick=1, block=4096):
+    def __init__(self, files, total=1000, used=0, tick=1):
         self.tick = tick
         self.total_blocks = total
         self.used_blocks = used
-        self.block_size = block
         self._files = files
         self._seq = 0
 
@@ -60,7 +57,7 @@ class FakeState:
 
 
 def one_file():
-    return [FakeFile("/f0.txt", [0, 1, 2], 2 * 4096)]
+    return [FakeFile("/f0.txt", [0, 1, 2])]
 
 
 def test_empty_namespace_forces_create():
@@ -208,7 +205,7 @@ def test_trace_file_round_trip(tmp_path):
 def test_op_json_round_trip_all_kinds():
     ops = [
         WorkloadOp(1, "create", "/a.txt", size_blocks=3),
-        WorkloadOp(2, "write", "/a.txt", offset=100, length=50),
+        WorkloadOp(2, "write", "/a.txt", block=1),
         WorkloadOp(3, "read", "/a.txt"),
         WorkloadOp(4, "delete", "/a.txt"),
     ]
@@ -222,25 +219,22 @@ def test_op_json_round_trip_all_kinds():
 
 def test_op_loop_keeps_no_history():
     """The runner's net heap growth per op is the file system's own state
-    (retired files), not a record of the ops, and it does not grow with the
-    block size: about 60 B/op on example.ini at 4 KiB and at 64 KiB blocks,
+    (retired files), not a record of the ops: about 60 B/op on example.ini,
     against 274 B/op while the runner kept every op."""
     cfg = load_config(str(Path(__file__).parent.parent / "configs" / "example.ini"))
-    for block_size in (cfg.geometry.block_size_bytes, 65536):
-        geometry = replace(cfg.geometry, block_size_bytes=block_size)
-        disk = new_disk(geometry, cfg.coefficients)
-        fs = FileSystem(disk, policy=make_policy(cfg.policy_kind, seed=cfg.workload.rng_seed))
-        runner = WorkloadRunner(cfg.workload, fs)
-        runner.run(2_000)
-        ops = 10_000
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            runner.run(ops)
-            grown = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert grown / ops <= 150, f"{grown / ops:.0f} B/op retained at {block_size} B blocks"
+    disk = new_disk(cfg.geometry, cfg.coefficients)
+    fs = FileSystem(disk, policy=make_policy(cfg.policy_kind, seed=cfg.workload.rng_seed))
+    runner = WorkloadRunner(cfg.workload, fs)
+    runner.run(2_000)
+    ops = 10_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        runner.run(ops)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown / ops <= 150, f"{grown / ops:.0f} B/op retained"
 
 
 def test_malformed_trace_lines_rejected():
@@ -250,7 +244,10 @@ def test_malformed_trace_lines_rejected():
         '{"op":"read","path":"/a"}',  # no tick
         '{"tick":1,"op":"defrag","path":"/a"}',
         '{"tick":1,"op":"create","path":"/a"}',  # create without size_blocks
-        '{"tick":1,"op":"write","path":"/a","offset":0}',  # write without len
+        '{"tick":1,"op":"write","path":"/a","offset":0}',  # write without block
+        '{"tick":1,"op":"write","path":"/a","offset":0,"len":4096}',  # an old write line
+        '{"tick":1,"op":"write","path":"/a","block":-1}',
+        '{"tick":1,"op":"write","path":"/a","block":"0"}',
     ]
     for line in bad:
         with pytest.raises(TraceError):
@@ -278,7 +275,7 @@ def test_replay_missing_path_surfaces_as_lookup_error():
 def test_hand_written_trace_on_tiny_disk():
     ops = [
         WorkloadOp(1, "create", "/a.txt", size_blocks=1),
-        WorkloadOp(2, "write", "/a.txt", offset=0, length=16),
+        WorkloadOp(2, "write", "/a.txt", block=0),
         WorkloadOp(3, "delete", "/a.txt"),
     ]
     fs = make_fs(rows=2, cols=2)
