@@ -40,48 +40,48 @@ SIM_WORKLOAD = WorkloadConfig(
 
 # The trace records op outcomes, not block addresses, so every policy and
 # neighborhood replays the same op stream.
-SIM_TRACE_GOLDEN = "8875caaa729bae80e3c4faff82ca8ef4fd09fcba0664afbedf113a8e02a07f60"
+SIM_TRACE_GOLDEN = "4df7cd5318bfa99d5e239939cc824cd5a0a5c3d43f37aad69b035d4509560b81"
 # (neighborhood, policy) -> (report sha256, factor trajectory sha256)
 SIM_GOLDEN = {
     ("grid-row", "apex"): (
-        "013c3fe90b53dc7935c00909b6e42d2e5fdbd39ebf43cb127ba9f549e03c5d6b",
+        "74542eda4730ecdb5a21ab5dc73405bc76a3f9a73dbfd1a2f00bee74918d9548",
         "197f74a98acd3ec88894a73679b1680cd66f1af91c1c93584f4bd26e329b1517",
     ),
     ("grid-row", "first-fit"): (
-        "b817e9878d2ad0b6ea5860d29217234ba7a1c4edc9893f042cf7708622676abb",
+        "e658a11c5aa4b44c01d1de032c708cbc616e0352755ec0458ff5c81be2cb68e5",
         "e2aba3b50a7a1d025877da03f84e1aebd46a869890498c500c9b3c64a6a6eb6b",
     ),
     ("grid-row", "random"): (
-        "cd37c4d6f1fdcc63e59e883cd38431eeac564823126f5625cf6d402de2d4eabc",
+        "0e5f65c83d7ef95bbc58b1ff503512fe7a6c693044e5c71ed02f69af6e07d6d0",
         "87cf27ce857cfcc30c6f5be84da25f4672496132cdbf793c74ee8595aecef657",
     ),
     ("none", "apex"): (
-        "5041d1c8a665a08048060e5ae599fd351eecff20c7b1d9ca483351f12266c198",
+        "822375d02da645faed9093aa869e8b6b6c4cbd95c66ea01065572a223f2b5529",
         "f7d92d38df0c32689c16f518e104cc450f21377e05015495588640ca9afad7bf",
     ),
     ("none", "first-fit"): (
-        "e7076f318b9b196faa8d13db53118278a327fcd914060144abd231b4f2b1001b",
+        "12d931e5b4762d606538327de97aa1f242121c1ddfc6ece539a2828af08365f1",
         "06fc46627feb236ceeb369c30a5e4ab36d169b0786586dde8e8e0633ea60f5bf",
     ),
     ("none", "random"): (
-        "946d601f1a486fe52d7652f78fcd2bf09ed7e06d5d77d484097c66c6ac0b89a3",
+        "ff156df1782a9bb0582fca103cb145f69ec9b4ee3ca76cf73c209462c90b42df",
         "e7abda7983f6f19fb34e36377f06b903052c0f8c7e40cea828cbae4f5d5fe8c4",
     ),
     ("contiguous:3", "apex"): (
-        "7252d249fba445230e2a6dde1e4f56baf85552f84e7f8bd4a3d8633083be061c",
+        "67ee7de78af6300f9330594268304f097f3495c73a90422dd18ec892699dc0cf",
         "8dab82a35ad322502a3123449d9c6015906aa9b499c725fb0aab8ac5db172af1",
     ),
     ("contiguous:3", "first-fit"): (
-        "f282921cbd3a5e5b9f2df9adf738e5a79f769f856c65a4acdf9d468af8762107",
+        "c52f5ea713e7634d4df4012d8afd4c81074d6fe66e7ead275f37a3ea848d50dc",
         "51a0476677ca2bd8d18398e779d59c9328a5d79072676dcc1876e29403f6b2b5",
     ),
     ("contiguous:3", "random"): (
-        "d3c7ef6471339f541fd1b36ac6875ccc2da0d818bdfe6c9fff1210ff3d88dd93",
+        "d5ae682abaec7c6ed0f990de22824641c0181155fe1a7009791a7ef6f6bcdd20",
         "7595e7ee57a695cd6f47acffc6c3557503d94b006adce16bc43d60db11ddee8c",
     ),
 }
-COMPARE_GOLDEN = "0fe614a548be6fbb526da0bf2a450d9c885c74812b69f32714838d08d5c79126"
-TRAIN_GOLDEN = "e5f006ae075cea182741f52839747c8f445763be5663cfb5063bead8b19b5591"
+COMPARE_GOLDEN = "a4cfa7bc4e5210c5e60d646375c52e33bfc8355b8dee8ecc4239f5d445d5e145"
+TRAIN_GOLDEN = "fd6027caee2097b9bc292b6b81fa7f032b480c55378d5fe6dfd3ed884886431c"
 
 # The report file embeds the config file's sha256, so the config text is part
 # of the pin.
@@ -107,9 +107,9 @@ policies = apex,first-fit,random
 """
 # command -> sha256 of the .json report file it writes
 CLI_GOLDEN = {
-    "compare": "bb001781daafc54cc33e4ec6b9ac11e1c03ecc8300edfe223d47712c897e3166",
-    "replay": "5acc46a9931ceb76550d6489049a5b17c7708090d69973acc503bb42cbc49139",
-    "simulate": "cf31d3a7b10daaa25a663ee72844645fa73b224e2dd8d49560da37a0d9f46fe7",
+    "compare": "23bb79bd4f12d63d449a94c6d0ce69edb61a222954c56aea61b6721639204e9c",
+    "replay": "5713d60dd4318a07bbe71dd4419452e52dc98b3553380afe9e4c22e2fb4148af",
+    "simulate": "51dd8c493a7441fc02edf24e4aa83831b9770ba94325444929d23a5c9604dd97",
 }
 
 
