@@ -213,8 +213,8 @@ class FileSystem:
         return rec
 
     def write_file(self, path: str, block: int) -> None:
-        """Overwrite data block block (0-based) of the file; files never grow
-        here.
+        """Overwrite one data block of the file, numbered from 0 after the
+        metadata block; files never grow here.
 
         The block is checked, then the write is one use of the file, as a read
         is: the blocks' lineage does not move, so no block state but usage

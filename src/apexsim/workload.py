@@ -306,7 +306,7 @@ def replay_trace(ops, fs, weights: PerfWeights = PerfWeights()) -> SimReport:
             raise TraceError(f"tick {op.tick} does not increase (previous {last_tick})")
         last_tick = op.tick
         # trace input: a write outside its file is a TraceError (exit 2), not
-        # the ValueError write_file raises for a caller's bad range (exit 1)
+        # the ValueError write_file raises for a caller's bad block (exit 1)
         if op.kind == OP_WRITE and op.block >= fs.lookup(op.path).data_blocks:
             raise TraceError(f"tick {op.tick}: write of data block {op.block} outside {op.path}")
         fs.disk.clock = op.tick

@@ -611,6 +611,8 @@ def test_cli_recover_is_not_a_command(tmp_path, capsys):
         ("simulate", MINIMAL + "[train]\nmin_budget = -1\n", "min_budget"),
         ("simulate", "[disk]\nrows = 2\ncols = 2\nneighborhood = contiguous:100000000000\n",
          "1048576"),
+        # block_size is no key of the grammar, at any value
+        ("simulate", "[disk]\nblock_size = 100000000000000\n", "[disk] block_size: unknown key"),
         ("simulate", "[disk]\nrows = 1025\ncols = 1024\n", "1048576"),
         ("simulate", MINIMAL + "[compare]\nseed_count = 100000000000\n", "10000"),
         ("simulate", "[disk]\nneighborhood = contiguous_x:2\n", "contiguous_x:2"),
@@ -624,7 +626,6 @@ def test_cli_recover_is_not_a_command(tmp_path, capsys):
          "[train] mode: unknown key"),
         ("simulate", "[DEFAULT]\nrows = 4\n" + MINIMAL, "[DEFAULT] rows: unknown key"),
         ("simulate", MINIMAL + "[perf]\nalpha = 1.0\n", "[perf] alpha: unknown key"),
-        ("simulate", "[disk]\nblock_size = 4096\n", "[disk] block_size: unknown key"),
         ("train", MINIMAL + "[train]\nmin_budget = 2\noin_per_min = 20\ntau = 50\n",
          "[train] tau: unknown key"),
         ("compare", MINIMAL + "[compare]\nprimary_count = 2\nseeds = 0,3\n",
@@ -633,11 +634,10 @@ def test_cli_recover_is_not_a_command(tmp_path, capsys):
     ids=["unknown-compare-policy", "unknown-primary-type", "disk-smaller-than-corpus",
          "negative-secondary-target",
          "nan-op-mix", "coefficient-beyond-bound", "bad-train-value-in-simulate",
-         "span-beyond-cap", "disk-beyond-cap", "seed-count-beyond-cap",
+         "span-beyond-cap", "block-size-beyond-cap", "disk-beyond-cap", "seed-count-beyond-cap",
          "contiguous-prefixed-kind", "contiguous-longer-kind", "non-boolean-flag",
          "key-before-any-section", "misspelt-key", "unknown-section", "train-mode-key",
-         "default-section-key", "perf-alpha-key", "disk-block-size-key", "train-tau-key",
-         "compare-seeds-key"],
+         "default-section-key", "perf-alpha-key", "train-tau-key", "compare-seeds-key"],
 )
 def test_cli_rejects_accepted_but_unusable_values(tmp_path, capsys, command, body, named):
     """Values the grammar parses but no run can use, and sections or keys it
