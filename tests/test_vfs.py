@@ -182,9 +182,9 @@ def test_read_round_trip_and_usage_bump():
 
 
 def test_write_outside_size_rejected():
-    """A write names a data block of the file: not the metadata block's
-    place below 0, not a block past the last, and not any block of a file
-    with no blocks."""
+    """A write names one of the file's data blocks, numbered from 0: a
+    negative block, one past the last, or any block of a file with no
+    blocks is rejected and moves nothing."""
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.bin", 2)
     fs.create_file("/empty.bin", 0)
