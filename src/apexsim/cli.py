@@ -9,10 +9,8 @@ input or config validation failure, 1 internal invariant violation.
 
 import argparse
 import csv
-import hashlib
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 
 from .compare import compare_report, run_compare
@@ -26,17 +24,17 @@ from .vfs import FileSystem
 from .workload import read_trace, replay_trace, run_simulation, write_trace
 
 
-def _write_report(args, command, seed, payload, table=None) -> str:
+def _write_report(args, cfg, command, seed, payload, table=None) -> str:
     """Write a run's report, with the report format's name and version and
-    the config file's sha256, to <command>-<seed>-<stamp>.json in the output
-    directory, and its table, if any, to the .csv of the same name. Returns
-    that name without extension, for any further file of the run."""
+    the sha256 of the config bytes cfg was parsed from, to
+    <command>-<seed>-<stamp>.json in the output directory, and its table, if
+    any, to the .csv of the same name. Returns that name without extension,
+    for any further file of the run."""
     # microsecond resolution so back-to-back runs never collide on a name
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
     os.makedirs(args.out, exist_ok=True)
     base = os.path.join(args.out, f"{command}-{seed}-{stamp}")
-    with open(args.config, "rb") as fh:
-        payload["config_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    payload["config_sha256"] = cfg.config_sha256
     # a change to any report's keys bumps the version
     payload.update(format="apexsim-report", version=3)
     with open(f"{base}.json", "w") as fh:
@@ -53,18 +51,17 @@ def _fresh_fs(cfg):
     return FileSystem(disk, policy=policy, invert_link_rule=cfg.invert_link_rule)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, cfg) -> int:
     """Run a seeded workload; write the report and its trace."""
     # the report is written before the trace, so a trace path that names a
     # directory, or whose directory does not exist, is rejected before the run
     if args.trace and (os.path.isdir(args.trace)
                        or not os.path.isdir(os.path.dirname(args.trace) or ".")):
         raise ConfigError(f"trace path is a directory or its directory is missing: {args.trace}")
-    cfg = load_config(args.config, seed_override=args.seed, policy_override=args.policy)
     fs = _fresh_fs(cfg)
     report, trace = run_simulation(cfg.workload, fs, cfg.weights)
     seed = cfg.workload.rng_seed
-    base = _write_report(args, "simulate", seed, report.to_dict())
+    base = _write_report(args, cfg, "simulate", seed, report.to_dict())
     trace_path = args.trace or f"{base}.trace.jsonl"
     write_trace(trace, trace_path)
     print(
@@ -75,17 +72,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args, cfg) -> int:
     """Re-execute a recorded trace on a fresh disk and report."""
     if not args.trace:
         raise ConfigError("replay requires --trace PATH")
-    cfg = load_config(args.config, seed_override=args.seed, policy_override=args.policy)
     ops = read_trace(args.trace)
     fs = _fresh_fs(cfg)
     report = replay_trace(ops, fs, cfg.weights)
     payload = report.to_dict()
     payload["trace_path"] = os.path.basename(args.trace)
-    base = _write_report(args, "replay", cfg.workload.rng_seed, payload)
+    base = _write_report(args, cfg, "replay", cfg.workload.rng_seed, payload)
     print(
         f"replay ops={report.executed_ops} wrr={report.weighted_rr:.4f} "
         f"snapshot={report.snapshot_sha256[:12]} report={base}.json"
@@ -93,12 +89,11 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, cfg) -> int:
     """Tune the ranking coefficients; write the report and per-interval table."""
-    cfg = load_config(args.config, seed_override=args.seed)
     report = train(cfg.train_config())
     seed = cfg.workload.rng_seed
-    base = _write_report(args, "train", seed, report.to_dict(), report.csv_rows())
+    base = _write_report(args, cfg, "train", seed, report.to_dict(), report.csv_rows())
     first = report.first_min_p
     # a ratio to a first objective of 0 says nothing, whatever the final one
     gain = f"{report.final_greedy_p / first:.2f}x" if first > 0 else "n/a"
@@ -110,14 +105,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args, cfg) -> int:
     """Measure primary-corpus recovery under each policy as secondary data floods in."""
-    cfg = load_config(args.config, seed_override=None, policy_override=None)
     settings = cfg.compare_settings
-    if args.seed is not None:
-        settings = replace(settings, seeds=(args.seed,))
-    if args.policy is not None:
-        settings = replace(settings, policies=(args.policy,))
     rows = run_compare(cfg.geometry, cfg.coefficients, settings, cfg.invert_link_rule)
     header = ["policy", "secondary_blocks", "seed", "weighted_rr"]
     header += [f"rr_file_{i}" for i in range(settings.primary_count)]
@@ -127,7 +117,7 @@ def cmd_compare(args) -> int:
         for row in rows
     ]
     base = _write_report(
-        args, "compare", settings.seeds[0],
+        args, cfg, "compare", settings.seeds[0],
         compare_report(settings, rows, cfg.geometry, cfg.coefficients), table,
     )
     print(
@@ -178,7 +168,7 @@ def main(argv=None) -> int:
     try:
         if os.path.exists(args.out) and not os.path.isdir(args.out):
             raise ConfigError(f"output path is not a directory: {args.out}")
-        return handler(args)
+        return handler(args, load_config(args.config, args.seed, getattr(args, "policy", None)))
     except (ConfigError, TraceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

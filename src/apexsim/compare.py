@@ -142,7 +142,7 @@ def run_flood(phase: FileSystem, settings: CompareSettings, targets: tuple, seed
         if free < 2:
             break
         size = rng.randint(settings.secondary_min_blocks, settings.secondary_max_blocks)
-        size = max(min(size, pending[-1] - written, free - 1), 1)
+        size = min(size, pending[-1] - written, free - 1)
         seq += 1
         path = f"/secondary{seq:04d}.dat"
         # the size is a min over (drawn, blocks left, free - 1), so a smaller

@@ -11,8 +11,10 @@ value in any section fails every command, whichever sections it reads.
 """
 
 import configparser
+import hashlib
+import io
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .compare import CompareSettings
 from .errors import ConfigError
@@ -35,6 +37,7 @@ class AppConfig:
     policy_kind: str = APEX
     coefficients: Hyperparams = Hyperparams(4, 7, 1, 9)
     invert_link_rule: bool = False
+    config_sha256: str = field(default="", compare=False)  # of the bytes load_config parsed
 
     def train_config(self) -> TrainConfig:
         """The [train] settings, on this config's disk, workload and weights."""
@@ -118,12 +121,12 @@ KEYS = {
 def load_config(path, seed_override=None, policy_override=None) -> AppConfig:
     if not os.path.isfile(path):
         raise ConfigError(f"no config file at {path}")
+    # the one read: an unreadable config fails here (OSError, exit 2), not on defaults
+    with open(path, "rb") as fh:
+        data = fh.read()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    # read_file, not read: read skips a file it cannot open, and an
-    # unreadable config must fail here (OSError, exit 2), not run on defaults
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh, source=path)
+    try:  # newline=None reads line ends as a text-mode open does
+        parser.read_file(io.StringIO(data.decode("utf-8"), newline=None), source=path)
     except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from None
     for section in parser:  # [DEFAULT] first: a key there would reach every section
@@ -174,6 +177,12 @@ def load_config(path, seed_override=None, policy_override=None) -> AppConfig:
     training = build("train", TrainConfig, geometry=geometry, workload=workload,
                      weights=weights, schedule=build("train", TrainSchedule))
     read("compare")
+    # as with [policy] kind, the file's seeds and policies are checked even when overridden
     compare_settings = build("compare", CompareSettings)
+    if seed_override is not None:
+        compare_settings = replace(compare_settings, seeds=(seed_override,))
+    if policy_override is not None:
+        compare_settings = replace(compare_settings, policies=(policy_override,))
     return AppConfig(**pick(AppConfig), geometry=geometry, workload=workload,
-                     weights=weights, training=training, compare_settings=compare_settings)
+                     weights=weights, training=training, compare_settings=compare_settings,
+                     config_sha256=hashlib.sha256(data).hexdigest())

@@ -57,8 +57,8 @@ class Neighborhood:
     def __post_init__(self):
         if self.kind not in (GRID_ROW, CONTIGUOUS, NONE):
             raise ValueError(f"unknown neighborhood kind: {self.kind!r}")
-        # the window sums allocate 2 * span + 1 entries, so a span is capped
-        # like a disk; DiskGeometry is looked up only once a span is checked
+        # a span is capped like a disk only to bound the grammar: the spatial
+        # pass clamps it to n - 1; DiskGeometry is looked up only once a span is checked
         if self.kind == CONTIGUOUS and not 1 <= self.span <= DiskGeometry.MAX_BLOCKS:
             raise ValueError(
                 f"contiguous neighborhood needs span in 1..{DiskGeometry.MAX_BLOCKS}"

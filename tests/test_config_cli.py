@@ -3,6 +3,7 @@
 import argparse
 import builtins
 import errno
+import hashlib
 import json
 import os
 import re
@@ -149,6 +150,8 @@ def test_load_config_overrides(tmp_path):
     cfg = load_config(path, seed_override=99, policy_override="random")
     assert cfg.workload.rng_seed == 99
     assert cfg.policy_kind == "random"
+    assert cfg.compare_settings.seeds == (99,)
+    assert cfg.compare_settings.policies == ("random",)
 
 
 def test_load_config_errors_name_the_file(tmp_path):
@@ -192,7 +195,7 @@ def test_cli_simulate_writes_report_and_trace(tmp_path):
     doc = json.loads(Path(report_path).read_text())
     assert doc["seed"] == 7
     assert sum(doc["op_counts"].values()) == 120
-    assert doc["config_sha256"]
+    assert doc["config_sha256"] == hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
     assert len(Path(trace_path).read_text().splitlines()) == 120
 
 
@@ -249,11 +252,8 @@ def keys_of(doc):
             yield from keys_of(value)
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_cli_report_is_format_version_3_without_derivable_keys(tmp_path, command):
-    """Every command's report file names its format and version 3, and none
-    of its keys restates the rest of it."""
-    body = MINIMAL + """
+# small enough that every command runs in well under a second
+EVERY_COMMAND = MINIMAL + """
 [train]
 min_budget = 2
 oin_per_min = 20
@@ -266,8 +266,14 @@ secondary_min_blocks = 2
 secondary_max_blocks = 3
 seed_count = 1
 """
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_report_is_format_version_3_without_derivable_keys(tmp_path, command):
+    """Every command's report file names its format and version 3, and none
+    of its keys restates the rest of it."""
     out = tmp_path / "out"
-    argv = [command, "--config", write_cfg(tmp_path, body), "--out", str(out)]
+    argv = [command, "--config", write_cfg(tmp_path, EVERY_COMMAND), "--out", str(out)]
     if command == "replay":
         trace = tmp_path / "run.trace.jsonl"
         trace.write_text(CREATE)
@@ -498,18 +504,61 @@ def test_cli_bad_config_or_out_path_fails_before_the_run(tmp_path, capsys, monke
     assert out.is_file() if bad == "out" else not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "replay"])
-def test_cli_policy_override_does_not_hide_a_bad_policy_kind(tmp_path, capsys, command):
-    """--policy replaces the file's [policy] kind, but an invalid kind in the
-    file still fails the command with exit 2, naming it, and writes no report."""
-    cfg, out = write_cfg(tmp_path, MINIMAL + "[policy]\nkind = bogus\n"), tmp_path / "out"
+RUN_FUNCTIONS = {"simulate": "run_simulation", "replay": "replay_trace", "train": "train",
+                 "compare": "run_compare"}
+
+
+@pytest.mark.parametrize("change", ["deleted", "rewritten"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_report_hashes_the_config_bytes_the_run_parsed(tmp_path, monkeypatch, command, change):
+    """The config is read once, before the run: removed or rewritten while the
+    command runs, it neither fails the finished run nor changes the report's
+    config_sha256, which is the sha256 of the bytes as they were parsed."""
+    cfg, out = Path(write_cfg(tmp_path, EVERY_COMMAND)), tmp_path / "out"
+    parsed = hashlib.sha256(cfg.read_bytes()).hexdigest()
+    name = RUN_FUNCTIONS[command]
+    run = getattr(apexsim.cli, name)
+
+    def run_then_change(*args, **kwargs):
+        result = run(*args, **kwargs)
+        if change == "deleted":
+            cfg.unlink()
+        else:
+            cfg.write_text(EVERY_COMMAND.replace("seed = 7", "seed = 8"))
+        return result
+
+    monkeypatch.setattr(apexsim.cli, name, run_then_change)
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "replay":
+        trace = tmp_path / "run.trace.jsonl"
+        trace.write_text(CREATE)
+        argv += ["--trace", str(trace)]
+    assert run_cli(argv) == 0
+    assert cfg.exists() == (change == "rewritten")
+    doc = json.loads(Path(only_file(out, ".json")).read_text())
+    assert doc["config_sha256"] == parsed
+
+
+@pytest.mark.parametrize(
+    "command,extra,named",
+    [("simulate", "[policy]\nkind = bogus\n", "[policy] kind = 'bogus'"),
+     ("replay", "[policy]\nkind = bogus\n", "[policy] kind = 'bogus'"),
+     ("compare", "[compare]\npolicies = apex,bogus\n", "[compare] unknown policy 'bogus'")],
+    ids=["simulate", "replay", "compare"],
+)
+def test_cli_policy_override_does_not_hide_a_bad_policy_kind(tmp_path, capsys, command, extra,
+                                                             named):
+    """--policy replaces the file's [policy] kind, and compare's policies, but
+    an invalid kind in the file still fails the command with exit 2, naming
+    it, and writes no report."""
+    cfg, out = write_cfg(tmp_path, MINIMAL + extra), tmp_path / "out"
     argv = [command, "--config", cfg, "--policy", "apex", "--out", str(out)]
     if command == "replay":
         trace = tmp_path / "run.trace.jsonl"
         trace.write_text(CREATE)
         argv += ["--trace", str(trace)]
     assert run_cli(argv) == 2
-    assert "[policy] kind = 'bogus'" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 
