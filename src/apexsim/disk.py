@@ -13,17 +13,20 @@ the arrays' own bytes, and renders no block as text.
 """
 
 import hashlib
-from collections import Counter
 
 import numpy as np
 
 from .errors import BlockStateError
-from .model import NONE, DiskGeometry, Hyperparams, canonical_json
+from .model import NONE, DiskGeometry, Hyperparams, canonical_json, ready_operand
 
 SNAPSHOT_FORMAT = "apexsim-snapshot"
 SNAPSHOT_VERSION = 6
 NO_OWNER = -1
 _ARRAYS = ("hf", "uf", "sf", "lf", "used_mask", "owner")  # the per-block state
+# what a claim or release stamps, as ready operands (see model.ready_operand)
+_ONE = ready_operand(1, np.int64)  # a claim's churn and usage
+_ZERO = ready_operand(0, np.int64)  # a release's churn
+_NO_SF = ready_operand(0.0, np.float64)  # a claim's spatial factor
 
 
 class Disk:
@@ -67,12 +70,12 @@ class Disk:
 
     # -- state --------------------------------------------------------------
 
-    def lineage_intact(self, addrs: list, file_id: int | list) -> np.ndarray:
+    def lineage_intact(self, addrs: np.ndarray, file_id) -> np.ndarray:
         """Per address, whether the block is still its file's: unused, and the
-        owner array names that file, so no later file has claimed it. file_id
-        is one file id for every address, or a list of one id per address."""
-        idx = np.asarray(addrs, dtype=np.intp)
-        return ~self.used_mask[idx] & (self.owner[idx] == file_id)
+        owner array names that file, so no later file has claimed it. addrs
+        is an index array (or a list of addresses); file_id is one file id
+        for every address, or an array of one id per address."""
+        return ~self.used_mask[addrs] & (self.owner[addrs] == file_id)
 
     def tick(self) -> None:
         self.clock += 1
@@ -110,26 +113,32 @@ def new_disk(geometry: DiskGeometry, hyperparams: Hyperparams) -> Disk:
     return Disk(geometry, hyperparams)
 
 
-def _addresses(disk: Disk, addrs: list) -> np.ndarray:
+def _addresses(disk: Disk, addrs) -> np.ndarray:
+    """addrs as an np.intp index array, converted once (an np.intp array is
+    taken as it is, a list is copied): raises unless every address lies on
+    the disk and none repeats."""
+    idx = np.asarray(addrs, dtype=np.intp)
+    ordered = np.sort(idx)
     n = disk.geometry.total_blocks
-    if addrs and not (0 <= min(addrs) and max(addrs) < n):
-        raise IndexError(f"address out of range 0..{n - 1}: {addrs}")
-    if len(set(addrs)) != len(addrs):
-        raise BlockStateError(f"repeated address in {addrs}")
-    return np.asarray(addrs, dtype=np.intp)
+    if len(ordered) and not (0 <= ordered[0] and ordered[-1] < n):
+        raise IndexError(f"address out of range 0..{n - 1}: {idx.tolist()}")
+    if np.count_nonzero(ordered[1:] == ordered[:-1]):
+        raise BlockStateError(f"repeated address in {idx.tolist()}")
+    return idx
 
 
-def claim(disk: Disk, addrs: list, file_id: int, block_list_of) -> list:
+def claim(disk: Disk, addrs, file_id: int, block_list_of) -> list:
     """New data lands on unused blocks: they become used by file_id.
 
-    Overwrite propagation first: a claimed block whose lineage names a prior
-    owner F damages F's copy, so each of F's blocks still unused and still
-    owned by F gains one unit of churn per claimed block F owned. F's blocks
-    are block_list_of(F), a function from a prior owner's id to that file's
-    block list; only the blocks the owner array still names count. Then the
-    claim lands: churn resets to 1, usage starts at 1, spatial zeroes and
-    lineage names file_id. Nothing of addrs or of the lists read is kept or
-    changed.
+    addrs is an np.intp index array, or a list of addresses. Overwrite
+    propagation first: a claimed block whose lineage names a prior owner F
+    damages F's copy, so each of F's blocks still unused and still owned by
+    F gains one unit of churn per claimed block F owned. F's blocks are
+    block_list_of(F), a function from a prior owner's id to that file's
+    block list, an index array; only the blocks the owner array still names
+    count. Then the claim lands: churn resets to 1, usage starts at 1,
+    spatial zeroes and lineage names file_id. Nothing of addrs or of the
+    lists read is kept or changed.
 
     Returns the prior owners this claim left with no block on their lineage,
     in the order the claim first took one of their blocks: nothing of those
@@ -138,31 +147,34 @@ def claim(disk: Disk, addrs: list, file_id: int, block_list_of) -> list:
     idx = _addresses(disk, addrs)
     if np.count_nonzero(disk.used_mask[idx]):
         raise BlockStateError(f"already used: {idx[disk.used_mask[idx]].tolist()}")
-    prior = Counter(disk.owner[idx].tolist())
+    prior = {}  # prior owner -> claimed blocks, in first-take order
+    for owner in disk.owner[idx].tolist():
+        prior[owner] = prior.get(owner, 0) + 1
     prior.pop(NO_OWNER, None)
     disk.used_mask[idx] = True
     emptied = []
     for owner, count in prior.items():
-        blocks = np.asarray(block_list_of(owner), dtype=np.intp)
+        blocks = block_list_of(owner)
         left = blocks[disk.lineage_intact(blocks, owner)]
         if left.size:
             disk.hf[left] += count
         else:
             emptied.append(owner)
-    disk.hf[idx] = 1
-    disk.uf[idx] = 1
-    disk.sf[idx] = 0.0
+    disk.hf[idx] = _ONE
+    disk.uf[idx] = _ONE
+    disk.sf[idx] = _NO_SF
     disk.owner[idx] = file_id
     return emptied
 
 
-def release(disk: Disk, addrs: list, lf: int) -> None:
+def release(disk: Disk, addrs, lf: int) -> None:
     """Used blocks become unused: churn resets to 0, usage freezes at its
-    current value, the linkage flag becomes lf. Lineage stays until a later
-    claim lands on the block."""
+    current value, the linkage flag becomes lf. addrs is an np.intp index
+    array, or a list of addresses. Lineage stays until a later claim lands
+    on the block."""
     idx = _addresses(disk, addrs)
     if np.count_nonzero(disk.used_mask[idx]) != len(idx):
         raise BlockStateError(f"already unused: {idx[~disk.used_mask[idx]].tolist()}")
     disk.used_mask[idx] = False
-    disk.hf[idx] = 0
+    disk.hf[idx] = _ZERO
     disk.lf[idx] = lf

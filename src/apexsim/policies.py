@@ -1,11 +1,15 @@
 """Allocation policies: which unused blocks a create claims, in what order.
 
 The factor engine keeps running under every policy; only the choice differs.
-A policy's copy() carries whatever state its choices depend on, so a copied
-file system allocates as the original would.
+A policy's select returns a fresh np.intp array of addresses, in claim
+order, which the file layer keeps as the file's block list. A policy's
+copy() carries whatever state its choices depend on, so a copied file
+system allocates as the original would.
 """
 
 import random
+
+import numpy as np
 
 from .priority import top_unused, unused_addresses
 
@@ -21,7 +25,7 @@ class ApexPolicy:
 
     name = APEX
 
-    def select(self, disk, count: int) -> list:
+    def select(self, disk, count: int) -> np.ndarray:
         return top_unused(disk, count)
 
     def copy(self) -> "ApexPolicy":
@@ -33,8 +37,9 @@ class FirstFitPolicy:
 
     name = FIRST_FIT
 
-    def select(self, disk, count: int) -> list:
-        return unused_addresses(disk, count)[:count].tolist()
+    def select(self, disk, count: int) -> np.ndarray:
+        # copied: a view would keep every unused address alive with the file
+        return unused_addresses(disk, count)[:count].copy()
 
     def copy(self) -> "FirstFitPolicy":
         return self  # stateless
@@ -48,8 +53,8 @@ class RandomPolicy:
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
 
-    def select(self, disk, count: int) -> list:
-        return self._rng.sample(unused_addresses(disk, count).tolist(), count)
+    def select(self, disk, count: int) -> np.ndarray:
+        return np.array(self._rng.sample(unused_addresses(disk, count).tolist(), count), dtype=np.intp)
 
     def copy(self) -> "RandomPolicy":
         """A policy whose stream goes on from where this one's stands."""

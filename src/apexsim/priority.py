@@ -63,9 +63,10 @@ def update_spatial_factors(disk) -> None:
     np.putmask(sf, disk.used_mask, 0.0)
 
 
-def top_unused(disk, count: int) -> list:
-    """The count highest-scored unused addresses, descending score, lower
-    address first on ties. Read-only; raises when the disk cannot supply.
+def top_unused(disk, count: int) -> np.ndarray:
+    """The count highest-scored unused addresses as a fresh np.intp array,
+    descending score, lower address first on ties. Read-only; raises when
+    the disk cannot supply.
 
     With at most a quarter of the disk free, only the free blocks are scored,
     each factor gathered first; with more free, the gathers cost more than
@@ -75,15 +76,15 @@ def top_unused(disk, count: int) -> list:
     addresses are the answer, and no sort runs."""
     free = unused_addresses(disk, count)
     if count == 0:
-        return []
+        return free[:0].copy()  # a view would keep all of free alive
     pf = disk.pf_array(free) if 4 * len(free) <= len(disk.used_mask) else disk.pf_array()[free]
     # positions of the best score; argmax finds it faster than max on small disks
     best = (pf == pf[pf.argmax()]).nonzero()[0]
     if len(best) >= count:
-        return free[best[:count]].tolist()
+        return free[best[:count]]
     # stable, so equal scores keep the ascending address order of free
     order = np.argsort(np.negative(pf, out=pf), kind="stable")
-    return free[order[:count]].tolist()
+    return free[order[:count]]
 
 
 def unused_addresses(disk, count: int) -> np.ndarray:

@@ -3,7 +3,9 @@
 The namespace is flat: a path is "/" plus one name, and one dict from path to
 file record holds it; there are no directories. Files are fixed-size at
 creation and sized in whole blocks: block 0 of every non-empty file is its
-metadata block, the rest carry data in order.
+metadata block, the rest carry data in order. A file's block list is the
+np.intp index array its policy picked, made read-only at the create: every
+read of the disk indexes with it as it is, and a copied record shares it.
 No bytes are stored: a block's content is named by its lineage owner, so a
 write of a live file is one use of it, as a read is. Deletion is logical -
 blocks are freed but their lineage stays put until someone allocates over
@@ -54,7 +56,7 @@ def type_class_for_path(path: str) -> str:
 class FileRecord:
     id: int
     path: str
-    block_list: list
+    block_list: np.ndarray  # read-only np.intp addresses, metadata block first
     status: str = USED
     uf_counter: int = 1  # creation counts as the first use
     _live_index: int = -1
@@ -68,7 +70,8 @@ class FileRecord:
         return max(len(self.block_list) - 1, 0)
 
     def copy(self) -> "FileRecord":
-        """A record with the same fields; the block list is shared."""
+        """A record with the same fields; the block list, read-only, is
+        shared."""
         new = object.__new__(FileRecord)
         new.id = self.id
         new.path = self.path
@@ -114,7 +117,7 @@ class FileSystem:
         is copied and the indexes name the copies, in their own order. The
         policy copies itself (see policies), so a seeded policy goes on with
         the same stream. Block lists stay shared between the twin records:
-        none is ever mutated."""
+        each is a read-only array."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         new.disk = self.disk.copy()
@@ -173,7 +176,8 @@ class FileSystem:
             raise FileExistsError(path)
         if data_blocks < 0:
             raise ValueError("negative size")
-        addrs = list(self.policy.select(self.disk, data_blocks + 1 if data_blocks else 0))
+        addrs = self.policy.select(self.disk, data_blocks + 1 if data_blocks else 0)
+        addrs.flags.writeable = False
         fid = self._next_id
         self._next_id += 1
         emptied = claim(self.disk, addrs, fid, lambda prior: self._recoverable[prior].block_list)
@@ -196,7 +200,7 @@ class FileSystem:
         rec = self.lookup(path)
         lf_value = 0 if (rec.type_class == PARTIAL) != self.invert_link_rule else 1
         release(self.disk, rec.block_list, lf_value)
-        if rec.block_list:
+        if len(rec.block_list):
             rec.status = DELETED
             self._recoverable[rec.id] = rec
         else:
@@ -230,7 +234,7 @@ class FileSystem:
     def _use(self, rec: FileRecord) -> None:
         """One read or write of a live file: usage bumps once on the record
         and on each of its blocks."""
-        self.disk.uf[np.asarray(rec.block_list, dtype=np.intp)] += _ONE_USE
+        self.disk.uf[rec.block_list] += _ONE_USE
         rec.uf_counter += 1
 
     def _drop_live(self, rec: FileRecord) -> None:

@@ -121,8 +121,8 @@ class WorkloadOp(NamedTuple):
 def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp:
     """Sample the next operation against a live view of the simulation.
 
-    state needs: tick, total_blocks, free_blocks(), live_files() and
-    next_path().
+    state needs: tick, total_blocks, free_blocks() (called at most once per
+    op), live_files() and next_path().
     Enforcement, in order: an empty namespace forces Create; a sampled Delete
     whose target would drop utilization below the floor becomes a Create (this
     covers the plain utilization < floor case, since any delete drops it
@@ -142,10 +142,12 @@ def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp
 
     if not files:
         kind = OP_CREATE
-    elif kind == OP_DELETE:
+    if kind != "rw":
+        free = state.free_blocks()  # read once: a delete may become a create
+    if kind == OP_DELETE:
         target = files[rng.randrange(len(files))]
         total = state.total_blocks
-        used_after = total - state.free_blocks() - len(target.block_list)
+        used_after = total - free - len(target.block_list)
         if used_after / total < config.min_utilization:
             kind = OP_CREATE
         else:
@@ -156,7 +158,6 @@ def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp
         jitter = rng.uniform(-5.0, 5.0)
         p_linked = min(max((config.linked_file_percent + jitter) / 100.0, 0.0), 1.0)
         linked = rng.random() < p_linked
-        free = state.free_blocks()
         if free < size + 1:
             size = free - 1
         if size < 1:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from apexsim.disk import claim, new_disk
@@ -18,12 +19,13 @@ def make_fs(disk=None, policy=None, invert_link_rule=False, **disk_kw):
 
 
 class BlockLists(dict):
-    """Each file's block list by id, for claims on a bare disk, where no file
-    layer keeps them: a claim reads its prior owners' lists from here."""
+    """Each file's block list by id, an np.intp array as the file layer keeps
+    it, for claims on a bare disk, where no file layer keeps them: a claim
+    reads its prior owners' lists from here."""
 
     def claim(self, disk, addrs, file_id):
         emptied = claim(disk, addrs, file_id, self.__getitem__)
-        self[file_id] = list(addrs)
+        self[file_id] = np.array(addrs, dtype=np.intp)
         return emptied
 
 
@@ -35,7 +37,8 @@ def claim_over(fs, addrs, file_id):
 
 
 class ScriptedPolicy:
-    """Hands out pre-chosen address lists, one per create call."""
+    """Hands out pre-chosen addresses, one np.intp array per create call, as
+    a policy's select does."""
 
     name = "scripted"
 
@@ -45,7 +48,7 @@ class ScriptedPolicy:
     def select(self, disk, count):
         pick = self._picks.pop(0)
         assert len(pick) == count, f"script expected {len(pick)} blocks, create wants {count}"
-        return list(pick)
+        return np.array(pick, dtype=np.intp)
 
 
 @pytest.fixture

@@ -310,7 +310,7 @@ def recovery_of(disk, f):
     alive = frozenset(
         a for a in f.block_list if not disk.used_mask[a] and disk.owner[a] == f.id
     )
-    meta = bool(f.block_list) and f.block_list[0] in alive
+    meta = len(f.block_list) > 0 and f.block_list[0] in alive
     if not meta:
         return alive, False, 0.0
     if f.type_class == LINKED:

@@ -71,7 +71,7 @@ def test_criterion_1_ranking_matches_full_sort():
                 if free == 0:
                     continue
                 k = rng.randint(1, free)
-                assert top_unused(fs.disk, k) == rank_by_full_sort(fs.disk, k), (
+                assert top_unused(fs.disk, k).tolist() == rank_by_full_sort(fs.disk, k), (
                     f"ranking diverged from full sort (seed {seed}, k {k})"
                 )
                 states += 1

@@ -112,6 +112,35 @@ def test_claim_adds_churn_per_block_taken_from_each_prior_owner():
     assert disk.owner.tolist() == [1, 5, 1, 5, 5, 2, 5, 2, 3, 5, 5] + [NO_OWNER] * 5
 
 
+def test_claim_and_release_take_a_list_as_their_index_array():
+    """claim and release given a Python list leave the device exactly as the
+    np.intp array form does, and return the same."""
+    steps = [  # (claim or release, addresses, file id or linkage flag)
+        ("claim", [0, 1, 2, 3, 4], 1), ("claim", [5, 6, 7], 2), ("claim", [8], 3),
+        ("release", [0, 1, 2, 3, 4], 0), ("release", [5, 6, 7], 1), ("release", [8], 0),
+        ("claim", [3, 9, 1, 6, 8, 10], 4), ("release", [9, 1], 1), ("claim", [1, 2, 15], 5),
+        ("claim", [], 6), ("release", [], 0),
+    ]
+
+    def run(form):
+        disk, owned, returned = make_disk(rows=4, cols=4), {}, []
+        for kind, addrs, arg in steps:
+            if kind == "claim":
+                returned.append(claim(disk, form(addrs), arg, owned.__getitem__))
+                owned[arg] = np.array(addrs, dtype=np.intp)
+            else:
+                returned.append(release(disk, form(addrs), arg))
+        return disk, returned
+
+    want_disk, want = run(lambda addrs: np.array(addrs, dtype=np.intp))
+    disk, got = run(list)
+    assert got == want == [[], [], [], None, None, None, [3], None, [], [], None]
+    for name in _ARRAYS:
+        got_array, want_array = getattr(disk, name), getattr(want_disk, name)
+        assert got_array.dtype == want_array.dtype and got_array.tobytes() == want_array.tobytes(), name
+    assert disk.snapshot_sha256() == want_disk.snapshot_sha256()
+
+
 def test_lineage_intact_per_address_with_one_or_many_file_ids():
     """A block is still a file's while it is unused and the owner array names
     the file: never-owned, used and re-claimed blocks are not."""
@@ -148,7 +177,7 @@ def test_partition_invariant_under_random_transitions():
         used ^= {addr}
         assert np.flatnonzero(disk.used_mask).tolist() == sorted(used)
         assert fs.free_blocks() == 64 - len(used)
-    assert top_unused(disk, fs.free_blocks()) == rank_by_full_sort(disk)
+    assert top_unused(disk, fs.free_blocks()).tolist() == rank_by_full_sort(disk)
 
 
 def test_new_coefficients_take_effect_on_the_next_ranking():
@@ -163,8 +192,8 @@ def test_new_coefficients_take_effect_on_the_next_ranking():
     disk.hyperparams = Hyperparams(1, 1, 1, 2)
     disk.hf[3] = disk.uf[3] = 0
     assert disk.pf_array()[3] == 2.0
-    assert top_unused(disk, 16) == rank_by_full_sort(disk)
-    assert top_unused(disk, 16) != before
+    assert top_unused(disk, 16).tolist() == rank_by_full_sort(disk)
+    assert top_unused(disk, 16).tolist() != before.tolist()
 
 
 def test_tick_advances_clock():
@@ -407,7 +436,7 @@ def test_the_device_is_its_arrays():
     addrs[:] = [1, 2]  # no longer file 1's blocks
     assert disk.snapshot_sha256() == before
     release(disk, [0, 5, 6], 0)
-    assert claim(disk, [0], 2, {1: [0, 5, 6]}.__getitem__) == []
+    assert claim(disk, [0], 2, {1: np.array([0, 5, 6])}.__getitem__) == []
     assert disk.hf.tolist() == [1, 0, 0, 0, 0, 1, 1] + [0] * 9
     assert set(vars(disk)) == {"geometry", "hyperparams", "clock", *_ARRAYS}
 
@@ -431,7 +460,7 @@ def test_recoverable_table_is_the_index_claim_reads():
     base, stale = _two_deleted_files(), _two_deleted_files()
     want = base.disk.snapshot_sha256()
     assert_recoverable_index(base)
-    stale._recoverable[2].block_list = [7, 3, 11]  # block 11 was never file 2's
+    stale._recoverable[2].block_list = np.array([7, 3, 11])  # block 11 was never file 2's
     assert stale.disk.snapshot_sha256() == want
     assert_recoverable_index(stale)
     for fs in (base, stale):  # takes file 2's block 7: only block 3 gains churn
@@ -440,7 +469,7 @@ def test_recoverable_table_is_the_index_claim_reads():
     assert stale.disk.snapshot_sha256() == base.disk.snapshot_sha256() != want
     assert base.disk.hf[[3, 11]].tolist() == [1, 0]
     short = _two_deleted_files()
-    short._recoverable[2].block_list = [7]  # 3 still names file 2
+    short._recoverable[2].block_list = np.array([7])  # 3 still names file 2
     assert short.disk.owner[3] == 2
     with pytest.raises(AssertionError, match=r"\[3\]"):
         assert_recoverable_index(short)

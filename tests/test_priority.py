@@ -171,7 +171,7 @@ def test_access_to_zero_block_file_moves_only_its_record(use):
     fs = make_fs(rows=4, cols=4)
     fs.create_file("/a.txt", 1)
     rec = fs.create_file("/empty.txt", 0)
-    assert rec.block_list == []
+    assert rec.block_list.tolist() == []
     arrays = ("hf", "uf", "sf", "lf", "used_mask", "owner")
     before = {name: getattr(fs.disk, name).tobytes() for name in arrays}
     use(fs, "/empty.txt")
@@ -420,14 +420,14 @@ def test_scaled_coefficients_pick_the_same_blocks_without_a_neighborhood(hp, see
 
 def test_top_unused_fresh_disk_prefers_low_addresses():
     disk = make_disk(rows=16, cols=16)
-    assert top_unused(disk, 4) == [0, 1, 2, 3]
+    assert top_unused(disk, 4).tolist() == [0, 1, 2, 3]
 
 
 def test_top_unused_picks_highest_score():
     disk = make_disk(rows=16, cols=16)
     disk.sf[100] = 6.0  # score 15 vs the 9.0 baseline
-    assert top_unused(disk, 1) == [100]
-    assert top_unused(disk, 3) == [100, 0, 1]
+    assert top_unused(disk, 1).tolist() == [100]
+    assert top_unused(disk, 3).tolist() == [100, 0, 1]
 
 
 def test_top_unused_exhaustion_raises():
@@ -490,9 +490,9 @@ def test_top_unused_matches_full_sort_on_random_state(case, neighborhood, monkey
     monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(a) or argsort(*a, **kw))
     got = top_unused(disk, count)
     if case == "signed-zero":
-        assert got == [3, 9, 17, 41, 50]
+        assert got.tolist() == [3, 9, 17, 41, 50]
     else:
-        assert got == rank_by_full_sort(disk, count)
+        assert got.tolist() == rank_by_full_sort(disk, count)
     if best is not None:
         assert bool(sorts) == (best < count)
 
@@ -522,7 +522,7 @@ def test_top_unused_matches_full_sort_with_few_free_blocks(case, neighborhood, m
     pf_array, argsort = disk.pf_array, np.argsort
     disk.pf_array = lambda *a: scored.append(a) or pf_array(*a)
     monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(a) or argsort(*a, **kw))
-    assert top_unused(disk, count) == rank_by_full_sort(disk, count)
+    assert top_unused(disk, count).tolist() == rank_by_full_sort(disk, count)
     [(addrs,)] = scored
     assert addrs.tolist() == free.tolist()
     if case != "random":
@@ -539,7 +539,7 @@ def test_top_unused_scores_only_free_blocks_when_at_most_a_quarter_are_free(free
     scored = []
     pf_array = disk.pf_array
     disk.pf_array = lambda *a: scored.append(a) or pf_array(*a)
-    assert top_unused(disk, 1) == rank_by_full_sort(disk, 1)
+    assert top_unused(disk, 1).tolist() == rank_by_full_sort(disk, 1)
     [args] = scored
     if 4 * free <= 64:
         [addrs] = args

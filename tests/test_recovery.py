@@ -169,7 +169,7 @@ def test_usage_weighted_rr_is_one_sum_over_measured_ratios():
         for f, rr in zip(retired, measured):
             if f.status == OBSOLETE:
                 assert rr.hex() == (0.0).hex()
-                seen.add("zero-block" if not f.block_list else OBSOLETE)
+                seen.add("zero-block" if len(f.block_list) == 0 else OBSOLETE)
     assert seen == {"zero-block", OBSOLETE}
 
 
@@ -309,7 +309,7 @@ def test_measure_recovery_equals_oracle_per_file(neighborhood):
         for f in fs.deleted_files():
             alive, _, rr = recovery_of(fs.disk, f)
             if f.status == OBSOLETE:
-                seen.add("zero-block" if not f.block_list else OBSOLETE)
+                seen.add("zero-block" if len(f.block_list) == 0 else OBSOLETE)
             elif len(alive) == len(f.block_list):
                 seen.add((f.type_class, "whole"))
             elif f.type_class == LINKED and alive:

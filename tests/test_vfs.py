@@ -1,5 +1,6 @@
 """File layer: create, delete, access, write, obsolescence."""
 
+import numpy as np
 import pytest
 
 from apexsim.disk import NO_OWNER
@@ -40,7 +41,7 @@ def test_extension_table():
 def test_create_claims_metadata_plus_data_blocks():
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/a.txt", 3)
-    assert rec.block_list == [0, 1, 2, 3]
+    assert rec.block_list.tolist() == [0, 1, 2, 3]
     assert rec.status == USED
     assert rec.type_class == PARTIAL
     assert rec.uf_counter == 1
@@ -55,7 +56,7 @@ def test_create_claims_metadata_plus_data_blocks():
 def test_create_zero_byte_file_claims_nothing():
     fs = make_fs(rows=4, cols=4)
     rec = fs.create_file("/empty.txt", 0)
-    assert rec.block_list == []
+    assert rec.block_list.tolist() == []
     assert fs.free_blocks() == 16
     assert fs.access("/empty.txt") is rec
     assert rec.uf_counter == 2
@@ -76,7 +77,7 @@ def test_failed_create_leaves_disk_untouched(policy):
     assert [f.id for f in fs.recoverable_files()] == kept
     assert fs.free_blocks() == 5
     rec, want = fs.create_file("/c.txt", 2), twin.create_file("/c.txt", 2)
-    assert (rec.id, rec.block_list) == (want.id, want.block_list)
+    assert (rec.id, rec.block_list.tolist()) == (want.id, want.block_list.tolist())
 
 
 def test_create_validation_errors():
@@ -258,10 +259,38 @@ def test_record_copy_equals_original_on_every_slot():
     twin = rec.copy()
     assert type(twin) is FileRecord
     for name in FileRecord.__slots__:
-        assert getattr(twin, name) == getattr(rec, name), name
+        got, want = getattr(twin, name), getattr(rec, name)
+        assert np.array_equal(got, want) if name == "block_list" else got == want, name
     assert twin.block_list is rec.block_list
     twin.status = DELETED
     assert rec.status == USED
+
+
+@pytest.mark.parametrize("policy", ["apex", "first-fit", "random"])
+@pytest.mark.parametrize("data_blocks", [0, 3])
+def test_block_list_is_a_read_only_index_array_shared_by_copies(policy, data_blocks):
+    """A create keeps its policy's pick as a read-only np.intp array that owns
+    its memory; the record's twin in a copied file system holds the same
+    array, and no write to it gets through."""
+    fs = make_fs(rows=4, cols=4, policy=make_policy(policy, seed=2))
+    fs.create_file("/pad.txt", 2)
+    rec = fs.create_file("/a.txt", data_blocks)
+    blocks = rec.block_list
+    assert type(blocks) is np.ndarray and blocks.dtype == np.intp
+    assert len(blocks) == (data_blocks + 1 if data_blocks else 0)
+    assert not blocks.flags.writeable
+    assert blocks.base is None or blocks.base.size == blocks.size  # no view of every free block
+    twin = fs.copy()
+    assert twin.lookup("/a.txt").block_list is blocks
+    want = blocks.tolist()
+    with pytest.raises(ValueError):
+        blocks[:] = 0
+    with pytest.raises(ValueError):
+        blocks += 1
+    fs.access("/a.txt")
+    twin.delete_file("/a.txt")
+    assert blocks.tolist() == want
+    assert rec.block_list is blocks
 
 
 def _state(fs):

@@ -44,11 +44,13 @@ class FakeState:
         self.used_blocks = used
         self._files = files
         self._seq = 0
+        self.free_reads = 0
 
     def live_files(self):
         return self._files
 
     def free_blocks(self):
+        self.free_reads += 1
         return self.total_blocks - self.used_blocks
 
     def next_path(self, ext):
@@ -98,6 +100,18 @@ def test_create_degrades_to_read_when_nothing_fits():
     op = generate_op(random.Random(3), cfg, state)
     assert op.kind == "read"
     assert op.path == "/f0.txt"
+
+
+@pytest.mark.parametrize("mix", [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)])
+@pytest.mark.parametrize("used", [4, 15])
+def test_free_count_read_at_most_once_per_op(mix, used):
+    """A sampled delete reads the free count once, also when it falls back to
+    a create; a read or write does not read it."""
+    cfg = WorkloadConfig(op_mix=mix, min_utilization=0.30)
+    for seed in range(20):
+        state = FakeState(one_file(), total=16, used=used)
+        op = generate_op(random.Random(seed), cfg, state)
+        assert state.free_reads == (0 if mix[0] == 1.0 else 1), (seed, op)
 
 
 def test_tiny_disk_with_nothing_to_do_rejected():
