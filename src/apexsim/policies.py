@@ -54,7 +54,10 @@ class RandomPolicy:
         self._rng = random.Random(seed)
 
     def select(self, disk, count: int) -> np.ndarray:
-        return np.array(self._rng.sample(unused_addresses(disk, count).tolist(), count), dtype=np.intp)
+        # sample draws its positions from the population's length alone, so
+        # sampling positions of free draws what sampling free itself would
+        free = unused_addresses(disk, count)
+        return free[self._rng.sample(range(len(free)), count)]
 
     def copy(self) -> "RandomPolicy":
         """A policy whose stream goes on from where this one's stands."""

@@ -1,6 +1,9 @@
 """Policy copies: a copied policy chooses as the original would, and keeps
 no state in common with it."""
 
+import random
+
+import numpy as np
 import pytest
 
 from apexsim.policies import APEX, FIRST_FIT, RandomPolicy, make_policy
@@ -41,3 +44,18 @@ def test_stateless_copy_selects_as_the_original(kind):
         assert got.tolist() == want.tolist()
         files.claim(disk, want, fid)
         twin_files.claim(twin_disk, got, fid)
+
+
+@pytest.mark.parametrize("used", [0, 30, 60])
+@pytest.mark.parametrize("count", [0, 1, 4])
+def test_random_select_draws_what_sampling_the_free_list_draws(used, count):
+    """The random policy samples positions of the free addresses; that is the
+    draw random.sample makes on the list of them, on either side of sample's
+    switch from a pool to a set of picks."""
+    disk = make_disk(rows=8, cols=8)
+    disk.used_mask[random.Random(used).sample(range(64), used)] = True
+    free = np.flatnonzero(~disk.used_mask).tolist()
+    policy, reference = RandomPolicy(seed=used + count), random.Random(used + count)
+    for _ in range(3):
+        got = policy.select(disk, count)
+        assert got.dtype == np.intp and got.tolist() == reference.sample(free, count)
