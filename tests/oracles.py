@@ -1,7 +1,8 @@
 """Independent reference implementations the test suite checks the engine
-against. Everything here recomputes from first principles: factor bookkeeping
-is replayed literally from the events that OpEvents reads off each executed
-op, rankings come from a full sort, recovery is reconstructed from claim
+against. Everything here recomputes from first principles: the whole device
+(factors, used set, owners) and the file layer's live and recoverable ids
+are modelled from the events that OpEvents reads off each executed op,
+rankings come from a full sort, recovery is reconstructed from claim
 history instead of the owner array or read file by file and block by block
 from the used mask and the owner array instead of in one batch, and the
 recovery aggregate scans every retired file instead of only the recoverable
@@ -69,19 +70,6 @@ def reference_digest(disk):
     return h.hexdigest()
 
 
-def assert_conservation(fs):
-    """Used plus free blocks cover the disk, and the live files' block lists
-    partition the used addresses exactly: no block owned twice, none lost.
-    The recoverable index holds too."""
-    disk = fs.disk
-    total = disk.geometry.total_blocks
-    used = np.flatnonzero(disk.used_mask)
-    assert len(used) + fs.free_blocks() == total
-    owned = np.fromiter(chain.from_iterable(f.block_list for f in fs.live_files()), dtype=np.intp)
-    assert np.array_equal(np.sort(owned), used)
-    assert_recoverable_index(fs)
-
-
 def assert_recoverable_index(fs):
     """Claim reads a prior owner's blocks from the file layer's recoverable
     table, so every owner an unused block names is a key of it whose
@@ -135,18 +123,22 @@ class OpEvents:
 
 
 class FactorOracle:
-    """Replays the factor transition rules against the events of each executed
-    op, as OpEvents reads them.
+    """A model of the whole device and the file layer's indexes, replayed
+    from the events of each executed op, as OpEvents reads them.
 
-    The oracle keeps its own copies of hf/uf/sf/lf, the used set, and block
-    lineage, and applies each rule literally as the events arrive:
+    The model keeps its own hf/uf/sf/lf, used set and owner array, each
+    file's block tuple, the live ids, and the recoverable ids in delete order.
+    It applies each rule literally as the events arrive:
 
-      create: per claimed block in claim order, first bump hf on every
-        still-unused same-lineage sibling of the block's previous owner, then
-        claim it (hf=1, uf=1, sf=0) and install the new lineage.
-      delete: per freed block, hf=0 and the owning class's linkage bit;
-        uf keeps its last value.
-      access: +1 uf on every block the file currently owns.
+      create: the blocks are distinct and unused. Per claimed block in claim
+        order, first bump hf on every still-unused block of its owner's tuple
+        that the owner still names; an owner left with none of them stops
+        being recoverable. Then claim it (hf=1, uf=1, sf=0, owner the file).
+      delete: the file frees exactly the blocks it claimed, and owns them.
+        Per freed block, hf=0 and the owning class's linkage bit; uf keeps
+        its last value and the owner stays. A file with blocks turns
+        recoverable.
+      access: +1 uf on every block the file owns.
       spatial: Jacobi pass, each unused block's sf becomes the mean pre-pass
         score of its neighbors (clamped), used blocks 0. Computed here with
         deliberately different array operations than the engine uses.
@@ -157,60 +149,60 @@ class FactorOracle:
         self.geometry = geometry
         self.hp = hp
         self.invert = invert_link_rule
-        self.hf = np.zeros(n)
-        self.uf = np.zeros(n)
+        self.hf = np.zeros(n, dtype=np.int64)
+        self.uf = np.zeros(n, dtype=np.int64)
         self.sf = np.zeros(n)
-        self.lf = np.ones(n)
+        self.lf = np.ones(n, dtype=np.int64)
         self.used = np.zeros(n, dtype=bool)
-        self.lineage = [None] * n  # (file_id, sibling tuple) or None
-        self.file_blocks = {}  # live file id -> block tuple
+        self.owner = np.full(n, NO_OWNER, dtype=np.int64)
+        self.blocks = {}  # file id -> block tuple, for every file created
+        self.live = set()
+        self.recoverable = {}  # deleted ids with a block on their lineage, in delete order
 
     def apply(self, event):
-        kind = event[0]
-        if kind == "create":
-            self._create(*event[1:])
-        elif kind == "delete":
-            self._delete(*event[1:])
-        elif kind == "access":
-            self._access(event[1])
-        elif kind == "spatial":
-            self._spatial()
-        else:
-            raise AssertionError(f"unknown event {event!r}")
+        getattr(self, f"_{event[0]}")(*event[1:])  # an unknown kind has no rule
 
     def apply_all(self, events):
         for ev in events:
             self.apply(ev)
 
     def _create(self, fid, type_class, addrs):
+        assert len(set(addrs)) == len(addrs) and not any(self.used[a] for a in addrs), (
+            f"file {fid} claims a used or repeated block: {addrs}"
+        )
         for addr in addrs:
-            prior = self.lineage[addr]
-            if prior is not None:
-                owner, sibs = prior
-                for sib in sibs:
-                    if sib == addr or self.used[sib]:
-                        continue
-                    other = self.lineage[sib]
-                    if other is None or other[0] != owner:
-                        continue
-                    self.hf[sib] += 1
+            prior = int(self.owner[addr])
+            if prior != NO_OWNER:
+                left = [b for b in self.blocks[prior]
+                        if b != addr and not self.used[b] and self.owner[b] == prior]
+                for b in left:
+                    self.hf[b] += 1
+                if not left:
+                    del self.recoverable[prior]
             self.used[addr] = True
             self.hf[addr] = 1
             self.uf[addr] = 1
             self.sf[addr] = 0.0
-            self.lineage[addr] = (fid, tuple(addrs))
-        self.file_blocks[fid] = tuple(addrs)
+            self.owner[addr] = fid
+        self.blocks[fid] = tuple(addrs)
+        self.live.add(fid)
 
     def _delete(self, fid, type_class, addrs):
-        lf_value = 0.0 if (type_class == "partial") != self.invert else 1.0
+        owned = all(self.used[a] and self.owner[a] == fid for a in addrs)
+        assert owned and addrs == self.blocks[fid], (
+            f"file {fid} frees blocks other than the ones it owns: {addrs}"
+        )
+        lf_value = 0 if (type_class == "partial") != self.invert else 1
         for addr in addrs:
             self.used[addr] = False
             self.hf[addr] = 0
             self.lf[addr] = lf_value
-        self.file_blocks.pop(fid, None)
+        self.live.remove(fid)
+        if addrs:
+            self.recoverable[fid] = None
 
     def _access(self, fid):
-        for addr in self.file_blocks[fid]:
+        for addr in self.blocks[fid]:
             self.uf[addr] += 1
 
     def _score_array(self):
@@ -248,12 +240,18 @@ class FactorOracle:
         new_sf[self.used] = 0.0
         self.sf = new_sf
 
-    def assert_matches(self, disk, context=""):
-        assert np.array_equal(self.hf, disk.hf), f"hf mismatch {context}"
-        assert np.array_equal(self.uf, disk.uf), f"uf mismatch {context}"
-        assert np.array_equal(self.lf, disk.lf), f"lf mismatch {context}"
+    def assert_matches(self, fs, context=""):
+        """The device's arrays equal the model's byte for byte, sf within
+        1e-9; the live ids and the recoverable ids in delete order too."""
+        disk = fs.disk
+        for name, model in (("hf", self.hf), ("uf", self.uf), ("lf", self.lf),
+                            ("used_mask", self.used), ("owner", self.owner)):
+            assert getattr(disk, name).tobytes() == model.tobytes(), f"{name} mismatch {context}"
         assert np.allclose(self.sf, disk.sf, rtol=0.0, atol=1e-9), f"sf mismatch {context}"
-        assert np.array_equal(self.used, disk.used_mask), f"used-set mismatch {context}"
+        assert list(fs._recoverable) == list(self.recoverable), (
+            f"recoverable ids mismatch {context}"
+        )
+        assert {f.id for f in fs._live} == self.live, f"live ids mismatch {context}"
 
 
 class ClaimHistoryRecovery:

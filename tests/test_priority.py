@@ -344,7 +344,7 @@ def test_spatial_contiguous_window_wider_than_disk():
         ("create", b.id, b.type_class, tuple(b.block_list)),
         ("spatial",),
     ])
-    oracle.assert_matches(fs.disk)
+    oracle.assert_matches(fs)
 
 
 def test_spatial_contiguous_pass_equals_full_kernel_bitwise():

@@ -7,6 +7,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from apexsim.config import load_config
 from apexsim.disk import new_disk
@@ -147,6 +149,40 @@ def test_runner_is_deterministic_per_seed():
     fs = make_fs(rows=8, cols=8)
     other, _ = run_simulation(WorkloadConfig(rng_seed=43, total_ops=200, max_file_blocks=5), fs)
     assert other.snapshot_sha256 != hashes[0]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 16),
+    cols=st.integers(1, 16),
+    neighborhood=st.one_of(
+        st.sampled_from(["grid-row", "none"]),
+        st.integers(1, 20).map("contiguous:{}".format),
+    ),
+    mix=st.tuples(*[st.integers(0, 4)] * 3).filter(any),
+    max_file_blocks=st.integers(1, 20),
+    min_utilization=st.floats(0.0, 0.95),
+)
+def test_op_stream_does_not_depend_on_placement(
+    seed, rows, cols, neighborhood, mix, max_file_blocks, min_utilization
+):
+    """generate_op reads counts only, never an address, a factor or the
+    policy: on one seed, every policy and coefficient tuple runs the same
+    trace, byte for byte."""
+    assume(rows * cols >= 2)
+    cfg = WorkloadConfig(rng_seed=seed, total_ops=300, max_file_blocks=max_file_blocks,
+                         min_utilization=min_utilization,
+                         op_mix=tuple(w / sum(mix) for w in mix))
+    arms = [("apex", (4, 7, 1, 9)), ("apex", (3, 2, 2, 2)), ("apex", (10, 1, 10, 1)),
+            ("first-fit", (4, 7, 1, 9)), ("random", (4, 7, 1, 9))]
+    traces = set()
+    for policy, hp in arms:
+        fs = make_fs(rows=rows, cols=cols, neighborhood=neighborhood, hp=hp,
+                     policy=make_policy(policy, seed=seed))
+        _, trace = run_simulation(cfg, fs)
+        traces.add("".join(op.to_json_line() for op in trace))
+    assert len(traces) == 1
 
 
 def test_deletes_never_break_utilization_floor():
