@@ -21,7 +21,7 @@ import numpy as np
 
 from apexsim.disk import NO_OWNER, SNAPSHOT_FORMAT, SNAPSHOT_VERSION
 from apexsim.model import CONTIGUOUS, GRID_ROW, NONE, SF_LIMIT
-from apexsim.vfs import LINKED, USED
+from apexsim.vfs import DELETED, LINKED, USED
 
 
 def score_of(hf, uf, sf, lf, hp, spatial_enabled=True):
@@ -113,10 +113,10 @@ class OpEvents:
     def of(self, op):
         if op.kind == "create":
             rec = self._by_path[op.path] = self.fs.lookup(op.path)
-            event = ("create", rec.id, rec.type_class, tuple(rec.block_list))
+            event = ("create", rec.id, rec.type_class, tuple(rec.block_list.tolist()))
         elif op.kind == "delete":
             rec = self._by_path.pop(op.path)
-            event = ("delete", rec.id, rec.type_class, tuple(rec.block_list))
+            event = ("delete", rec.id, rec.type_class, tuple(rec.block_list.tolist()))
         else:
             event = ("access", self.fs.lookup(op.path).id)
         return event, ("spatial",)
@@ -127,11 +127,11 @@ class FactorOracle:
     from the events of each executed op, as OpEvents reads them.
 
     The model keeps its own hf/uf/sf/lf, used set and owner array, each
-    file's block tuple, the live ids, and the recoverable ids in delete order.
+    file's blocks, the live ids, and the recoverable ids in delete order.
     It applies each rule literally as the events arrive:
 
       create: the blocks are distinct and unused. Per claimed block in claim
-        order, first bump hf on every still-unused block of its owner's tuple
+        order, first bump hf on every still-unused block of its owner's list
         that the owner still names; an owner left with none of them stops
         being recoverable. Then claim it (hf=1, uf=1, sf=0, owner the file).
       delete: the file frees exactly the blocks it claimed, and owns them.
@@ -155,12 +155,16 @@ class FactorOracle:
         self.lf = np.ones(n, dtype=np.int64)
         self.used = np.zeros(n, dtype=bool)
         self.owner = np.full(n, NO_OWNER, dtype=np.int64)
-        self.blocks = {}  # file id -> block tuple, for every file created
+        self.blocks = {}  # file id -> its block addresses, for every file created
         self.live = set()
         self.recoverable = {}  # deleted ids with a block on their lineage, in delete order
 
     def apply(self, event):
-        getattr(self, f"_{event[0]}")(*event[1:])  # an unknown kind has no rule
+        kind, *args = event
+        rule = {"create": self._create, "delete": self._delete,
+                "access": self._access, "spatial": self._spatial}.get(kind)
+        assert rule is not None, f"unknown event {event!r}"
+        rule(*args)
 
     def apply_all(self, events):
         for ev in events:
@@ -184,12 +188,12 @@ class FactorOracle:
             self.uf[addr] = 1
             self.sf[addr] = 0.0
             self.owner[addr] = fid
-        self.blocks[fid] = tuple(addrs)
+        self.blocks[fid] = list(addrs)
         self.live.add(fid)
 
     def _delete(self, fid, type_class, addrs):
         owned = all(self.used[a] and self.owner[a] == fid for a in addrs)
-        assert owned and addrs == self.blocks[fid], (
+        assert owned and list(addrs) == self.blocks[fid], (
             f"file {fid} frees blocks other than the ones it owns: {addrs}"
         )
         lf_value = 0 if (type_class == "partial") != self.invert else 1
@@ -242,16 +246,29 @@ class FactorOracle:
 
     def assert_matches(self, fs, context=""):
         """The device's arrays equal the model's byte for byte, sf within
-        1e-9; the live ids and the recoverable ids in delete order too."""
+        1e-9; the live ids, each once, and the recoverable ids in delete
+        order too. Every record the two indexes hold has its id, its status
+        and the blocks its file claimed."""
         disk = fs.disk
         for name, model in (("hf", self.hf), ("uf", self.uf), ("lf", self.lf),
                             ("used_mask", self.used), ("owner", self.owner)):
             assert getattr(disk, name).tobytes() == model.tobytes(), f"{name} mismatch {context}"
         assert np.allclose(self.sf, disk.sf, rtol=0.0, atol=1e-9), f"sf mismatch {context}"
-        assert list(fs._recoverable) == list(self.recoverable), (
-            f"recoverable ids mismatch {context}"
+        live, recoverable = fs._live, fs._recoverable
+        assert list(recoverable) == list(self.recoverable), f"recoverable ids mismatch {context}"
+        assert len(live) == len(self.live) and {f.id for f in live} == self.live, (
+            f"live ids mismatch {context}"
         )
-        assert {f.id for f in fs._live} == self.live, f"live ids mismatch {context}"
+        blocks = self.blocks
+        for rec in live:
+            assert rec.status == USED and rec.block_list.tolist() == blocks[rec.id], (
+                f"record mismatch, file {rec.id} {context}"
+            )
+        for fid, rec in recoverable.items():
+            found = rec.id, rec.status
+            assert found == (fid, DELETED) and rec.block_list.tolist() == blocks[fid], (
+                f"record mismatch, file {fid} {context}"
+            )
 
 
 class ClaimHistoryRecovery:

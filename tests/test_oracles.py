@@ -52,6 +52,24 @@ def _drop_live(fs):
     fs._live.pop()
 
 
+def _duplicate_live(fs):
+    fs._live.append(fs._live[0])
+
+
+def _swap_recoverable(fs):
+    first, second = list(fs._recoverable)[:2]
+    fs._recoverable[first] = fs._recoverable[second]
+
+
+def _unmark_recoverable(fs):
+    next(iter(fs._recoverable.values())).status = OBSOLETE
+
+
+def _shorten_live_list(fs):
+    rec = next(f for f in fs._live if len(f.block_list) > 1)
+    rec.block_list = rec.block_list[:-1]
+
+
 def _move_sf(fs):
     addr = _unused(fs)
     before = fs.disk.sf[addr]
@@ -61,7 +79,7 @@ def _move_sf(fs):
 
 def test_model_passes_a_faithful_copy(modelled_run):
     fs, oracle = modelled_run
-    assert fs.recoverable_files() and fs.free_blocks()
+    assert len(fs.recoverable_files()) > 1 and fs.free_blocks()
     oracle.assert_matches(fs.copy())
 
 
@@ -70,6 +88,10 @@ def test_model_passes_a_faithful_copy(modelled_run):
     pytest.param(_revive_obsolete, "recoverable ids", id="obsolete-recoverable"),
     pytest.param(_rename_owner, "owner", id="owner-renamed"),
     pytest.param(_drop_live, "live ids", id="live-file-dropped"),
+    pytest.param(_duplicate_live, "live ids", id="live-file-duplicated"),
+    pytest.param(_swap_recoverable, "record", id="recoverable-record-swapped"),
+    pytest.param(_unmark_recoverable, "record", id="recoverable-record-obsolete"),
+    pytest.param(_shorten_live_list, "record", id="live-list-shortened"),
     pytest.param(_move_sf, "sf", id="sf-moved"),
 ])
 def test_model_fails_on_a_seeded_defect(modelled_run, corrupt, check):
@@ -89,3 +111,10 @@ def test_model_rejects_a_used_or_repeated_claim_and_a_partial_or_foreign_free():
     for addrs in ((0, 2), (0,)):
         with pytest.raises(AssertionError, match="frees blocks other than the ones it owns"):
             oracle.apply(("delete", 1, "partial", addrs))
+
+
+def test_model_rejects_an_event_kind_it_has_no_rule_for():
+    oracle = FactorOracle(DiskGeometry(1, 4), REFERENCE)
+    for event in (("score_array",), ("write", 1)):
+        with pytest.raises(AssertionError, match="unknown event"):
+            oracle.apply(event)
