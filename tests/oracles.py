@@ -1,21 +1,21 @@
 """Independent reference implementations the test suite checks the engine
-against. Everything here recomputes from first principles: the whole device
-(factors, used set, owners) and the file layer's live and recoverable ids
-are modelled from the events that OpEvents reads off each executed op,
-rankings come from a full sort, recovery is reconstructed from claim
-history instead of the owner array or read file by file and block by block
-from the used mask and the owner array instead of in one batch, and the
-recovery aggregate scans every retired file instead of only the recoverable
-ones. The compare bound knows nothing of placement: it counts blocks. The
-device digest is rebuilt one value at a time with struct and json, never
-from an array's bytes.
+against, one per property. Everything here recomputes from first
+principles: the whole device (factors, used set, owners) and the file
+layer's live and recoverable ids and records are modelled from the events
+that OpEvents reads off each executed op, and rankings come from a full
+sort. The recovery rule (recovered_share) is written once and fed two
+sources of survival: claim history, which never reads the owner array, and
+the used mask and owner array read file by file and block by block instead
+of in one batch. The recovery aggregate scans every retired file instead of
+only the recoverable ones. The compare bound knows nothing of placement: it
+counts blocks. The device digest is rebuilt one value at a time with struct
+and json, never from an array's bytes.
 """
 
 import hashlib
 import json
 import random
 import struct
-from itertools import chain
 
 import numpy as np
 
@@ -70,36 +70,6 @@ def reference_digest(disk):
     return h.hexdigest()
 
 
-def assert_recoverable_index(fs):
-    """Claim reads a prior owner's blocks from the file layer's recoverable
-    table, so every owner an unused block names is a key of it whose
-    record's list holds the block; a used block sits on the list of the live
-    file it names. Every recoverable file still has a block on its lineage,
-    or it would be obsolete. The table is no block state, so no digest
-    shows it wrong: this is what keeps claim's index honest."""
-    disk = fs.disk
-    owner = disk.owner
-    live = fs.live_files()
-    ids = [f.id for f in live] + list(fs._recoverable)
-    lists = [f.block_list for f in live] + [rec.block_list for rec in fs._recoverable.values()]
-    # every (file X, block on X's list) pair, checked in one pass: a block
-    # is covered when it sits on the list of the file it names, a used block
-    # only by a live file and an unused one only by a recoverable file
-    sizes = [len(b) for b in lists]
-    listed = np.fromiter(chain.from_iterable(lists), dtype=np.intp)
-    names = np.repeat(np.array(ids, dtype=np.int64), sizes)
-    is_live = np.repeat(np.arange(len(ids)) < len(live), sizes)
-    hit = (owner[listed] == names) & (disk.used_mask[listed] == is_live)
-    covered = np.zeros(owner.size, dtype=bool)
-    covered[listed[hit]] = True
-    missing = np.flatnonzero(covered != (owner != NO_OWNER))
-    assert missing.size == 0, f"blocks off their owner's list: {missing.tolist()}"
-    intact = set(names[hit & ~is_live].tolist())
-    assert intact == set(fs._recoverable), (
-        f"recoverable files with no block left: {sorted(set(fs._recoverable) - intact)}"
-    )
-
-
 class OpEvents:
     """The events of each op a file system has executed, read off the op and
     the file records: one create, delete or access event (a read and a write
@@ -124,7 +94,9 @@ class OpEvents:
 
 class FactorOracle:
     """A model of the whole device and the file layer's indexes, replayed
-    from the events of each executed op, as OpEvents reads them.
+    from the events of each executed op, as OpEvents reads them: the one
+    reference for the factors, the used set, the owners and the live and
+    recoverable records (assert_matches).
 
     The model keeps its own hf/uf/sf/lf, used set and owner array, each
     file's blocks, the live ids, and the recoverable ids in delete order.
@@ -158,11 +130,12 @@ class FactorOracle:
         self.blocks = {}  # file id -> its block addresses, for every file created
         self.live = set()
         self.recoverable = {}  # deleted ids with a block on their lineage, in delete order
+        self._rules = {"create": self._create, "delete": self._delete,
+                       "access": self._access, "spatial": self._spatial}
 
     def apply(self, event):
         kind, *args = event
-        rule = {"create": self._create, "delete": self._delete,
-                "access": self._access, "spatial": self._spatial}.get(kind)
+        rule = self._rules.get(kind)
         assert rule is not None, f"unknown event {event!r}"
         rule(*args)
 
@@ -245,15 +218,17 @@ class FactorOracle:
         self.sf = new_sf
 
     def assert_matches(self, fs, context=""):
-        """The device's arrays equal the model's byte for byte, sf within
-        1e-9; the live ids, each once, and the recoverable ids in delete
-        order too. Every record the two indexes hold has its id, its status
-        and the blocks its file claimed."""
+        """The device's arrays equal the model's byte for byte, sf to within
+        1e-9 on every block (a NaN or an infinity fails); the live ids, each
+        once, and the recoverable ids in delete order too. Every record the
+        two indexes hold has its id, its status and the blocks its file
+        claimed, which is also what keeps claim's index honest: the table
+        is no block state, so no digest shows it wrong."""
         disk = fs.disk
         for name, model in (("hf", self.hf), ("uf", self.uf), ("lf", self.lf),
                             ("used_mask", self.used), ("owner", self.owner)):
             assert getattr(disk, name).tobytes() == model.tobytes(), f"{name} mismatch {context}"
-        assert np.allclose(self.sf, disk.sf, rtol=0.0, atol=1e-9), f"sf mismatch {context}"
+        assert np.abs(self.sf - disk.sf).max() <= 1e-9, f"sf mismatch {context}"
         live, recoverable = fs._live, fs._recoverable
         assert list(recoverable) == list(self.recoverable), f"recoverable ids mismatch {context}"
         assert len(live) == len(self.live) and {f.id for f in live} == self.live, (
@@ -305,33 +280,31 @@ class ClaimHistoryRecovery:
 
     def rr(self, fid):
         type_class, addrs = self.created[fid]
-        alive = self.surviving(fid)
-        if type_class == "linked":
-            return 1.0 if addrs and len(alive) == len(addrs) else 0.0
-        if not addrs or addrs[0] not in alive:
-            return 0.0
-        data_alive = sum(1 for a in addrs[1:] if a in alive)
-        return data_alive / (len(addrs) - 1)
+        return recovered_share(type_class, addrs, self.surviving(fid))
+
+
+def recovered_share(type_class, addrs, alive):
+    """The recovery rule, given which of a file's blocks survive: nothing
+    comes back without the metadata block (the first); a linked file comes
+    back whole or not at all, a partial one by the share of its data blocks
+    (every block past the first) that survive."""
+    if not len(addrs) or addrs[0] not in alive:
+        return 0.0
+    if type_class == LINKED:
+        return 1.0 if len(alive) == len(addrs) else 0.0
+    return sum(1 for a in addrs[1:] if a in alive) / (len(addrs) - 1)
 
 
 def recovery_of(disk, f):
     """(surviving blocks, metadata intact, rr) of one deleted or obsolete
     file, block by block: a block survives while it is unused and the owner
-    array still names the file. Nothing comes back without the metadata
-    block; a linked file comes back whole or not at all, a partial one by the
-    share of its data blocks (every block past the first) that survive."""
+    array still names the file."""
     if f.status == USED:
         raise ValueError(f"live file {f.path} has nothing to recover")
-    alive = frozenset(
-        a for a in f.block_list if not disk.used_mask[a] and disk.owner[a] == f.id
-    )
-    meta = len(f.block_list) > 0 and f.block_list[0] in alive
-    if not meta:
-        return alive, False, 0.0
-    if f.type_class == LINKED:
-        return alive, True, 1.0 if len(alive) == len(f.block_list) else 0.0
-    data = sum(1 for a in f.block_list[1:] if a in alive)
-    return alive, True, data / (len(f.block_list) - 1)
+    blocks = f.block_list
+    alive = frozenset(a for a in blocks if not disk.used_mask[a] and disk.owner[a] == f.id)
+    meta = len(blocks) > 0 and blocks[0] in alive
+    return alive, meta, recovered_share(f.type_class, blocks, alive)
 
 
 def weighted_rr(disk, files) -> float:

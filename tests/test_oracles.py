@@ -70,6 +70,15 @@ def _shorten_live_list(fs):
     rec.block_list = rec.block_list[:-1]
 
 
+def _shorten_recoverable_list(fs):
+    rec = next(r for r in fs._recoverable.values() if len(r.block_list) > 1)
+    rec.block_list = rec.block_list[:-1]
+
+
+def _nan_sf(fs):
+    fs.disk.sf[_unused(fs)] = np.nan
+
+
 def _move_sf(fs):
     addr = _unused(fs)
     before = fs.disk.sf[addr]
@@ -92,7 +101,9 @@ def test_model_passes_a_faithful_copy(modelled_run):
     pytest.param(_swap_recoverable, "record", id="recoverable-record-swapped"),
     pytest.param(_unmark_recoverable, "record", id="recoverable-record-obsolete"),
     pytest.param(_shorten_live_list, "record", id="live-list-shortened"),
+    pytest.param(_shorten_recoverable_list, "record", id="recoverable-list-shortened"),
     pytest.param(_move_sf, "sf", id="sf-moved"),
+    pytest.param(_nan_sf, "sf", id="sf-nan"),
 ])
 def test_model_fails_on_a_seeded_defect(modelled_run, corrupt, check):
     fs, oracle = modelled_run

