@@ -7,7 +7,7 @@ owned). A block's content is named by its lineage owner alone; no bytes are
 kept. Scores are computed from the arrays on demand, and claiming or
 releasing a file's blocks is one vectorised call. The device holds nothing
 else: a claim finds a prior owner's blocks through the caller's own index of
-files, and the arrays decide which of them still count. The digest,
+files, and the owner array alone decides which of them still count. The digest,
 snapshot_sha256, is the device's one serialization: it hashes the header and
 the arrays' own bytes, and renders no block as text.
 """
@@ -71,11 +71,14 @@ class Disk:
     # -- state --------------------------------------------------------------
 
     def lineage_intact(self, addrs: np.ndarray, file_id) -> np.ndarray:
-        """Per address, whether the block is still its file's: unused, and the
-        owner array names that file, so no later file has claimed it. addrs
-        is an index array (or a list of addresses); file_id is one file id
-        for every address, or an array of one id per address."""
-        return ~self.used_mask[addrs] & (self.owner[addrs] == file_id)
+        """Per address, whether the block is still its file's: the owner
+        array names that file, so no later file has claimed it. It is asked
+        only of files that are not live: a used block's owner is its live
+        file, so for any other file the owner array alone decides, and the
+        used mask is not read. addrs is an index array (or a list of
+        addresses); file_id is one file id for every address, or an array of
+        one id per address."""
+        return self.owner[addrs] == file_id
 
     def tick(self) -> None:
         self.clock += 1
@@ -130,15 +133,16 @@ def _addresses(disk: Disk, addrs) -> np.ndarray:
 def claim(disk: Disk, addrs, file_id: int, block_list_of) -> list:
     """New data lands on unused blocks: they become used by file_id.
 
-    addrs is an np.intp index array, or a list of addresses. Overwrite
-    propagation first: a claimed block whose lineage names a prior owner F
-    damages F's copy, so each of F's blocks still unused and still owned by
-    F gains one unit of churn per claimed block F owned. F's blocks are
+    addrs is an np.intp index array, or a list of addresses. The claim
+    lands first: the blocks become used and lineage names file_id. Then
+    overwrite propagation: a claimed block whose lineage named a prior owner
+    F damages F's copy, so each of F's blocks the owner array still names
+    gains one unit of churn per claimed block F owned. F's blocks are
     block_list_of(F), a function from a prior owner's id to that file's
-    block list, an index array; only the blocks the owner array still names
-    count. Then the claim lands: churn resets to 1, usage starts at 1,
-    spatial zeroes and lineage names file_id. Nothing of addrs or of the
-    lists read is kept or changed.
+    block list, an index array; F is not live, so the owner array alone
+    decides which of them still count (see Disk.lineage_intact). Last,
+    churn resets to 1, usage starts at 1 and spatial zeroes on the claimed
+    blocks. Nothing of addrs or of the lists read is kept or changed.
 
     Returns the prior owners this claim left with no block on their lineage,
     in the order the claim first took one of their blocks: nothing of those
@@ -152,6 +156,7 @@ def claim(disk: Disk, addrs, file_id: int, block_list_of) -> list:
         prior[owner] = prior.get(owner, 0) + 1
     prior.pop(NO_OWNER, None)
     disk.used_mask[idx] = True
+    disk.owner[idx] = file_id
     emptied = []
     for owner, count in prior.items():
         blocks = block_list_of(owner)
@@ -163,7 +168,6 @@ def claim(disk: Disk, addrs, file_id: int, block_list_of) -> list:
     disk.hf[idx] = _ONE
     disk.uf[idx] = _ONE
     disk.sf[idx] = _NO_SF
-    disk.owner[idx] = file_id
     return emptied
 
 

@@ -142,23 +142,26 @@ def test_claim_and_release_take_a_list_as_their_index_array():
 
 
 def test_lineage_intact_per_address_with_one_or_many_file_ids():
-    """A block is still a file's while it is unused and the owner array names
-    the file: never-owned, used and re-claimed blocks are not."""
+    """A block is still a file's while the owner array names the file:
+    never-owned blocks, and blocks a later file has claimed, are not. The
+    owner array alone decides, so a used block reads True for the live file
+    that owns it (file 2 here, and file 3 before its release); recovery asks
+    only of files that are not live (test_recover_live_file_rejected)."""
     disk, files = make_disk(rows=4, cols=4), BlockLists()
     files.claim(disk, [0, 1, 2], 1)
     files.claim(disk, [3, 4], 2)
     release(disk, [0, 1, 2], 0)
     files.claim(disk, [1], 3)  # re-claims one of file 1's freed blocks
-    # 0 and 2 freed and intact, 1 re-claimed, 3 used, 5 never owned
+    # 0 and 2 freed and intact, 1 re-claimed, 3 owned by live file 2, 5 never owned
     assert disk.lineage_intact([0, 1, 2, 3, 5], 1).tolist() == [True, False, True, False, False]
-    assert disk.lineage_intact([3, 4], 2).tolist() == [False, False]
-    assert disk.lineage_intact([1], 3).tolist() == [False]
+    assert disk.lineage_intact([3, 4], 2).tolist() == [True, True]
+    assert disk.lineage_intact([1], 3).tolist() == [True]
     release(disk, [1], 0)
     assert disk.lineage_intact([1], 3).tolist() == [True]
     assert disk.lineage_intact([1], 1).tolist() == [False]
     # one file id per address
     assert disk.lineage_intact([2, 1, 0, 3, 5, 1], [1, 3, 1, 2, 1, 1]).tolist() == [
-        True, True, True, False, False, False,
+        True, True, True, True, False, False,
     ]
     assert disk.lineage_intact([], []).tolist() == []
 
