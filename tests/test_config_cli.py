@@ -311,17 +311,29 @@ def test_cli_seed_flag_overrides_config(tmp_path):
 
 
 def test_cli_replay_matches_simulation(tmp_path):
+    """A trace replays under any policy: the apex simulate trace replayed
+    with --policy P ends on the snapshot, and reports the files rows, of
+    simulate --policy P at the same seed, since the ops a seed makes do not
+    depend on placement. The policies place differently, so each pair is a
+    counterfactual run of one op stream."""
     cfg = write_cfg(tmp_path, MINIMAL)
-    out = str(tmp_path / "sim")
     trace = str(tmp_path / "run.trace.jsonl")
-    assert run_cli(["simulate", "--config", cfg, "--trace", trace, "--out", out]) == 0
-    sim_doc = json.loads(Path(only_file(out, ".json")).read_text())
 
-    out2 = str(tmp_path / "rep")
-    assert run_cli(["replay", "--config", cfg, "--trace", trace, "--out", out2]) == 0
-    rep_doc = json.loads(Path(only_file(out2, ".json")).read_text())
-    assert rep_doc["snapshot_sha256"] == sim_doc["snapshot_sha256"]
-    assert rep_doc["trace_path"] == "run.trace.jsonl"
+    def report(name, argv):
+        out = str(tmp_path / name)
+        assert run_cli([*argv, "--config", cfg, "--out", out]) == 0
+        return json.loads(Path(only_file(out, ".json")).read_text())
+
+    report("apex-trace", ["simulate", "--trace", trace])
+    snapshots = set()
+    for policy in ("apex", "first-fit", "random"):
+        sim_doc = report(f"{policy}-sim", ["simulate", "--policy", policy])
+        rep_doc = report(f"{policy}-rep", ["replay", "--policy", policy, "--trace", trace])
+        assert rep_doc["snapshot_sha256"] == sim_doc["snapshot_sha256"], policy
+        assert rep_doc["files"] == sim_doc["files"], policy
+        assert rep_doc["trace_path"] == "run.trace.jsonl"
+        snapshots.add(sim_doc["snapshot_sha256"])
+    assert len(snapshots) == 3
 
 
 def test_cli_recover_from_trace_matches_simulation(tmp_path):
