@@ -36,19 +36,15 @@ def update_spatial_factors(disk) -> None:
         return
     sf = disk.sf
     n = geo.total_blocks
+    if (geo.cols if nb.kind == GRID_ROW else n) == 1:  # no block has a neighbor
+        sf.fill(0.0)
+        return
+    pf = disk.pf_array()
     if nb.kind == GRID_ROW:
-        deg = geo.cols - 1
-        if deg == 0:
-            sf.fill(0.0)
-            return
-        pf = disk.pf_array().reshape(geo.rows, geo.cols)
+        pf = pf.reshape(geo.rows, geo.cols)
         np.subtract(np.add.reduce(pf, axis=1, keepdims=True), pf, out=sf.reshape(geo.rows, geo.cols))
-        np.divide(sf, deg, out=sf)
+        np.divide(sf, geo.cols - 1, out=sf)
     else:  # CONTIGUOUS: Neighborhood admits no other kind
-        if n == 1:
-            sf.fill(0.0)
-            return
-        pf = disk.pf_array()
         # a span past n - 1 reaches no further block, only widens the kernel
         span = min(nb.span, n - 1)
         # "full" then slice, not "same": "same" returns max(n, kernel) samples,

@@ -1,11 +1,13 @@
 """Minimal file layer over the disk model.
 
-The namespace is flat: a path is "/" plus one name, and one dict from path to
-file record holds it; there are no directories. Files are fixed-size at
-creation and sized in whole blocks: block 0 of every non-empty file is its
-metadata block, the rest carry data in order. A file's block list is the
-np.intp index array its policy picked, made read-only at the create: every
-read of the disk indexes with it as it is, and a copied record shares it.
+The namespace is flat: a path is "/" plus one name, and one dict holds each
+live path's position in the list of live files; there are no directories. A
+file record carries only its file's own facts, never its place in an index.
+Files are fixed-size at creation and sized in whole blocks: block 0 of every
+non-empty file is its metadata block, the rest carry data in order. A file's
+block list is the np.intp index array its policy picked, made read-only at
+the create: every read of the disk indexes with it as it is, and a copied
+record shares it.
 No bytes are stored: a block's content is named by its lineage owner, so a
 write of a live file is one use of it, as a read is. Deletion is logical -
 blocks are freed but their lineage stays put until someone allocates over
@@ -59,7 +61,6 @@ class FileRecord:
     block_list: np.ndarray  # read-only np.intp addresses, metadata block first
     status: str = USED
     uf_counter: int = 1  # creation counts as the first use
-    _live_index: int = -1
 
     @property
     def type_class(self) -> str:
@@ -78,7 +79,6 @@ class FileRecord:
         new.status = self.status
         new.block_list = self.block_list
         new.uf_counter = self.uf_counter
-        new._live_index = self._live_index
         return new
 
 
@@ -106,7 +106,7 @@ class FileSystem:
         self.policy = policy
         self.invert_link_rule = invert_link_rule
         self._live: list[FileRecord] = []  # swap-remove list for uniform sampling
-        self._by_path: dict[str, FileRecord] = {}  # the namespace: live files only
+        self._by_path: dict[str, int] = {}  # the namespace: live path -> position in _live
         self._retired: list[FileRecord] = []  # deleted and obsolete files, in delete order
         self._recoverable: dict[int, FileRecord] = {}  # id -> deleted file, in delete order
         self.retired_usage = 0  # sum of uf_counter over _retired; a retired file never gains usage
@@ -114,20 +114,20 @@ class FileSystem:
 
     def copy(self) -> "FileSystem":
         """An independent file system on a copy of the disk. Every file record
-        is copied and the indexes name the copies, in their own order. The
-        policy copies itself (see policies), so a seeded policy goes on with
-        the same stream. Block lists stay shared between the twin records:
-        each is a read-only array."""
+        is copied, and the indexes are rebuilt from the copied lists: the
+        namespace's positions carry over as they are, and the recoverable
+        files are the copied retired ones still recoverable, in delete order.
+        The policy copies itself (see policies), so a seeded policy goes on
+        with the same stream. Block lists stay shared between the twin
+        records: each is a read-only array."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         new.disk = self.disk.copy()
         new.policy = self.policy.copy()
-        twin = {rec.id: rec.copy() for rec in self._live}
-        twin.update((rec.id, rec.copy()) for rec in self._retired)
-        new._live = [twin[rec.id] for rec in self._live]
-        new._by_path = {path: twin[rec.id] for path, rec in self._by_path.items()}
-        new._retired = [twin[rec.id] for rec in self._retired]
-        new._recoverable = {fid: twin[fid] for fid in self._recoverable}
+        new._live = [rec.copy() for rec in self._live]
+        new._by_path = dict(self._by_path)
+        new._retired = [rec.copy() for rec in self._retired]
+        new._recoverable = {rec.id: rec for rec in new._retired if rec.id in self._recoverable}
         return new
 
     # -- queries -------------------------------------------------------------
@@ -145,13 +145,10 @@ class FileSystem:
 
     def lookup(self, path: str) -> FileRecord:
         try:
-            return self._by_path[path]
+            return self._live[self._by_path[path]]
         except (KeyError, TypeError):
             check_path(path)  # a malformed path is a ValueError, not a miss
             raise FileNotFoundError(path) from None
-
-    def utilization(self) -> float:
-        return int(np.count_nonzero(self.disk.used_mask)) / self.disk.geometry.total_blocks
 
     def free_blocks(self) -> int:
         return self.disk.geometry.total_blocks - int(np.count_nonzero(self.disk.used_mask))
@@ -185,8 +182,7 @@ class FileSystem:
             self._recoverable.pop(owner).status = OBSOLETE
 
         rec = FileRecord(fid, path, addrs)
-        self._by_path[path] = rec
-        rec._live_index = len(self._live)
+        self._by_path[path] = len(self._live)
         self._live.append(rec)
         return rec
 
@@ -238,10 +234,9 @@ class FileSystem:
         rec.uf_counter += 1
 
     def _drop_live(self, rec: FileRecord) -> None:
-        i = rec._live_index
-        last = self._live[-1]
-        self._live[i] = last
-        last._live_index = i
-        self._live.pop()
-        rec._live_index = -1
-        del self._by_path[rec.path]
+        """Swap-remove: the last live record moves into the gap."""
+        i = self._by_path.pop(rec.path)
+        last = self._live.pop()
+        if last is not rec:
+            self._live[i] = last
+            self._by_path[last.path] = i

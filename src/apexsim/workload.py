@@ -270,10 +270,11 @@ class SimReport:
 
 def _build_report(fs, seed, ops, weights, workload_echo) -> SimReport:
     disk = fs.disk
+    total = disk.geometry.total_blocks
     return SimReport(
         seed=seed,
         op_counts=dict(Counter(op.kind for op in ops)),
-        final_utilization=fs.utilization(),
+        final_utilization=(total - fs.free_blocks()) / total,
         files_used=len(fs.live_files()),
         files=recovery_table(fs),
         weighted_rr=retired_rr(fs),

@@ -220,10 +220,12 @@ class FactorOracle:
     def assert_matches(self, fs, context=""):
         """The device's arrays equal the model's byte for byte, sf to within
         1e-9 on every block (a NaN or an infinity fails); the live ids, each
-        once, and the recoverable ids in delete order too. Every record the
-        two indexes hold has its id, its status and the blocks its file
-        claimed, which is also what keeps claim's index honest: the table
-        is no block state, so no digest shows it wrong."""
+        once, and the recoverable ids in delete order too. The namespace maps
+        each live record's path to its position in the live list, and no
+        other path. Every record the two indexes hold has its id, its status
+        and the blocks its file claimed, which is also what keeps claim's
+        index honest: the table is no block state, so no digest shows it
+        wrong."""
         disk = fs.disk
         for name, model in (("hf", self.hf), ("uf", self.uf), ("lf", self.lf),
                             ("used_mask", self.used), ("owner", self.owner)):
@@ -233,6 +235,9 @@ class FactorOracle:
         assert list(recoverable) == list(self.recoverable), f"recoverable ids mismatch {context}"
         assert len(live) == len(self.live) and {f.id for f in live} == self.live, (
             f"live ids mismatch {context}"
+        )
+        assert fs._by_path == {rec.path: i for i, rec in enumerate(live)}, (
+            f"namespace mismatch {context}"
         )
         blocks = self.blocks
         for rec in live:

@@ -56,6 +56,11 @@ def _duplicate_live(fs):
     fs._live.append(fs._live[0])
 
 
+def _swap_namespace(fs):
+    first, second = (rec.path for rec in fs._live[:2])
+    fs._by_path[first], fs._by_path[second] = fs._by_path[second], fs._by_path[first]
+
+
 def _swap_recoverable(fs):
     first, second = list(fs._recoverable)[:2]
     fs._recoverable[first] = fs._recoverable[second]
@@ -98,6 +103,7 @@ def test_model_passes_a_faithful_copy(modelled_run):
     pytest.param(_rename_owner, "owner", id="owner-renamed"),
     pytest.param(_drop_live, "live ids", id="live-file-dropped"),
     pytest.param(_duplicate_live, "live ids", id="live-file-duplicated"),
+    pytest.param(_swap_namespace, "namespace", id="namespace-swapped"),
     pytest.param(_swap_recoverable, "record", id="recoverable-record-swapped"),
     pytest.param(_unmark_recoverable, "record", id="recoverable-record-obsolete"),
     pytest.param(_shorten_live_list, "record", id="live-list-shortened"),

@@ -189,10 +189,11 @@ def test_deletes_never_break_utilization_floor():
     cfg = WorkloadConfig(rng_seed=11, total_ops=400, max_file_blocks=6, min_utilization=0.70)
     fs = make_fs(rows=16, cols=16)
     runner = WorkloadRunner(cfg, fs)
+    total = fs.disk.geometry.total_blocks
     for _ in range(cfg.total_ops):
         op = runner.step()
         if op.kind == "delete":
-            assert fs.utilization() >= cfg.min_utilization - 1e-12
+            assert (total - fs.free_blocks()) / total >= cfg.min_utilization - 1e-12
 
 
 def test_replay_reproduces_end_state():
