@@ -122,8 +122,11 @@ def access_time_term(fs) -> float:
 
 
 def performance(fs, weights: PerfWeights) -> float:
-    """The tuning objective of fs's recovery and seek cost (PerfWeights.objective)."""
-    return weights.objective(retired_rr(fs), access_time_term(fs))
+    """The tuning objective of fs's recovery and seek cost (PerfWeights.objective).
+    At beta 0 the seek cost is not computed: 0.0 * seek is 0.0 for every
+    finite seek >= 0, so the objective has the same bits."""
+    seek = access_time_term(fs) if weights.beta else 0.0
+    return weights.objective(retired_rr(fs), seek)
 
 
 def recovery_table(fs) -> list[dict]:

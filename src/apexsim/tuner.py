@@ -2,24 +2,25 @@
 coefficients, one step per measurement interval (MIN), rewarded by the change
 in the scalar objective between consecutive intervals.
 
-The disk persists across intervals; the workload stream continues from the
-same generator. Each interval's objective reads the file system as its ops
-left it: a file's obsolete status is set by the claim that ends its lineage,
-so a measurement needs no sweep first. Hill climbing is this same update at
-learning rate 1 and discount 0: the table then holds the latest observed
-objective delta per (state, action).
+The disk persists across intervals, and each interval applies the next ops
+of one op stream (workload.generate_ops). Each interval's objective reads the
+file system as its ops left it: a file's obsolete status is set by the claim
+that ends its lineage, so a measurement needs no sweep first. Hill climbing
+is this same update at learning rate 1 and discount 0: the table then holds
+the latest observed objective delta per (state, action).
 """
 
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .disk import new_disk
 from .model import DiskGeometry, Hyperparams, canonical_json, field_dict
 from .policies import FIRST_FIT, ApexPolicy, make_policy
 from .recovery import PerfWeights, performance
 from .vfs import FileSystem
-from .workload import WorkloadConfig, WorkloadRunner
+from .workload import WorkloadConfig, apply_ops, generate_ops
 
 # Eight actions: bump one of the four coefficients up or down by one.
 # Index order is fixed; ties in greedy selection go to the lowest index.
@@ -181,13 +182,14 @@ class TrainReport:
 
 def evaluate_policy(config: TrainConfig, hp: Hyperparams, policy_kind: str) -> float:
     """Objective after one interval's worth of ops on a fresh disk under the
-    given coefficients and allocation policy, same workload seed."""
+    given coefficients and allocation policy: the first ops of a fresh
+    stream of the same workload."""
     policy = make_policy(policy_kind, seed=config.workload.rng_seed)
     fs = FileSystem(
         new_disk(config.geometry, hp), policy=policy, invert_link_rule=config.invert_link_rule
     )
-    runner = WorkloadRunner(config.workload, fs)
-    runner.run(config.schedule.oin_per_min)
+    stream = generate_ops(config.workload, config.geometry.total_blocks)
+    apply_ops(islice(stream, config.schedule.oin_per_min), fs)
     return performance(fs, config.weights)
 
 
@@ -199,7 +201,7 @@ def train(config: TrainConfig) -> TrainReport:
         policy=ApexPolicy(),
         invert_link_rule=config.invert_link_rule,
     )
-    runner = WorkloadRunner(config.workload, fs)
+    stream = generate_ops(config.workload, config.geometry.total_blocks)
     agent_rng = random.Random(config.workload.rng_seed + _AGENT_SEED_OFFSET)
 
     qtable: dict[tuple, list[float]] = {}
@@ -210,7 +212,7 @@ def train(config: TrainConfig) -> TrainReport:
 
     for m in range(schedule.min_budget):
         eps = schedule.epsilon(m)
-        runner.run(schedule.oin_per_min)
+        apply_ops(islice(stream, schedule.oin_per_min), fs)
         p = performance(fs, config.weights)
         # The first interval has no predecessor to difference against, so it
         # carries no reward and leaves the table untouched.

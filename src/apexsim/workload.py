@@ -1,9 +1,11 @@
-"""Seeded workload generation, simulation driver, trace record and replay.
+"""Seeded op streams, the one apply loop, trace record and replay.
 
-One operation per tick. Each executed operation is followed by exactly one
-spatial pass. Traces are JSON lines carrying the op outcomes (not the RNG),
-so replaying a trace on a fresh identical disk reproduces the end state
-bit for bit.
+The op stream is a pure function of the workload config and the disk size:
+generate_ops keeps only the counts that generate_op reads, never a disk.
+apply_ops applies ops one tick each, each op followed by exactly one spatial
+pass; simulate, replay and train all apply their ops through it. Traces are
+JSON lines carrying the op outcomes (not the RNG), so replaying a trace on a
+fresh identical disk reproduces the end state bit for bit.
 """
 
 import json
@@ -11,6 +13,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import ConfigError, DiskFullError, TraceError
@@ -178,49 +181,106 @@ def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp
     return WorkloadOp(state.tick, OP_READ, target.path)
 
 
-class WorkloadRunner:
-    """Drives one filesystem through a seeded op stream. It keeps no op once
-    the op has run: step() returns it, and a caller that wants the trace (as
-    run_simulation does) collects it."""
+class _LiveFile:
+    """A live file as generate_op reads it. The stream knows how many blocks
+    a file holds, never which, so its block list is a range of that
+    length."""
 
-    # No retained ops. bench/tracer.py reports len(trace) as
-    # workload.trace.entries, so the name stays, as an empty history.
-    trace = ()
+    __slots__ = ("path", "block_list", "data_blocks")
 
-    def __init__(self, config: WorkloadConfig, fs):
-        self.config = config
-        self.fs = fs
-        self.rng = random.Random(config.rng_seed)
-        self._name_seq = 0
+    def __init__(self, path: str, data_blocks: int):
+        self.path = path
+        self.block_list = range(data_blocks + 1)  # the metadata block first
+        self.data_blocks = data_blocks
 
-    # live view for generate_op
-    @property
-    def tick(self) -> int:
-        return self.fs.disk.clock
 
-    @property
-    def total_blocks(self) -> int:
-        return self.fs.disk.geometry.total_blocks
+class _Counts:
+    """The view generate_op reads, kept from the ops alone (see
+    generate_ops)."""
+
+    __slots__ = ("tick", "total_blocks", "used", "live", "_seq")
+
+    def __init__(self, total_blocks: int, tick: int):
+        self.tick = tick
+        self.total_blocks = total_blocks
+        self.used = 0
+        self.live: list[_LiveFile] = []
+        self._seq = 0
 
     def free_blocks(self) -> int:
-        return self.fs.free_blocks()
+        return self.total_blocks - self.used
 
-    def live_files(self):
-        return self.fs._live
+    def live_files(self) -> list[_LiveFile]:
+        return self.live
 
     def next_path(self, ext: str) -> str:
-        self._name_seq += 1
-        return f"/w{self._name_seq:07d}{ext}"
+        self._seq += 1
+        return f"/w{self._seq:07d}{ext}"
 
-    def step(self) -> WorkloadOp:
-        self.fs.disk.tick()
-        op = generate_op(self.rng, self.config, self)
-        execute_op(self.fs, op)
-        return op
 
-    def run(self, ops: int) -> None:
-        for _ in range(ops):
-            self.step()
+def generate_ops(config: WorkloadConfig, total_blocks: int, tick: int = 0):
+    """The seeded op stream of config on a disk of total_blocks blocks that
+    holds no file at clock tick: an endless generator, one op per tick.
+
+    It reads no disk. generate_op reads counts only, and the stream keeps
+    them from its own ops as the file layer does once it has applied each:
+    the live files in the file layer's swap-remove order (a create appends,
+    a delete moves the last file into the gap) and the used blocks, each
+    create's metadata block included. So every policy and coefficient tuple
+    sees the same stream.
+    """
+    rng = random.Random(config.rng_seed)
+    state = _Counts(total_blocks, tick)
+    live = state.live
+    position = {}  # live path -> its index in live
+    while True:
+        state.tick += 1
+        op = generate_op(rng, config, state)
+        kind = op.kind
+        if kind == OP_CREATE:
+            position[op.path] = len(live)
+            live.append(_LiveFile(op.path, op.size_blocks))
+            state.used += op.size_blocks + 1
+        elif kind == OP_DELETE:
+            i = position.pop(op.path)
+            gone, last = live[i], live.pop()
+            if last is not gone:
+                live[i] = last
+                position[last.path] = i
+            state.used -= len(gone.block_list)
+        yield op
+
+
+def apply_ops(ops, fs) -> None:
+    """Apply ops to fs in order. Per op, Disk.tick advances the clock to the
+    op's tick (bench/tracer.py opens an op there), then execute_op applies
+    the op and runs its spatial pass.
+
+    Ticks must be strictly increasing. A create that does not fit the free
+    space, or a write outside its file, is a TraceError naming the tick; no
+    generated op is either. Each fails before the op touches a file or a
+    block.
+    """
+    disk = fs.disk
+    last = -math.inf
+    for op in ops:
+        tick = op.tick
+        if tick <= last:
+            raise TraceError(f"tick {tick} does not increase (previous {last})")
+        last = tick
+        disk.clock = tick - 1
+        disk.tick()
+        try:
+            execute_op(fs, op)
+        except DiskFullError as e:
+            raise TraceError(f"tick {tick}: {e}") from None
+        except ValueError as e:
+            # trace input: a write outside its file is a TraceError (exit 2),
+            # not the ValueError write_file raises for a caller's bad block
+            # (exit 1); it is raised before the write changes anything
+            if op.kind != OP_WRITE:
+                raise
+            raise TraceError(f"tick {tick}: {op.path}: {e}") from None
 
 
 def execute_op(fs, op: WorkloadOp) -> None:
@@ -288,34 +348,19 @@ def _build_report(fs, seed, ops, weights, workload_echo) -> SimReport:
 
 
 def run_simulation(config: WorkloadConfig, fs, weights: PerfWeights = PerfWeights()):
-    """Run the configured number of ops; returns (SimReport, trace list)."""
-    runner = WorkloadRunner(config, fs)
-    trace = [runner.step() for _ in range(config.total_ops)]
+    """Apply the seeded stream's first config.total_ops ops, the trace, to fs,
+    a file system that holds no file; returns (SimReport, trace list)."""
+    stream = generate_ops(config, fs.disk.geometry.total_blocks, fs.disk.clock)
+    trace = list(islice(stream, config.total_ops))
+    apply_ops(trace, fs)
     return _build_report(fs, config.rng_seed, trace, weights, config.to_dict()), trace
 
 
 def replay_trace(ops, fs, weights: PerfWeights = PerfWeights()) -> SimReport:
-    """Re-execute a recorded trace literally on a fresh filesystem.
-
-    Ticks must be strictly increasing; allocation is a deterministic function
-    of disk state, so the end state matches the recording run bit for bit. A
-    create that does not fit the free space, or a write outside its file, is
-    a TraceError naming the tick.
-    """
-    last_tick = None
-    for op in ops:
-        if last_tick is not None and op.tick <= last_tick:
-            raise TraceError(f"tick {op.tick} does not increase (previous {last_tick})")
-        last_tick = op.tick
-        # trace input: a write outside its file is a TraceError (exit 2), not
-        # the ValueError write_file raises for a caller's bad block (exit 1)
-        if op.kind == OP_WRITE and op.block >= fs.lookup(op.path).data_blocks:
-            raise TraceError(f"tick {op.tick}: write of data block {op.block} outside {op.path}")
-        fs.disk.clock = op.tick
-        try:
-            execute_op(fs, op)
-        except DiskFullError as e:
-            raise TraceError(f"tick {op.tick}: {e}") from None
+    """Re-execute a recorded trace literally on a fresh filesystem (see
+    apply_ops). Allocation is a deterministic function of disk state, so the
+    end state matches the recording run bit for bit."""
+    apply_ops(ops, fs)
     return _build_report(fs, None, ops, weights, {})
 
 

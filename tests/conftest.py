@@ -5,6 +5,7 @@ from apexsim.disk import claim, new_disk
 from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
 from apexsim.policies import ApexPolicy
 from apexsim.vfs import FileSystem
+from apexsim.workload import apply_ops, generate_ops
 
 
 def make_disk(rows=4, cols=4, hp=(4, 7, 1, 9), neighborhood="grid-row"):
@@ -27,6 +28,15 @@ class BlockLists(dict):
         emptied = claim(disk, addrs, file_id, self.__getitem__)
         self[file_id] = np.array(addrs, dtype=np.intp)
         return emptied
+
+
+def applied_ops(cfg, fs):
+    """cfg's seeded op stream for fs, a file system that holds no file: each
+    op is applied to fs, as run_simulation applies it, before it is
+    yielded."""
+    for op in generate_ops(cfg, fs.disk.geometry.total_blocks, fs.disk.clock):
+        apply_ops((op,), fs)
+        yield op
 
 
 def claim_over(fs, addrs, file_id):

@@ -8,7 +8,7 @@ backing criteria 2 and 3 executes once per session.
 import random
 import sys
 import time
-from itertools import compress
+from itertools import compress, islice
 
 import pytest
 
@@ -24,9 +24,9 @@ from apexsim.recovery import (
 )
 from apexsim.tuner import TrainConfig, TrainSchedule, train
 from apexsim.vfs import OBSOLETE, FileSystem
-from apexsim.workload import WorkloadConfig, WorkloadRunner, run_simulation
+from apexsim.workload import WorkloadConfig, apply_ops, generate_ops, run_simulation
 
-from conftest import make_fs
+from conftest import applied_ops, make_fs
 from oracles import (
     ClaimHistoryRecovery,
     FactorOracle,
@@ -61,11 +61,8 @@ def test_criterion_1_ranking_matches_full_sort():
         states = 0
         for seed in range(10):
             fs = make_fs(rows=16, cols=16, hp=REFERENCE.as_tuple())
-            runner = WorkloadRunner(
-                WorkloadConfig(rng_seed=seed, total_ops=0, max_file_blocks=10), fs
-            )
-            for _ in range(100):
-                runner.step()
+            cfg = WorkloadConfig(rng_seed=seed, total_ops=0, max_file_blocks=10)
+            for _ in islice(applied_ops(cfg, fs), 100):
                 free = fs.free_blocks()
                 if free == 0:
                     continue
@@ -94,12 +91,10 @@ def long_conformance_run():
     fs = make_fs(rows=16, cols=16, hp=REFERENCE.as_tuple())
     events = OpEvents(fs)
     oracle = FactorOracle(fs.disk.geometry, REFERENCE)
-    runner = WorkloadRunner(
-        WorkloadConfig(rng_seed=2026, total_ops=0, max_file_blocks=20), fs
-    )
+    cfg = WorkloadConfig(rng_seed=2026, total_ops=0, max_file_blocks=20)
     ops = 100_000
-    for _ in range(ops):
-        oracle.apply_all(events.of(runner.step()))
+    for op in islice(applied_ops(cfg, fs), ops):
+        oracle.apply_all(events.of(op))
         oracle.assert_matches(fs)
     _long_run.update(ops=ops, seconds=time.monotonic() - started)
     return _long_run
@@ -147,10 +142,10 @@ def test_criterion_4_recovery_matches_history_oracle():
                 min_utilization=rng.choice([0.0, 0.3, 0.6]),
                 linked_file_percent=rng.choice([0.0, 20.0, 60.0]),
             )
-            runner, events = WorkloadRunner(cfg, fs), OpEvents(fs)
+            events = OpEvents(fs)
             oracle = ClaimHistoryRecovery()
-            for _ in range(rng.randint(40, 80)):
-                oracle.apply_all(events.of(runner.step()))
+            for op in islice(applied_ops(cfg, fs), rng.randint(40, 80)):
+                oracle.apply_all(events.of(op))
             retired = fs.deleted_files()
             measured = measure_recovery(fs.disk, retired)
             for rec, (intact, rr) in zip(retired, measured, strict=True):
@@ -280,9 +275,9 @@ def test_criterion_8_objective_corner_weights():
                 max_file_blocks=rng.randint(2, 8),
             )
             fs = make_fs(rows=8, cols=8)
-            runner = WorkloadRunner(cfg, fs)
+            stream = generate_ops(cfg, fs.disk.geometry.total_blocks)
             for _ in range(5):
-                runner.run(rng.randint(10, 30))
+                apply_ops(islice(stream, rng.randint(10, 30)), fs)
                 wrr = weighted_rr(fs.disk, fs.deleted_files())
                 assert performance(fs, PerfWeights(0.0)) == wrr
                 assert performance(fs, PerfWeights(1.0)) == -access_time_term(fs)

@@ -15,6 +15,7 @@ to alter behaviour updates these values and says so.
 import hashlib
 import json
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,10 @@ from apexsim.policies import make_policy
 from apexsim.tuner import train
 from apexsim.vfs import LINKED, PARTIAL, FileSystem, type_class_for_path
 from apexsim.workload import (
-    WorkloadConfig, WorkloadRunner, read_trace, replay_trace, run_simulation, write_trace,
+    WorkloadConfig, read_trace, replay_trace, run_simulation, write_trace,
 )
+
+from conftest import applied_ops
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -125,11 +128,9 @@ def fresh_fs(neighborhood, policy):
 
 def factor_trajectory(fs) -> str:
     """sha256 over the used mask and the four factor arrays after every op."""
-    runner = WorkloadRunner(SIM_WORKLOAD, fs)
     disk = fs.disk
     h = hashlib.sha256()
-    for _ in range(SIM_WORKLOAD.total_ops):
-        runner.step()
+    for _ in islice(applied_ops(SIM_WORKLOAD, fs), SIM_WORKLOAD.total_ops):
         for arr in (disk.used_mask, disk.hf, disk.uf, disk.sf, disk.lf):
             h.update(arr.tobytes())
     return h.hexdigest()

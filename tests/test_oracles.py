@@ -3,14 +3,16 @@ passes a faithful copy of a seeded run, fails on each single defect seeded
 into a copy, and its own transitions reject a claim or a free that no
 engine may make."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from apexsim.model import DiskGeometry, Hyperparams
 from apexsim.vfs import OBSOLETE
-from apexsim.workload import WorkloadConfig, WorkloadRunner
+from apexsim.workload import WorkloadConfig
 
-from conftest import make_fs
+from conftest import applied_ops, make_fs
 from oracles import FactorOracle, OpEvents
 
 REFERENCE = Hyperparams(4, 7, 1, 9)
@@ -23,9 +25,9 @@ def modelled_run():
     fs = make_fs(rows=16, cols=16, hp=REFERENCE.as_tuple())
     events = OpEvents(fs)
     oracle = FactorOracle(fs.disk.geometry, REFERENCE)
-    runner = WorkloadRunner(WorkloadConfig(rng_seed=11, total_ops=0, max_file_blocks=8), fs)
-    for _ in range(400):
-        oracle.apply_all(events.of(runner.step()))
+    cfg = WorkloadConfig(rng_seed=11, total_ops=0, max_file_blocks=8)
+    for op in islice(applied_ops(cfg, fs), 400):
+        oracle.apply_all(events.of(op))
         oracle.assert_matches(fs)
     return fs, oracle
 

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from apexsim import recovery
 from apexsim.recovery import (
     PerfWeights,
     access_time_term,
@@ -17,9 +18,9 @@ from apexsim.recovery import (
     usage_weighted_rr,
 )
 from apexsim.vfs import DELETED, LINKED, OBSOLETE, PARTIAL
-from apexsim.workload import OP_CREATE, WorkloadConfig, WorkloadRunner, run_simulation
+from apexsim.workload import OP_CREATE, WorkloadConfig, run_simulation
 
-from conftest import ScriptedPolicy, claim_over, make_fs
+from conftest import ScriptedPolicy, applied_ops, claim_over, make_fs
 from oracles import recovery_of, weighted_rr
 from test_golden import SIM_GOLDEN, SIM_WORKLOAD, fresh_fs
 
@@ -152,13 +153,13 @@ def test_usage_weighted_rr_is_one_sum_over_measured_ratios():
         assert got.hex() == base.hex()
 
     fs = make_fs(rows=8, cols=8)
-    runner = WorkloadRunner(WorkloadConfig(rng_seed=6, total_ops=0, max_file_blocks=6), fs)
+    ops = applied_ops(WorkloadConfig(rng_seed=6, total_ops=0, max_file_blocks=6), fs)
     seen = set()
     for i in range(400):
         if i in (0, 200):
             fs.create_file(f"/empty{i}.txt", 0)
             fs.delete_file(f"/empty{i}.txt")
-        runner.step()
+        next(ops)
         if i % 10:
             continue
         retired = fs.deleted_files()
@@ -216,6 +217,29 @@ def test_performance_combines_both_terms():
     assert performance(fs, PerfWeights(0.3)) == pytest.approx(want)
 
 
+def test_performance_skips_the_seek_cost_at_beta_zero(monkeypatch):
+    """At beta 0 the objective does not compute the seek cost, whose weight
+    is then 0, and has the bits of the objective of both terms; at any other
+    beta it computes the seek cost once."""
+    fs = make_fs(rows=8, cols=8)
+    run_simulation(WorkloadConfig(rng_seed=4, total_ops=200, max_file_blocks=6), fs)
+    seek = access_time_term(fs)
+    assert seek > 0
+    calls = []
+
+    def spy(fs):
+        calls.append(fs)
+        return access_time_term(fs)
+
+    monkeypatch.setattr(recovery, "access_time_term", spy)
+    assert performance(fs, PerfWeights(0.0)).hex() == PerfWeights(0.0).objective(retired_rr(fs), seek).hex()
+    assert calls == []
+    for beta in (0.3, 1.0):
+        want = PerfWeights(beta).objective(retired_rr(fs), seek)
+        assert performance(fs, PerfWeights(beta)).hex() == want.hex()
+    assert calls == [fs, fs]
+
+
 def test_recovery_table_shape():
     fs = make_fs(rows=8, cols=8)
     fs.create_file("/a.txt", 1)
@@ -266,12 +290,12 @@ def test_recoverable_index_matches_retired_list_after_every_op(neighborhood):
     empty prior owners, and the objective read from them equals the
     full-list weighted_rr form bit for bit."""
     fs = make_fs(rows=8, cols=8, neighborhood=neighborhood)
-    runner = WorkloadRunner(WorkloadConfig(rng_seed=9, total_ops=0, max_file_blocks=6), fs)
+    ops = applied_ops(WorkloadConfig(rng_seed=9, total_ops=0, max_file_blocks=6), fs)
     mixed = PerfWeights(0.3)
     flips = 0
     for _ in range(600):
         obsolete = len(fs.deleted_files()) - len(fs.recoverable_files())
-        op = runner.step()
+        op = next(ops)
         retired = fs.deleted_files()
         assert fs.recoverable_files() == [f for f in retired if f.status == DELETED]
         assert fs.retired_usage == sum(f.uf_counter for f in retired)
@@ -291,13 +315,13 @@ def test_measure_recovery_equals_oracle_per_file(neighborhood):
     metadata flag and the ratio. The files are linked
     and partial, whole, partly re-claimed and lost, zero-block and obsolete."""
     fs = make_fs(rows=8, cols=8, neighborhood=neighborhood)
-    runner = WorkloadRunner(WorkloadConfig(rng_seed=6, total_ops=0, max_file_blocks=6), fs)
+    ops = applied_ops(WorkloadConfig(rng_seed=6, total_ops=0, max_file_blocks=6), fs)
     seen = set()
     for i in range(400):
         if i in (0, 200):  # a zero-block file, first and mid-way in delete order
             fs.create_file(f"/empty{i}.txt", 0)
             fs.delete_file(f"/empty{i}.txt")
-        runner.step()
+        next(ops)
         if i % 10:
             continue
         for files in (fs.deleted_files(), fs.recoverable_files()):

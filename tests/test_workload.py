@@ -4,30 +4,36 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from apexsim import workload
 from apexsim.config import load_config
 from apexsim.disk import new_disk
 from apexsim.errors import ConfigError, TraceError
+from apexsim.model import DiskGeometry, Neighborhood
 from apexsim.policies import make_policy
 from apexsim.recovery import PerfWeights, performance
+from apexsim.tuner import TrainConfig, TrainSchedule, train
 from apexsim.vfs import FileSystem
 from apexsim.workload import (
     WorkloadConfig,
     WorkloadOp,
-    WorkloadRunner,
+    apply_ops,
+    execute_op,
     generate_op,
+    generate_ops,
     read_trace,
     replay_trace,
     run_simulation,
     write_trace,
 )
 
-from conftest import make_fs
+from conftest import applied_ops, make_fs
 
 
 class FakeFile:
@@ -185,13 +191,81 @@ def test_op_stream_does_not_depend_on_placement(
     assert len(traces) == 1
 
 
+def _files(files):
+    return [(f.path, len(f.block_list), f.data_blocks) for f in files]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    neighborhood=st.one_of(
+        st.sampled_from(["grid-row", "none"]),
+        st.integers(1, 20).map("contiguous:{}".format),
+    ),
+    policy=st.sampled_from(["apex", "first-fit", "random"]),
+    mix=st.tuples(*[st.integers(0, 4)] * 3).filter(any),
+    max_file_blocks=st.integers(1, 20),
+    min_utilization=st.floats(0.0, 0.95),
+)
+def test_stream_counts_equal_the_file_system_after_every_op(
+    seed, rows, cols, neighborhood, policy, mix, max_file_blocks, min_utilization
+):
+    """The stream keeps what generate_op reads from its own ops alone: after
+    every applied op, its live files' paths and block counts are
+    fs.live_files()'s, in order, and its free count is fs.free_blocks()."""
+    assume(rows * cols >= 2)
+    cfg = WorkloadConfig(rng_seed=seed, max_file_blocks=max_file_blocks,
+                         min_utilization=min_utilization,
+                         op_mix=tuple(w / sum(mix) for w in mix))
+    fs = make_fs(rows=rows, cols=cols, neighborhood=neighborhood,
+                 policy=make_policy(policy, seed=seed))
+    views = []
+
+    def spy(rng, config, state):
+        views.append(state)
+        return generate_op(rng, config, state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "generate_op", spy)
+        for _ in islice(applied_ops(cfg, fs), 200):
+            state = views[-1]
+            assert _files(state.live_files()) == _files(fs.live_files())
+            assert state.free_blocks() == fs.free_blocks()
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    intervals=st.integers(1, 5),
+    oin_per_min=st.integers(1, 60),
+    neighborhood=st.sampled_from(["grid-row", "none", "contiguous:3"]),
+)
+def test_train_applies_the_streams_first_ops(seed, intervals, oin_per_min, neighborhood):
+    """train's k intervals apply the stream's first k * oin_per_min ops, and
+    each of its two evaluations the first oin_per_min ops of a fresh stream."""
+    geometry = DiskGeometry(8, 8, Neighborhood.parse(neighborhood))
+    cfg = TrainConfig(geometry, TrainSchedule(min_budget=intervals, oin_per_min=oin_per_min),
+                      WorkloadConfig(rng_seed=seed, max_file_blocks=6))
+    applied = []
+
+    def spy(fs, op):
+        applied.append(op)
+        execute_op(fs, op)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "execute_op", spy)
+        train(cfg)
+    stream = list(islice(generate_ops(cfg.workload, geometry.total_blocks), intervals * oin_per_min))
+    assert applied == stream + stream[:oin_per_min] * 2
+
+
 def test_deletes_never_break_utilization_floor():
     cfg = WorkloadConfig(rng_seed=11, total_ops=400, max_file_blocks=6, min_utilization=0.70)
     fs = make_fs(rows=16, cols=16)
-    runner = WorkloadRunner(cfg, fs)
     total = fs.disk.geometry.total_blocks
-    for _ in range(cfg.total_ops):
-        op = runner.step()
+    for op in islice(applied_ops(cfg, fs), cfg.total_ops):
         if op.kind == "delete":
             assert (total - fs.free_blocks()) / total >= cfg.min_utilization - 1e-12
 
@@ -269,19 +343,19 @@ def test_op_json_round_trip_all_kinds():
 
 
 def test_op_loop_keeps_no_history():
-    """The runner's net heap growth per op is the file system's own state
+    """The op loop's net heap growth per op is the file system's own state
     (retired files), not a record of the ops: about 60 B/op on example.ini,
-    against 274 B/op while the runner kept every op."""
+    against 274 B/op while the loop kept every op."""
     cfg = load_config(str(Path(__file__).parent.parent / "configs" / "example.ini"))
     disk = new_disk(cfg.geometry, cfg.coefficients)
     fs = FileSystem(disk, policy=make_policy(cfg.policy_kind, seed=cfg.workload.rng_seed))
-    runner = WorkloadRunner(cfg.workload, fs)
-    runner.run(2_000)
+    stream = generate_ops(cfg.workload, disk.geometry.total_blocks)
+    apply_ops(islice(stream, 2_000), fs)
     ops = 10_000
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        runner.run(ops)
+        apply_ops(islice(stream, ops), fs)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
