@@ -200,8 +200,8 @@ class _Counts:
 
     __slots__ = ("tick", "total_blocks", "used", "live", "_seq")
 
-    def __init__(self, total_blocks: int, tick: int):
-        self.tick = tick
+    def __init__(self, total_blocks: int):
+        self.tick = 0
         self.total_blocks = total_blocks
         self.used = 0
         self.live: list[_LiveFile] = []
@@ -218,9 +218,10 @@ class _Counts:
         return f"/w{self._seq:07d}{ext}"
 
 
-def generate_ops(config: WorkloadConfig, total_blocks: int, tick: int = 0):
-    """The seeded op stream of config on a disk of total_blocks blocks that
-    holds no file at clock tick: an endless generator, one op per tick.
+def generate_ops(config: WorkloadConfig, total_blocks: int):
+    """The seeded op stream of config on a fresh disk of total_blocks blocks,
+    one that holds no file at clock 0: an endless generator, one op per tick
+    from tick 1.
 
     It reads no disk. generate_op reads counts only, and the stream keeps
     them from its own ops as the file layer does once it has applied each:
@@ -230,7 +231,7 @@ def generate_ops(config: WorkloadConfig, total_blocks: int, tick: int = 0):
     sees the same stream.
     """
     rng = random.Random(config.rng_seed)
-    state = _Counts(total_blocks, tick)
+    state = _Counts(total_blocks)
     live = state.live
     position = {}  # live path -> its index in live
     while True:
@@ -349,8 +350,8 @@ def _build_report(fs, seed, ops, weights, workload_echo) -> SimReport:
 
 def run_simulation(config: WorkloadConfig, fs, weights: PerfWeights = PerfWeights()):
     """Apply the seeded stream's first config.total_ops ops, the trace, to fs,
-    a file system that holds no file; returns (SimReport, trace list)."""
-    stream = generate_ops(config, fs.disk.geometry.total_blocks, fs.disk.clock)
+    a fresh file system (clock 0, no file); returns (SimReport, trace list)."""
+    stream = generate_ops(config, fs.disk.geometry.total_blocks)
     trace = list(islice(stream, config.total_ops))
     apply_ops(trace, fs)
     return _build_report(fs, config.rng_seed, trace, weights, config.to_dict()), trace

@@ -31,10 +31,10 @@ class BlockLists(dict):
 
 
 def applied_ops(cfg, fs):
-    """cfg's seeded op stream for fs, a file system that holds no file: each
+    """cfg's seeded op stream for fs, a fresh file system: each
     op is applied to fs, as run_simulation applies it, before it is
     yielded."""
-    for op in generate_ops(cfg, fs.disk.geometry.total_blocks, fs.disk.clock):
+    for op in generate_ops(cfg, fs.disk.geometry.total_blocks):
         apply_ops((op,), fs)
         yield op
 
