@@ -219,9 +219,8 @@ class _Counts:
 
 
 def generate_ops(config: WorkloadConfig, total_blocks: int):
-    """The seeded op stream of config on a fresh disk of total_blocks blocks,
-    one that holds no file at clock 0: an endless generator, one op per tick
-    from tick 1.
+    """The seeded op stream of config on a fresh disk (clock 0, no file) of
+    total_blocks blocks: an endless generator, one op per tick from tick 1.
 
     It reads no disk. generate_op reads counts only, and the stream keeps
     them from its own ops as the file layer does once it has applied each:
