@@ -16,6 +16,11 @@ pair), whether the change's median gain exceeds the parent's interquartile
 range, and whether every run's fingerprint was the same. The file is
 rewritten after every pair; entries of an earlier --out for other
 (workload, seed) keys are kept.
+
+The exit status is 1, once the file is written, when any run was not
+correct or reported failed ops; stderr names each such (workload, seed).
+Differing fingerprints are only a warning on stderr, since a change may
+move bytes on purpose.
 """
 
 import argparse
@@ -118,6 +123,8 @@ def main(argv=None):
     p.add_argument("--workdir", type=Path, default=ROOT / ".bench_build",
                    help="where git revisions are exported (default: .bench_build)")
     args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
 
     (parent, parent_sha), (change, change_sha) = (export(x, args.workdir) for x in (args.parent, args.change))
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {"workloads": []}
@@ -128,6 +135,7 @@ def main(argv=None):
         "parent": {"tree": args.parent, "commit": parent_sha},
         "change": {"tree": args.change, "commit": change_sha},
     })
+    broken = []
     for workload in args.workload:
         for seed in args.seed:
             results = []
@@ -142,13 +150,21 @@ def main(argv=None):
                 doc["parent"]["source_sha256"], doc["change"]["source_sha256"] = sources
                 doc["env"] = {k: results[0][0]["env"][k] for k in ("python", "numpy", "nproc")}
                 doc["workloads"] = [w for w in doc["workloads"] if (w["workload"], w["seed"]) != (workload, seed)]
-                doc["workloads"].append(entry(workload, seed, results))
+                current = entry(workload, seed, results)
+                doc["workloads"].append(current)
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
-                ops = doc["workloads"][-1]["summary"]["ops_per_s"]
+                ops = current["summary"]["ops_per_s"]
                 print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}: ops_per_s "
                       f"{ops['parent_median']:.0f} -> {ops['change_median']:.0f}, "
-                      f"change wins {ops['change_wins']}", flush=True)
-    return 0
+                      f"change wins {ops['change_wins']}, correct {current['all_correct']}, "
+                      f"failed {current['failed']}", flush=True)
+            if not current["fingerprints_equal"]:
+                print(f"warning: {workload} seed {seed}: fingerprints differ", file=sys.stderr)
+            if not current["all_correct"] or current["failed"]:
+                broken.append(f"{workload} seed {seed}")
+    for name in broken:
+        print(f"{name}: a run was not correct or reported failed ops", file=sys.stderr)
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

@@ -3,13 +3,15 @@ flood the disk with secondary data under each policy, and measure how much of
 the primary corpus is still recoverable.
 
 A cell (policy, secondary size, seed) is what a fresh disk flooded up to that
-one size would hold. Each flood starts from a copy of a primary phase: a
-fresh disk after the primary creates and deletes. A policy whose choices do
-not depend on the seed (apex, first-fit) writes its primaries once for every
-seed; random writes them once per seed (see run_compare). The cells of one
-(policy, seed) share their ops up to where a smaller size clips its last
-file, so they run as one flood toward the largest size, each smaller cell
-finishing on a copy of the file system (see run_flood). The sweep counts
+one size would hold. Compare has no op loop of its own: a primary phase is
+one list of creates and deletes (see primary_phase), a flood is one list of
+secondary creates (see flood_ops), and workload.apply_ops applies both. A
+flood reads no disk, so each seed's floods are drawn once and serve every
+policy. A policy whose choices do not depend on the seed (apex, first-fit)
+writes its primaries once for every seed; random writes them once per seed
+(see run_compare). The floods of one (policy, seed) agree up to where a
+smaller size clips its last file, so the largest runs once and each smaller
+cell finishes on a copy of the file system (see run_flood). The sweep counts
 secondary data blocks, so targets map directly onto fractions of the device.
 """
 
@@ -22,7 +24,7 @@ from .errors import ConfigError
 from .policies import KINDS, SEED_FREE, make_policy
 from .recovery import measure_recovery, usage_weighted_rr
 from .vfs import LINKED, PARTIAL, FileSystem
-from .workload import OP_CREATE, OP_DELETE, WorkloadOp, execute_op
+from .workload import OP_CREATE, OP_DELETE, WorkloadOp, apply_ops
 
 
 @dataclass(frozen=True)
@@ -93,71 +95,65 @@ def primary_phase(
     seed: int,
     invert_link_rule: bool = False,
 ) -> FileSystem:
-    """A fresh disk after the primary creates, then the primary deletes, each
-    one tick, in path order."""
-    disk = new_disk(geometry, hp)
+    """A fresh disk after the primary creates, then the primary deletes, one
+    tick each in path order: it ends at clock 2·primary_count with every
+    block free."""
     policy = make_policy(policy_kind, seed=seed + 1000003)
-    fs = FileSystem(disk, policy=policy, invert_link_rule=invert_link_rule)
+    fs = FileSystem(new_disk(geometry, hp), policy=policy, invert_link_rule=invert_link_rule)
     primary_ext = ".avi" if settings.primary_type == PARTIAL else ".zip"
-    primary_paths = [f"/primary{i}{primary_ext}" for i in range(settings.primary_count)]
-    for path in primary_paths:
-        disk.tick()
-        execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, path, settings.primary_data_blocks))
-    for path in primary_paths:
-        disk.tick()
-        execute_op(fs, WorkloadOp(disk.clock, OP_DELETE, path))
+    paths = [f"/primary{i}{primary_ext}" for i in range(settings.primary_count)]
+    ops = [(OP_CREATE, path, settings.primary_data_blocks) for path in paths]
+    ops += [(OP_DELETE, path) for path in paths]
+    apply_ops([WorkloadOp(tick, *op) for tick, op in enumerate(ops, 1)], fs)
     return fs
 
 
-def run_flood(phase: FileSystem, settings: CompareSettings, targets: tuple, seed: int) -> dict:
-    """The cells of one (policy, seed) for every target in targets, keyed by
-    target, from one flood on a copy of phase (see primary_phase), which is
-    left as it was.
+def flood_ops(settings: CompareSettings, target: int, seed: int, total_blocks: int) -> list:
+    """The secondary creates that flood a primary phase of a total_blocks
+    disk up to target data blocks: seeded sizes, each clipped to the blocks
+    left and to one less than the free blocks, until the target is written
+    or fewer than two blocks are free. Like generate_ops, it counts the free
+    blocks from its own ops and reads no disk, so it serves every policy."""
+    rng = random.Random(seed)
+    clock = 2 * settings.primary_count  # where the primary phase ends
+    free, left, ops = total_blocks, target, []
+    while left > 0 and free > 1:
+        size = rng.randint(settings.secondary_min_blocks, settings.secondary_max_blocks)
+        size = min(size, left, free - 1)
+        seq = len(ops) + 1
+        ops.append(WorkloadOp(clock + seq, OP_CREATE, f"/secondary{seq:04d}.dat", size))
+        free -= size + 1
+        left -= size
+    return ops
 
-    Each target's cell is the flood a fresh disk would see for that target
-    alone: the primaries, then secondary creates of seeded sizes clipped to
-    the blocks left to write and to the free space, until the target is
-    written or the disk is full. Those cells agree up to the step where a
-    smaller target clips its last file, so one line floods toward the
-    largest target, each size drawn once. A target that clips its last file
-    below the line's size finishes on a copy taken before the line's op; a
-    target the line reaches exactly, or that a full disk stops first, is
-    measured on the line.
+
+def run_flood(phase: FileSystem, floods: dict, seed: int) -> dict:
+    """The cells of one (policy, seed), keyed by target, floods mapping each
+    target to its flood_ops: a copy of phase, which is left as it was,
+    after that target's ops alone.
+
+    The largest target's ops, the line, run once on one copy. A target's
+    ops are no longer than the line and agree with it up to where they part
+    from it, a larger target parting no earlier. So, target by target in
+    ascending order, the line is applied up to there, and a target whose
+    ops go on finishes on a copy with its remaining op.
     """
     fs = phase.copy()
-    disk = fs.disk
-    rng = random.Random(seed)
-
+    line = floods[max(floods)]
+    done = 0
     cells = {}
-    pending = sorted(set(targets))  # ascending; pending[-1] is the line's target
-    written = 0
-    seq = 0
-    while True:
-        while pending and pending[0] <= written:
-            target = pending.pop(0)
-            cells[target] = _row(fs, target, seed)
-        if not pending:
-            break
-        free = fs.free_blocks()
-        if free < 2:
-            break
-        size = rng.randint(settings.secondary_min_blocks, settings.secondary_max_blocks)
-        size = min(size, pending[-1] - written, free - 1)
-        seq += 1
-        path = f"/secondary{seq:04d}.dat"
-        # the size is a min over (drawn, blocks left, free - 1), so a smaller
-        # target clips below it exactly when its blocks left are fewer
-        while pending[0] - written < size:
-            target = pending.pop(0)
+    for target in sorted(floods):
+        ops = floods[target]
+        shared = 0
+        while shared < len(ops) and ops[shared] == line[shared]:
+            shared += 1
+        apply_ops(line[done:shared], fs)
+        done = shared
+        cell = fs
+        if shared < len(ops):
             cell = fs.copy()
-            cell.disk.tick()
-            execute_op(cell, WorkloadOp(cell.disk.clock, OP_CREATE, path, target - written))
-            cells[target] = _row(cell, target, seed)
-        disk.tick()
-        execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, path, size))
-        written += size
-    for target in pending:  # a full disk stopped these
-        cells[target] = _row(fs, target, seed)
+            apply_ops(ops[shared:], cell)
+        cells[target] = _row(cell, target, seed)
     return cells
 
 
@@ -168,18 +164,22 @@ def run_compare(
     invert_link_rule: bool = False,
 ) -> list[CompareRow]:
     """Every cell of the sweep, policy by policy, then target by target in
-    settings order, then seed by seed. One flood per (policy, seed) serves
-    all of that seed's targets, and equal targets share one row. Each flood
+    settings order, then seed by seed. Each seed's floods are drawn once
+    and serve every policy, and one run_flood per (policy, seed) serves
+    all of that seed's targets; equal targets share one row. Each flood
     starts from a copy of its policy's primary phase, written once for a
-    seed-free policy and once per seed for random, so a cell still equals a
-    fresh disk flooded to that one target."""
+    seed-free policy and once per seed for random, so a cell still equals
+    a fresh disk flooded to that one target."""
+    n = geometry.total_blocks
     need = settings.primary_count * (settings.primary_data_blocks + 1)
-    if need > geometry.total_blocks:
+    if need > n:
         raise ConfigError(
             f"primary corpus needs {need} blocks ({settings.primary_count} files of "
-            f"{settings.primary_data_blocks} data blocks plus metadata), the disk has "
-            f"{geometry.total_blocks}"
+            f"{settings.primary_data_blocks} data blocks plus metadata), the disk has {n}"
         )
+    targets = settings.secondary_targets
+    floods = {seed: {t: flood_ops(settings, t, seed, n) for t in targets}
+              for seed in settings.seeds}
     rows = []
     for policy_kind in settings.policies:
         def phase(seed):
@@ -189,14 +189,11 @@ def run_compare(
         # one serves all floods; any other draws its primary blocks from the
         # seed's own stream, so each seed writes its own primaries.
         shared = phase(settings.seeds[0]) if policy_kind in SEED_FREE else None
-        floods = [
-            run_flood(
-                shared if shared is not None else phase(seed),
-                settings, settings.secondary_targets, seed,
-            )
+        cells = [
+            run_flood(shared if shared is not None else phase(seed), floods[seed], seed)
             for seed in settings.seeds
         ]
-        rows += [cells[target] for target in settings.secondary_targets for cells in floods]
+        rows += [c[target] for target in targets for c in cells]
     return rows
 
 

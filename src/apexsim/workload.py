@@ -3,9 +3,10 @@
 The op stream is a pure function of the workload config and the disk size:
 generate_ops keeps only the counts that generate_op reads, never a disk.
 apply_ops applies ops one tick each, each op followed by exactly one spatial
-pass; simulate, replay and train all apply their ops through it. Traces are
-JSON lines carrying the op outcomes (not the RNG), so replaying a trace on a
-fresh identical disk reproduces the end state bit for bit.
+pass; simulate, replay, train and compare all apply their ops through it, the
+one caller of execute_op. Traces are JSON lines carrying the op outcomes (not
+the RNG), so replaying a trace on a fresh identical disk reproduces the end
+state bit for bit.
 """
 
 import json
@@ -122,7 +123,7 @@ class WorkloadOp(NamedTuple):
 
 
 def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp:
-    """Sample the next operation against a live view of the simulation.
+    """Sample the next operation against a counts-only view (see generate_ops).
 
     state needs: tick, total_blocks, free_blocks() (called at most once per
     op), live_files() and next_path().
@@ -284,8 +285,8 @@ def apply_ops(ops, fs) -> None:
 
 
 def execute_op(fs, op: WorkloadOp) -> None:
-    """Apply one op to the file system, then run the op's spatial pass. The
-    caller advances the clock first."""
+    """Apply one op to the file system, then run the op's spatial pass.
+    apply_ops, its one caller, advances the clock first."""
     if op.kind == OP_CREATE:
         fs.create_file(op.path, op.size_blocks)
     elif op.kind == OP_DELETE:

@@ -1,6 +1,8 @@
-"""The summary arithmetic of scripts/bench_pairs.py, on hand-made runs."""
+"""The summary arithmetic and exit status of scripts/bench_pairs.py, on
+hand-made runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -28,12 +30,14 @@ def test_summary_counts_wins_in_each_metrics_direction():
     assert one["parent_iqr"] == 0.0 and one["change_wins"] == 1 and one["beyond_parent_iqr"]
 
 
-def test_entry_flags_a_fingerprint_that_moved():
-    def run(value, fingerprint):
-        metrics = {m["name"]: {"value": value, "unit": m["unit"]} for m in bench_pairs.METRICS}
-        return {"metrics": metrics, "fingerprint": fingerprint, "correct": True, "failed": 0,
-                "attempted": 10}
+def run(value, fingerprint, correct=True, failed=0):
+    """A hand-made bench/run.py result."""
+    metrics = {m["name"]: {"value": value, "unit": m["unit"]} for m in bench_pairs.METRICS}
+    return {"metrics": metrics, "fingerprint": fingerprint, "correct": correct, "failed": failed,
+            "attempted": 10}
 
+
+def test_entry_flags_a_fingerprint_that_moved():
     same = bench_pairs.entry("w", 3, [(run(1.0, {"a": 1}), run(2.0, {"a": 1}))] * 3)
     assert same["fingerprints_equal"] and same["all_correct"] and same["pairs"] == 3
     assert same["metrics"]["ops_per_s"] == {"parent": [1.0] * 3, "change": [2.0] * 3}
@@ -41,3 +45,38 @@ def test_entry_flags_a_fingerprint_that_moved():
     assert same["summary"]["wall_s"]["change_wins"] == 0
     moved = bench_pairs.entry("w", 3, [(run(1.0, {"a": 1}), run(1.0, {"a": 2}))])
     assert not moved["fingerprints_equal"]
+
+
+@pytest.mark.parametrize("bad, status", [
+    ({}, 0),
+    ({"fingerprint": {"a": 2}}, 0),  # a warning only
+    ({"correct": False}, 1),
+    ({"failed": 3}, 1),
+])
+def test_main_exits_1_after_writing_when_a_run_is_wrong(tmp_path, monkeypatch, capsys, bad, status):
+    """A run that is not correct or failed ops makes the exit status 1, with
+    the JSON written and its (workload, seed) named; a moved fingerprint
+    only warns."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+
+    def run_once(tree, workload, seed, seconds):
+        fields = {"fingerprint": {"a": 1}} | (bad if tree == change and seed == 4 else {})
+        return run(1.0, **fields) | {"env": {"source_sha256": str(tree), "python": "3", "numpy": "2",
+                                 "nproc": 1}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_x.json"
+    argv = [str(parent), str(change), "--workload", "w", "--seed", "3", "--seed", "4",
+            "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == status
+    doc = json.loads(out.read_text())
+    assert [(e["workload"], e["seed"], e["pairs"]) for e in doc["workloads"]] == [
+        ("w", 3, 2), ("w", 4, 2),
+    ]
+    captured = capsys.readouterr()
+    assert "correct True, failed 0" in captured.out
+    assert ("w seed 4: a run was not correct or reported failed ops" in captured.err) == bool(status)
+    assert ("warning: w seed 4: fingerprints differ" in captured.err) == ("fingerprint" in bad)
+    assert "w seed 3" not in captured.err

@@ -12,12 +12,13 @@ from apexsim.compare import (
     CompareSettings,
     compare_report,
     compare_report_json,
+    flood_ops,
     primary_phase,
     run_compare,
     run_flood,
 )
 from apexsim.config import load_config
-from apexsim.disk import new_disk
+from apexsim.disk import Disk, new_disk
 from apexsim.model import GRID_ROW, DiskGeometry, Hyperparams, Neighborhood
 from apexsim.policies import make_policy
 from apexsim.vfs import LINKED, PARTIAL, FileSystem
@@ -59,23 +60,26 @@ def test_settings_validation():
 
 def test_zero_churn_leaves_everything_recoverable():
     settings = small_settings(secondary_targets=(0,))
-    row = run_flood(primary_phase(GEO, HP, settings, "apex", 0), settings, (0,), 0)[0]
+    floods = {0: flood_ops(settings, 0, 0, GEO.total_blocks)}
+    row = run_flood(primary_phase(GEO, HP, settings, "apex", 0), floods, 0)[0]
     assert row.weighted_rr == pytest.approx(100.0)
     assert row.per_file_rr == (1.0,) * 2
 
 
 def test_full_capacity_churn_destroys_everything():
     settings = small_settings(secondary_targets=(256,))
+    floods = {256: flood_ops(settings, 256, 0, GEO.total_blocks)}
     for policy in ("apex", "first-fit"):
-        row = run_flood(primary_phase(GEO, HP, settings, policy, 0), settings, (256,), 0)[256]
+        row = run_flood(primary_phase(GEO, HP, settings, policy, 0), floods, 0)[256]
         assert row.weighted_rr == pytest.approx(0.0)
         assert row.per_file_rr == (0.0,) * 2
 
 
 def test_cell_is_deterministic():
     settings = small_settings()
-    a = run_flood(primary_phase(GEO, HP, settings, "apex", 7), settings, (30,), 7)[30]
-    b = run_flood(primary_phase(GEO, HP, settings, "apex", 7), settings, (30,), 7)[30]
+    floods = {30: flood_ops(settings, 30, 7, GEO.total_blocks)}
+    a = run_flood(primary_phase(GEO, HP, settings, "apex", 7), floods, 7)[30]
+    b = run_flood(primary_phase(GEO, HP, settings, "apex", 7), floods, 7)[30]
     assert a == b
 
 
@@ -125,9 +129,10 @@ def test_report_document_shape():
 
 def reference_cell(geometry, hp, settings, policy_kind, target, seed, invert_link_rule):
     """One cell on its own fresh disk: the primaries, then a flood of seeded
-    sizes clipped to the blocks left and the free space. Returns the row and
+    sizes clipped to the blocks left and the free space. Returns the row,
     how the flood ended: "reached" (the last file fit as drawn), "clipped"
-    (the last file was cut to the blocks left) or "full"."""
+    (the last file was cut to the blocks left) or "full", and the (path,
+    size) creates the flood applied."""
     disk = new_disk(geometry, hp)
     fs = FileSystem(disk, make_policy(policy_kind, seed=seed + 1000003), invert_link_rule)
     rng = random.Random(seed)
@@ -139,7 +144,7 @@ def reference_cell(geometry, hp, settings, policy_kind, target, seed, invert_lin
     for path in paths:
         disk.tick()
         execute_op(fs, WorkloadOp(disk.clock, OP_DELETE, path))
-    written, seq, end = 0, 0, "reached"
+    written, seq, end, creates = 0, 0, "reached", []
     while written < target:
         free = fs.free_blocks()
         if free < 2:
@@ -149,13 +154,14 @@ def reference_cell(geometry, hp, settings, policy_kind, target, seed, invert_lin
         size = max(min(drawn, target - written, free - 1), 1)
         end = "clipped" if size == target - written < drawn else "reached"
         seq += 1
+        creates.append((f"/secondary{seq:04d}.dat", size))
         disk.tick()
-        execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, f"/secondary{seq:04d}.dat", size))
+        execute_op(fs, WorkloadOp(disk.clock, OP_CREATE, *creates[-1]))
         written += size
     primary = fs.deleted_files()
     per_file = tuple(recovery_of(disk, f)[2] for f in primary)
     row = CompareRow(policy_kind, target, seed, weighted_rr(disk, primary), per_file)
-    return row, end
+    return row, end, creates
 
 
 SWEEP = dict(
@@ -201,7 +207,7 @@ def test_shared_flood_equals_one_fresh_disk_per_cell(case):
     for policy in settings.policies:
         for target in settings.secondary_targets:
             for seed in settings.seeds:
-                row, end = reference_cell(geometry, HP, settings, policy, target, seed, inverted)
+                row, end, _ = reference_cell(geometry, HP, settings, policy, target, seed, inverted)
                 expected.append(row)
                 ends.add((target > 0, end))
     rows = run_compare(geometry, HP, settings, inverted)
@@ -211,6 +217,60 @@ def test_shared_flood_equals_one_fresh_disk_per_cell(case):
     )
     # the sweep exercised every way a cell can end
     assert {(True, "reached"), (True, "clipped"), (True, "full")} <= ends
+
+
+def shared_flood_case(case):
+    """(geometry, settings, inverted link rule) of a SHARED_FLOOD_CASES entry."""
+    neighborhood, side, inverted, fields = SHARED_FLOOD_CASES[case]
+    geometry = replace(GEO, rows=side, cols=side, neighborhood=Neighborhood.parse(neighborhood))
+    return geometry, CompareSettings(**fields), inverted
+
+
+@pytest.mark.parametrize("case", list(SHARED_FLOOD_CASES))
+def test_flood_ops_equal_the_reference_creates(case):
+    """flood_ops reads no disk: its ops are the creates every policy's
+    fresh-disk reference applies, one tick each from the primary phase's
+    end, for every target and seed."""
+    geometry, settings, inverted = shared_flood_case(case)
+    first = 2 * settings.primary_count + 1
+    for target in settings.secondary_targets:
+        for seed in settings.seeds:
+            ops = flood_ops(settings, target, seed, geometry.total_blocks)
+            assert [(op.tick, op.kind) for op in ops] == [
+                (tick, OP_CREATE) for tick in range(first, first + len(ops))
+            ]
+            creates = [(op.path, op.size_blocks) for op in ops]
+            for policy in settings.policies:
+                cell = reference_cell(geometry, HP, settings, policy, target, seed, inverted)
+                assert cell[2] == creates, (policy, target, seed)
+
+
+def test_run_flood_applies_the_largest_targets_ops_once(monkeypatch):
+    """One run_flood ticks once per op of the largest target's ops, the
+    line, and once more per target whose ops part from the line; a flood
+    per target would tick once per op of every target."""
+    geometry, settings, _ = shared_flood_case("grid-row-small-sizes-inverted")
+    ticks = []
+    tick = Disk.tick
+
+    def counted_tick(disk):
+        ticks.append(disk)
+        tick(disk)
+
+    monkeypatch.setattr(Disk, "tick", counted_tick)
+    spared = 0
+    for policy in settings.policies:
+        for seed in settings.seeds:
+            floods = {t: flood_ops(settings, t, seed, geometry.total_blocks)
+                      for t in settings.secondary_targets}
+            line = floods[max(floods)]
+            parting = sum(ops != line[: len(ops)] for ops in floods.values())
+            phase = primary_phase(geometry, HP, settings, policy, seed)
+            ticks.clear()
+            run_flood(phase, floods, seed)
+            assert len(ticks) == len(line) + parting, (policy, seed)
+            spared += sum(map(len, floods.values())) - len(ticks)
+    assert spared > 0
 
 
 def assert_within_clairvoyant_bound(geometry, settings):

@@ -75,7 +75,7 @@ KEYS = {
     ("compare", "primary_count"): (ints(1, 3), ["0", "200"]),
     ("compare", "primary_blocks"): (ints(1, 8), ["0", "-1"]),
     ("compare", "primary_type"): (words("partial", "linked"), ["weird"]),
-    # a full disk stops a target past its size (see compare.run_flood)
+    # a full disk stops a target past its size (see compare.flood_ops)
     ("compare", "secondary_blocks"): (tuples(2, 0, 80) | words("1000"), ["-5,102", "3,-1"]),
     ("compare", "secondary_min_blocks"): (ints(1, 6), ["0"]),
     ("compare", "secondary_max_blocks"): (ints(1, 6), ["0"]),

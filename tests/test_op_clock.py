@@ -2,13 +2,14 @@
 once (Disk.tick), is then applied to the file system, and ends with one
 spatial pass. bench/tracer.py times an op from Disk.tick to the end of its
 spatial pass, so every driver keeps this order: run_simulation, replay_trace,
-train with its evaluations, and compare's primary phases and floods."""
+train with its evaluations, and compare's primary phases and floods. Each
+applies its ops through workload.apply_ops, the one caller of Disk.tick."""
 
 import sys
 
 import pytest
 
-from apexsim import priority
+from apexsim import priority, workload
 from apexsim.compare import CompareSettings, run_compare
 from apexsim.disk import Disk
 from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
@@ -22,28 +23,45 @@ OP = ["tick", "op", "pass"]
 NEIGHBORHOODS = ["grid-row", "none", "contiguous:3"]
 
 
+def patch_everywhere(monkeypatch, function, replacement):
+    """Replace function in every apexsim module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("apexsim.") and module.__dict__.get(function.__name__) is function:
+            monkeypatch.setattr(module, function.__name__, replacement)
+
+
 @pytest.fixture
 def clock(monkeypatch):
     """The order of clock advances, file-system ops and spatial passes. The
-    pass is replaced in every apexsim module that holds it, as the bench
-    replaces it."""
+    pass and the apply loop are replaced in every apexsim module that holds
+    them, as the bench replaces the pass; a clock advance outside the apply
+    loop is logged as its own entry."""
     log = []
+    applying = []
     tick = Disk.tick
 
     def logged_tick(disk):
         tick(disk)
-        log.append("tick")
+        log.append("tick" if applying else "tick outside apply_ops")
 
     monkeypatch.setattr(Disk, "tick", logged_tick)
+    apply = workload.apply_ops
+
+    def logged_apply(ops, fs):
+        applying.append(True)
+        try:
+            apply(ops, fs)
+        finally:
+            applying.pop()
+
+    patch_everywhere(monkeypatch, apply, logged_apply)
     spatial = priority.update_spatial_factors
 
     def logged_pass(disk):
         spatial(disk)
         log.append("pass")
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("apexsim.") and module.__dict__.get("update_spatial_factors") is spatial:
-            monkeypatch.setattr(module, "update_spatial_factors", logged_pass)
+    patch_everywhere(monkeypatch, spatial, logged_pass)
     for method in ("create_file", "delete_file", "access", "write_file"):
         def logged_op(fs, *args, _apply=getattr(FileSystem, method)):
             log.append("op")
