@@ -170,15 +170,15 @@ def run_compare(
     starts from a copy of its policy's primary phase, written once for a
     seed-free policy and once per seed for random, so a cell still equals
     a fresh disk flooded to that one target."""
-    n = geometry.total_blocks
     need = settings.primary_count * (settings.primary_data_blocks + 1)
-    if need > n:
+    if need > geometry.total_blocks:
         raise ConfigError(
             f"primary corpus needs {need} blocks ({settings.primary_count} files of "
-            f"{settings.primary_data_blocks} data blocks plus metadata), the disk has {n}"
+            f"{settings.primary_data_blocks} data blocks plus metadata), the disk has "
+            f"{geometry.total_blocks}"
         )
     targets = settings.secondary_targets
-    floods = {seed: {t: flood_ops(settings, t, seed, n) for t in targets}
+    floods = {seed: {t: flood_ops(settings, t, seed, geometry.total_blocks) for t in targets}
               for seed in settings.seeds}
     rows = []
     for policy_kind in settings.policies:

@@ -52,7 +52,7 @@ def test_entry_flags_a_fingerprint_that_moved():
     ({"fingerprint": {"a": 2}}, 0),  # a warning only
     ({"correct": False}, 1),
     ({"failed": 3}, 1),
-])
+], ids=["clean", "moved-fingerprint", "not-correct", "failed-ops"])
 def test_main_exits_1_after_writing_when_a_run_is_wrong(tmp_path, monkeypatch, capsys, bad, status):
     """A run that is not correct or failed ops makes the exit status 1, with
     the JSON written and its (workload, seed) named; a moved fingerprint
@@ -63,8 +63,8 @@ def test_main_exits_1_after_writing_when_a_run_is_wrong(tmp_path, monkeypatch, c
 
     def run_once(tree, workload, seed, seconds):
         fields = {"fingerprint": {"a": 1}} | (bad if tree == change and seed == 4 else {})
-        return run(1.0, **fields) | {"env": {"source_sha256": str(tree), "python": "3", "numpy": "2",
-                                 "nproc": 1}}
+        env = {"source_sha256": str(tree), "python": "3", "numpy": "2", "nproc": 1}
+        return run(1.0, **fields) | {"env": env}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "BENCH_x.json"
