@@ -14,6 +14,7 @@ reports and the compare rows all give; one formula (PerfWeights.objective)
 weighs it against the seek cost, for train and the reports alike.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,22 +104,23 @@ def access_time_term(fs) -> float:
     scores sum(|gap|) / ((blocks - 1) * total_blocks); single-block files
     score 0. The gaps of all files are taken in one pass over their block
     lists laid end to end; each gap sum is exact in integers, so each
-    file's score is one correctly rounded division."""
+    file's score is one correctly rounded division, and math.fsum makes
+    their sum correctly rounded too. So the term depends on the set of live
+    files alone, not on the order the namespace keeps them in."""
     files = fs.live_files()
     if not files:
         return 0.0
     total = fs.disk.geometry.total_blocks
     lists = [f.block_list for f in files if len(f.block_list) >= 2]
-    acc = 0.0
-    if lists:
-        sizes = np.array([len(bl) for bl in lists])
-        starts = np.cumsum(sizes) - sizes
-        # before[i]: the sum of the gaps before position i of the joined lists
-        before = np.concatenate(([0], np.cumsum(np.abs(np.diff(np.concatenate(lists))))))
-        gaps = before[starts + sizes - 1] - before[starts]
-        for g, n in zip(gaps.tolist(), sizes.tolist()):
-            acc += g / ((n - 1) * total)
-    return acc / len(files)
+    if not lists:
+        return 0.0
+    sizes = np.array([len(bl) for bl in lists])
+    starts = np.cumsum(sizes) - sizes
+    # before[i]: the sum of the gaps before position i of the joined lists
+    before = np.concatenate(([0], np.cumsum(np.abs(np.diff(np.concatenate(lists))))))
+    gaps = before[starts + sizes - 1] - before[starts]
+    scores = (g / ((n - 1) * total) for g, n in zip(gaps.tolist(), sizes.tolist()))
+    return math.fsum(scores) / len(files)
 
 
 def performance(fs, weights: PerfWeights) -> float:

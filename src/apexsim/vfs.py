@@ -1,8 +1,8 @@
 """Minimal file layer over the disk model.
 
-The namespace is flat: a path is "/" plus one name, and one dict holds each
-live path's position in the list of live files; there are no directories. A
-file record carries only its file's own facts, never its place in an index.
+The namespace is flat: a path is "/" plus one name, and one dict maps each
+live path to its file record; there are no directories, and no live file has
+a position. A file record carries only its file's own facts.
 Files are fixed-size at creation and sized in whole blocks: block 0 of every
 non-empty file is its metadata block, the rest carry data in order. A file's
 block list is the np.intp index array its policy picked, made read-only at
@@ -105,8 +105,7 @@ class FileSystem:
         self.disk = disk
         self.policy = policy
         self.invert_link_rule = invert_link_rule
-        self._live: list[FileRecord] = []  # swap-remove list for uniform sampling
-        self._by_path: dict[str, int] = {}  # the namespace: live path -> position in _live
+        self._live: dict[str, FileRecord] = {}  # the namespace: live path -> record
         self._retired: list[FileRecord] = []  # deleted and obsolete files, in delete order
         self._recoverable: dict[int, FileRecord] = {}  # id -> deleted file, in delete order
         self.retired_usage = 0  # sum of uf_counter over _retired; a retired file never gains usage
@@ -114,9 +113,9 @@ class FileSystem:
 
     def copy(self) -> "FileSystem":
         """An independent file system on a copy of the disk. Every file record
-        is copied, and the indexes are rebuilt from the copied lists: the
-        namespace's positions carry over as they are, and the recoverable
-        files are the copied retired ones still recoverable, in delete order.
+        is copied, and the indexes are rebuilt from the copies: the namespace
+        maps each live path to its copied record, and the recoverable files
+        are the copied retired ones still recoverable, in delete order.
         The policy copies itself (see policies), so a seeded policy goes on
         with the same stream. Block lists stay shared between the twin
         records: each is a read-only array."""
@@ -124,8 +123,7 @@ class FileSystem:
         new.__dict__.update(self.__dict__)
         new.disk = self.disk.copy()
         new.policy = self.policy.copy()
-        new._live = [rec.copy() for rec in self._live]
-        new._by_path = dict(self._by_path)
+        new._live = {path: rec.copy() for path, rec in self._live.items()}
         new._retired = [rec.copy() for rec in self._retired]
         new._recoverable = {rec.id: rec for rec in new._retired if rec.id in self._recoverable}
         return new
@@ -133,7 +131,7 @@ class FileSystem:
     # -- queries -------------------------------------------------------------
 
     def live_files(self) -> list[FileRecord]:
-        return list(self._live)
+        return list(self._live.values())
 
     def deleted_files(self) -> list[FileRecord]:
         """Deleted and obsolete files, in delete order."""
@@ -145,7 +143,7 @@ class FileSystem:
 
     def lookup(self, path: str) -> FileRecord:
         try:
-            return self._live[self._by_path[path]]
+            return self._live[path]
         except (KeyError, TypeError):
             check_path(path)  # a malformed path is a ValueError, not a miss
             raise FileNotFoundError(path) from None
@@ -169,7 +167,7 @@ class FileSystem:
         owner left with none of them becomes obsolete.
         """
         check_path(path)
-        if path in self._by_path:
+        if path in self._live:
             raise FileExistsError(path)
         if data_blocks < 0:
             raise ValueError("negative size")
@@ -181,9 +179,7 @@ class FileSystem:
         for owner in emptied:
             self._recoverable.pop(owner).status = OBSOLETE
 
-        rec = FileRecord(fid, path, addrs)
-        self._by_path[path] = len(self._live)
-        self._live.append(rec)
+        rec = self._live[path] = FileRecord(fid, path, addrs)
         return rec
 
     def delete_file(self, path: str) -> FileRecord:
@@ -201,7 +197,7 @@ class FileSystem:
             self._recoverable[rec.id] = rec
         else:
             rec.status = OBSOLETE
-        self._drop_live(rec)
+        del self._live[path]
         self._retired.append(rec)
         self.retired_usage += rec.uf_counter
         return rec
@@ -232,11 +228,3 @@ class FileSystem:
         and on each of its blocks."""
         self.disk.uf[rec.block_list] += _ONE_USE
         rec.uf_counter += 1
-
-    def _drop_live(self, rec: FileRecord) -> None:
-        """Swap-remove: the last live record moves into the gap."""
-        i = self._by_path.pop(rec.path)
-        last = self._live.pop()
-        if last is not rec:
-            self._live[i] = last
-            self._by_path[last.path] = i

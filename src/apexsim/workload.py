@@ -125,8 +125,9 @@ class WorkloadOp(NamedTuple):
 def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp:
     """Sample the next operation against a counts-only view (see generate_ops).
 
-    state needs: tick, total_blocks, free_blocks() (called at most once per
-    op), live_files() and next_path().
+    state needs: tick, total_blocks, used (the used blocks), live (the live
+    files, each with a path and its data_blocks, in the order the stream
+    samples them) and next_path().
     Enforcement, in order: an empty namespace forces Create; a sampled Delete
     whose target would drop utilization below the floor becomes a Create (this
     covers the plain utilization < floor case, since any delete drops it
@@ -134,7 +135,7 @@ def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp
     not even one data block fits it degrades to a Read. A Create draws linked
     or partial only to pick its path's extension, which alone sets the class.
     """
-    files = state.live_files()
+    files = state.live
     r = rng.random()
     mix = config.op_mix
     if r < mix[0]:
@@ -146,13 +147,10 @@ def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp
 
     if not files:
         kind = OP_CREATE
-    if kind != "rw":
-        free = state.free_blocks()  # read once: a delete may become a create
     if kind == OP_DELETE:
         target = files[rng.randrange(len(files))]
-        total = state.total_blocks
-        used_after = total - free - len(target.block_list)
-        if used_after / total < config.min_utilization:
+        used_after = state.used - (target.data_blocks + 1)
+        if used_after / state.total_blocks < config.min_utilization:
             kind = OP_CREATE
         else:
             return WorkloadOp(state.tick, OP_DELETE, target.path)
@@ -162,6 +160,7 @@ def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp
         jitter = rng.uniform(-5.0, 5.0)
         p_linked = min(max((config.linked_file_percent + jitter) / 100.0, 0.0), 1.0)
         linked = rng.random() < p_linked
+        free = state.total_blocks - state.used
         if free < size + 1:
             size = free - 1
         if size < 1:
@@ -183,15 +182,14 @@ def generate_op(rng: random.Random, config: WorkloadConfig, state) -> WorkloadOp
 
 
 class _LiveFile:
-    """A live file as generate_op reads it. The stream knows how many blocks
-    a file holds, never which, so its block list is a range of that
-    length."""
+    """A live file as generate_op reads it: its path and its data blocks. It
+    holds one metadata block besides; the stream knows how many blocks a
+    file holds, never which."""
 
-    __slots__ = ("path", "block_list", "data_blocks")
+    __slots__ = ("path", "data_blocks")
 
     def __init__(self, path: str, data_blocks: int):
         self.path = path
-        self.block_list = range(data_blocks + 1)  # the metadata block first
         self.data_blocks = data_blocks
 
 
@@ -208,12 +206,6 @@ class _Counts:
         self.live: list[_LiveFile] = []
         self._seq = 0
 
-    def free_blocks(self) -> int:
-        return self.total_blocks - self.used
-
-    def live_files(self) -> list[_LiveFile]:
-        return self.live
-
     def next_path(self, ext: str) -> str:
         self._seq += 1
         return f"/w{self._seq:07d}{ext}"
@@ -224,11 +216,11 @@ def generate_ops(config: WorkloadConfig, total_blocks: int):
     total_blocks blocks: an endless generator, one op per tick from tick 1.
 
     It reads no disk. generate_op reads counts only, and the stream keeps
-    them from its own ops as the file layer does once it has applied each:
-    the live files in the file layer's swap-remove order (a create appends,
-    a delete moves the last file into the gap) and the used blocks, each
-    create's metadata block included. So every policy and coefficient tuple
-    sees the same stream.
+    them from its own ops: the used blocks, each create's metadata block
+    included, and the live files' paths and data blocks in a swap-remove
+    order of the stream's own (a create appends, a delete moves the last
+    file into the gap), the order it samples. So every policy and
+    coefficient tuple sees the same stream.
     """
     rng = random.Random(config.rng_seed)
     state = _Counts(total_blocks)
@@ -248,7 +240,7 @@ def generate_ops(config: WorkloadConfig, total_blocks: int):
             if last is not gone:
                 live[i] = last
                 position[last.path] = i
-            state.used -= len(gone.block_list)
+            state.used -= gone.data_blocks + 1
         yield op
 
 

@@ -220,9 +220,9 @@ class FactorOracle:
     def assert_matches(self, fs, context=""):
         """The device's arrays equal the model's byte for byte, sf to within
         1e-9 on every block (a NaN or an infinity fails); the live ids, each
-        once, and the recoverable ids in delete order too. The namespace maps
-        each live record's path to its position in the live list, and no
-        other path. Every record the two indexes hold has its id, its status
+        once, so no record sits under two paths, and the recoverable ids in
+        delete order too. The namespace files each live record under its own
+        path. Every record the two indexes hold has its id, its status
         and the blocks its file claimed, which is also what keeps claim's
         index honest: the table is no block state, so no digest shows it
         wrong."""
@@ -233,14 +233,12 @@ class FactorOracle:
         assert np.abs(self.sf - disk.sf).max() <= 1e-9, f"sf mismatch {context}"
         live, recoverable = fs._live, fs._recoverable
         assert list(recoverable) == list(self.recoverable), f"recoverable ids mismatch {context}"
-        assert len(live) == len(self.live) and {f.id for f in live} == self.live, (
+        assert len(live) == len(self.live) and {f.id for f in live.values()} == self.live, (
             f"live ids mismatch {context}"
         )
-        assert fs._by_path == {rec.path: i for i, rec in enumerate(live)}, (
-            f"namespace mismatch {context}"
-        )
+        assert all(path == rec.path for path, rec in live.items()), f"namespace mismatch {context}"
         blocks = self.blocks
-        for rec in live:
+        for rec in live.values():
             assert rec.status == USED and rec.block_list.tolist() == blocks[rec.id], (
                 f"record mismatch, file {rec.id} {context}"
             )

@@ -14,9 +14,11 @@ to alter behaviour updates these values and says so.
 
 import hashlib
 import json
+import random
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +28,7 @@ from apexsim.config import load_config
 from apexsim.disk import new_disk
 from apexsim.model import DiskGeometry, Hyperparams, Neighborhood
 from apexsim.policies import make_policy
+from apexsim.recovery import access_time_term
 from apexsim.tuner import train
 from apexsim.vfs import LINKED, PARTIAL, FileSystem, type_class_for_path
 from apexsim.workload import (
@@ -47,7 +50,7 @@ SIM_TRACE_GOLDEN = "4df7cd5318bfa99d5e239939cc824cd5a0a5c3d43f37aad69b035d450956
 # (neighborhood, policy) -> (report sha256, factor trajectory sha256)
 SIM_GOLDEN = {
     ("grid-row", "apex"): (
-        "74542eda4730ecdb5a21ab5dc73405bc76a3f9a73dbfd1a2f00bee74918d9548",
+        "2ff4e7becc6a408b27ff0646e42062f4fd7e496d381f3cbafc35ec7abb667eb4",
         "197f74a98acd3ec88894a73679b1680cd66f1af91c1c93584f4bd26e329b1517",
     ),
     ("grid-row", "first-fit"): (
@@ -59,7 +62,7 @@ SIM_GOLDEN = {
         "87cf27ce857cfcc30c6f5be84da25f4672496132cdbf793c74ee8595aecef657",
     ),
     ("none", "apex"): (
-        "822375d02da645faed9093aa869e8b6b6c4cbd95c66ea01065572a223f2b5529",
+        "f0856ab5a3cb25e75194831d6f6f6bba3a390e9cc90bc4e4f5dfc30f4c2691d0",
         "f7d92d38df0c32689c16f518e104cc450f21377e05015495588640ca9afad7bf",
     ),
     ("none", "first-fit"): (
@@ -71,7 +74,7 @@ SIM_GOLDEN = {
         "e7abda7983f6f19fb34e36377f06b903052c0f8c7e40cea828cbae4f5d5fe8c4",
     ),
     ("contiguous:3", "apex"): (
-        "67ee7de78af6300f9330594268304f097f3495c73a90422dd18ec892699dc0cf",
+        "6221357a779c39bad9237b499e27b5a1f142e6f4f92a036ee426c14c8ca954e0",
         "8dab82a35ad322502a3123449d9c6015906aa9b499c725fb0aab8ac5db172af1",
     ),
     ("contiguous:3", "first-fit"): (
@@ -143,6 +146,23 @@ def test_simulate_report_trace_and_factor_trajectory(neighborhood, policy):
     assert sha256(trace_bytes) == SIM_TRACE_GOLDEN
     got = (sha256(report.to_json()), factor_trajectory(fresh_fs(neighborhood, policy)))
     assert got == SIM_GOLDEN[neighborhood, policy]
+
+
+@pytest.mark.parametrize("neighborhood", ["contiguous:3", "grid-row", "none"])
+def test_seek_term_does_not_depend_on_the_order_of_the_live_files(neighborhood):
+    """aat_seek is a function of the set of live files: on the apex end
+    state of each simulate case, access_time_term gives the same bits over
+    any permutation of the live files."""
+    fs = fresh_fs(neighborhood, "apex")
+    run_simulation(SIM_WORKLOAD, fs)
+    files = fs.live_files()
+    expected = access_time_term(fs)
+    rng = random.Random(0)
+    orders = [files[::-1], sorted(files, key=lambda f: f.path)]
+    orders += [rng.sample(files, len(files)) for _ in range(20)]
+    for order in orders:
+        stub = SimpleNamespace(disk=fs.disk, live_files=lambda order=order: order)
+        assert access_time_term(stub).hex() == expected.hex()
 
 
 @pytest.mark.parametrize("contradict", [False, True], ids=["type-of-path", "type-contradicting-path"])

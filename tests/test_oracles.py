@@ -47,20 +47,20 @@ def _revive_obsolete(fs):
 
 def _rename_owner(fs):
     addr = int(np.flatnonzero(fs.disk.used_mask)[0])
-    fs.disk.owner[addr] = next(f.id for f in fs._live if f.id != fs.disk.owner[addr])
+    fs.disk.owner[addr] = next(f.id for f in fs._live.values() if f.id != fs.disk.owner[addr])
 
 
 def _drop_live(fs):
-    fs._live.pop()
+    fs._live.popitem()
 
 
 def _duplicate_live(fs):
-    fs._live.append(fs._live[0])
+    fs._live["/duplicate.txt"] = next(iter(fs._live.values()))
 
 
 def _swap_namespace(fs):
-    first, second = (rec.path for rec in fs._live[:2])
-    fs._by_path[first], fs._by_path[second] = fs._by_path[second], fs._by_path[first]
+    first, second = list(fs._live)[:2]
+    fs._live[first], fs._live[second] = fs._live[second], fs._live[first]
 
 
 def _swap_recoverable(fs):
@@ -73,7 +73,7 @@ def _unmark_recoverable(fs):
 
 
 def _shorten_live_list(fs):
-    rec = next(f for f in fs._live if len(f.block_list) > 1)
+    rec = next(f for f in fs._live.values() if len(f.block_list) > 1)
     rec.block_list = rec.block_list[:-1]
 
 

@@ -23,6 +23,8 @@ from apexsim.vfs import FileSystem
 from apexsim.workload import (
     WorkloadConfig,
     WorkloadOp,
+    _Counts,
+    _LiveFile,
     apply_ops,
     execute_op,
     generate_op,
@@ -36,50 +38,30 @@ from apexsim.workload import (
 from conftest import applied_ops, make_fs
 
 
-class FakeFile:
-    def __init__(self, path, block_list):
-        self.path = path
-        self.block_list = block_list
-        self.data_blocks = max(len(block_list) - 1, 0)
-
-
-class FakeState:
-    """Hand-built view for driving generate_op without a real disk."""
-
-    def __init__(self, files, total=1000, used=0, tick=1):
-        self.tick = tick
-        self.total_blocks = total
-        self.used_blocks = used
-        self._files = files
-        self._seq = 0
-        self.free_reads = 0
-
-    def live_files(self):
-        return self._files
-
-    def free_blocks(self):
-        self.free_reads += 1
-        return self.total_blocks - self.used_blocks
-
-    def next_path(self, ext):
-        self._seq += 1
-        return f"/w{self._seq:07d}{ext}"
+def stream_view(files, total=1000, used=0, tick=1):
+    """The stream's own counts-only view, set by hand for driving
+    generate_op without a disk."""
+    state = _Counts(total)
+    state.tick = tick
+    state.used = used
+    state.live.extend(files)
+    return state
 
 
 def one_file():
-    return [FakeFile("/f0.txt", [0, 1, 2])]
+    return [_LiveFile("/f0.txt", 2)]
 
 
 def test_empty_namespace_forces_create():
     cfg = WorkloadConfig(op_mix=(1.0, 0.0, 0.0))  # sampler wants read/write
     for seed in range(10):
-        op = generate_op(random.Random(seed), cfg, FakeState([]))
+        op = generate_op(random.Random(seed), cfg, stream_view([]))
         assert op.kind == "create"
 
 
 def test_delete_below_floor_becomes_create():
     cfg = WorkloadConfig(op_mix=(0.0, 0.0, 1.0), min_utilization=0.30)
-    state = FakeState(one_file(), total=16, used=4)
+    state = stream_view(one_file(), total=16, used=4)
     # dropping the only 4-block file would land at 0 percent
     op = generate_op(random.Random(1), cfg, state)
     assert op.kind == "create"
@@ -87,7 +69,7 @@ def test_delete_below_floor_becomes_create():
 
 def test_delete_allowed_at_floor_zero():
     cfg = WorkloadConfig(op_mix=(0.0, 0.0, 1.0), min_utilization=0.0)
-    state = FakeState(one_file(), total=16, used=4)
+    state = stream_view(one_file(), total=16, used=4)
     op = generate_op(random.Random(1), cfg, state)
     assert op.kind == "delete"
     assert op.path == "/f0.txt"
@@ -96,7 +78,7 @@ def test_delete_allowed_at_floor_zero():
 def test_create_clamped_to_free_space():
     cfg = WorkloadConfig(op_mix=(0.0, 1.0, 0.0), max_file_blocks=20)
     for seed in range(20):
-        state = FakeState(one_file(), total=16, used=14)  # room for 1 data block
+        state = stream_view(one_file(), total=16, used=14)  # room for 1 data block
         op = generate_op(random.Random(seed), cfg, state)
         assert op.kind == "create"
         assert op.size_blocks == 1
@@ -104,27 +86,15 @@ def test_create_clamped_to_free_space():
 
 def test_create_degrades_to_read_when_nothing_fits():
     cfg = WorkloadConfig(op_mix=(0.0, 1.0, 0.0))
-    state = FakeState(one_file(), total=16, used=15)
+    state = stream_view(one_file(), total=16, used=15)
     op = generate_op(random.Random(3), cfg, state)
     assert op.kind == "read"
     assert op.path == "/f0.txt"
 
 
-@pytest.mark.parametrize("mix", [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)])
-@pytest.mark.parametrize("used", [4, 15])
-def test_free_count_read_at_most_once_per_op(mix, used):
-    """A sampled delete reads the free count once, also when it falls back to
-    a create; a read or write does not read it."""
-    cfg = WorkloadConfig(op_mix=mix, min_utilization=0.30)
-    for seed in range(20):
-        state = FakeState(one_file(), total=16, used=used)
-        op = generate_op(random.Random(seed), cfg, state)
-        assert state.free_reads == (0 if mix[0] == 1.0 else 1), (seed, op)
-
-
 def test_tiny_disk_with_nothing_to_do_rejected():
     cfg = WorkloadConfig(op_mix=(0.0, 1.0, 0.0))
-    state = FakeState([], total=1, used=0)
+    state = stream_view([], total=1, used=0)
     with pytest.raises(ConfigError):
         generate_op(random.Random(0), cfg, state)
 
@@ -134,7 +104,7 @@ def test_op_mix_converges():
     rng = random.Random(2024)
     counts = Counter()
     for _ in range(10000):
-        state = FakeState(one_file(), total=1000, used=500)
+        state = stream_view(one_file(), total=1000, used=500)
         counts[generate_op(rng, cfg, state).kind] += 1
     assert counts["read"] + counts["write"] == pytest.approx(7000, abs=300)
     assert counts["create"] == pytest.approx(1500, abs=300)
@@ -192,7 +162,7 @@ def test_op_stream_does_not_depend_on_placement(
 
 
 def _files(files):
-    return [(f.path, len(f.block_list), f.data_blocks) for f in files]
+    return sorted((f.path, f.data_blocks) for f in files)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -213,8 +183,10 @@ def test_stream_counts_equal_the_file_system_after_every_op(
     seed, rows, cols, neighborhood, policy, mix, max_file_blocks, min_utilization
 ):
     """The stream keeps what generate_op reads from its own ops alone: after
-    every applied op, its live files' paths and block counts are
-    fs.live_files()'s, in order, and its free count is fs.free_blocks()."""
+    every applied op, its live files' paths and data blocks are
+    fs.live_files()'s, both sorted by path, and its free count is
+    fs.free_blocks(). The stream's own order is pinned by the trace goldens;
+    the file system keeps none."""
     assume(rows * cols >= 2)
     cfg = WorkloadConfig(rng_seed=seed, max_file_blocks=max_file_blocks,
                          min_utilization=min_utilization,
@@ -231,8 +203,8 @@ def test_stream_counts_equal_the_file_system_after_every_op(
         mp.setattr(workload, "generate_op", spy)
         for _ in islice(applied_ops(cfg, fs), 200):
             state = views[-1]
-            assert _files(state.live_files()) == _files(fs.live_files())
-            assert state.free_blocks() == fs.free_blocks()
+            assert _files(state.live) == _files(fs.live_files())
+            assert state.total_blocks - state.used == fs.free_blocks()
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
