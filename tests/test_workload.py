@@ -38,11 +38,10 @@ from apexsim.workload import (
 from conftest import applied_ops, make_fs
 
 
-def stream_view(files, total=1000, used=0, tick=1):
+def stream_view(files, total=1000, used=0):
     """The stream's own counts-only view, set by hand for driving
     generate_op without a disk."""
     state = _Counts(total)
-    state.tick = tick
     state.used = used
     state.live.extend(files)
     return state
